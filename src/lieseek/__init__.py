@@ -20,8 +20,7 @@ from .model import (ChannelSpec, DitherSignal, EscSystemSpec,
                     nu_coefficient, verify_assumption_a2)
 from .scenarios import (GekfSettings, Scenario, load_scenario, preset,
                         preset_names, save_scenario)
-from .sim import (SimState, TrajectoryLog, rk4_step, run_baseline, run_lbs,
-                  run_proposed)
+from .sim import TrajectoryLog, rk4_step, run_baseline, run_lbs, run_proposed
 
 __version__ = "0.1.0"
 
@@ -30,7 +29,7 @@ __all__ = [
     "ComparisonReport", "DitherSignal", "EscSystemSpec",
     "EstimationErrorModel", "GekfConfig", "GekfFilter", "GekfSettings",
     "GekfState", "JSignal", "LbsRhs", "ObjectiveMap", "RunMetrics",
-    "Scenario", "SimState", "TrajectoryLog", "VectorFieldFn", "b0_of",
+    "Scenario", "TrajectoryLog", "VectorFieldFn", "b0_of",
     "check_b2", "check_bound", "chen_fliess_predict", "compare",
     "diagonal_fields", "eval_dither", "extract_J", "initial_state",
     "lbs_rhs_exact", "lie_bracket", "load_scenario", "measurement_update",

@@ -27,7 +27,6 @@ def period_average(values: np.ndarray, window: int) -> np.ndarray:
     window = max(1, int(window))
     flat = values.reshape(values.shape[0], -1)
     csum = np.vstack([np.zeros((1, flat.shape[1])), np.cumsum(flat, axis=0)])
-    out = np.empty_like(flat)
     idx = np.arange(flat.shape[0])
     lo = np.maximum(idx + 1 - window, 0)
     out = (csum[idx + 1] - csum[lo]) / (idx + 1 - lo)[:, None]

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis as an
-from .errors import InputError, LieseekError, LookupError_
+from .errors import ConfigurationError, InputError, LieseekError, LookupError_
 from .scenarios import Scenario, load_scenario, preset, preset_names
 from .sim import TrajectoryLog, _atomic_write, run_baseline, run_lbs, run_proposed
 
@@ -29,11 +29,12 @@ EXIT_RUNTIME = 3
 
 @dataclass(frozen=True)
 class RunArtifacts:
-    """Paths produced by one scenario run."""
+    """Paths produced by one scenario run, and its logs by (label, mode)."""
 
     csv_paths: dict
     report_path: str
     config_path: str
+    logs: dict
 
 
 def _json_dump(payload: dict, path: str) -> None:
@@ -142,7 +143,7 @@ def execute_run(sc: Scenario, mode: str, out_dir: str, seed: int = 0,
     config_path = os.path.join(out_dir, f"{sc.name}_config.json")
     _json_dump(sc.config, config_path)
     return RunArtifacts(csv_paths=csv_paths, report_path=report_path,
-                        config_path=config_path)
+                        config_path=config_path, logs=logs)
 
 
 def cmd_list(args) -> int:
@@ -188,16 +189,12 @@ def cmd_sweep(args) -> int:
         artifacts = execute_run(sweep_sc, args.mode, sub, seed=args.seed)
         deviations = {}
         finals = {}
-        for label in sweep_sc.systems:
-            for m in _run_modes(args.mode):
-                log = TrajectoryLog.from_csv(
-                    artifacts.csv_paths[f"{label}_{m}"])
-                x_star = sweep_sc.x_star(label)
-                finals[f"{label}_{m}"] = float(
-                    np.linalg.norm(log.x[-1] - x_star))
-                if not np.any(np.isnan(log.z_ref)):
-                    deviations[f"{label}_{m}"] = float(
-                        np.max(np.abs(log.x - log.z_ref)))
+        for (label, m), log in artifacts.logs.items():
+            key = f"{label}_{m}"
+            finals[key] = float(
+                np.linalg.norm(log.x[-1] - sweep_sc.x_star(label)))
+            if not np.any(np.isnan(log.z_ref)):
+                deviations[key] = float(np.max(np.abs(log.x - log.z_ref)))
         return {"value": value, "out": sub, "deviation": deviations,
                 "final_error": finals}
 
@@ -339,7 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"{args.command} needs a scenario name or --config")
     try:
         return args.fn(args)
-    except LookupError_ as exc:
+    except (LookupError_, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LieseekError as exc:

@@ -173,19 +173,25 @@ def measurement_update(s: GekfState, cfg: GekfConfig, f_meas_t2: float,
     update, re-symmetrized; afterwards the held value ``x3`` is pinned to
     the new measurement so the next window anchors at measured data.
     """
+    c = measurement_coefficients(
+        channels, f_meas_t1, np.atleast_1d(np.asarray(u1_int, dtype=float)),
+        np.atleast_1d(np.asarray(u2_int, dtype=float)), a,
+        np.atleast_1d(np.asarray(nu_hat, dtype=float)), cfg)
+    return _update(s, cfg, f_meas_t2, c)[0]
+
+
+def _update(s: GekfState, cfg: GekfConfig, f2: float,
+            c: np.ndarray) -> tuple[GekfState, float]:
+    """:func:`measurement_update` for given coefficients ``c``; also
+    returns the innovation against the pre-update state."""
     n = s.n
-    u1_int = np.atleast_1d(np.asarray(u1_int, dtype=float))
-    u2_int = np.atleast_1d(np.asarray(u2_int, dtype=float))
-    nu_hat = np.atleast_1d(np.asarray(nu_hat, dtype=float))
-    c = measurement_coefficients(channels, f_meas_t1, u1_int, u2_int, a,
-                                 nu_hat, cfg)
     dim = 2 * n + 1
     h = np.zeros(dim)
     h[:n] = c
     h[-1] = 1.0
 
     mean = s.mean()
-    innovation = f_meas_t2 - float(h @ mean)
+    innovation = f2 - float(h @ mean)
     sv = float(h @ s.P @ h) + cfg.r
     gain = (s.P @ h) / sv
     mean = mean + gain * innovation
@@ -199,11 +205,10 @@ def measurement_update(s: GekfState, cfg: GekfConfig, f_meas_t2: float,
     P[-1, -1] = cfg.r
     P = 0.5 * (P + P.T)
 
-    out = GekfState(x1=mean[:n], x2=mean[n:2 * n], x3=float(f_meas_t2), P=P,
-                    t=s.t)
+    out = GekfState(x1=mean[:n], x2=mean[n:2 * n], x3=float(f2), P=P, t=s.t)
     if not out.is_finite():
         raise FilterDivergenceError("filter state non-finite after update", t=s.t)
-    return out
+    return out, innovation
 
 
 def extract_J(s: GekfState, cfg: GekfConfig,
@@ -248,15 +253,10 @@ class GekfFilter:
     def update(self, f2: float, f1: float, u1_int, u2_int, a,
                channels: Sequence[ChannelSpec]) -> None:
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        prev = self.state
-        h = np.zeros(2 * prev.n + 1)
-        h[:prev.n] = measurement_coefficients(channels, f1, np.atleast_1d(u1_int),
-                                              np.atleast_1d(u2_int), a,
-                                              self.nu_hat, self.cfg)
-        h[-1] = 1.0
-        self.last_innovation = f2 - float(h @ prev.mean())
-        self.state = measurement_update(prev, self.cfg, f2, f1, u1_int, u2_int,
-                                        a, channels, self.nu_hat)
+        c = measurement_coefficients(channels, f1, np.atleast_1d(u1_int),
+                                     np.atleast_1d(u2_int), a, self.nu_hat,
+                                     self.cfg)
+        self.state, self.last_innovation = _update(self.state, self.cfg, f2, c)
         self.paused = np.abs(a) < self.cfg.a_floor
 
     def step_export(self) -> np.ndarray:

@@ -144,9 +144,12 @@ class Scenario:
             if key not in cfg:
                 raise ConfigurationError(f"scenario config missing {key!r}")
         self.name: str = cfg["name"]
-        self.systems: dict[str, EscSystemSpec] = {
-            label: build_system(sys_cfg)
-            for label, sys_cfg in cfg["systems"].items()}
+        try:
+            self.systems: dict[str, EscSystemSpec] = {
+                label: build_system(sys_cfg)
+                for label, sys_cfg in cfg["systems"].items()}
+        except KeyError as exc:
+            raise ConfigurationError(f"system config missing {exc}") from exc
         if not self.systems:
             raise ConfigurationError("scenario declares no systems")
         self.primary: str = cfg.get("primary", next(iter(self.systems)))
@@ -200,8 +203,12 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Scenario(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    return Scenario(config)
 
 
 # -- presets -------------------------------------------------------------------

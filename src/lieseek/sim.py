@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,17 +39,6 @@ def _scalar_dither(d: DitherSignal) -> Callable[[float], float]:
         freq, ph = TAU / d.period, d.phase
         return lambda th: math.sin(freq * th + ph)
     return lambda th: float(d.value(th))
-
-
-@dataclass
-class SimState:
-    """Mutable per-step state of a seeking run."""
-
-    t: float
-    x: np.ndarray
-    a: np.ndarray
-    u1_acc: np.ndarray
-    u2_acc: np.ndarray
 
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
@@ -194,19 +182,47 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _guard(spec: EscSystemSpec, x: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(f"state non-finite at t={t}", t_exit=t)
-    box = spec.objective.domain_box
-    if box is not None:
-        limit = 10.0 * spec.objective.box_diagonal()
-        if np.linalg.norm(x - spec.objective.box_center()) > limit:
+def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
+    """Per-step divergence check ``guard(x, t)`` for states of ``spec``."""
+    obj = spec.objective
+    centre = limit = None
+    if obj.domain_box is not None:
+        centre, limit = obj.box_center(), 10.0 * obj.box_diagonal()
+
+    def guard(x: np.ndarray, t: float) -> None:
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"state non-finite at t={t}", t_exit=t)
+        if centre is not None and np.linalg.norm(x - centre) > limit:
             raise DivergenceError(
                 f"state left 10x domain-box region at t={t}", t_exit=t)
+    return guard
 
 
 def _exact_rhs(spec: EscSystemSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return lbs_rhs_exact(spec, z, amplitude=a).j
+
+
+def _averaged(spec: EscSystemSpec,
+              err: Optional[EstimationErrorModel] = None) -> np.ndarray:
+    """Averaged-system states at the initial amplitudes, one row per step.
+
+    ``err`` adds the synthetic estimation error to the right-hand side.
+    """
+    dt = spec.resolved_dt
+    steps = int(round(spec.horizon / dt))
+
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
+        j = _exact_rhs(spec, z, spec.a0)
+        return j if err is None else j + err.value(t)
+
+    guard = _guard(spec)
+    z = np.empty((steps + 1, spec.n))
+    z[0] = spec.x0
+    for k in range(steps):
+        t = k * dt
+        z[k + 1] = rk4_step(rhs, t, z[k], dt)
+        guard(z[k + 1], t + dt)
+    return z
 
 
 def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
@@ -223,6 +239,7 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     u2s = [_scalar_dither(spec.dither(ch.u2_ref)) for ch in channels]
     lam = spec.lam
     has_oracle = obj.has_oracle
+    guard = _guard(spec)
     rng = np.random.default_rng(seed)
 
     def u_hats(t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -255,8 +272,8 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
             return np.atleast_1d(np.asarray(j_override(t), dtype=float))
         return np.broadcast_to(np.asarray(j_override, dtype=float), (n,)).copy()
 
-    state = SimState(t=0.0, x=spec.x0.copy(), a=spec.a0.copy(),
-                     u1_acc=np.zeros(n), u2_acc=np.zeros(n))
+    t, x, a = 0.0, spec.x0.copy(), spec.a0.copy()
+    u1_acc, u2_acc = np.zeros(n), np.zeros(n)
     j_sig = override_at(0.0) if (adapt and j_override is not None) else np.zeros(n)
 
     total = steps + 1
@@ -266,25 +283,22 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     a_log = np.empty((total, n))
     jest_log = np.full((total, n), np.nan)
     jex_log = np.full((total, n), np.nan)
-    zref_log = np.full((total, n), np.nan)
+    zref_log = _averaged(spec) if has_oracle else np.full((total, n), np.nan)
     diag = None
     if use_filter:
         diag = {"x1": np.empty((total, n)), "x2": np.empty((total, n)),
                 "x3": np.empty(total), "innovation": np.empty(total),
                 "trace_p": np.empty(total), "min_eig_p": np.empty(total)}
 
-    z_ref = spec.x0.copy() if has_oracle else None
-
     def log_row(k: int) -> None:
-        t_log[k] = state.t
-        x_log[k] = state.x
-        f_log[k] = obj.value(state.x)
-        a_log[k] = state.a
+        t_log[k] = t
+        x_log[k] = x
+        f_log[k] = obj.value(x)
+        a_log[k] = a
         if adapt:
             jest_log[k] = j_sig
         if has_oracle:
-            jex_log[k] = _exact_rhs(spec, state.x, state.a)
-            zref_log[k] = z_ref
+            jex_log[k] = _exact_rhs(spec, x, a)
         if use_filter:
             diag["x1"][k] = filt.state.x1
             diag["x2"][k] = filt.state.x2
@@ -296,46 +310,38 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     log_row(0)
 
     for step in range(steps):
-        t0 = state.t
-        a_held = state.a.copy()
+        t0 = t
+        a_held = a.copy()
         j_held = j_sig
 
-        x_new = rk4_step(make_xdot(a_held), t0, state.x, dt)
+        x_new = rk4_step(make_xdot(a_held), t0, x, dt)
         if adapt:
-            a_new = rk4_step(lambda t, a: -lam * (a - j_held), t0, state.a, dt)
-        else:
-            a_new = state.a
+            a = rk4_step(lambda t, a: -lam * (a - j_held), t0, a, dt)
 
         uh1_0, uh2_0 = u_hats(t0)
         uh1_h, uh2_h = u_hats(t0 + 0.5 * dt)
         uh1_1, uh2_1 = u_hats(t0 + dt)
         scale = a_held * sqrt_w * (dt / 4.0)
-        state.u1_acc += scale * (uh1_0 + 2.0 * uh1_h + uh1_1)
-        state.u2_acc += scale * (uh2_0 + 2.0 * uh2_h + uh2_1)
+        u1_acc += scale * (uh1_0 + 2.0 * uh1_h + uh1_1)
+        u2_acc += scale * (uh2_0 + 2.0 * uh2_h + uh2_1)
 
-        _guard(spec, x_new, t0 + dt)
-        if has_oracle:
-            z_ref = rk4_step(lambda t, z: _exact_rhs(spec, z, spec.a0),
-                             t0, z_ref, dt)
-
-        state.x = x_new
-        state.a = a_new
-        state.t = t0 + dt
+        guard(x_new, t0 + dt)
+        x = x_new
+        t = t0 + dt
 
         if use_filter:
             filt.propagate(dt)
             if (step + 1) % gcfg.n_meas == 0:
-                f2 = obj.measured(state.x)
+                f2 = obj.measured(x)
                 if noise_std > 0:
                     f2 += rng.normal(0.0, noise_std)
-                filt.update(f2, f_prev_meas, state.u1_acc, state.u2_acc,
-                            state.a, channels)
+                filt.update(f2, f_prev_meas, u1_acc, u2_acc, a, channels)
                 f_prev_meas = f2
-                state.u1_acc = np.zeros(n)
-                state.u2_acc = np.zeros(n)
+                u1_acc = np.zeros(n)
+                u2_acc = np.zeros(n)
             j_sig = filt.step_export()
         elif adapt and j_override is not None:
-            j_sig = override_at(state.t)
+            j_sig = override_at(t)
 
         log_row(step + 1)
 
@@ -374,46 +380,17 @@ def run_lbs(spec: EscSystemSpec,
     if not spec.objective.has_oracle:
         raise InputError("averaged-system run needs an oracle gradient")
     dt = spec.resolved_dt
-    steps = int(round(spec.horizon / dt))
-    n = spec.n
     a0 = spec.a0
-
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        out = _exact_rhs(spec, z, a0)
-        if err is not None:
-            out = out + err.value(t)
-        return out
-
-    total = steps + 1
-    t_log = np.empty(total)
-    x_log = np.empty((total, n))
-    f_log = np.empty(total)
+    x_log = _averaged(spec, err)
+    zref_log = x_log.copy() if err is None else _averaged(spec)
+    total, n = x_log.shape
+    t_log = np.arange(total) * dt
+    f_log = np.array([spec.objective.value(z) for z in x_log])
     a_log = np.tile(a0, (total, 1))
+    jex_log = np.array([_exact_rhs(spec, z, a0) for z in x_log])
     jest_log = np.full((total, n), np.nan)
-    jex_log = np.empty((total, n))
-    zref_log = np.empty((total, n))
-
-    z = spec.x0.copy()
-    z_exact = spec.x0.copy()
-    t = 0.0
-    for k in range(total):
-        t_log[k] = t
-        x_log[k] = z
-        f_log[k] = spec.objective.value(z)
-        jex_log[k] = _exact_rhs(spec, z, a0)
-        if err is not None:
-            jest_log[k] = rhs(t, z)
-            zref_log[k] = z_exact
-        else:
-            zref_log[k] = z
-        if k == steps:
-            break
-        z = rk4_step(rhs, t, z, dt)
-        if err is not None:
-            z_exact = rk4_step(lambda tt, zz: _exact_rhs(spec, zz, a0),
-                               t, z_exact, dt)
-        _guard(spec, z, t + dt)
-        t = (k + 1) * dt
+    if err is not None:
+        jest_log = jex_log + np.array([[err.value(t)] for t in t_log.tolist()])
 
     meta = {"omega": spec.omega, "dt": dt, "mode": "lbs", "seed": 0}
     return TrajectoryLog(t_log, x_log, f_log, a_log, jest_log, jex_log,

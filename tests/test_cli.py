@@ -172,3 +172,32 @@ def test_sweep_lambda_points_improve(tmp_path, capsys):
     # depends on how quickly the amplitude dies (larger gains stall earlier)
     assert all(err < 1.0 for err in finals)
     assert all(err < 0.1 for err in finals[:2])
+
+
+@pytest.mark.parametrize("config,extra", [
+    ("{not json", []),
+    ('{"name": "x", "systems": {"main": {}}}', []),
+    (None, ["--config", "/nonexistent/scenario.json"]),
+    (None, ["case1", "--horizon", "-5"]),
+], ids=["not-json", "missing-key", "missing-file", "negative-horizon"])
+def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
+    argv = ["run", *extra, "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_uses_in_memory_logs(tmp_path, short_case1_path, monkeypatch,
+                                   capsys):
+    def unexpected(path):
+        raise AssertionError(f"sweep re-read {path}")
+
+    monkeypatch.setattr(TrajectoryLog, "from_csv", staticmethod(unexpected))
+    assert main(["sweep", "--config", short_case1_path, "--omega", "50",
+                 "--mode", "both", "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    point = json.loads(capsys.readouterr().out)["points"][0]
+    assert set(point["final_error"]) == {"main_baseline", "main_proposed"}

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import lieseek.gekf as gekf
 from lieseek.errors import ConfigurationError, FilterDivergenceError
 from lieseek.gekf import (GekfConfig, GekfFilter, GekfState, extract_J,
-                          initial_state, measurement_update, propagate)
+                          initial_state, measurement_coefficients,
+                          measurement_update, propagate)
 from lieseek.model import ChannelSpec
 
 
@@ -152,3 +154,41 @@ class TestPauseBehaviour:
             assert filt.min_eigenvalue() >= -1e-9
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
         assert js[-1] < js[0]
+
+
+class TestFilterUpdate:
+    ARGS = (2.0, np.array([0.02]), np.array([0.01]), np.array([1.0]))
+
+    def _filter(self):
+        filt = GekfFilter(GekfConfig(), 1, f0=2.0, nu_hat=[0.5])
+        filt.state = GekfState(x1=np.array([-1.0]), x2=np.array([0.3]),
+                               x3=2.0, P=np.eye(3), t=0.0)
+        return filt
+
+    def test_innovation_is_against_pre_update_state(self):
+        filt = self._filter()
+        prev = filt.state
+        f1, u1, u2, a = self.ARGS
+        c = measurement_coefficients((_channel(),), f1, u1, u2, a,
+                                     filt.nu_hat, filt.cfg)
+        filt.update(2.7, f1, u1, u2, a, (_channel(),))
+        assert filt.last_innovation == pytest.approx(
+            2.7 - (prev.x3 + c[0] * prev.x1[0]), abs=1e-12)
+        # the wrapper lands on the functional API's state
+        ref = measurement_update(prev, filt.cfg, 2.7, f1, u1, u2, a,
+                                 (_channel(),), filt.nu_hat)
+        np.testing.assert_array_equal(filt.state.mean(), ref.mean())
+        np.testing.assert_array_equal(filt.state.P, ref.P)
+
+    def test_coefficients_computed_once_per_update(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return measurement_coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(gekf, "measurement_coefficients", counting)
+        filt = self._filter()
+        for k in range(3):
+            filt.update(2.0 + 0.1 * k, *self.ARGS, (_channel(),))
+        assert len(calls) == 3

@@ -220,3 +220,17 @@ class TestTrajectoryLog:
                          noise_std=0.01)
         np.testing.assert_array_equal(a.j_est, b.j_est)
         assert np.any(a.j_est != c.j_est)
+
+
+class TestAveragedReference:
+    """Every runner's ``zref`` column is the ``--mode lbs`` trajectory."""
+
+    @pytest.mark.parametrize("name,horizon", [("case1", 5.0), ("case2", 2.0)])
+    def test_zref_is_the_lbs_trajectory(self, name, horizon):
+        sc = shortened(name, horizon)
+        spec = sc.primary_system
+        lbs = run_lbs(spec).x
+        err = EstimationErrorModel(eps0=0.1, theta0=0.2)
+        for log in (run_baseline(spec), run_proposed(spec, sc.gekf_config()),
+                    run_lbs(spec, err=err)):
+            assert np.array_equal(log.z_ref, lbs)
