@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis as an
-from .errors import ConfigurationError, InputError, LieseekError, LookupError_
+from .errors import ConfigurationError, InputError, LieseekError, UnknownPresetError
 from .scenarios import Scenario, load_scenario, preset, preset_names
 from .sim import TrajectoryLog, _atomic_write, run_baseline, run_lbs, run_proposed
 
@@ -85,8 +85,8 @@ def _run_one(sc: Scenario, label: str, mode: str, seed: int) -> TrajectoryLog:
     raise InputError(f"unknown mode {mode!r}")
 
 
-def execute_run(sc: Scenario, mode: str, out_dir: str, seed: int = 0,
-                write_diagnostics: bool = True) -> RunArtifacts:
+def execute_run(sc: Scenario, mode: str, out_dir: str,
+                seed: int = 0) -> RunArtifacts:
     """Run a scenario in the requested mode(s) and emit all artifacts."""
     os.makedirs(out_dir, exist_ok=True)
     logs: dict[tuple[str, str], TrajectoryLog] = {}
@@ -98,7 +98,7 @@ def execute_run(sc: Scenario, mode: str, out_dir: str, seed: int = 0,
             path = os.path.join(out_dir, f"{sc.name}_{label}_{m}.csv")
             log.to_csv(path)
             csv_paths[f"{label}_{m}"] = path
-            if write_diagnostics and log.diag:
+            if log.diag:
                 dpath = os.path.join(out_dir, f"{sc.name}_{label}_{m}_gekf.csv")
                 log.diagnostics_to_csv(dpath)
 
@@ -336,7 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"{args.command} needs a scenario name or --config")
     try:
         return args.fn(args)
-    except (LookupError_, ConfigurationError) as exc:
+    except (UnknownPresetError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LieseekError as exc:

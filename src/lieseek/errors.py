@@ -56,7 +56,7 @@ class InputError(LieseekError):
     """Malformed data passed to an analysis or I/O routine."""
 
 
-class LookupError_(LieseekError):
+class UnknownPresetError(LieseekError):
     """Unknown preset or registry key; lists the available names."""
 
     def __init__(self, message: str, available=()):

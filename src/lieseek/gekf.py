@@ -18,15 +18,16 @@ rewritten through ``x1 = -nu * a^2 * grad_i * b0_i``.  That inversion
 makes the update exactly linear, so no measurement Jacobian
 approximation is involved.
 
-A filter instance is a single-owner mutable state machine; run separate
-instances for separate systems.
+:class:`GekfFilter` is the filter: it owns the state, the smoothing
+history and the pause bookkeeping.  An instance is a single-owner mutable
+state machine; run separate instances for separate systems.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,44 +90,6 @@ class GekfConfig:
             raise ConfigurationError("smooth_window and n_meas must be >= 1")
 
 
-@dataclass(frozen=True)
-class JSignal:
-    """Exported estimate of the averaged right-hand side per channel."""
-
-    j: np.ndarray
-    t: float
-
-
-def initial_state(cfg: GekfConfig, n: int, f0: float, t0: float = 0.0) -> GekfState:
-    """Unbiased start: zero RHS estimate, first measurement as held value."""
-    dim = 2 * n + 1
-    return GekfState(x1=np.zeros(n), x2=np.zeros(n), x3=float(f0),
-                     P=cfg.p0 * np.eye(dim), t=t0)
-
-
-def _process_cov(cfg: GekfConfig, n: int) -> np.ndarray:
-    return np.diag(np.concatenate([np.full(n, cfg.q1), np.full(n, cfg.q2),
-                                   [cfg.q3]]))
-
-
-def propagate(s: GekfState, cfg: GekfConfig, dt: float) -> GekfState:
-    """Advance mean and covariance by the constant-velocity model."""
-    if dt <= 0:
-        raise ConfigurationError("propagation step must be positive")
-    n = s.n
-    x1 = s.x1 + dt * s.x2
-    dim = 2 * n + 1
-    phi = np.eye(dim)
-    phi[:n, n:2 * n] = dt * np.eye(n)
-    P = phi @ s.P @ phi.T + _process_cov(cfg, n) * dt
-    P = 0.5 * (P + P.T)
-    out = GekfState(x1=x1, x2=s.x2.copy(), x3=s.x3, P=P, t=s.t + dt)
-    if not out.is_finite():
-        raise FilterDivergenceError("filter state non-finite after propagation",
-                                    t=out.t)
-    return out
-
-
 def eligible_channels(channels: Sequence[ChannelSpec], f1: float,
                       a: np.ndarray, cfg: GekfConfig) -> np.ndarray:
     """Channels whose measurement coefficient is well conditioned.
@@ -163,84 +126,24 @@ def measurement_coefficients(channels: Sequence[ChannelSpec], f1: float,
     return c
 
 
-def measurement_update(s: GekfState, cfg: GekfConfig, f_meas_t2: float,
-                       f_meas_t1: float, u1_int, u2_int, a,
-                       channels: Sequence[ChannelSpec],
-                       nu_hat) -> GekfState:
-    """Scalar Kalman update against a new objective sample.
-
-    Predicted sample: ``x3 + sum_i c_i x1_i``.  Joseph-form covariance
-    update, re-symmetrized; afterwards the held value ``x3`` is pinned to
-    the new measurement so the next window anchors at measured data.
-    """
-    c = measurement_coefficients(
-        channels, f_meas_t1, np.atleast_1d(np.asarray(u1_int, dtype=float)),
-        np.atleast_1d(np.asarray(u2_int, dtype=float)), a,
-        np.atleast_1d(np.asarray(nu_hat, dtype=float)), cfg)
-    return _update(s, cfg, f_meas_t2, c)[0]
-
-
-def _update(s: GekfState, cfg: GekfConfig, f2: float,
-            c: np.ndarray) -> tuple[GekfState, float]:
-    """:func:`measurement_update` for given coefficients ``c``; also
-    returns the innovation against the pre-update state."""
-    n = s.n
-    dim = 2 * n + 1
-    h = np.zeros(dim)
-    h[:n] = c
-    h[-1] = 1.0
-
-    mean = s.mean()
-    innovation = f2 - float(h @ mean)
-    sv = float(h @ s.P @ h) + cfg.r
-    gain = (s.P @ h) / sv
-    mean = mean + gain * innovation
-    ikh = np.eye(dim) - np.outer(gain, h)
-    P = ikh @ s.P @ ikh.T + cfg.r * np.outer(gain, gain)
-    # Pinning x3 to the fresh measurement makes its error the measurement
-    # error: reset its covariance row accordingly, or the stale cross
-    # terms feed the pinned state back into x1 through later gains.
-    P[-1, :] = 0.0
-    P[:, -1] = 0.0
-    P[-1, -1] = cfg.r
-    P = 0.5 * (P + P.T)
-
-    out = GekfState(x1=mean[:n], x2=mean[n:2 * n], x3=float(f2), P=P, t=s.t)
-    if not out.is_finite():
-        raise FilterDivergenceError("filter state non-finite after update", t=s.t)
-    return out, innovation
-
-
-def extract_J(s: GekfState, cfg: GekfConfig,
-              history: Optional[Sequence[np.ndarray]] = None) -> JSignal:
-    """Exported averaged-RHS estimate.
-
-    With smoothing on, the estimate is the moving average of ``x1`` over
-    the most recent window (nominally one dither period); otherwise raw
-    ``x1``.
-    """
-    if cfg.smoothing and history is not None and len(history) > 0:
-        window = np.asarray(list(history)[-cfg.smooth_window:], dtype=float)
-        j = window.mean(axis=0)
-    else:
-        j = s.x1.copy()
-    return JSignal(j=j, t=s.t)
-
-
 class GekfFilter:
-    """Stateful convenience wrapper used by the simulation loop.
+    """The filter: state, smoothing history and per-channel pause.
 
-    Owns the filter state, the smoothing history, and the per-channel
-    pause bookkeeping: once a channel's amplitude falls under the floor
-    its exported estimate decays geometrically per step instead of
-    following ``x1``.
+    Starts unbiased (zero RHS estimate, the first measurement as held
+    value).  :meth:`propagate` and :meth:`update` advance ``state``;
+    :meth:`step_export` returns the per-step estimate.  Once a channel's
+    amplitude falls under the floor its exported estimate decays
+    geometrically per step instead of following ``x1``.
     """
 
     def __init__(self, cfg: GekfConfig, n: int, f0: float, nu_hat,
                  t0: float = 0.0):
         self.cfg = cfg
         self.nu_hat = np.atleast_1d(np.asarray(nu_hat, dtype=float))
-        self.state = initial_state(cfg, n, f0, t0)
+        self.state = GekfState(x1=np.zeros(n), x2=np.zeros(n), x3=float(f0),
+                               P=cfg.p0 * np.eye(2 * n + 1), t=t0)
+        self._q = np.diag(np.concatenate([np.full(n, cfg.q1),
+                                          np.full(n, cfg.q2), [cfg.q3]]))
         self.history: deque[np.ndarray] = deque(maxlen=cfg.smooth_window)
         self.history.append(self.state.x1.copy())
         self.paused = np.zeros(n, dtype=bool)
@@ -248,21 +151,78 @@ class GekfFilter:
         self.last_innovation = 0.0
 
     def propagate(self, dt: float) -> None:
-        self.state = propagate(self.state, self.cfg, dt)
+        """Advance mean and covariance by the constant-velocity model."""
+        if dt <= 0:
+            raise ConfigurationError("propagation step must be positive")
+        s = self.state
+        n = s.n
+        x1 = s.x1 + dt * s.x2
+        phi = np.eye(2 * n + 1)
+        phi[:n, n:2 * n] = dt * np.eye(n)
+        P = phi @ s.P @ phi.T + self._q * dt
+        P = 0.5 * (P + P.T)
+        out = GekfState(x1=x1, x2=s.x2.copy(), x3=s.x3, P=P, t=s.t + dt)
+        if not out.is_finite():
+            raise FilterDivergenceError(
+                "filter state non-finite after propagation", t=out.t)
+        self.state = out
 
     def update(self, f2: float, f1: float, u1_int, u2_int, a,
                channels: Sequence[ChannelSpec]) -> None:
+        """Scalar Kalman update against the objective sample ``f2``.
+
+        Predicted sample: ``x3 + sum_i c_i x1_i`` with ``c`` from
+        :func:`measurement_coefficients` anchored at ``f1``.  Joseph-form
+        covariance update, re-symmetrized; afterwards the held value
+        ``x3`` is pinned to the new measurement so the next window
+        anchors at measured data.  ``last_innovation`` is taken against
+        the pre-update state.
+        """
         a = np.atleast_1d(np.asarray(a, dtype=float))
         c = measurement_coefficients(channels, f1, np.atleast_1d(u1_int),
                                      np.atleast_1d(u2_int), a, self.nu_hat,
                                      self.cfg)
-        self.state, self.last_innovation = _update(self.state, self.cfg, f2, c)
+        s, r = self.state, self.cfg.r
+        n = s.n
+        dim = 2 * n + 1
+        h = np.zeros(dim)
+        h[:n] = c
+        h[-1] = 1.0
+
+        mean = s.mean()
+        innovation = f2 - float(h @ mean)
+        sv = float(h @ s.P @ h) + r
+        gain = (s.P @ h) / sv
+        mean = mean + gain * innovation
+        ikh = np.eye(dim) - np.outer(gain, h)
+        P = ikh @ s.P @ ikh.T + r * np.outer(gain, gain)
+        # Pinning x3 to the fresh measurement makes its error the measurement
+        # error: reset its covariance row accordingly, or the stale cross
+        # terms feed the pinned state back into x1 through later gains.
+        P[-1, :] = 0.0
+        P[:, -1] = 0.0
+        P[-1, -1] = r
+        P = 0.5 * (P + P.T)
+
+        out = GekfState(x1=mean[:n], x2=mean[n:2 * n], x3=float(f2), P=P, t=s.t)
+        if not out.is_finite():
+            raise FilterDivergenceError("filter state non-finite after update",
+                                        t=s.t)
+        self.state, self.last_innovation = out, innovation
         self.paused = np.abs(a) < self.cfg.a_floor
 
     def step_export(self) -> np.ndarray:
-        """Per-step estimate export with pause decay applied."""
+        """Per-step estimate export with pause decay applied.
+
+        With smoothing on, the estimate is the mean of ``x1`` over the
+        last ``smooth_window`` steps (nominally one dither period);
+        otherwise raw ``x1``.
+        """
         self.history.append(self.state.x1.copy())
-        smoothed = extract_J(self.state, self.cfg, self.history).j
+        if self.cfg.smoothing:
+            smoothed = np.asarray(self.history, dtype=float).mean(axis=0)
+        else:
+            smoothed = self.state.x1.copy()
         active = ~self.paused
         self._j[active] = smoothed[active]
         self._j[self.paused] *= PAUSED_J_DECAY

@@ -102,11 +102,6 @@ class DitherSignal:
                             bound=float(cfg.get("bound", 1.0)), samples=samples)
 
 
-def eval_dither(d: DitherSignal, theta: float) -> float:
-    """Value of dither ``d`` at scaled time ``theta`` (wraps periodically)."""
-    return float(d.value(theta))
-
-
 @dataclass(frozen=True)
 class A2Report:
     """Outcome of the probing-signal admissibility check."""

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .analysis import B2Element
-from .errors import ConfigurationError, LookupError_
+from .errors import ConfigurationError, UnknownPresetError
 from .gekf import GekfConfig
 from .model import (TAU, ChannelSpec, DitherSignal, EscSystemSpec,
                     ObjectiveMap)
@@ -111,53 +111,78 @@ class AnalysisSettings:
     t_min: float = 1.0
     window: float = 10.0
 
+    def __post_init__(self):
+        for name in ("p", "t_min", "window"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
-@dataclass(frozen=True)
-class GekfSettings:
-    """Serializable filter settings; resolved per system at run time."""
 
-    q1: float = 1e-2
-    q2: float = 1e-3
-    q3: float = 1e-2
-    r: float = 1e-2
-    p0: float = 10.0
-    a_floor_rel: float = 1e-3
-    smoothing: bool = True
-    n_meas: int = 1
+# Filter settings a config may set; ``a_floor_rel`` scales the smallest
+# initial amplitude into the absolute floor, and the smoothing window is
+# one dither period of the system.
+GEKF_KEYS = ("q1", "q2", "q3", "r", "p0", "a_floor_rel", "smoothing", "n_meas")
 
-    def resolve(self, spec: EscSystemSpec) -> GekfConfig:
-        return GekfConfig(q1=self.q1, q2=self.q2, q3=self.q3, r=self.r,
-                          p0=self.p0,
-                          a_floor=self.a_floor_rel * float(np.min(spec.a0)),
-                          smoothing=self.smoothing,
-                          smooth_window=spec.steps_per_period,
-                          n_meas=self.n_meas)
+# What malformed config values raise while a scenario is built.
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError,
+              ArithmeticError)
+
+
+def _gekf_configs(settings: Mapping, systems: Mapping[str, EscSystemSpec]
+                  ) -> dict[str, GekfConfig]:
+    unknown = sorted(set(settings) - set(GEKF_KEYS))
+    if unknown:
+        raise ConfigurationError(f"unknown gekf settings {unknown}; "
+                                 f"have {list(GEKF_KEYS)}")
+    kw = dict(settings)
+    a_floor_rel = kw.pop("a_floor_rel", 1e-3)
+    return {label: GekfConfig(**kw,
+                              a_floor=a_floor_rel * float(np.min(spec.a0)),
+                              smooth_window=spec.steps_per_period)
+            for label, spec in systems.items()}
 
 
 class Scenario:
-    """A named, fully resolved experiment built from a config dict."""
+    """A named, fully resolved experiment built from a config dict.
+
+    Any malformed config, including wrongly typed values and unknown
+    settings, raises :class:`ConfigurationError`.
+    """
 
     def __init__(self, config: Mapping):
-        self._config = copy.deepcopy(dict(config))
-        cfg = self._config
-        for key in ("name", "systems"):
-            if key not in cfg:
-                raise ConfigurationError(f"scenario config missing {key!r}")
-        self.name: str = cfg["name"]
         try:
+            self._config = copy.deepcopy(dict(config))
+            cfg = self._config
+            self.name: str = cfg["name"]
             self.systems: dict[str, EscSystemSpec] = {
                 label: build_system(sys_cfg)
                 for label, sys_cfg in cfg["systems"].items()}
+            if not self.systems:
+                raise ConfigurationError("scenario declares no systems")
+            self.primary: str = cfg.get("primary", next(iter(self.systems)))
+            if self.primary not in self.systems:
+                raise ConfigurationError(
+                    f"primary system {self.primary!r} unknown")
+            self._gekf = _gekf_configs(cfg.get("gekf", {}), self.systems)
+            self.analysis = AnalysisSettings(**cfg.get("analysis", {}))
+            self.metadata: dict = cfg.get("metadata", {})
+            self._b2 = self._parse_b2(cfg.get("b2"))
         except KeyError as exc:
-            raise ConfigurationError(f"system config missing {exc}") from exc
-        if not self.systems:
-            raise ConfigurationError("scenario declares no systems")
-        self.primary: str = cfg.get("primary", next(iter(self.systems)))
-        if self.primary not in self.systems:
-            raise ConfigurationError(f"primary system {self.primary!r} unknown")
-        self.gekf = GekfSettings(**cfg.get("gekf", {}))
-        self.analysis = AnalysisSettings(**cfg.get("analysis", {}))
-        self.metadata: dict = cfg.get("metadata", {})
+            raise ConfigurationError(f"scenario config missing {exc}") from exc
+        except _MALFORMED as exc:
+            detail = " ".join(str(exc).split())
+            raise ConfigurationError(
+                f"malformed scenario config: {type(exc).__name__}: {detail}"
+            ) from exc
+
+    def _parse_b2(self, b2):
+        if not b2:
+            return None
+        objective = self.systems[b2["system"]].objective
+        elements = tuple(
+            B2Element(s=int(el["s"]), i=int(el["i"]),
+                      fn=build_coefficient(el["coeff"])[0],
+                      label=el.get("label", ""))
+            for el in b2["elements"])
+        return objective, elements, b2.get("b1_constants")
 
     @property
     def config(self) -> dict:
@@ -168,22 +193,13 @@ class Scenario:
         return self.systems[self.primary]
 
     def gekf_config(self, label: Optional[str] = None) -> GekfConfig:
-        return self.gekf.resolve(self.systems[label or self.primary])
+        return self._gekf[label or self.primary]
 
     def b2_setup(self) -> Optional[
             tuple[ObjectiveMap, tuple[B2Element, ...], Optional[dict]]]:
         """Objective, vector-field elements, and (documented-only)
         companion constants for the condition check."""
-        b2 = self._config.get("b2")
-        if not b2:
-            return None
-        objective = self.systems[b2["system"]].objective
-        elements = []
-        for el in b2["elements"]:
-            fn, _ = build_coefficient(el["coeff"])
-            elements.append(B2Element(s=int(el["s"]), i=int(el["i"]), fn=fn,
-                                      label=el.get("label", "")))
-        return objective, tuple(elements), b2.get("b1_constants")
+        return self._b2
 
     def x_star(self, label: Optional[str] = None) -> np.ndarray:
         obj = self.systems[label or self.primary].objective
@@ -355,7 +371,7 @@ def preset_names() -> tuple[str, ...]:
 def preset(name: str) -> Scenario:
     """Fully resolved scenario for a preset name."""
     if name not in _PRESETS:
-        raise LookupError_(f"unknown scenario {name!r}; available: "
-                           f"{', '.join(preset_names())}",
-                           available=preset_names())
+        raise UnknownPresetError(f"unknown scenario {name!r}; available: "
+                                 f"{', '.join(preset_names())}",
+                                 available=preset_names())
     return Scenario(_PRESETS[name]())

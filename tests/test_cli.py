@@ -174,12 +174,34 @@ def test_sweep_lambda_points_improve(tmp_path, capsys):
     assert all(err < 0.1 for err in finals[:2])
 
 
+def _short_case1_with(path: tuple, value) -> str:
+    """Short case1 config as JSON with the setting at ``path`` replaced."""
+    cfg = shortened("case1", 5.0).config
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(cfg)
+
+
 @pytest.mark.parametrize("config,extra", [
     ("{not json", []),
     ('{"name": "x", "systems": {"main": {}}}', []),
     (None, ["--config", "/nonexistent/scenario.json"]),
     (None, ["case1", "--horizon", "-5"]),
-], ids=["not-json", "missing-key", "missing-file", "negative-horizon"])
+    ('{"name": "x", "systems": []}', []),
+    (_short_case1_with(("systems", "main", "objective", "weights"), "ab"), []),
+    (_short_case1_with(("systems", "main", "omega"), "fast"), []),
+    (_short_case1_with(("systems", "main", "channels"), 5), []),
+    (_short_case1_with(("gekf", "q4"), 1.0), []),
+    (_short_case1_with(("analysis", "span"), 1.0), []),
+    (_short_case1_with(("analysis", "p"), "x"), []),
+    (_short_case1_with(("gekf", "r"), -1), []),
+    (_short_case1_with(("b2", "elements", 0, "s"), float("inf")), []),
+], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
+        "list-systems", "string-weights", "string-omega", "int-channels",
+        "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
+        "negative-r", "infinite-b2-index"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -189,6 +211,8 @@ def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # a bad setting fails at load, before any run writes its CSV
+    assert not list(tmp_path.glob("out/*.csv"))
 
 
 def test_sweep_uses_in_memory_logs(tmp_path, short_case1_path, monkeypatch,

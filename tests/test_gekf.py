@@ -5,9 +5,8 @@ import pytest
 
 import lieseek.gekf as gekf
 from lieseek.errors import ConfigurationError, FilterDivergenceError
-from lieseek.gekf import (GekfConfig, GekfFilter, GekfState, extract_J,
-                          initial_state, measurement_coefficients,
-                          measurement_update, propagate)
+from lieseek.gekf import (GekfConfig, GekfFilter, GekfState,
+                          measurement_coefficients)
 from lieseek.model import ChannelSpec
 
 
@@ -20,11 +19,37 @@ def _min_eig(P):
     return float(np.linalg.eigvalsh(0.5 * (P + P.T)).min())
 
 
+def _filter(cfg, s, nu_hat=(0.5,)):
+    """A one-channel filter started from the state ``s``."""
+    filt = GekfFilter(cfg, 1, f0=s.x3, nu_hat=nu_hat)
+    filt.state = s
+    return filt
+
+
+def _propagate(s, cfg, dt):
+    filt = _filter(cfg, s)
+    filt.propagate(dt)
+    return filt.state
+
+
+def _update(s, cfg, f2, f1, u1, u2, a, channels, nu_hat):
+    filt = _filter(cfg, s, nu_hat)
+    filt.update(f2, f1, u1, u2, a, channels)
+    return filt.state
+
+
+def _export(s, cfg, history):
+    filt = _filter(cfg, s)
+    filt.history.extend(history)
+    return filt.step_export()
+
+
 class TestPropagate:
     def test_zero_derivative_keeps_mean(self):
         cfg = GekfConfig()
-        s = initial_state(cfg, 1, f0=3.0)
-        out = propagate(s, cfg, 0.25)
+        filt = GekfFilter(cfg, 1, f0=3.0, nu_hat=[0.5])
+        filt.propagate(0.25)
+        out = filt.state
         assert out.x1[0] == 0.0 and out.x3 == 3.0
         assert out.t == pytest.approx(0.25)
 
@@ -32,7 +57,7 @@ class TestPropagate:
         cfg = GekfConfig()
         s = GekfState(x1=np.array([2.0]), x2=np.array([1.0]), x3=0.0,
                       P=np.eye(3), t=0.0)
-        out = propagate(s, cfg, 0.5)
+        out = _propagate(s, cfg, 0.5)
         assert out.x1[0] == pytest.approx(2.5)
 
     def test_psd_preserved_without_process_noise(self):
@@ -43,13 +68,13 @@ class TestPropagate:
         cfg = GekfConfig(q1=1e-30, q2=1e-30, q3=1e-30)
         s = GekfState(x1=np.zeros(1), x2=np.zeros(1), x3=0.0, P=P0, t=0.0)
         for _ in range(200):
-            s = propagate(s, cfg, 0.01)
+            s = _propagate(s, cfg, 0.01)
             assert _min_eig(s.P) >= -1e-12
 
     def test_bad_dt_rejected(self):
         cfg = GekfConfig()
         with pytest.raises(ConfigurationError):
-            propagate(initial_state(cfg, 1, 0.0), cfg, 0.0)
+            GekfFilter(cfg, 1, 0.0, nu_hat=[0.5]).propagate(0.0)
 
 
 class TestMeasurementUpdate:
@@ -64,8 +89,8 @@ class TestMeasurementUpdate:
         u1, u2 = np.array([0.02]), np.array([0.01])
         c = -(2.0 * u1[0] + 1.0 * u2[0]) / (0.5 * 1.0 * 1.0)
         f2 = s.x3 + c * s.x1[0]  # exactly the predicted sample
-        out = measurement_update(s, cfg, f2, 2.0, u1, u2, np.array([1.0]),
-                                 (_channel(),), np.array([0.5]))
+        out = _update(s, cfg, f2, 2.0, u1, u2, np.array([1.0]),
+                      (_channel(),), np.array([0.5]))
         assert out.x1[0] == pytest.approx(-1.0)
         assert out.x2[0] == pytest.approx(0.0)
         assert out.x3 == f2
@@ -73,17 +98,17 @@ class TestMeasurementUpdate:
 
     def test_uninformative_measurement_keeps_mean(self):
         cfg, s = self._setup(r=1e12)
-        out = measurement_update(s, cfg, 5.0, 2.0, np.array([0.02]),
-                                 np.array([0.01]), np.array([1.0]),
-                                 (_channel(),), np.array([0.5]))
+        out = _update(s, cfg, 5.0, 2.0, np.array([0.02]),
+                      np.array([0.01]), np.array([1.0]),
+                      (_channel(),), np.array([0.5]))
         assert abs(out.x1[0] - s.x1[0]) < 1e-6
         assert abs(out.x2[0] - s.x2[0]) < 1e-6
 
     def test_low_amplitude_channel_skipped(self):
         cfg, s = self._setup()
-        out = measurement_update(s, cfg, 2.5, 2.0, np.array([0.02]),
-                                 np.array([0.01]), np.array([1e-6]),
-                                 (_channel(),), np.array([0.5]))
+        out = _update(s, cfg, 2.5, 2.0, np.array([0.02]),
+                      np.array([0.01]), np.array([1e-6]),
+                      (_channel(),), np.array([0.5]))
         # x1 gets no correction; only the held value moves
         assert out.x1[0] == pytest.approx(s.x1[0])
         assert out.x3 == 2.5
@@ -91,25 +116,25 @@ class TestMeasurementUpdate:
     def test_singular_bracket_factor_skipped(self):
         cfg, s = self._setup()
         flat = ChannelSpec(index=0, b1=lambda m: 1.0, b2=lambda m: 2.0)
-        out = measurement_update(s, cfg, 2.5, 2.0, np.array([0.02]),
-                                 np.array([0.01]), np.array([1.0]),
-                                 (flat,), np.array([0.5]))
+        out = _update(s, cfg, 2.5, 2.0, np.array([0.02]),
+                      np.array([0.01]), np.array([1.0]),
+                      (flat,), np.array([0.5]))
         assert out.x1[0] == pytest.approx(s.x1[0])
 
     def test_psd_after_update(self):
         cfg, s = self._setup()
-        out = measurement_update(s, cfg, 2.7, 2.0, np.array([0.02]),
-                                 np.array([0.01]), np.array([1.0]),
-                                 (_channel(),), np.array([0.5]))
+        out = _update(s, cfg, 2.7, 2.0, np.array([0.02]),
+                      np.array([0.01]), np.array([1.0]),
+                      (_channel(),), np.array([0.5]))
         assert _min_eig(out.P) >= -1e-9
         np.testing.assert_allclose(out.P, out.P.T, atol=1e-10)
 
     def test_divergent_measurement_raises(self):
         cfg, s = self._setup()
         with pytest.raises(FilterDivergenceError):
-            measurement_update(s, cfg, float("nan"), 2.0, np.array([0.02]),
-                               np.array([0.01]), np.array([1.0]),
-                               (_channel(),), np.array([0.5]))
+            _update(s, cfg, float("nan"), 2.0, np.array([0.02]),
+                    np.array([0.01]), np.array([1.0]),
+                    (_channel(),), np.array([0.5]))
 
 
 class TestExtractJ:
@@ -117,15 +142,15 @@ class TestExtractJ:
         cfg = GekfConfig(smoothing=False)
         s = GekfState(x1=np.array([1.5]), x2=np.zeros(1), x3=0.0,
                       P=np.eye(3), t=0.0)
-        out = extract_J(s, cfg, history=[np.array([9.9])])
-        assert out.j[0] == 1.5
+        out = _export(s, cfg, history=[np.array([9.9])])
+        assert out[0] == 1.5
 
     def test_constant_history_average(self):
         cfg = GekfConfig(smooth_window=16)
         s = GekfState(x1=np.array([3.0]), x2=np.zeros(1), x3=0.0,
                       P=np.eye(3), t=0.0)
         hist = [np.array([3.0])] * 40
-        assert extract_J(s, cfg, hist).j[0] == pytest.approx(3.0)
+        assert _export(s, cfg, hist)[0] == pytest.approx(3.0)
 
     def test_sinusoid_over_one_period_averages_out(self):
         n = 64
@@ -133,7 +158,7 @@ class TestExtractJ:
         s = GekfState(x1=np.zeros(1), x2=np.zeros(1), x3=0.0, P=np.eye(3),
                       t=0.0)
         hist = [np.array([math.sin(2 * math.pi * k / n)]) for k in range(n)]
-        assert abs(extract_J(s, cfg, hist).j[0]) < 1e-6
+        assert abs(_export(s, cfg, hist)[0]) < 1e-6
 
 
 class TestPauseBehaviour:
@@ -174,11 +199,6 @@ class TestFilterUpdate:
         filt.update(2.7, f1, u1, u2, a, (_channel(),))
         assert filt.last_innovation == pytest.approx(
             2.7 - (prev.x3 + c[0] * prev.x1[0]), abs=1e-12)
-        # the wrapper lands on the functional API's state
-        ref = measurement_update(prev, filt.cfg, 2.7, f1, u1, u2, a,
-                                 (_channel(),), filt.nu_hat)
-        np.testing.assert_array_equal(filt.state.mean(), ref.mean())
-        np.testing.assert_array_equal(filt.state.P, ref.P)
 
     def test_coefficients_computed_once_per_update(self, monkeypatch):
         calls = []

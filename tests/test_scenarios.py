@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieseek.errors import LookupError_
+from lieseek.errors import LieseekError, UnknownPresetError
 from lieseek.model import verify_assumption_a2
 from lieseek.scenarios import (Scenario, load_scenario, preset, preset_names,
                                save_scenario)
@@ -15,7 +17,7 @@ class TestPresetLookup:
         assert preset_names() == ("case1", "case2", "case3")
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(LookupError_) as exc:
+        with pytest.raises(UnknownPresetError) as exc:
             preset("case9")
         assert exc.value.available == ("case1", "case2", "case3")
 
@@ -132,3 +134,47 @@ class TestGekfResolution:
         c3 = case3.gekf_config("vehicle3")
         assert c1.smooth_window == case3.systems["vehicle1"].steps_per_period
         assert c3.smooth_window == case3.systems["vehicle3"].steps_per_period
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+LEAF_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("name", ["case1", "case3"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_leaf_edit_loads_or_raises_package_error(self, name, data):
+        """Setting or deleting any one leaf of a preset config either
+        yields a usable scenario or raises a package error, never a
+        bare Python exception."""
+        cfg = preset(name).config
+        path = data.draw(st.sampled_from(list(_leaf_paths(cfg))))
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if data.draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = data.draw(LEAF_VALUES)
+        try:
+            sc = Scenario(cfg)
+            for label in sc.systems:
+                sc.gekf_config(label)
+            sc.x_star()
+            sc.b2_setup()
+        except LieseekError:
+            pass
