@@ -35,7 +35,11 @@ from .errors import ConfigurationError, FilterDivergenceError
 from .model import ChannelSpec, b0_of
 
 B0_SINGULAR_TOL = 1e-12
+# A paused channel's export decays by PAUSED_J_DECAY per 1/PAUSE_DECAY_STEPS
+# of the smoothing window: per step at the default 64 steps per period, and
+# by the same amount per period at any step size that divides the period.
 PAUSED_J_DECAY = 0.999
+PAUSE_DECAY_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ class GekfConfig:
     measurement corrections (the measurement coefficient scales like
     1/a^2 and turns ill-conditioned); their exported estimate decays
     geometrically instead.  ``smooth_window`` is the moving-average
-    length in samples, normally one dither period.
+    length in samples, normally one dither period; the pause decay is
+    paced by it (``PAUSED_J_DECAY ** PAUSE_DECAY_STEPS`` per window).
     """
 
     q1: float = 1e-2
@@ -90,21 +95,6 @@ class GekfConfig:
             raise ConfigurationError("smooth_window and n_meas must be >= 1")
 
 
-def eligible_channels(channels: Sequence[ChannelSpec], f1: float,
-                      a: np.ndarray, cfg: GekfConfig) -> np.ndarray:
-    """Channels whose measurement coefficient is well conditioned.
-
-    A channel is skipped when its amplitude magnitude sits below the
-    floor or its bracket factor at the anchor value is singular.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    ok = np.abs(a) >= cfg.a_floor
-    for i, ch in enumerate(channels):
-        if ok[i] and abs(b0_of(ch, f1)) < B0_SINGULAR_TOL:
-            ok[i] = False
-    return ok
-
-
 def measurement_coefficients(channels: Sequence[ChannelSpec], f1: float,
                              u1_int: np.ndarray, u2_int: np.ndarray,
                              a: np.ndarray, nu_hat: np.ndarray,
@@ -113,16 +103,20 @@ def measurement_coefficients(channels: Sequence[ChannelSpec], f1: float,
 
     ``c_i = -(b1_i(f1) U1_i + b2_i(f1) U2_i) / (nu_i * a_i^2 * b0_i(f1))``
     with ineligible channels weighted zero.  Coefficients are anchored at
-    the measured value ``f1`` from the start of the window.
+    the measured value ``f1`` from the start of the window.  A channel is
+    ineligible when its amplitude magnitude sits below the floor or its
+    bracket factor at ``f1`` is singular.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     c = np.zeros(len(channels))
-    ok = eligible_channels(channels, f1, a, cfg)
     for i, ch in enumerate(channels):
-        if not ok[i]:
+        if not abs(a[i]) >= cfg.a_floor:
+            continue
+        b0 = b0_of(ch, f1)
+        if abs(b0) < B0_SINGULAR_TOL:
             continue
         num = ch.b1(f1) * u1_int[i] + ch.b2(f1) * u2_int[i]
-        c[i] = -num / (nu_hat[i] * a[i] ** 2 * b0_of(ch, f1))
+        c[i] = -num / (nu_hat[i] * a[i] ** 2 * b0)
     return c
 
 
@@ -133,7 +127,8 @@ class GekfFilter:
     value).  :meth:`propagate` and :meth:`update` advance ``state``;
     :meth:`step_export` returns the per-step estimate.  Once a channel's
     amplitude falls under the floor its exported estimate decays
-    geometrically per step instead of following ``x1``.
+    geometrically, at a fixed rate per smoothing window, instead of
+    following ``x1``.
     """
 
     def __init__(self, cfg: GekfConfig, n: int, f0: float, nu_hat,
@@ -147,19 +142,24 @@ class GekfFilter:
         self.history: deque[np.ndarray] = deque(maxlen=cfg.smooth_window)
         self.history.append(self.state.x1.copy())
         self.paused = np.zeros(n, dtype=bool)
+        self._decay = PAUSED_J_DECAY ** (PAUSE_DECAY_STEPS / cfg.smooth_window)
         self._j = np.zeros(n)
         self.last_innovation = 0.0
+        self._dt = None
 
     def propagate(self, dt: float) -> None:
         """Advance mean and covariance by the constant-velocity model."""
         if dt <= 0:
             raise ConfigurationError("propagation step must be positive")
         s = self.state
-        n = s.n
+        if dt != self._dt:
+            n = s.n
+            phi = np.eye(2 * n + 1)
+            phi[:n, n:2 * n] = dt * np.eye(n)
+            self._dt, self._phi, self._q_dt = dt, phi, self._q * dt
         x1 = s.x1 + dt * s.x2
-        phi = np.eye(2 * n + 1)
-        phi[:n, n:2 * n] = dt * np.eye(n)
-        P = phi @ s.P @ phi.T + self._q * dt
+        phi = self._phi
+        P = phi @ s.P @ phi.T + self._q_dt
         P = 0.5 * (P + P.T)
         out = GekfState(x1=x1, x2=s.x2.copy(), x3=s.x3, P=P, t=s.t + dt)
         if not out.is_finite():
@@ -225,7 +225,7 @@ class GekfFilter:
             smoothed = self.state.x1.copy()
         active = ~self.paused
         self._j[active] = smoothed[active]
-        self._j[self.paused] *= PAUSED_J_DECAY
+        self._j[self.paused] *= self._decay
         return self._j.copy()
 
     def min_eigenvalue(self) -> float:

@@ -8,7 +8,7 @@ the estimation filter; the seeking loop itself never calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def lie_bracket(b_i: VectorFieldFn, b_j: VectorFieldFn, t: float, x) -> np.ndarr
     return b_j.jac(t, x) @ b_i.value(t, x) - b_i.jac(t, x) @ b_j.value(t, x)
 
 
-@dataclass(frozen=True)
-class LbsRhs:
+class LbsRhs(NamedTuple):
     """Exact averaged right-hand side with its per-channel ingredients."""
 
     j: np.ndarray          # per-channel value, amplitude-scaled

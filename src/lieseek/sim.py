@@ -11,10 +11,20 @@ Three runners share one integration core:
 
 Runs are single-threaded and bit-deterministic for a given spec and
 seed; optional measurement noise draws from a per-run seeded generator.
+
+The seeking loop does only state-dependent work.  What depends on time
+alone is tabulated once per run by :func:`_dither_tables`: every
+channel's dither values at each step start and midpoint of the loop's
+own time grid (the RK4 stage times), and their per-step Simpson sums,
+which give the filter its input integrals.  The averaged reference
+trajectory is integrated once per system and shared by the runs of that
+system (:func:`_reference` caches it for the last spec), and the oracle
+``Jexact`` column is filled from the logged rows after the loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -30,15 +40,45 @@ from .model import TAU, DitherSignal, EscSystemSpec, EstimationErrorModel
 CSV_NAN = ""
 
 
-def _scalar_dither(d: DitherSignal) -> Callable[[float], float]:
-    """Scalar-argument fast path for the integrator's dither evaluations."""
-    if d.kind == "cosine":
-        freq, ph = TAU / d.period, d.phase
-        return lambda th: math.cos(freq * th + ph)
-    if d.kind == "sine":
-        freq, ph = TAU / d.period, d.phase
-        return lambda th: math.sin(freq * th + ph)
-    return lambda th: float(d.value(th))
+def _dither_values(d: DitherSignal, theta: np.ndarray) -> np.ndarray:
+    """Dither values at the scaled times ``theta``.
+
+    Cosine and sine are evaluated point by point with :mod:`math` on
+    ``(TAU/period)*theta + phase``; NumPy's vectorised ``cos``/``sin``
+    may round the last bit differently.
+    """
+    if d.kind in ("cosine", "sine"):
+        fn = math.cos if d.kind == "cosine" else math.sin
+        arg = (TAU / d.period) * theta + d.phase
+        return np.fromiter(map(fn, arg), float, count=arg.shape[0])
+    return np.asarray(d.value(theta), dtype=float)
+
+
+def _dither_tables(spec: EscSystemSpec, steps: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loop's times and both dithers of every channel on its half steps.
+
+    Returns ``(t, u1, u2)``: ``t`` holds the step starts, accumulated by
+    ``+ dt`` as the loop accumulates them, and row ``2k`` of ``u1``/``u2``
+    (one column per channel) is taken at ``t[k]``, row ``2k + 1`` at
+    ``t[k] + dt/2``.
+    """
+    dt = spec.resolved_dt
+    t = np.zeros(steps + 1)
+    np.cumsum(np.full(steps, dt), out=t[1:])
+    half = np.empty(2 * steps + 1)
+    half[0::2] = t
+    half[1::2] = t[:-1] + 0.5 * dt
+    theta = spec.omega * half
+    values = {ref: _dither_values(d, theta) for ref, d in spec.dithers.items()}
+    u1 = np.column_stack([values[ch.u1_ref] for ch in spec.channels])
+    u2 = np.column_stack([values[ch.u2_ref] for ch in spec.channels])
+    return t, u1, u2
+
+
+def _simpson_sums(u: np.ndarray) -> np.ndarray:
+    """Per-step ``u(t0) + 2 u(t0 + dt/2) + u(t0 + dt)`` of a half-step table."""
+    return u[0:-1:2] + 2.0 * u[1::2] + u[2::2]
 
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
@@ -52,11 +92,15 @@ def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
     k2 = np.asarray(rhs(t + half, x + half * k1), dtype=float)
     k3 = np.asarray(rhs(t + half, x + half * k2), dtype=float)
     k4 = np.asarray(rhs(t + dt, x + dt * k3), dtype=float)
-    for stage, k in enumerate((k1, k2, k3, k4), start=1):
-        # a non-finite entry poisons the sum, so one scalar check suffices
-        if not math.isfinite(float(k.sum())):
-            raise IntegrationError(f"non-finite RK4 stage {stage} at t={t}", t=t)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ksum = k1 + 2.0 * k2 + 2.0 * k3 + k4
+    # a non-finite stage entry poisons the weighted sum, so one scalar
+    # check suffices; the stages are searched only to name the culprit
+    if not math.isfinite(float(ksum.sum())):
+        for stage, k in enumerate((k1, k2, k3, k4), start=1):
+            if not math.isfinite(float(k.sum())):
+                raise IntegrationError(f"non-finite RK4 stage {stage} at t={t}",
+                                       t=t)
+    return x + (dt / 6.0) * ksum
 
 
 class TrajectoryLog:
@@ -103,42 +147,21 @@ class TrajectoryLog:
 
     def to_csv(self, path: str) -> None:
         """Write the stable-schema trajectory CSV atomically."""
-        def fmt(v) -> str:
-            v = float(v)
-            return CSV_NAN if math.isnan(v) else repr(v)
-
-        rows = [self.header()]
-        for k in range(self.t.shape[0]):
-            cells = [repr(float(self.t[k]))]
-            cells += [fmt(v) for v in self.x[k]]
-            cells.append(fmt(self.f[k]))
-            cells += [fmt(v) for v in self.a[k]]
-            cells += [fmt(v) for v in self.j_est[k]]
-            cells += [fmt(v) for v in self.j_exact[k]]
-            cells += [fmt(v) for v in self.z_ref[k]]
-            rows.append(",".join(cells))
-        _atomic_write(path, "\n".join(rows) + "\n")
+        data = np.column_stack((self.t, self.x, self.f, self.a, self.j_est,
+                                self.j_exact, self.z_ref))
+        _atomic_write(path, _csv_text(self.header(), data, nan=CSV_NAN))
 
     def diagnostics_to_csv(self, path: str) -> None:
         if not self.diag:
             raise InputError("log carries no filter diagnostics")
-        names = list(self.diag)
         cols = ["t"]
-        for name in names:
-            arr = self.diag[name]
+        for name, arr in self.diag.items():
             if arr.ndim == 1:
                 cols.append(name)
             else:
                 cols += [f"{name}_{i}" for i in range(1, arr.shape[1] + 1)]
-        rows = [",".join(cols)]
-        for k in range(self.t.shape[0]):
-            cells = [repr(float(self.t[k]))]
-            for name in names:
-                arr = self.diag[name]
-                vals = [arr[k]] if arr.ndim == 1 else list(arr[k])
-                cells += [repr(float(v)) for v in vals]
-            rows.append(",".join(cells))
-        _atomic_write(path, "\n".join(rows) + "\n")
+        data = np.column_stack((self.t, *self.diag.values()))
+        _atomic_write(path, _csv_text(",".join(cols), data))
 
     @staticmethod
     def from_csv(path: str) -> "TrajectoryLog":
@@ -166,6 +189,18 @@ class TrajectoryLog:
         j_exact = data[:, 2 + 3 * n:2 + 4 * n]
         z_ref = data[:, 2 + 4 * n:2 + 5 * n]
         return TrajectoryLog(t, x, f, a, j_est, j_exact, z_ref)
+
+
+def _csv_text(header: str, data: np.ndarray, nan: str = "nan") -> str:
+    """CSV text of a 2-D array: each value as its shortest round-trip repr,
+    NaN as ``nan``, one line per row after ``header``."""
+    lines = [header]
+    for row in data:
+        line = ",".join(map(repr, row.tolist()))
+        # repr writes "nan" only as a whole value, never inside a number
+        lines.append(line if nan == "nan" else line.replace("nan", nan))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -198,10 +233,6 @@ def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
     return guard
 
 
-def _exact_rhs(spec: EscSystemSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return lbs_rhs_exact(spec, z, amplitude=a).j
-
-
 def _averaged(spec: EscSystemSpec,
               err: Optional[EstimationErrorModel] = None) -> np.ndarray:
     """Averaged-system states at the initial amplitudes, one row per step.
@@ -212,7 +243,7 @@ def _averaged(spec: EscSystemSpec,
     steps = int(round(spec.horizon / dt))
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        j = _exact_rhs(spec, z, spec.a0)
+        j = lbs_rhs_exact(spec, z).j
         return j if err is None else j + err.value(t)
 
     guard = _guard(spec)
@@ -225,6 +256,29 @@ def _averaged(spec: EscSystemSpec,
     return z
 
 
+@functools.lru_cache(maxsize=1)
+def _reference(spec: EscSystemSpec) -> np.ndarray:
+    """The unperturbed averaged trajectory of ``spec``, read-only.
+
+    Cached for the last spec, so the runs of one system share one
+    integration.
+    """
+    z = _averaged(spec)
+    z.flags.writeable = False
+    return z
+
+
+def _oracle_rows(spec: EscSystemSpec, x: np.ndarray,
+                 a: np.ndarray) -> np.ndarray:
+    """``Jexact`` at each logged state of ``x``, amplitudes ``a`` per row
+    or one row for all."""
+    a = np.broadcast_to(a, x.shape)
+    j = np.empty_like(x)
+    for k in range(x.shape[0]):
+        j[k] = lbs_rhs_exact(spec, x[k], amplitude=a[k]).j
+    return j
+
+
 def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
              seed: int, noise_std: float,
              j_override) -> TrajectoryLog:
@@ -235,25 +289,22 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     omega = spec.omega
     sqrt_w = math.sqrt(omega)
     channels = spec.channels
-    u1s = [_scalar_dither(spec.dither(ch.u1_ref)) for ch in channels]
-    u2s = [_scalar_dither(spec.dither(ch.u2_ref)) for ch in channels]
     lam = spec.lam
     has_oracle = obj.has_oracle
     guard = _guard(spec)
     rng = np.random.default_rng(seed)
+    _, u1, u2 = _dither_tables(spec, steps)
 
-    def u_hats(t: float) -> tuple[np.ndarray, np.ndarray]:
-        th = omega * t
-        return (np.array([fn(th) for fn in u1s]),
-                np.array([fn(th) for fn in u2s]))
+    def make_xdot(k: int, t0: float, scale: np.ndarray):
+        # the RK4 stage times of step k and their rows in the tables
+        rows = {t0: 2 * k, t0 + 0.5 * dt: 2 * k + 1, t0 + dt: 2 * k + 2}
 
-    def make_xdot(a_held: np.ndarray):
         def xdot(t: float, x: np.ndarray) -> np.ndarray:
+            i = rows[t]
             fv = obj.measured(x)
-            uh1, uh2 = u_hats(t)
             b1 = np.array([ch.b1(fv) for ch in channels])
             b2 = np.array([ch.b2(fv) for ch in channels])
-            return a_held * sqrt_w * (b1 * uh1 + b2 * uh2)
+            return scale * (b1 * u1[i] + b2 * u2[i])
         return xdot
 
     use_filter = adapt and j_override is None
@@ -266,6 +317,7 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
             f0 += rng.normal(0.0, noise_std)
         filt = GekfFilter(gcfg, n, f0, spec.nu_hats)
         f_prev_meas = f0
+        u1_sums, u2_sums = _simpson_sums(u1), _simpson_sums(u2)
 
     def override_at(t: float) -> np.ndarray:
         if callable(j_override):
@@ -282,8 +334,7 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     f_log = np.empty(total)
     a_log = np.empty((total, n))
     jest_log = np.full((total, n), np.nan)
-    jex_log = np.full((total, n), np.nan)
-    zref_log = _averaged(spec) if has_oracle else np.full((total, n), np.nan)
+    zref_log = _reference(spec) if has_oracle else np.full((total, n), np.nan)
     diag = None
     if use_filter:
         diag = {"x1": np.empty((total, n)), "x2": np.empty((total, n)),
@@ -297,8 +348,6 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
         a_log[k] = a
         if adapt:
             jest_log[k] = j_sig
-        if has_oracle:
-            jex_log[k] = _exact_rhs(spec, x, a)
         if use_filter:
             diag["x1"][k] = filt.state.x1
             diag["x2"][k] = filt.state.x2
@@ -311,25 +360,21 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
 
     for step in range(steps):
         t0 = t
-        a_held = a.copy()
+        scale = a * sqrt_w
         j_held = j_sig
 
-        x_new = rk4_step(make_xdot(a_held), t0, x, dt)
+        x_new = rk4_step(make_xdot(step, t0, scale), t0, x, dt)
         if adapt:
             a = rk4_step(lambda t, a: -lam * (a - j_held), t0, a, dt)
-
-        uh1_0, uh2_0 = u_hats(t0)
-        uh1_h, uh2_h = u_hats(t0 + 0.5 * dt)
-        uh1_1, uh2_1 = u_hats(t0 + dt)
-        scale = a_held * sqrt_w * (dt / 4.0)
-        u1_acc += scale * (uh1_0 + 2.0 * uh1_h + uh1_1)
-        u2_acc += scale * (uh2_0 + 2.0 * uh2_h + uh2_1)
 
         guard(x_new, t0 + dt)
         x = x_new
         t = t0 + dt
 
         if use_filter:
+            weight = scale * (dt / 4.0)
+            u1_acc += weight * u1_sums[step]
+            u2_acc += weight * u2_sums[step]
             filt.propagate(dt)
             if (step + 1) % gcfg.n_meas == 0:
                 f2 = obj.measured(x)
@@ -345,6 +390,8 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
 
         log_row(step + 1)
 
+    jex_log = (_oracle_rows(spec, x_log, a_log) if has_oracle
+               else np.full((total, n), np.nan))
     meta = {"omega": omega, "dt": dt, "mode": "proposed" if adapt else "baseline",
             "seed": seed}
     return TrajectoryLog(t_log, x_log, f_log, a_log, jest_log, jex_log,
@@ -381,13 +428,13 @@ def run_lbs(spec: EscSystemSpec,
         raise InputError("averaged-system run needs an oracle gradient")
     dt = spec.resolved_dt
     a0 = spec.a0
-    x_log = _averaged(spec, err)
-    zref_log = x_log.copy() if err is None else _averaged(spec)
+    zref_log = _reference(spec)
+    x_log = zref_log.copy() if err is None else _averaged(spec, err)
     total, n = x_log.shape
     t_log = np.arange(total) * dt
     f_log = np.array([spec.objective.value(z) for z in x_log])
     a_log = np.tile(a0, (total, 1))
-    jex_log = np.array([_exact_rhs(spec, z, a0) for z in x_log])
+    jex_log = _oracle_rows(spec, x_log, a0)
     jest_log = np.full((total, n), np.nan)
     if err is not None:
         jest_log = jex_log + np.array([[err.value(t)] for t in t_log.tolist()])

@@ -7,7 +7,9 @@ import lieseek.gekf as gekf
 from lieseek.errors import ConfigurationError, FilterDivergenceError
 from lieseek.gekf import (GekfConfig, GekfFilter, GekfState,
                           measurement_coefficients)
-from lieseek.model import ChannelSpec
+from conftest import shortened
+from lieseek.model import ChannelSpec, b0_of
+from lieseek.scenarios import Scenario
 
 
 def _channel():
@@ -181,6 +183,32 @@ class TestPauseBehaviour:
         assert js[-1] < js[0]
 
 
+    @staticmethod
+    def _paused_export(dt_divisor: int) -> tuple[float, float]:
+        """Export of a paused channel after one step and one dither period."""
+        sc = shortened("case1", 2.0)
+        cfg = sc.config
+        spec = sc.primary_system
+        cfg["systems"]["main"]["dt"] = spec.dither_period_seconds / dt_divisor
+        sc = Scenario(cfg)
+        spec = sc.primary_system
+        filt = GekfFilter(sc.gekf_config(), 1, f0=1.0, nu_hat=spec.nu_hats)
+        filt.paused[:] = True
+        filt._j = np.array([1.0])
+        exports = []
+        for _ in range(spec.steps_per_period):
+            filt.propagate(spec.resolved_dt)
+            exports.append(filt.step_export()[0])
+        return exports[0], exports[-1]
+
+    def test_decay_per_dither_period_is_step_size_free(self):
+        first, per_period = self._paused_export(64)
+        assert first == gekf.PAUSED_J_DECAY
+        _, fine = self._paused_export(128)
+        assert fine == pytest.approx(per_period, rel=0, abs=1e-12)
+        assert per_period == pytest.approx(0.999 ** 64, rel=1e-12)
+
+
 class TestFilterUpdate:
     ARGS = (2.0, np.array([0.02]), np.array([0.01]), np.array([1.0]))
 
@@ -212,3 +240,19 @@ class TestFilterUpdate:
         for k in range(3):
             filt.update(2.0 + 0.1 * k, *self.ARGS, (_channel(),))
         assert len(calls) == 3
+
+    def test_bracket_factor_once_per_eligible_channel(self, monkeypatch):
+        calls = []
+
+        def counting(ch, f):
+            calls.append(ch.index)
+            return b0_of(ch, f)
+
+        monkeypatch.setattr(gekf, "b0_of", counting)
+        channels = (_channel(), ChannelSpec(index=1, b1=lambda m: m,
+                                            b2=lambda m: 1.0))
+        a = np.array([1.0, 0.0])   # channel 1 sits below the amplitude floor
+        c = measurement_coefficients(channels, 2.0, np.ones(2), np.ones(2), a,
+                                     np.array([0.5, 0.5]), GekfConfig())
+        assert calls == [0]
+        assert c[1] == 0.0 and c[0] != 0.0

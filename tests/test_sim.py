@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import shortened
+import lieseek.sim as sim
+from lieseek.cli import execute_run
 from lieseek.errors import DivergenceError, InputError, IntegrationError
-from lieseek.model import EstimationErrorModel
+from lieseek.model import DitherSignal, EstimationErrorModel
 from lieseek.scenarios import Scenario, preset
 from lieseek.sim import (TrajectoryLog, rk4_step, run_baseline, run_lbs,
                          run_proposed)
@@ -46,6 +48,18 @@ class TestRk4Step:
             return np.array([float("inf")])
         with pytest.raises(IntegrationError):
             rk4_step(rhs, 0.0, np.array([0.0]), 0.1)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_names_the_first_non_finite_stage(self, stage):
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            bad = len(calls) >= stage
+            return np.array([float("nan") if bad else 1.0, 2.0])
+        with pytest.raises(IntegrationError,
+                           match=f"non-finite RK4 stage {stage} at t=0.5"):
+            rk4_step(rhs, 0.5, np.zeros(2), 0.1)
 
 
 class TestRunLbs:
@@ -234,3 +248,80 @@ class TestAveragedReference:
         for log in (run_baseline(spec), run_proposed(spec, sc.gekf_config()),
                     run_lbs(spec, err=err)):
             assert np.array_equal(log.z_ref, lbs)
+
+    def test_both_mode_integrates_the_reference_once_per_system(
+            self, tmp_path, monkeypatch):
+        calls = []
+        inner = sim.lbs_rhs_exact
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "lbs_rhs_exact", counting)
+        sc = shortened("case3", 1.2)
+        art = execute_run(sc, "both", str(tmp_path))
+        steps = [int(round(spec.horizon / spec.resolved_dt))
+                 for spec in sc.systems.values()]
+        # four RK4 stages per reference step, plus one Jexact value per
+        # logged row of each of the two runs
+        assert len(calls) == sum(4 * k + 2 * (k + 1) for k in steps)
+        assert sim._reference.cache_info().currsize == 1
+        for label in sc.systems:
+            base, prop = (TrajectoryLog.from_csv(art.csv_paths[f"{label}_{m}"])
+                          for m in ("baseline", "proposed"))
+            assert np.array_equal(base.z_ref, prop.z_ref)
+            assert art.logs[(label, "baseline")].z_ref is \
+                art.logs[(label, "proposed")].z_ref
+
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_jexact_is_the_oracle_at_each_logged_row(self, name):
+        sc = shortened(name, 1.0)
+        spec = sc.primary_system
+        for log in (run_baseline(spec), run_proposed(spec, sc.gekf_config()),
+                    run_lbs(spec)):
+            for k in range(log.t.shape[0]):
+                j = sim.lbs_rhs_exact(spec, log.x[k], amplitude=log.a[k]).j
+                assert j.tobytes() == log.j_exact[k].tobytes()
+
+    def test_perturbed_run_leaves_the_reference_cache_alone(self):
+        spec = shortened("case1", 0.5).primary_system
+        ref = run_lbs(spec).z_ref
+        err = EstimationErrorModel(eps0=0.1, theta0=0.2)
+        run_lbs(spec, err=err)
+        assert sim._reference.cache_info().currsize == 1
+        assert run_baseline(spec).z_ref is ref
+        assert not ref.flags.writeable
+
+
+class TestDitherTables:
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_log_times_are_the_table_times(self, name):
+        sc = shortened(name, 1.0)
+        spec = sc.primary_system
+        steps = int(round(spec.horizon / spec.resolved_dt))
+        t, _, _ = sim._dither_tables(spec, steps)
+        for log in (run_baseline(spec), run_proposed(spec, sc.gekf_config())):
+            assert log.t.tobytes() == t.tobytes()
+
+    def test_rows_are_the_scalar_dither_values(self):
+        rng = np.random.default_rng(5)
+        from conftest import zero_mean_tabulated
+        spec = shortened("case2", 0.5).primary_system
+        dithers = {"u1": zero_mean_tabulated(rng), "u2": DitherSignal(
+            kind="cosine", phase=0.3)}
+        spec = type(spec)(objective=spec.objective, channels=spec.channels,
+                          dithers=dithers, omega=spec.omega, a0=spec.a0,
+                          lam=spec.lam, x0=spec.x0, horizon=spec.horizon)
+        steps = int(round(spec.horizon / spec.resolved_dt))
+        t, u1, u2 = sim._dither_tables(spec, steps)
+        dt = spec.resolved_dt
+        for k in (0, 1, steps // 2, steps - 1):
+            for row, tk in ((2 * k, t[k]), (2 * k + 1, t[k] + 0.5 * dt),
+                            (2 * k + 2, t[k + 1])):
+                th = spec.omega * float(tk)
+                assert u1[row, 1] == float(dithers["u1"].value(th))
+                d = dithers["u2"]
+                assert u2[row, 0] == math.cos(
+                    (sim.TAU / d.period) * th + d.phase)
