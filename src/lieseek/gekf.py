@@ -25,7 +25,6 @@ state machine; run separate instances for separate systems.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,8 +138,13 @@ class GekfFilter:
                                P=cfg.p0 * np.eye(2 * n + 1), t=t0)
         self._q = np.diag(np.concatenate([np.full(n, cfg.q1),
                                           np.full(n, cfg.q2), [cfg.q3]]))
-        self.history: deque[np.ndarray] = deque(maxlen=cfg.smooth_window)
-        self.history.append(self.state.x1.copy())
+        # The last smooth_window x1 rows, each written twice (at i and
+        # i + window) so that they are always one contiguous slice, oldest
+        # first: the smoothing average sums the same rows in the same order
+        # as a copy of a window-long history would.
+        self._rows = np.empty((2 * cfg.smooth_window, n))
+        self._count = 0
+        self._push_row(self.state.x1)
         self.paused = np.zeros(n, dtype=bool)
         self._decay = PAUSED_J_DECAY ** (PAUSE_DECAY_STEPS / cfg.smooth_window)
         self._j = np.zeros(n)
@@ -211,6 +215,11 @@ class GekfFilter:
         self.state, self.last_innovation = out, innovation
         self.paused = np.abs(a) < self.cfg.a_floor
 
+    def _push_row(self, x1: np.ndarray) -> None:
+        i = self._count % self.cfg.smooth_window
+        self._rows[i] = self._rows[i + self.cfg.smooth_window] = x1
+        self._count += 1
+
     def step_export(self) -> np.ndarray:
         """Per-step estimate export with pause decay applied.
 
@@ -218,9 +227,11 @@ class GekfFilter:
         last ``smooth_window`` steps (nominally one dither period);
         otherwise raw ``x1``.
         """
-        self.history.append(self.state.x1.copy())
+        self._push_row(self.state.x1)
         if self.cfg.smoothing:
-            smoothed = np.asarray(self.history, dtype=float).mean(axis=0)
+            w = self.cfg.smooth_window
+            end = (self._count - 1) % w + 1 + w
+            smoothed = self._rows[end - min(self._count, w):end].mean(axis=0)
         else:
             smoothed = self.state.x1.copy()
         active = ~self.paused

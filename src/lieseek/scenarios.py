@@ -113,7 +113,14 @@ class AnalysisSettings:
 
     def __post_init__(self):
         for name in ("p", "t_min", "window"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigurationError(f"analysis {name} must be finite")
+            object.__setattr__(self, name, value)
+        if self.p <= 1:
+            raise ConfigurationError("analysis p must exceed 1")
+        if self.t_min <= 0 or self.window <= 0:
+            raise ConfigurationError("analysis t_min and window must be positive")
 
 
 # Filter settings a config may set; ``a_floor_rel`` scales the smallest

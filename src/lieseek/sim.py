@@ -339,7 +339,7 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     if use_filter:
         diag = {"x1": np.empty((total, n)), "x2": np.empty((total, n)),
                 "x3": np.empty(total), "innovation": np.empty(total),
-                "trace_p": np.empty(total), "min_eig_p": np.empty(total)}
+                "P": np.empty((total, 2 * n + 1, 2 * n + 1))}
 
     def log_row(k: int) -> None:
         t_log[k] = t
@@ -353,8 +353,7 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
             diag["x2"][k] = filt.state.x2
             diag["x3"][k] = filt.state.x3
             diag["innovation"][k] = filt.last_innovation
-            diag["trace_p"][k] = np.trace(filt.state.P)
-            diag["min_eig_p"][k] = filt.min_eigenvalue()
+            diag["P"][k] = filt.state.P
 
     log_row(0)
 
@@ -390,6 +389,11 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
 
         log_row(step + 1)
 
+    if use_filter:
+        # covariance summaries of all rows at once, then drop the matrices
+        P = diag.pop("P")
+        diag["trace_p"] = np.trace(P, axis1=1, axis2=2)
+        diag["min_eig_p"] = np.linalg.eigvalsh(P).min(axis=1)
     jex_log = (_oracle_rows(spec, x_log, a_log) if has_oracle
                else np.full((total, n), np.nan))
     meta = {"omega": omega, "dt": dt, "mode": "proposed" if adapt else "baseline",

@@ -198,10 +198,14 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("analysis", "p"), "x"), []),
     (_short_case1_with(("gekf", "r"), -1), []),
     (_short_case1_with(("b2", "elements", 0, "s"), float("inf")), []),
+    (_short_case1_with(("analysis", "p"), 0.5), []),
+    (_short_case1_with(("analysis", "t_min"), -1), []),
+    (_short_case1_with(("analysis", "window"), -3), []),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
-        "negative-r", "infinite-b2-index"])
+        "negative-r", "infinite-b2-index", "analysis-p-below-1",
+        "negative-analysis-t-min", "negative-analysis-window"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -225,3 +229,96 @@ def test_sweep_uses_in_memory_logs(tmp_path, short_case1_path, monkeypatch,
                  "--mode", "both", "--out", str(tmp_path / "sweep")]) == EXIT_OK
     point = json.loads(capsys.readouterr().out)["points"][0]
     assert set(point["final_error"]) == {"main_baseline", "main_proposed"}
+
+
+def _sweep_in(directory, argv: list[str], monkeypatch) -> int:
+    """``main(argv + ["--out", "out"])`` run from ``directory``."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    return main(argv + ["--out", "out"])
+
+
+def _tree_bytes(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("flag,values,jobs", [
+    ("--lambda", "0.05,0.1,0.2,0.4", 2),
+    ("--lambda", "0.05,0.1,0.2,0.4", 3),
+    ("--omega", "50,100,200", 2),
+], ids=["lambda-jobs2", "lambda-jobs3", "omega-jobs2"])
+def test_sweep_jobs_give_identical_output(tmp_path, short_case1_path,
+                                          monkeypatch, capsys, flag, values,
+                                          jobs):
+    argv = ["sweep", "--config", short_case1_path, flag, values,
+            "--mode", "proposed", "--horizon", "2"]
+    outputs = []
+    for j in (1, jobs):
+        assert _sweep_in(tmp_path / f"jobs{j}", argv + ["--jobs", str(j)],
+                         monkeypatch) == EXIT_OK
+        outputs.append((capsys.readouterr().out,
+                        _tree_bytes(tmp_path / f"jobs{j}")))
+    (serial_out, serial_files), (pool_out, pool_files) = outputs
+    assert len(serial_files) == 1 + 4 * len(values.split(","))
+    assert pool_files == serial_files
+    assert json.loads(pool_out) == json.loads(serial_out)
+
+
+def test_sweep_caller_runs_a_share(tmp_path, short_case1_path, monkeypatch,
+                                   capsys):
+    """The calling process integrates its own points, not only the workers."""
+    import lieseek.sim as sim
+    calls = []
+    rk4_step = sim.rk4_step
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return rk4_step(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "rk4_step", counting)
+    argv = ["sweep", "--config", short_case1_path, "--lambda", "0.1,0.2",
+            "--mode", "proposed", "--horizon", "2"]
+    assert _sweep_in(tmp_path / "serial", argv, monkeypatch) == EXIT_OK
+    serial = len(calls)
+    calls.clear()
+    assert _sweep_in(tmp_path / "pool", argv + ["--jobs", "2"],
+                     monkeypatch) == EXIT_OK
+    assert 0 < len(calls) < serial
+
+
+def test_sweep_worker_error_keeps_exit_code(tmp_path, short_case1_path,
+                                            capsys):
+    # the second point, a worker's, is an invalid gain
+    assert main(["sweep", "--config", short_case1_path, "--lambda", "0.1,-1",
+                 "--mode", "proposed", "--horizon", "1.5", "--jobs", "2",
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "gains must be positive" in err
+
+
+def test_sweep_dead_worker_is_runtime_error(tmp_path, short_case1_path,
+                                            monkeypatch, capsys):
+    import lieseek.cli as cli
+    parent = os.getpid()
+    execute_run = cli.execute_run
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return execute_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "execute_run", dying)
+    assert main(["sweep", "--config", short_case1_path, "--omega", "50,100",
+                 "--mode", "baseline", "--horizon", "1.5", "--jobs", "2",
+                 "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_zero_jobs_is_usage_error(tmp_path, short_case1_path, capsys):
+    assert main(["sweep", "--config", short_case1_path, "--omega", "50",
+                 "--jobs", "0", "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

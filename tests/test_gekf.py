@@ -42,7 +42,8 @@ def _update(s, cfg, f2, f1, u1, u2, a, channels, nu_hat):
 
 def _export(s, cfg, history):
     filt = _filter(cfg, s)
-    filt.history.extend(history)
+    for row in history:
+        filt._push_row(row)
     return filt.step_export()
 
 
@@ -161,6 +162,24 @@ class TestExtractJ:
                       t=0.0)
         hist = [np.array([math.sin(2 * math.pi * k / n)]) for k in range(n)]
         assert abs(_export(s, cfg, hist)[0]) < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smoothing_matches_history_mean_bit_for_bit(self, n):
+        """The export is the mean of a copy of the last window rows, warm-up
+        included, to the last bit."""
+        from collections import deque
+        window = 64
+        cfg = GekfConfig(smooth_window=window)
+        filt = GekfFilter(cfg, n, f0=0.0, nu_hat=np.full(n, 0.5))
+        history = deque([filt.state.x1.copy()], maxlen=window)
+        rng = np.random.default_rng(n)
+        for _ in range(1000):
+            x1 = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
+            filt.state = GekfState(x1=x1, x2=np.zeros(n), x3=0.0,
+                                   P=np.eye(2 * n + 1), t=0.0)
+            history.append(x1.copy())
+            expected = np.asarray(history, dtype=float).mean(axis=0)
+            assert filt.step_export().tobytes() == expected.tobytes()
 
 
 class TestPauseBehaviour:

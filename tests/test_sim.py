@@ -182,6 +182,28 @@ class TestRunProposed:
         assert {"x1", "x2", "x3", "innovation", "trace_p",
                 "min_eig_p"} <= set(log.diag)
 
+    def test_covariance_summaries_match_each_row(self, monkeypatch):
+        """``trace_p`` and ``min_eig_p``, computed for all rows after the
+        loop, equal a per-matrix trace and ``eigvalsh`` bit for bit."""
+        from lieseek.gekf import GekfFilter
+        sc = shortened("case2", 2.0)
+        gcfg = sc.gekf_config()
+        covariances = [gcfg.p0 * np.eye(2 * sc.primary_system.n + 1)]
+        step_export = GekfFilter.step_export
+
+        def recording(self):
+            covariances.append(self.state.P.copy())
+            return step_export(self)
+
+        monkeypatch.setattr(GekfFilter, "step_export", recording)
+        log = run_proposed(sc.primary_system, gcfg)
+        assert len(covariances) == log.t.size
+        assert set(log.diag) == {"x1", "x2", "x3", "innovation", "trace_p",
+                                 "min_eig_p"}
+        for k, P in enumerate(covariances):
+            assert log.diag["trace_p"][k] == np.trace(P)
+            assert log.diag["min_eig_p"][k] == np.linalg.eigvalsh(P).min()
+
 
 class TestTrajectoryLog:
     def test_csv_round_trip(self, tmp_path):
