@@ -9,12 +9,12 @@ All functions are pure over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapabilityError, InputError
-from .model import ObjectiveMap
+from .model import CoefficientForm, ObjectiveMap
 from .sim import TrajectoryLog
 
 CONTRADICTION_TOL = 1e-12
@@ -113,11 +113,11 @@ def check_bound(t: np.ndarray, j: np.ndarray, p: float,
 
 @dataclass(frozen=True)
 class B2Element:
-    """One vector-field element, as a function of the shifted objective."""
+    """One vector-field element, a coefficient form of the shifted objective."""
 
     s: int
     i: int
-    fn: Callable[[float], float]
+    form: CoefficientForm
     label: str = ""
 
 
@@ -185,15 +185,18 @@ def check_b2(elements: Sequence[B2Element], objective: ObjectiveMap,
     if objective.domain_box is not None:
         box = np.asarray(objective.domain_box, dtype=float)
     for el in elements:
-        v0 = float(el.fn(0.0))
-        contradiction = abs(v0) > CONTRADICTION_TOL
-        m3_fit = m_fit = None
+        ft = np.empty(0)
         if box is not None and sample_count > 0:
             pts = rng.uniform(box[:, 0], box[:, 1],
                               size=(sample_count, objective.dimension))
-            ft = np.array([objective.value(p) - objective.f_star for p in pts])
-            mags = np.abs(ft)
-            bv = np.abs(np.array([el.fn(v) for v in ft]))
+            ft = objective.value(pts) - objective.f_star
+        # one call: the element at the extremum (ftilde = 0), then at ft
+        b = el.form.value(np.concatenate(([0.0], ft)))
+        v0 = float(b[0])
+        contradiction = abs(v0) > CONTRADICTION_TOL
+        m3_fit = m_fit = None
+        if ft.size:
+            mags, bv = np.abs(ft), np.abs(b[1:])
             keep = (mags > 1e-10) & (bv > 1e-300)
             if keep.sum() >= 8:
                 slope, intercept = np.polyfit(np.log(mags[keep]),

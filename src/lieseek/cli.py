@@ -177,16 +177,20 @@ def _parse_sweep_values(text: str) -> list[float]:
 
 def _sweep_points(sc: Scenario, param: str, values: list[float],
                   horizon: Optional[float], mode: str, out: str,
-                  seed: int) -> list[dict]:
-    """Run the sweep points ``values`` one after another; one dict each."""
-
-    def one_point(value: float) -> dict:
+                  seed: int) -> tuple[list[dict], Optional[LieseekError]]:
+    """Run the sweep points ``values`` in order up to the first failure;
+    returns one dict per finished point, and the failure or ``None``."""
+    points: list[dict] = []
+    for value in values:
         ns = argparse.Namespace(omega=value if param == "omega" else None,
                                 lam=value if param == "lambda" else None,
                                 dt=None, horizon=horizon)
-        sweep_sc = _apply_overrides(sc, ns)
         sub = os.path.join(out, f"{param}_{value:g}")
-        artifacts = execute_run(sweep_sc, mode, sub, seed=seed)
+        try:
+            sweep_sc = _apply_overrides(sc, ns)
+            artifacts = execute_run(sweep_sc, mode, sub, seed=seed)
+        except LieseekError as exc:
+            return points, exc
         deviations = {}
         finals = {}
         for (label, m), log in artifacts.logs.items():
@@ -195,16 +199,14 @@ def _sweep_points(sc: Scenario, param: str, values: list[float],
                 np.linalg.norm(log.x[-1] - sweep_sc.x_star(label)))
             if not np.any(np.isnan(log.z_ref)):
                 deviations[key] = float(np.max(np.abs(log.x - log.z_ref)))
-        return {"value": value, "out": sub, "deviation": deviations,
-                "final_error": finals}
+        points.append({"value": value, "out": sub, "deviation": deviations,
+                       "final_error": finals})
+    return points, None
 
-    return [one_point(v) for v in values]
 
-
-def _sweep_share(config: dict, *share) -> list[dict]:
-    """:func:`_sweep_points` in a worker process.  A ``Scenario`` holds
-    lambdas and cannot be pickled, so the worker rebuilds it from its
-    config."""
+def _sweep_share(config: dict, *share) -> tuple:
+    """:func:`_sweep_points` in a worker process, on a scenario rebuilt from
+    its config: the objective's closures cannot be pickled."""
     return _sweep_points(Scenario(config), *share)
 
 
@@ -215,32 +217,39 @@ def _run_shares(sc: Scenario, param: str, values: list[float], jobs: int,
     Share k holds points k, k+jobs, k+2*jobs, ...  The calling process
     runs share 0 itself and each other share goes to one forked worker.
     Shares are fixed, not drawn from a queue, so each process runs the
-    same points on every call.  Returns the points in value order.
+    same points on every call.  Returns the points in value order, or
+    raises the failure of the first failing point, as ``jobs=1`` does.
     """
     if jobs == 1:
-        return _sweep_points(sc, param, values, *rest)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+        done = [_sweep_points(sc, param, values, *rest)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    # fork, not spawn: a spawned worker would import numpy and scipy anew
-    # (about 0.8 s).  Forking is safe here: the executor forks all its
-    # workers before it starts its own thread, OpenBLAS (numpy's BLAS)
-    # stops its thread pool around a fork, and the workers share no state
-    # with the caller.
-    with ProcessPoolExecutor(max_workers=jobs - 1,
-                             mp_context=multiprocessing.get_context("fork")
-                             ) as pool:
-        shares = [values[k::jobs] for k in range(jobs)]
-        futures = [pool.submit(_sweep_share, sc.config, param, share, *rest)
-                   for share in shares[1:]]
-        done = [_sweep_points(sc, param, shares[0], *rest)]
-        try:
-            done += [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            raise LieseekError(f"a sweep worker process died: {exc}") from exc
+        # fork, not spawn: a spawned worker would import numpy and scipy
+        # anew (about 0.8 s).  Forking is safe here: the executor forks all
+        # its workers before it starts its own thread, OpenBLAS (numpy's
+        # BLAS) stops its thread pool around a fork, and the workers share
+        # no state with the caller.
+        with ProcessPoolExecutor(max_workers=jobs - 1,
+                                 mp_context=multiprocessing.get_context("fork")
+                                 ) as pool:
+            shares = [values[k::jobs] for k in range(jobs)]
+            futures = [pool.submit(_sweep_share, sc.config, param, share, *rest)
+                       for share in shares[1:]]
+            done = [_sweep_points(sc, param, shares[0], *rest)]
+            try:
+                done += [future.result() for future in futures]
+            except BrokenProcessPool as exc:
+                raise LieseekError(f"a sweep worker process died: {exc}") from exc
+    # share k stopped at its point k + jobs * (points it finished)
+    failures = [(k + jobs * len(share), exc)
+                for k, (share, exc) in enumerate(done) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     points: list = [None] * len(values)
-    for k, share_points in enumerate(done):
+    for k, (share_points, _) in enumerate(done):
         points[k::jobs] = share_points
     return points
 

@@ -26,12 +26,11 @@ state machine; run separate instances for separate systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, FilterDivergenceError
-from .model import ChannelSpec, b0_of
+from .model import EscSystemSpec
 
 B0_SINGULAR_TOL = 1e-12
 # A paused channel's export decays by PAUSED_J_DECAY per 1/PAUSE_DECAY_STEPS
@@ -94,29 +93,25 @@ class GekfConfig:
             raise ConfigurationError("smooth_window and n_meas must be >= 1")
 
 
-def measurement_coefficients(channels: Sequence[ChannelSpec], f1: float,
+def measurement_coefficients(spec: EscSystemSpec, f1: float,
                              u1_int: np.ndarray, u2_int: np.ndarray,
                              a: np.ndarray, nu_hat: np.ndarray,
                              cfg: GekfConfig) -> np.ndarray:
     """Per-channel weight of ``x1`` in the predicted objective sample.
 
     ``c_i = -(b1_i(f1) U1_i + b2_i(f1) U2_i) / (nu_i * a_i^2 * b0_i(f1))``
-    with ineligible channels weighted zero.  Coefficients are anchored at
-    the measured value ``f1`` from the start of the window.  A channel is
-    ineligible when its amplitude magnitude sits below the floor or its
-    bracket factor at ``f1`` is singular.
+    with ineligible channels weighted zero, all from one coefficient call
+    anchored at the measured value ``f1`` from the start of the window.
+    A channel is ineligible when its amplitude magnitude sits below the
+    floor or its bracket factor at ``f1`` is singular.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    c = np.zeros(len(channels))
-    for i, ch in enumerate(channels):
-        if not abs(a[i]) >= cfg.a_floor:
-            continue
-        b0 = b0_of(ch, f1)
-        if abs(b0) < B0_SINGULAR_TOL:
-            continue
-        num = ch.b1(f1) * u1_int[i] + ch.b2(f1) * u2_int[i]
-        c[i] = -num / (nu_hat[i] * a[i] ** 2 * b0)
-    return c
+    b1, b2, b0 = spec.coefficients(f1)
+    ok = (np.abs(a) >= cfg.a_floor) & (np.abs(b0) >= B0_SINGULAR_TOL)
+    # float_power calls C pow like a scalar a_i ** 2; an array a ** 2
+    # squares, which rounds differently in rare cases
+    return np.divide(-(b1 * u1_int + b2 * u2_int),
+                     nu_hat * np.float_power(a, 2) * b0,
+                     out=np.zeros(spec.n), where=ok)
 
 
 class GekfFilter:
@@ -172,7 +167,7 @@ class GekfFilter:
         self.state = out
 
     def update(self, f2: float, f1: float, u1_int, u2_int, a,
-               channels: Sequence[ChannelSpec]) -> None:
+               spec: EscSystemSpec) -> None:
         """Scalar Kalman update against the objective sample ``f2``.
 
         Predicted sample: ``x3 + sum_i c_i x1_i`` with ``c`` from
@@ -183,7 +178,7 @@ class GekfFilter:
         the pre-update state.
         """
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        c = measurement_coefficients(channels, f1, np.atleast_1d(u1_int),
+        c = measurement_coefficients(spec, f1, np.atleast_1d(u1_int),
                                      np.atleast_1d(u2_int), a, self.nu_hat,
                                      self.cfg)
         s, r = self.state, self.cfg.r

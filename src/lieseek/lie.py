@@ -1,19 +1,20 @@
 """Bracket computation, exact averaged right-hand sides, and the
 first-order iterated-integral predictor.
 
-The exact averaged right-hand side produced here is the test oracle for
-the estimation filter; the seeking loop itself never calls it.
+The exact averaged right-hand side produced here is the oracle for the
+estimation filter; the seeking loop itself never calls it.  It takes
+states of shape ``(..., n)``, so one call covers a whole trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import CapabilityError, ConfigurationError
-from .model import ChannelSpec, EscSystemSpec, b0_of
+from .model import EscSystemSpec
 
 JAC_FD_STEP = 1e-6
 
@@ -54,55 +55,37 @@ def lie_bracket(b_i: VectorFieldFn, b_j: VectorFieldFn, t: float, x) -> np.ndarr
     return b_j.jac(t, x) @ b_i.value(t, x) - b_i.jac(t, x) @ b_j.value(t, x)
 
 
-class LbsRhs(NamedTuple):
-    """Exact averaged right-hand side with its per-channel ingredients."""
-
-    j: np.ndarray          # per-channel value, amplitude-scaled
-    nu_hat: np.ndarray     # unit-amplitude averaging weights
-    grad: np.ndarray       # oracle gradient of the measured objective
-    b0: np.ndarray         # scalar bracket factors at the measured value
-
-    def recompute(self, amplitude: np.ndarray) -> np.ndarray:
-        a = np.asarray(amplitude, dtype=float)
-        return -self.nu_hat * a * a * self.grad * self.b0
-
-
-def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None) -> LbsRhs:
-    """Oracle: exact averaged right-hand side at a point.
+def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None) -> np.ndarray:
+    """Oracle: exact averaged right-hand side at the states ``z``.
 
     Per channel: ``-nu_hat * a_i^2 * (df/dz_i) * b0_i(f)``, with the
-    gradient taken from the objective's oracle.  ``amplitude`` defaults
-    to the spec's initial amplitudes.
+    gradient taken from the objective's oracle.  ``z`` has shape
+    ``(..., n)`` and so has the result; ``amplitude`` broadcasts against
+    it and defaults to the spec's initial amplitudes.
     """
     if not spec.objective.has_oracle:
         raise CapabilityError("exact averaged dynamics need an oracle gradient")
-    z = np.asarray(z, dtype=float)
-    a = spec.a0 if amplitude is None else np.asarray(amplitude, dtype=float)
-    fv = spec.objective.measured(z)
+    a = None if amplitude is None else np.asarray(amplitude, dtype=float)
+    weight = spec.oracle_weights if a is None else -spec.nu_hats * a * a
     grad = spec.objective.measured_gradient(z)
-    b0 = np.array([b0_of(ch, fv) for ch in spec.channels])
-    nu_hat = spec.nu_hats
-    return LbsRhs(j=-nu_hat * a * a * grad * b0, nu_hat=nu_hat, grad=grad, b0=b0)
+    _, _, b0 = spec.coefficients(spec.objective.measured(z))
+    return weight * grad * b0
 
 
-def chen_fliess_predict(f_t1: float, grad_t1, channels: tuple[ChannelSpec, ...],
-                        u1_int, u2_int) -> float:
+def chen_fliess_predict(spec: EscSystemSpec, f_t1, grad_t1, u1_int,
+                        u2_int):
     """First-order iterated-integral prediction of the objective value.
 
     ``u1_int``/``u2_int`` are the per-channel integrals of the actual
     inputs over the prediction window, supplied by the caller.  The
     remainder of the truncated series is second order in the window
-    length.
+    length.  ``f_t1`` may hold several windows (channels last elsewhere).
     """
-    grad = np.asarray(grad_t1, dtype=float)
-    u1 = np.atleast_1d(np.asarray(u1_int, dtype=float))
-    u2 = np.atleast_1d(np.asarray(u2_int, dtype=float))
-    out = float(f_t1)
-    for i, ch in enumerate(channels):
-        out += grad[i] * (ch.b1(f_t1) * u1[i] + ch.b2(f_t1) * u2[i])
-    if not np.isfinite(out):
+    b1, b2 = spec.coefficient_values(f_t1)
+    out = f_t1 + np.sum(grad_t1 * (b1 * u1_int + b2 * u2_int), axis=-1)
+    if not np.all(np.isfinite(out)):
         raise CapabilityError(f"non-finite prediction from f={f_t1}")
-    return out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def diagonal_fields(spec: EscSystemSpec, channel: int
@@ -113,14 +96,13 @@ def diagonal_fields(spec: EscSystemSpec, channel: int
     reproduces the channel's averaged factor, which bridges the general
     bracket formula to the per-channel scalar form.
     """
-    ch = spec.channels[channel]
     n = spec.n
-    e_i = np.zeros(n)
-    e_i[channel] = 1.0
+    e_i = np.eye(n)[channel]
 
-    def field(coeff):
+    def field(which: int) -> VectorFieldFn:
         def fn(t, x):
-            return coeff(spec.objective.measured(x)) * e_i
+            b = spec.coefficient_values(spec.objective.measured(x))[which]
+            return b[channel] * e_i
         return VectorFieldFn(dimension=n, fn=fn)
 
-    return field(ch.b1), field(ch.b2)
+    return field(0), field(1)

@@ -1,15 +1,16 @@
 """Domain types for dither-driven seeking systems.
 
 This module holds the building blocks every other part of the package
-consumes: periodic probing signals (dithers), objective maps, per-channel
-vector-field coefficient functions, full system descriptions, and the two
-scalar quantities that the averaged dynamics are built from:
+consumes: periodic probing signals (dithers), objective maps, the named
+vector-field coefficient forms, full system descriptions, and the two
+quantities that the averaged dynamics are built from:
 
 * ``nu_coefficient`` -- the averaging weight of a dither pair,
   ``(1/T) * integral(u_j(s) * integral(u_i, 0, s), 0, T)`` at unit
   amplitude; callers scale by the amplitude product.
-* ``b0_of`` -- the scalar bracket factor ``b2*b1' - b1*b2'`` of a
-  two-coefficient channel, evaluated at an objective value.
+* ``EscSystemSpec.coefficients`` -- both coefficients of every channel
+  and the bracket factor ``b0 = b2*b1' - b1*b2'``, in closed form, at
+  objective values of any shape.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
@@ -18,7 +19,7 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional
 
@@ -33,8 +34,11 @@ TAU = 2.0 * math.pi
 # below the 1e-9 target at this resolution.
 QUAD_INTERVALS = 4096
 
-# Central-difference relative step for coefficient derivatives.
-FD_REL_STEP = 1e-6
+
+def require_finite(what: str, *values) -> None:
+    """Raise :class:`ConfigurationError` unless all ``values`` are finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ConfigurationError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,7 @@ class DitherSignal:
     def __post_init__(self):
         if self.kind not in ("cosine", "sine", "tabulated"):
             raise ConfigurationError(f"unknown dither kind: {self.kind!r}")
+        require_finite("dither parameters", self.phase, self.period, self.bound)
         if self.period <= 0:
             raise ConfigurationError("dither period must be positive")
         if self.bound <= 0:
@@ -68,6 +73,7 @@ class DitherSignal:
                 raise ConfigurationError("tabulated samples must be strictly increasing")
             if thetas[0] < 0 or thetas[-1] >= self.period:
                 raise ConfigurationError("tabulated samples must lie in [0, period)")
+            require_finite("tabulated dither samples", self.samples)
         elif self.samples is not None:
             raise ConfigurationError("samples are only valid for tabulated dithers")
 
@@ -84,13 +90,6 @@ class DitherSignal:
             return np.sin(TAU * np.asarray(theta) / self.period + self.phase)
         th, val = self._table
         return np.interp(np.asarray(theta, dtype=float), th, val, period=self.period)
-
-    def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "phase": self.phase, "period": self.period,
-               "bound": self.bound}
-        if self.samples is not None:
-            cfg["samples"] = [list(s) for s in self.samples]
-        return cfg
 
     @staticmethod
     def from_config(cfg: Mapping) -> "DitherSignal":
@@ -169,22 +168,22 @@ def nu_coefficient(u_j: DitherSignal, u_i: DitherSignal) -> float:
 class ObjectiveMap:
     """A scalar objective over R^n with optional oracle metadata.
 
-    ``gradient`` is an analytic gradient used only by oracles and tests;
-    the seeking loop itself never reads it.  ``kind`` declares whether
-    the isolated extremum is a minimum or a maximum; for maxima the
-    controller-facing signal is negated (see :meth:`measured`).
-    ``domain_box`` is the compact region the system is expected to live
-    in, as (low, high) per coordinate.
+    ``fn`` and ``gradient`` take points of shape ``(..., n)`` and return
+    shapes ``(...)`` and ``(..., n)``.  ``gradient`` is an analytic
+    gradient used only by oracles and tests; the seeking loop itself
+    never reads it.  ``kind`` declares whether the isolated extremum is a
+    minimum or a maximum; for maxima the controller-facing signal is
+    negated (see :meth:`measured`).  ``domain_box`` is the compact region
+    the system is expected to live in, as (low, high) per coordinate.
     """
 
     dimension: int
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     x_star: Optional[tuple[float, ...]] = None
     f_star: Optional[float] = None
     kind: str = "min"
     domain_box: Optional[tuple[tuple[float, float], ...]] = None
-    config: Optional[dict] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -194,15 +193,13 @@ class ObjectiveMap:
         if self.kind == "max" and self.f_star is None:
             raise ConfigurationError("max-kind objective needs a declared extremum value")
 
-    def value(self, x) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+    def value(self, x):
+        """Objective at the points ``x``: a float for one point, an array
+        of shape ``x.shape[:-1]`` for several."""
+        out = self.fn(np.asarray(x, dtype=float))
+        return float(out) if getattr(out, "ndim", 0) == 0 else out
 
-    def oracle_gradient(self, x) -> np.ndarray:
-        if self.gradient is None:
-            raise CapabilityError("objective has no oracle gradient")
-        return np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
-
-    def measured(self, x) -> float:
+    def measured(self, x):
         """Controller-facing objective signal.
 
         Equal to ``f(x)`` for minimum seeking.  For maximum seeking the
@@ -213,104 +210,131 @@ class ObjectiveMap:
         return self.value(x)
 
     def measured_gradient(self, x) -> np.ndarray:
-        g = self.oracle_gradient(x)
+        """Gradient of :meth:`measured`, from the analytic ``gradient``."""
+        if self.gradient is None:
+            raise CapabilityError("objective has no oracle gradient")
+        g = np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
         return -g if self.kind == "max" else g
 
     @property
     def has_oracle(self) -> bool:
         return self.gradient is not None
 
-    def box_center(self) -> np.ndarray:
-        box = np.asarray(self.domain_box, dtype=float)
-        return box.mean(axis=1)
-
-    def box_diagonal(self) -> float:
-        box = np.asarray(self.domain_box, dtype=float)
-        return float(np.linalg.norm(box[:, 1] - box[:, 0]))
-
     def validate(self, samples: int = 256, seed: int = 0) -> None:
-        """Check declared-extremum consistency and finiteness on the box."""
-        if self.x_star is not None:
-            if len(self.x_star) != self.dimension:
-                raise ConfigurationError("x_star dimension mismatch")
-            if self.gradient is not None:
-                g = self.oracle_gradient(self.x_star)
-                if np.linalg.norm(g) > 1e-8:
-                    raise ConfigurationError(
-                        f"oracle gradient does not vanish at declared extremum: {g}")
-            if self.f_star is not None:
-                fv = self.value(self.x_star)
-                if abs(fv - self.f_star) > 1e-8 * max(1.0, abs(self.f_star)):
-                    raise ConfigurationError(
-                        f"f(x*)={fv} disagrees with declared f*={self.f_star}")
-        if self.domain_box is not None:
-            box = np.asarray(self.domain_box, dtype=float)
-            if box.shape != (self.dimension, 2):
-                raise ConfigurationError("domain box must be (low, high) per coordinate")
-            rng = np.random.default_rng(seed)
-            pts = rng.uniform(box[:, 0], box[:, 1], size=(samples, self.dimension))
-            vals = np.array([self.value(p) for p in pts])
-            if not np.all(np.isfinite(vals)):
-                raise EvaluationError("objective is non-finite on the domain box")
+        """Check declared-extremum consistency and finiteness on the box;
+        a non-finite value fails its check, without a NumPy warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.x_star is not None:
+                if len(self.x_star) != self.dimension:
+                    raise ConfigurationError("x_star dimension mismatch")
+                if self.gradient is not None:
+                    g = self.measured_gradient(self.x_star)
+                    if not np.linalg.norm(g) <= 1e-8:
+                        raise ConfigurationError("oracle gradient does not "
+                                                 f"vanish at declared extremum: {g}")
+                if self.f_star is not None:
+                    fv = self.value(self.x_star)
+                    if not abs(fv - self.f_star) <= 1e-8 * max(1.0, abs(self.f_star)):
+                        raise ConfigurationError(
+                            f"f(x*)={fv} disagrees with declared f*={self.f_star}")
+            if self.domain_box is not None:
+                box = np.asarray(self.domain_box, dtype=float)
+                if box.shape != (self.dimension, 2):
+                    raise ConfigurationError("domain box must be (low, high) per coordinate")
+                require_finite("domain box", box)
+                pts = np.random.default_rng(seed).uniform(
+                    box[:, 0], box[:, 1], size=(samples, self.dimension))
+                if not np.all(np.isfinite(self.value(pts))):
+                    raise EvaluationError("objective is non-finite on the domain box")
+
+
+# Parameter names and defaults of each named form: ``p`` then ``q``.
+COEFFICIENT_FORMS = {
+    "linear": (("gain", 0.0), ("offset", 0.0)),
+    "cosine": (("amp", 1.0), ("scale", 1.0)),
+    "sine": (("amp", 1.0), ("scale", 1.0)),
+}
+
+
+def _stack(forms) -> tuple:
+    """:func:`_form_terms` parameters of ``forms``, stacked over a trailing
+    axis; ``d`` is each form's slope factor."""
+    linear = np.array([b.form == "linear" for b in forms])
+    is_cos = np.array([b.form == "cosine" for b in forms])
+    p, q = np.array([b.p for b in forms]), np.array([b.q for b in forms])
+    d = [b.p if b.form == "linear" else
+         (-b.p if b.form == "cosine" else b.p) * b.q for b in forms]
+    kind = "linear" if linear.all() else "mixed" if linear.any() else "trig"
+    return kind, linear, p, q, np.array([p, d]), np.array([is_cos, ~is_cos])
+
+
+def _form_terms(kind: str, linear, p, q, pd, sel, m):
+    """Values and slopes of stacked forms at ``m`` (0-d, or ``(..., 1)``).
+
+    Linear: ``p*m + q``, slope ``d = p`` (not broadcast to ``m``).
+    Trigonometric: ``p*cos(q*m)`` where ``is_cos``, else ``p*sin(q*m)``,
+    slope ``d*sin(q*m)`` or ``d*cos(q*m)`` with ``d = -p*q`` or ``p*q``.
+    ``kind`` tells whether the forms are all linear, all trig or mixed.
+    """
+    if kind == "linear":
+        return p * m + q, pd[1]
+    arg = (q * m)[..., None, :]
+    terms = pd * np.where(sel, np.cos(arg), np.sin(arg))
+    value, slope = terms[..., 0, :], terms[..., 1, :]
+    if kind == "mixed":
+        value = np.where(linear, p * m + q, value)
+        slope = np.where(linear, pd[1], slope)
+    return value, slope
+
+
+@dataclass(frozen=True)
+class CoefficientForm:
+    """A named vector-field coefficient ``b(m)`` of the measured objective:
+    ``linear`` is ``gain*m + offset``, ``cosine`` is ``amp*cos(scale*m)``
+    and ``sine`` is ``amp*sin(scale*m)``, with ``p``, ``q`` the two
+    parameters in that order.  It evaluates at values of any shape."""
+
+    form: str
+    p: float
+    q: float
+
+    def __post_init__(self):
+        if self.form not in COEFFICIENT_FORMS:
+            raise ConfigurationError(f"unknown coefficient form {self.form!r}; "
+                                     f"have {sorted(COEFFICIENT_FORMS)}")
+        require_finite(f"{self.form} coefficient parameters", self.p, self.q)
+
+    @staticmethod
+    def from_config(cfg: Mapping) -> "CoefficientForm":
+        form = cfg.get("form")
+        p, q = ([float(cfg.get(k, v)) for k, v in COEFFICIENT_FORMS[form]]
+                if form in COEFFICIENT_FORMS else (0.0, 0.0))
+        return CoefficientForm(form, p, q)   # rejects an unknown form
+
+    def terms(self, m) -> tuple[np.ndarray, np.ndarray]:
+        """Value and closed-form slope at objective values ``m``."""
+        m = np.asarray(m, dtype=float)
+        value, slope = _form_terms(*_stack((self,)), m[..., None])
+        return value[..., 0], np.broadcast_to(slope, value.shape)[..., 0]
+
+    def value(self, m):
+        return self.terms(m)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelSpec:
-    """One seeking channel: two coefficient functions and a dither pair.
+    """One seeking channel: two coefficient forms and a dither pair.
 
     ``b1`` and ``b2`` map the measured objective value to the two
-    vector-field coefficients.  ``db1``/``db2`` are optional analytic
-    derivatives; when absent a central difference is used.  ``u1_ref``
-    and ``u2_ref`` name entries of the owning system's dither table, so
-    channels may share waveforms.
+    vector-field coefficients.  ``u1_ref`` and ``u2_ref`` name entries of
+    the owning system's dither table, so channels may share waveforms.
     """
 
     index: int
-    b1: Callable[[float], float]
-    b2: Callable[[float], float]
-    db1: Optional[Callable[[float], float]] = None
-    db2: Optional[Callable[[float], float]] = None
+    b1: CoefficientForm
+    b2: CoefficientForm
     u1_ref: str = "u1"
     u2_ref: str = "u2"
-    b1_config: Optional[dict] = None
-    b2_config: Optional[dict] = None
-
-
-def _fd_derivative(fn: Callable[[float], float], f_value: float) -> float:
-    h = max(FD_REL_STEP, FD_REL_STEP * abs(f_value))
-    return (fn(f_value + h) - fn(f_value - h)) / (2.0 * h)
-
-
-def b0_of(channel: ChannelSpec, f_value: float) -> float:
-    """Scalar bracket factor ``b2*db1 - b1*db2`` at an objective value.
-
-    Uses analytic derivatives when the channel declares them, otherwise
-    a central finite difference with relative step 1e-6.
-    """
-    db1 = channel.db1(f_value) if channel.db1 else _fd_derivative(channel.b1, f_value)
-    db2 = channel.db2(f_value) if channel.db2 else _fd_derivative(channel.b2, f_value)
-    out = channel.b2(f_value) * db1 - channel.b1(f_value) * db2
-    if not math.isfinite(out):
-        raise EvaluationError(f"b0 evaluation non-finite at f={f_value}", value=f_value)
-    return out
-
-
-def validate_channel(channel: ChannelSpec, f_lo: float, f_hi: float,
-                     samples: int = 64) -> None:
-    """Sampled smoothness check of the coefficient functions.
-
-    Verifies that b1, b2 and their first two finite-difference
-    derivatives stay finite over the objective range [f_lo, f_hi].
-    """
-    for fv in np.linspace(f_lo, f_hi, samples):
-        for fn in (channel.b1, channel.b2):
-            v = fn(float(fv))
-            d1 = _fd_derivative(fn, float(fv))
-            d2 = _fd_derivative(lambda g: _fd_derivative(fn, g), float(fv))
-            if not all(math.isfinite(u) for u in (v, d1, d2)):
-                raise EvaluationError(
-                    f"channel {channel.index} coefficient non-finite near f={fv}",
-                    value=float(fv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,9 +359,11 @@ class EscSystemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "a0", np.atleast_1d(np.asarray(self.a0, dtype=float)))
-        object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, dtype=float)))
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
+        for name in ("a0", "lam", "x0"):
+            # read-only copies, so the runs cached per spec stay valid
+            arr = np.array(getattr(self, name), dtype=float, ndmin=1)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         n = len(self.channels)
         if n == 0:
             raise ConfigurationError("system needs at least one channel")
@@ -346,6 +372,9 @@ class EscSystemSpec:
         for name, arr in (("a0", self.a0), ("lam", self.lam), ("x0", self.x0)):
             if arr.shape != (n,):
                 raise ConfigurationError(f"{name} must have one entry per channel")
+            require_finite(name, arr)
+        require_finite("omega, horizon and dt", self.omega, self.horizon,
+                        0.0 if self.dt is None else self.dt)
         if self.omega <= 0:
             raise ConfigurationError("omega must be positive")
         if np.any(self.lam <= 0):
@@ -375,12 +404,8 @@ class EscSystemSpec:
         return len(self.channels)
 
     @property
-    def scaled_period(self) -> float:
-        return next(iter(self.dithers.values())).period
-
-    @property
     def dither_period_seconds(self) -> float:
-        return self.scaled_period / self.omega
+        return next(iter(self.dithers.values())).period / self.omega
 
     @property
     def resolved_dt(self) -> float:
@@ -392,15 +417,48 @@ class EscSystemSpec:
     def steps_per_period(self) -> int:
         return max(1, round(self.dither_period_seconds / self.resolved_dt))
 
-    def dither(self, ref: str) -> DitherSignal:
-        return self.dithers[ref]
+    @cached_property
+    def oracle_weights(self) -> np.ndarray:
+        """``-nu_hat * a0 * a0`` per channel, the factor of the exact
+        averaged right-hand side at the initial amplitudes."""
+        return -self.nu_hats * self.a0 * self.a0
 
     @cached_property
     def nu_hats(self) -> np.ndarray:
         """Unit-amplitude averaging weight per channel (pair order 2,1)."""
         return np.array([
-            nu_coefficient(self.dither(ch.u2_ref), self.dither(ch.u1_ref))
+            nu_coefficient(self.dithers[ch.u2_ref], self.dithers[ch.u1_ref])
             for ch in self.channels])
+
+    @cached_property
+    def _stacked_forms(self) -> tuple:
+        """:func:`_stack` of the b1 then b2 forms of all channels."""
+        return _stack([ch.b1 for ch in self.channels]
+                      + [ch.b2 for ch in self.channels])
+
+    def _stacked(self, f):
+        """Values and slopes of the b1 then b2 forms at the objective
+        values ``f``, shape ``f.shape + (2n,)`` or, for slopes, ``(2n,)``."""
+        m = np.asarray(f, dtype=float)
+        return _form_terms(*self._stacked_forms, m[..., None] if m.ndim else m)
+
+    def coefficient_values(self, f) -> tuple[np.ndarray, np.ndarray]:
+        """``b1`` and ``b2`` of every channel at the measured objective
+        values ``f``, each of shape ``f.shape + (n,)``."""
+        value, _ = self._stacked(f)
+        return value[..., :self.n], value[..., self.n:]
+
+    def coefficients(self, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``b1``, ``b2`` and the bracket factor ``b0 = b2*b1' - b1*b2'``
+        of every channel at the measured objective values ``f``, each of
+        shape ``f.shape + (n,)``, with the slopes in closed form."""
+        n = self.n
+        value, slope = self._stacked(f)
+        b1, b2 = value[..., :n], value[..., n:]
+        b0 = b2 * slope[..., :n] - b1 * slope[..., n:]
+        if not np.isfinite(b0).all():
+            raise EvaluationError("b0 evaluation non-finite", value=f)
+        return b1, b2, b0
 
     def validate(self) -> None:
         """Run the sampled invariant checks on all components."""
@@ -409,15 +467,6 @@ class EscSystemSpec:
             rep = verify_assumption_a2(d)
             if not rep.all_ok:
                 raise ConfigurationError(f"dither {name!r} fails admissibility: {rep}")
-        if self.objective.domain_box is not None:
-            box = np.asarray(self.objective.domain_box, dtype=float)
-            rng = np.random.default_rng(1)
-            pts = rng.uniform(box[:, 0], box[:, 1], size=(128, self.n))
-            fvals = np.array([self.objective.measured(p) for p in pts])
-            lo, hi = float(fvals.min()), float(fvals.max())
-            pad = 0.1 * max(1.0, hi - lo)
-            for ch in self.channels:
-                validate_channel(ch, lo - pad, hi + pad)
 
 
 _ERROR_FORMS: dict[str, Callable[[float, float, float], float]] = {

@@ -19,42 +19,10 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .analysis import B2Element
-from .errors import ConfigurationError, UnknownPresetError
+from .errors import ConfigurationError, EvaluationError, UnknownPresetError
 from .gekf import GekfConfig
-from .model import (TAU, ChannelSpec, DitherSignal, EscSystemSpec,
-                    ObjectiveMap)
-
-
-# -- coefficient forms -------------------------------------------------------
-
-def _coeff_linear(cfg) -> tuple[Callable, Callable]:
-    gain, offset = float(cfg.get("gain", 0.0)), float(cfg.get("offset", 0.0))
-    return (lambda m: gain * m + offset), (lambda m: gain)
-
-
-def _coeff_cosine(cfg) -> tuple[Callable, Callable]:
-    amp, scale = float(cfg.get("amp", 1.0)), float(cfg.get("scale", 1.0))
-    return (lambda m: amp * math.cos(scale * m)), \
-        (lambda m: -amp * scale * math.sin(scale * m))
-
-
-def _coeff_sine(cfg) -> tuple[Callable, Callable]:
-    amp, scale = float(cfg.get("amp", 1.0)), float(cfg.get("scale", 1.0))
-    return (lambda m: amp * math.sin(scale * m)), \
-        (lambda m: amp * scale * math.cos(scale * m))
-
-
-_COEFF_FORMS = {"linear": _coeff_linear, "cosine": _coeff_cosine,
-                "sine": _coeff_sine}
-
-
-def build_coefficient(cfg: Mapping) -> tuple[Callable, Callable]:
-    """Callable pair (value, derivative) for a named coefficient form."""
-    form = cfg.get("form")
-    if form not in _COEFF_FORMS:
-        raise ConfigurationError(f"unknown coefficient form {form!r}; "
-                                 f"have {sorted(_COEFF_FORMS)}")
-    return _COEFF_FORMS[form](cfg)
+from .model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
+                    EscSystemSpec, ObjectiveMap, require_finite)
 
 
 # -- objective forms ----------------------------------------------------------
@@ -68,10 +36,11 @@ def build_objective(cfg: Mapping) -> ObjectiveMap:
     offset = float(cfg.get("offset", 0.0))
     kind = cfg.get("kind", "min")
     box = cfg.get("domain_box")
+    require_finite("objective weights, center and offset", w, c, offset)
 
-    def fn(x: np.ndarray) -> float:
+    def fn(x: np.ndarray) -> np.ndarray:
         d = x - c
-        return float(np.dot(w, d * d) + offset)
+        return np.vecdot(d * d, w) + offset
 
     def grad(x: np.ndarray) -> np.ndarray:
         return 2.0 * w * (x - c)
@@ -79,8 +48,7 @@ def build_objective(cfg: Mapping) -> ObjectiveMap:
     return ObjectiveMap(
         dimension=w.shape[0], fn=fn, gradient=grad,
         x_star=tuple(float(v) for v in c), f_star=offset, kind=kind,
-        domain_box=tuple((float(a), float(b)) for a, b in box) if box else None,
-        config=dict(cfg))
+        domain_box=tuple((float(a), float(b)) for a, b in box) if box else None)
 
 
 # -- system / scenario assembly ----------------------------------------------
@@ -89,16 +57,13 @@ def build_system(cfg: Mapping) -> EscSystemSpec:
     objective = build_objective(cfg["objective"])
     dithers = {name: DitherSignal.from_config(dc)
                for name, dc in cfg["dithers"].items()}
-    channels = []
-    for i, ch in enumerate(cfg["channels"]):
-        b1, db1 = build_coefficient(ch["b1"])
-        b2, db2 = build_coefficient(ch["b2"])
-        channels.append(ChannelSpec(
-            index=i, b1=b1, b2=b2, db1=db1, db2=db2,
-            u1_ref=ch.get("u1", "u1"), u2_ref=ch.get("u2", "u2"),
-            b1_config=dict(ch["b1"]), b2_config=dict(ch["b2"])))
+    channels = tuple(
+        ChannelSpec(index=i, b1=CoefficientForm.from_config(ch["b1"]),
+                    b2=CoefficientForm.from_config(ch["b2"]),
+                    u1_ref=ch.get("u1", "u1"), u2_ref=ch.get("u2", "u2"))
+        for i, ch in enumerate(cfg["channels"]))
     return EscSystemSpec(
-        objective=objective, channels=tuple(channels), dithers=dithers,
+        objective=objective, channels=channels, dithers=dithers,
         omega=float(cfg["omega"]), a0=np.asarray(cfg["a0"], dtype=float),
         lam=np.asarray(cfg["lambda"], dtype=float),
         x0=np.asarray(cfg["x0"], dtype=float), horizon=float(cfg["horizon"]),
@@ -150,8 +115,9 @@ def _gekf_configs(settings: Mapping, systems: Mapping[str, EscSystemSpec]
 class Scenario:
     """A named, fully resolved experiment built from a config dict.
 
-    Any malformed config, including wrongly typed values and unknown
-    settings, raises :class:`ConfigurationError`.
+    Any malformed config, including wrongly typed or non-finite values,
+    unknown settings and a failed :meth:`validate`, raises
+    :class:`ConfigurationError`.
     """
 
     def __init__(self, config: Mapping):
@@ -172,8 +138,11 @@ class Scenario:
             self.analysis = AnalysisSettings(**cfg.get("analysis", {}))
             self.metadata: dict = cfg.get("metadata", {})
             self._b2 = self._parse_b2(cfg.get("b2"))
+            self.validate()
         except KeyError as exc:
             raise ConfigurationError(f"scenario config missing {exc}") from exc
+        except EvaluationError as exc:
+            raise ConfigurationError(str(exc)) from exc
         except _MALFORMED as exc:
             detail = " ".join(str(exc).split())
             raise ConfigurationError(
@@ -186,7 +155,7 @@ class Scenario:
         objective = self.systems[b2["system"]].objective
         elements = tuple(
             B2Element(s=int(el["s"]), i=int(el["i"]),
-                      fn=build_coefficient(el["coeff"])[0],
+                      form=CoefficientForm.from_config(el["coeff"]),
                       label=el.get("label", ""))
             for el in b2["elements"])
         return objective, elements, b2.get("b1_constants")
@@ -215,6 +184,7 @@ class Scenario:
         return np.asarray(obj.x_star, dtype=float)
 
     def validate(self) -> None:
+        """Dither admissibility and the objective's extremum and box checks."""
         for spec in self.systems.values():
             spec.validate()
 

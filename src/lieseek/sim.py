@@ -18,8 +18,9 @@ channel's dither values at each step start and midpoint of the loop's
 own time grid (the RK4 stage times), and their per-step Simpson sums,
 which give the filter its input integrals.  The averaged reference
 trajectory is integrated once per system and shared by the runs of that
-system (:func:`_reference` caches it for the last spec), and the oracle
-``Jexact`` column is filled from the logged rows after the loop.
+system (:func:`_reference` caches it for the last spec), and the ``f``
+column and the oracle ``Jexact`` column are each filled by one array call
+over the logged rows after the loop.
 """
 
 from __future__ import annotations
@@ -219,10 +220,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
     """Per-step divergence check ``guard(x, t)`` for states of ``spec``."""
-    obj = spec.objective
     centre = limit = None
-    if obj.domain_box is not None:
-        centre, limit = obj.box_center(), 10.0 * obj.box_diagonal()
+    if spec.objective.domain_box is not None:
+        box = np.asarray(spec.objective.domain_box, dtype=float)
+        centre = box.mean(axis=1)
+        limit = 10.0 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
 
     def guard(x: np.ndarray, t: float) -> None:
         if not np.all(np.isfinite(x)):
@@ -243,7 +245,7 @@ def _averaged(spec: EscSystemSpec,
     steps = int(round(spec.horizon / dt))
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        j = lbs_rhs_exact(spec, z).j
+        j = lbs_rhs_exact(spec, z)
         return j if err is None else j + err.value(t)
 
     guard = _guard(spec)
@@ -268,17 +270,6 @@ def _reference(spec: EscSystemSpec) -> np.ndarray:
     return z
 
 
-def _oracle_rows(spec: EscSystemSpec, x: np.ndarray,
-                 a: np.ndarray) -> np.ndarray:
-    """``Jexact`` at each logged state of ``x``, amplitudes ``a`` per row
-    or one row for all."""
-    a = np.broadcast_to(a, x.shape)
-    j = np.empty_like(x)
-    for k in range(x.shape[0]):
-        j[k] = lbs_rhs_exact(spec, x[k], amplitude=a[k]).j
-    return j
-
-
 def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
              seed: int, noise_std: float,
              j_override) -> TrajectoryLog:
@@ -288,7 +279,6 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     obj = spec.objective
     omega = spec.omega
     sqrt_w = math.sqrt(omega)
-    channels = spec.channels
     lam = spec.lam
     has_oracle = obj.has_oracle
     guard = _guard(spec)
@@ -301,9 +291,7 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
 
         def xdot(t: float, x: np.ndarray) -> np.ndarray:
             i = rows[t]
-            fv = obj.measured(x)
-            b1 = np.array([ch.b1(fv) for ch in channels])
-            b2 = np.array([ch.b2(fv) for ch in channels])
+            b1, b2 = spec.coefficient_values(obj.measured(x))
             return scale * (b1 * u1[i] + b2 * u2[i])
         return xdot
 
@@ -331,7 +319,6 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     total = steps + 1
     t_log = np.empty(total)
     x_log = np.empty((total, n))
-    f_log = np.empty(total)
     a_log = np.empty((total, n))
     jest_log = np.full((total, n), np.nan)
     zref_log = _reference(spec) if has_oracle else np.full((total, n), np.nan)
@@ -344,7 +331,6 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
     def log_row(k: int) -> None:
         t_log[k] = t
         x_log[k] = x
-        f_log[k] = obj.value(x)
         a_log[k] = a
         if adapt:
             jest_log[k] = j_sig
@@ -379,7 +365,7 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
                 f2 = obj.measured(x)
                 if noise_std > 0:
                     f2 += rng.normal(0.0, noise_std)
-                filt.update(f2, f_prev_meas, u1_acc, u2_acc, a, channels)
+                filt.update(f2, f_prev_meas, u1_acc, u2_acc, a, spec)
                 f_prev_meas = f2
                 u1_acc = np.zeros(n)
                 u2_acc = np.zeros(n)
@@ -394,7 +380,8 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
         P = diag.pop("P")
         diag["trace_p"] = np.trace(P, axis1=1, axis2=2)
         diag["min_eig_p"] = np.linalg.eigvalsh(P).min(axis=1)
-    jex_log = (_oracle_rows(spec, x_log, a_log) if has_oracle
+    f_log = obj.value(x_log)
+    jex_log = (lbs_rhs_exact(spec, x_log, amplitude=a_log) if has_oracle
                else np.full((total, n), np.nan))
     meta = {"omega": omega, "dt": dt, "mode": "proposed" if adapt else "baseline",
             "seed": seed}
@@ -436,9 +423,9 @@ def run_lbs(spec: EscSystemSpec,
     x_log = zref_log.copy() if err is None else _averaged(spec, err)
     total, n = x_log.shape
     t_log = np.arange(total) * dt
-    f_log = np.array([spec.objective.value(z) for z in x_log])
+    f_log = spec.objective.value(x_log)
     a_log = np.tile(a0, (total, 1))
-    jex_log = _oracle_rows(spec, x_log, a0)
+    jex_log = lbs_rhs_exact(spec, x_log)
     jest_log = np.full((total, n), np.nan)
     if err is not None:
         jest_log = jex_log + np.array([[err.value(t)] for t in t_log.tolist()])

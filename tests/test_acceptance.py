@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,8 +177,8 @@ def test_c07_integrator_and_truncation_orders(case1_runs):
             t_grid = log.t[k0:k1 + 1]
             u1 = np.trapezoid(sw * np.cos(omega * t_grid), t_grid)
             u2 = np.trapezoid(sw * np.sin(omega * t_grid), t_grid)
-            pred = chen_fliess_predict(log.f[k0], 4.0 * (log.x[k0] - 1.0),
-                                       spec.channels, [u1], [u2])
+            pred = chen_fliess_predict(spec, log.f[k0],
+                                       4.0 * (log.x[k0] - 1.0), [u1], [u2])
             errs.append(abs(pred - log.f[k1]))
         return max(errs)
 
@@ -236,7 +237,7 @@ def test_c10_determinism_and_covariance_health(case1_runs, case2_runs,
         capsys.readouterr()
         assert rc == 0
         outs.append(os.path.join(out, "case1_main_proposed.csv"))
-    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
 
     worst = min(float(run["proposed"].diag["min_eig_p"].min())
                 for run in (case1_runs, case2_runs, case3_run))

@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 from lieseek.analysis import (B2Element, check_b2, check_bound, compare,
                               metrics, period_average)
 from lieseek.errors import CapabilityError, InputError
-from lieseek.model import ObjectiveMap
+from lieseek.model import CoefficientForm, ObjectiveMap
 from lieseek.scenarios import preset
 from lieseek.sim import TrajectoryLog
+
+
+def _linear(gain, offset):
+    return CoefficientForm("linear", gain, offset)
 
 
 def _log(t, x, a=None):
@@ -76,20 +80,20 @@ class TestCheckB2:
     def _objective(self):
         return ObjectiveMap(
             dimension=2,
-            fn=lambda x: float(-(x[0] + 1) ** 2 / 2 - 3 * (x[1] - 1) ** 2 / 2
-                               + 10.0),
+            fn=lambda x: (-(x[..., 0] + 1) ** 2 / 2
+                          - 3 * (x[..., 1] - 1) ** 2 / 2 + 10.0),
             gradient=lambda x: np.array([-(x[0] + 1), -3 * (x[1] - 1)]),
             x_star=(-1.0, 1.0), f_star=10.0, kind="max",
             domain_box=((-4.0, 4.0), (-4.0, 4.0)))
 
     def test_constant_element_contradicts(self):
-        rep = check_b2([B2Element(s=2, i=1, fn=lambda ft: 0.3, label="b_21")],
+        rep = check_b2([B2Element(s=2, i=1, form=_linear(0.0, 0.3), label="b_21")],
                        self._objective())
         assert rep.contradiction
         assert rep.elements[0].value_at_extremum == pytest.approx(0.3)
 
     def test_vanishing_element_passes(self):
-        rep = check_b2([B2Element(s=1, i=1, fn=lambda ft: ft)],
+        rep = check_b2([B2Element(s=1, i=1, form=_linear(1.0, 0.0))],
                        self._objective())
         assert not rep.contradiction
         assert rep.elements[0].satisfiable
@@ -112,15 +116,16 @@ class TestCheckB2:
 
     def test_never_flags_vanishing_elements(self, case3):
         objective, _, _ = case3.b2_setup()
-        elements = [B2Element(s=1, i=1, fn=lambda ft: 2.0 * ft),
-                    B2Element(s=2, i=1, fn=lambda ft: ft ** 2)]
+        # sin(ftilde) stands in for ftilde**2, which no named form gives
+        elements = [B2Element(s=1, i=1, form=_linear(2.0, 0.0)),
+                    B2Element(s=2, i=1, form=CoefficientForm("sine", 1.0, 1.0))]
         rep = check_b2(elements, objective)
         assert not rep.contradiction
 
     def test_missing_metadata_rejected(self):
         bare = ObjectiveMap(dimension=1, fn=lambda x: float(x[0] ** 2))
         with pytest.raises(CapabilityError):
-            check_b2([B2Element(s=1, i=1, fn=lambda ft: ft)], bare)
+            check_b2([B2Element(s=1, i=1, form=_linear(1.0, 0.0))], bare)
 
 
 class TestMetrics:

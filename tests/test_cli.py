@@ -1,5 +1,7 @@
 import json
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ def test_run_both_emits_artifacts(tmp_path, short_case1_path, capsys):
         assert os.path.exists(payload["csv"][key])
     assert os.path.exists(payload["report"])
     assert os.path.exists(payload["config"])
-    report = json.load(open(payload["report"]))
+    report = json.loads(Path(payload["report"]).read_text())
     assert set(report) == {"scenario", "params", "metrics", "bound_check",
                            "b2"}
     assert report["metrics"]["main"]["envelope_ratio"] is not None
@@ -44,9 +46,9 @@ def test_run_override_applies(tmp_path, short_case1_path, capsys):
     assert main(["run", "--config", short_case1_path, "--mode", "baseline",
                  "--omega", "800", "--out", out]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    report = json.load(open(payload["report"]))
+    report = json.loads(Path(payload["report"]).read_text())
     assert report["params"]["systems"]["main"]["omega"] == 800.0
-    snapshot = json.load(open(payload["config"]))
+    snapshot = json.loads(Path(payload["config"]).read_text())
     assert snapshot["systems"]["main"]["omega"] == 800.0
 
 
@@ -59,7 +61,7 @@ def test_run_seeded_twice_is_byte_identical(tmp_path, short_case1_path,
                      "--seed", "7", "--out", out]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         outs.append(payload["csv"]["main_proposed"])
-    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
 
 
 def test_unknown_scenario_is_usage_error(capsys):
@@ -102,7 +104,7 @@ def test_check_b2_case3_contradiction(tmp_path, capsys):
     assert payload["contradiction"]
     labels = {e["label"]: e for e in payload["elements"]}
     assert labels["b_21"]["contradiction"]
-    assert json.load(open(out)) == payload
+    assert json.loads(Path(out).read_text()) == payload
 
 
 def test_compare_command(tmp_path, short_case1_path, capsys):
@@ -129,7 +131,7 @@ def test_sweep_single_point_matches_run(tmp_path, short_case1_path, capsys):
     capsys.readouterr()
     sweep_csv = os.path.join(sweep_out, "omega_50", "case1_main_baseline.csv")
     run_csv = os.path.join(run_out, "case1_main_baseline.csv")
-    assert open(sweep_csv, "rb").read() == open(run_csv, "rb").read()
+    assert Path(sweep_csv).read_bytes() == Path(run_csv).read_bytes()
 
 
 def test_sweep_empty_list_is_runtime_error(short_case1_path):
@@ -201,11 +203,24 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("analysis", "p"), 0.5), []),
     (_short_case1_with(("analysis", "t_min"), -1), []),
     (_short_case1_with(("analysis", "window"), -3), []),
+    (None, ["case1", "--horizon", "nan"]),
+    (None, ["case1", "--horizon", "inf"]),
+    (None, ["case1", "--lambda", "nan", "--mode", "proposed"]),
+    (None, ["case1", "--lambda", "inf", "--mode", "proposed"]),
+    (_short_case1_with(("systems", "main", "x0"), [float("nan")]), []),
+    (_short_case1_with(("systems", "main", "omega"), float("inf")), []),
+    (_short_case1_with(("systems", "main", "channels", 0, "b1", "gain"),
+                       float("nan")), []),
+    (_short_case1_with(("systems", "main", "dithers", "u1"), {
+        "kind": "tabulated", "period": 2 * math.pi, "bound": 1.5,
+        "samples": [[k * 2 * math.pi / 64, 1.0] for k in range(64)]}), []),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
         "negative-r", "infinite-b2-index", "analysis-p-below-1",
-        "negative-analysis-t-min", "negative-analysis-window"])
+        "negative-analysis-t-min", "negative-analysis-window",
+        "nan-horizon", "inf-horizon", "nan-lambda", "inf-lambda", "nan-x0",
+        "inf-omega", "nan-coefficient-gain", "non-zero-mean-dither"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -322,3 +337,19 @@ def test_sweep_zero_jobs_is_usage_error(tmp_path, short_case1_path, capsys):
                  "--jobs", "0", "--out", str(tmp_path / "out")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_reports_the_first_failing_point_at_any_jobs(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    argv = ["sweep", "case2", "--mode", "proposed", "--horizon", "1.5",
+            "--lambda", "0.1,nan,-1"]
+    results = []
+    for jobs in (1, 2):
+        rc = _sweep_in(tmp_path / f"jobs{jobs}", argv + ["--jobs", str(jobs)],
+                       monkeypatch)
+        results.append((rc, capsys.readouterr().err))
+    assert results[0] == results[1]
+    rc, err = results[0]
+    assert rc == EXIT_USAGE and err.count("\n") == 1
+    assert "lam must be finite" in err

@@ -8,13 +8,28 @@ from lieseek.errors import ConfigurationError, FilterDivergenceError
 from lieseek.gekf import (GekfConfig, GekfFilter, GekfState,
                           measurement_coefficients)
 from conftest import shortened
-from lieseek.model import ChannelSpec, b0_of
+from lieseek.model import (ChannelSpec, CoefficientForm, DitherSignal,
+                           EscSystemSpec, ObjectiveMap)
 from lieseek.scenarios import Scenario
 
 
-def _channel():
-    return ChannelSpec(index=0, b1=lambda m: m, b2=lambda m: 1.0,
-                       db1=lambda m: 1.0, db2=lambda m: 0.0)
+def _linear(gain, offset):
+    return CoefficientForm("linear", gain, offset)
+
+
+def _channel(index=0):
+    return ChannelSpec(index=index, b1=_linear(1.0, 0.0), b2=_linear(0.0, 1.0))
+
+
+def _system(*channels):
+    """A system that only serves its channels' coefficients."""
+    n = len(channels)
+    return EscSystemSpec(
+        objective=ObjectiveMap(dimension=n, fn=lambda x: np.vecdot(x, x)),
+        channels=channels, dithers={"u1": DitherSignal(kind="cosine"),
+                                    "u2": DitherSignal(kind="sine")},
+        omega=8.0, a0=np.ones(n), lam=np.full(n, 0.1), x0=np.zeros(n),
+        horizon=10.0)
 
 
 def _min_eig(P):
@@ -34,9 +49,9 @@ def _propagate(s, cfg, dt):
     return filt.state
 
 
-def _update(s, cfg, f2, f1, u1, u2, a, channels, nu_hat):
+def _update(s, cfg, f2, f1, u1, u2, a, spec, nu_hat):
     filt = _filter(cfg, s, nu_hat)
-    filt.update(f2, f1, u1, u2, a, channels)
+    filt.update(f2, f1, u1, u2, a, spec)
     return filt.state
 
 
@@ -93,7 +108,7 @@ class TestMeasurementUpdate:
         c = -(2.0 * u1[0] + 1.0 * u2[0]) / (0.5 * 1.0 * 1.0)
         f2 = s.x3 + c * s.x1[0]  # exactly the predicted sample
         out = _update(s, cfg, f2, 2.0, u1, u2, np.array([1.0]),
-                      (_channel(),), np.array([0.5]))
+                      _system(_channel()), np.array([0.5]))
         assert out.x1[0] == pytest.approx(-1.0)
         assert out.x2[0] == pytest.approx(0.0)
         assert out.x3 == f2
@@ -103,7 +118,7 @@ class TestMeasurementUpdate:
         cfg, s = self._setup(r=1e12)
         out = _update(s, cfg, 5.0, 2.0, np.array([0.02]),
                       np.array([0.01]), np.array([1.0]),
-                      (_channel(),), np.array([0.5]))
+                      _system(_channel()), np.array([0.5]))
         assert abs(out.x1[0] - s.x1[0]) < 1e-6
         assert abs(out.x2[0] - s.x2[0]) < 1e-6
 
@@ -111,24 +126,24 @@ class TestMeasurementUpdate:
         cfg, s = self._setup()
         out = _update(s, cfg, 2.5, 2.0, np.array([0.02]),
                       np.array([0.01]), np.array([1e-6]),
-                      (_channel(),), np.array([0.5]))
+                      _system(_channel()), np.array([0.5]))
         # x1 gets no correction; only the held value moves
         assert out.x1[0] == pytest.approx(s.x1[0])
         assert out.x3 == 2.5
 
     def test_singular_bracket_factor_skipped(self):
         cfg, s = self._setup()
-        flat = ChannelSpec(index=0, b1=lambda m: 1.0, b2=lambda m: 2.0)
+        flat = ChannelSpec(index=0, b1=_linear(0.0, 1.0), b2=_linear(0.0, 2.0))
         out = _update(s, cfg, 2.5, 2.0, np.array([0.02]),
                       np.array([0.01]), np.array([1.0]),
-                      (flat,), np.array([0.5]))
+                      _system(flat), np.array([0.5]))
         assert out.x1[0] == pytest.approx(s.x1[0])
 
     def test_psd_after_update(self):
         cfg, s = self._setup()
         out = _update(s, cfg, 2.7, 2.0, np.array([0.02]),
                       np.array([0.01]), np.array([1.0]),
-                      (_channel(),), np.array([0.5]))
+                      _system(_channel()), np.array([0.5]))
         assert _min_eig(out.P) >= -1e-9
         np.testing.assert_allclose(out.P, out.P.T, atol=1e-10)
 
@@ -137,7 +152,7 @@ class TestMeasurementUpdate:
         with pytest.raises(FilterDivergenceError):
             _update(s, cfg, float("nan"), 2.0, np.array([0.02]),
                     np.array([0.01]), np.array([1.0]),
-                    (_channel(),), np.array([0.5]))
+                    _system(_channel()), np.array([0.5]))
 
 
 class TestExtractJ:
@@ -195,7 +210,7 @@ class TestPauseBehaviour:
         for _ in range(500):
             filt.propagate(0.01)
             filt.update(5.0, 5.0, zeros, zeros, np.array([0.0]),
-                        (_channel(),))
+                        _system(_channel()))
             js.append(abs(filt.step_export()[0]))
             assert filt.min_eigenvalue() >= -1e-9
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
@@ -241,9 +256,9 @@ class TestFilterUpdate:
         filt = self._filter()
         prev = filt.state
         f1, u1, u2, a = self.ARGS
-        c = measurement_coefficients((_channel(),), f1, u1, u2, a,
+        c = measurement_coefficients(_system(_channel()), f1, u1, u2, a,
                                      filt.nu_hat, filt.cfg)
-        filt.update(2.7, f1, u1, u2, a, (_channel(),))
+        filt.update(2.7, f1, u1, u2, a, _system(_channel()))
         assert filt.last_innovation == pytest.approx(
             2.7 - (prev.x3 + c[0] * prev.x1[0]), abs=1e-12)
 
@@ -257,21 +272,32 @@ class TestFilterUpdate:
         monkeypatch.setattr(gekf, "measurement_coefficients", counting)
         filt = self._filter()
         for k in range(3):
-            filt.update(2.0 + 0.1 * k, *self.ARGS, (_channel(),))
+            filt.update(2.0 + 0.1 * k, *self.ARGS, _system(_channel()))
         assert len(calls) == 3
 
-    def test_bracket_factor_once_per_eligible_channel(self, monkeypatch):
-        calls = []
+    def test_matches_a_per_channel_loop(self):
+        """The row equals the scalar formula of each channel, bit for bit."""
+        rng = np.random.default_rng(8)
+        for name in ("case2", "case3"):
+            spec = shortened(name, 1.0).primary_system
+            cfg = GekfConfig(a_floor=0.05)
+            for _ in range(200):
+                f1 = float(rng.uniform(-3.0, 3.0))
+                u1, u2 = rng.normal(size=(2, spec.n)) * 0.01
+                a = rng.uniform(0.0, 1.5, size=spec.n)
+                c = measurement_coefficients(spec, f1, u1, u2, a,
+                                             spec.nu_hats, cfg)
+                b1, b2, b0 = spec.coefficients(f1)
+                for i in range(spec.n):
+                    expected = 0.0
+                    if abs(a[i]) >= cfg.a_floor:
+                        num = b1[i] * u1[i] + b2[i] * u2[i]
+                        expected = -num / (spec.nu_hats[i] * a[i] ** 2 * b0[i])
+                    assert c[i].tobytes() == np.float64(expected).tobytes()
 
-        def counting(ch, f):
-            calls.append(ch.index)
-            return b0_of(ch, f)
-
-        monkeypatch.setattr(gekf, "b0_of", counting)
-        channels = (_channel(), ChannelSpec(index=1, b1=lambda m: m,
-                                            b2=lambda m: 1.0))
+    def test_ineligible_channel_gets_zero_weight(self):
+        spec = _system(_channel(), _channel(1))
         a = np.array([1.0, 0.0])   # channel 1 sits below the amplitude floor
-        c = measurement_coefficients(channels, 2.0, np.ones(2), np.ones(2), a,
+        c = measurement_coefficients(spec, 2.0, np.ones(2), np.ones(2), a,
                                      np.array([0.5, 0.5]), GekfConfig())
-        assert calls == [0]
         assert c[1] == 0.0 and c[0] != 0.0

@@ -8,9 +8,9 @@ from scipy.integrate import quad
 
 from conftest import zero_mean_tabulated
 from lieseek.errors import ConfigurationError, EvaluationError
-from lieseek.model import (TAU, ChannelSpec, DitherSignal, EscSystemSpec,
-                           EstimationErrorModel, ObjectiveMap, QUAD_INTERVALS,
-                           _nu_quadrature, b0_of, nu_coefficient,
+from lieseek.model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
+                           EscSystemSpec, EstimationErrorModel, ObjectiveMap,
+                           QUAD_INTERVALS, _nu_quadrature, nu_coefficient,
                            verify_assumption_a2)
 
 COS = DitherSignal(kind="cosine")
@@ -95,8 +95,17 @@ class TestNuCoefficient:
 
 
 def _linear_channel():
-    return ChannelSpec(index=0, b1=lambda m: m, b2=lambda m: 1.0,
-                       db1=lambda m: 1.0, db2=lambda m: 0.0)
+    return ChannelSpec(index=0, b1=CoefficientForm("linear", 1.0, 0.0),
+                       b2=CoefficientForm("linear", 0.0, 1.0))
+
+
+def b0_of(ch, f):
+    """The bracket factor of the one channel ``ch`` at objective value f."""
+    spec = EscSystemSpec(
+        objective=ObjectiveMap(dimension=1, fn=lambda x: x[..., 0]),
+        channels=(ch,), dithers={"u1": COS, "u2": SIN}, omega=8.0,
+        a0=[1.0], lam=[0.1], x0=[0.0], horizon=10.0)
+    return float(spec.coefficients(f)[2][0])
 
 
 class TestB0:
@@ -108,35 +117,47 @@ class TestB0:
     def test_rotating_pair_gives_scale(self):
         k = 2.0
         ch = ChannelSpec(index=0,
-                         b1=lambda m: math.cos(k * m),
-                         b2=lambda m: -math.sin(k * m),
-                         db1=lambda m: -k * math.sin(k * m),
-                         db2=lambda m: -k * math.cos(k * m))
+                         b1=CoefficientForm("cosine", 1.0, k),
+                         b2=CoefficientForm("sine", -1.0, k))
         for f in (0.0, 0.7, -1.3):
             assert b0_of(ch, f) == pytest.approx(k)
 
     def test_constant_pair_is_zero(self):
-        ch = ChannelSpec(index=0, b1=lambda m: 3.0, b2=lambda m: -2.0)
+        ch = ChannelSpec(index=0, b1=CoefficientForm("linear", 0.0, 3.0),
+                         b2=CoefficientForm("linear", 0.0, -2.0))
         assert b0_of(ch, 1.234) == pytest.approx(0.0, abs=1e-9)
 
-    def test_finite_difference_matches_analytic(self):
-        k = 1.7
-        analytic = ChannelSpec(index=0,
-                               b1=lambda m: math.cos(k * m),
-                               b2=lambda m: -math.sin(k * m),
-                               db1=lambda m: -k * math.sin(k * m),
-                               db2=lambda m: -k * math.cos(k * m))
-        fd = ChannelSpec(index=0, b1=analytic.b1, b2=analytic.b2)
-        rng = np.random.default_rng(5)
-        for f in rng.uniform(-4, 4, size=100):
-            va, vf = b0_of(analytic, float(f)), b0_of(fd, float(f))
-            assert vf == pytest.approx(va, rel=1e-5)
-
     def test_non_finite_raises(self):
-        ch = ChannelSpec(index=0, b1=lambda m: float("nan"),
-                         b2=lambda m: 1.0)
+        # a named form cannot hold a NaN, so the NaN enters as the objective
         with pytest.raises(EvaluationError):
-            b0_of(ch, 0.0)
+            b0_of(_linear_channel(), float("nan"))
+
+
+class TestCoefficientForm:
+    def test_built_from_config_with_defaults(self):
+        assert CoefficientForm.from_config({"form": "linear", "gain": 2.0}) \
+            == CoefficientForm("linear", 2.0, 0.0)
+        assert CoefficientForm.from_config({"form": "sine"}) \
+            == CoefficientForm("sine", 1.0, 1.0)
+
+    @pytest.mark.parametrize("cfg", [
+        {"form": "cubic"}, {}, {"form": "cosine", "amp": float("nan")},
+        {"form": "linear", "offset": float("inf")}])
+    def test_bad_config_rejected(self, cfg):
+        with pytest.raises(ConfigurationError):
+            CoefficientForm.from_config(cfg)
+
+    @pytest.mark.parametrize("form", ["linear", "cosine", "sine"])
+    def test_value_and_slope_take_any_shape(self, form):
+        b = CoefficientForm(form, -1.5, 0.7)
+        m = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        value, slope = b.terms(m)
+        assert value.shape == slope.shape == (3, 4)
+        assert np.array_equal(b.value(m), value)
+        h = 1e-6
+        fd = (b.value(m + h) - b.value(m - h)) / (2 * h)
+        np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-8)
+        assert np.ndim(b.terms(0.3)[0]) == np.ndim(b.terms(0.3)[1]) == 0
 
 
 class TestObjectiveMap:
@@ -162,7 +183,7 @@ class TestObjectiveMap:
 
 class TestEscSystemSpec:
     def _spec(self, **kw):
-        obj = ObjectiveMap(dimension=1, fn=lambda x: float(2 * (x[0] - 1) ** 2),
+        obj = ObjectiveMap(dimension=1, fn=lambda x: 2 * (x[..., 0] - 1) ** 2,
                            gradient=lambda x: 4 * (x - 1), x_star=(1.0,),
                            f_star=0.0, domain_box=((-2.0, 4.0),))
         defaults = dict(objective=obj, channels=(_linear_channel(),),
@@ -181,8 +202,8 @@ class TestEscSystemSpec:
             self._spec(dt=(TAU / 8.0) / 16.0)
 
     def test_unknown_dither_ref_rejected(self):
-        ch = ChannelSpec(index=0, b1=lambda m: m, b2=lambda m: 1.0,
-                         u1_ref="nope")
+        ch = ChannelSpec(index=0, b1=CoefficientForm("linear", 1.0, 0.0),
+                         b2=CoefficientForm("linear", 0.0, 1.0), u1_ref="nope")
         with pytest.raises(ConfigurationError):
             self._spec(channels=(ch,))
 
@@ -192,6 +213,46 @@ class TestEscSystemSpec:
 
     def test_validate_passes(self):
         self._spec().validate()
+
+    def test_arrays_are_read_only_copies(self):
+        a0 = np.array([1.0])
+        spec = self._spec(a0=a0)
+        with pytest.raises(ValueError):
+            spec.a0[0] = 2.0
+        a0[0] = 3.0   # the caller's array stays writable and apart
+        assert spec.a0[0] == 1.0
+
+    @pytest.mark.parametrize("name", ["omega", "horizon", "dt", "a0", "lam",
+                                      "x0"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, name, bad):
+        value = [bad] if name in ("a0", "lam", "x0") else bad
+        with pytest.raises(ConfigurationError, match="finite"):
+            self._spec(**{name: value})
+
+    def test_coefficients_of_all_channels_at_once(self):
+        mixed = (ChannelSpec(index=0, b1=CoefficientForm("cosine", 1.0, 2.0),
+                             b2=CoefficientForm("linear", 0.5, -1.0)),
+                 ChannelSpec(index=1, b1=CoefficientForm("linear", 2.0, 0.0),
+                             b2=CoefficientForm("sine", -1.0, 3.0)))
+        spec = EscSystemSpec(
+            objective=ObjectiveMap(dimension=2, fn=lambda x: x[..., 0]),
+            channels=mixed, dithers={"u1": COS, "u2": SIN}, omega=8.0,
+            a0=[1.0, 1.0], lam=[0.1, 0.1], x0=[0.0, 0.0], horizon=10.0)
+        f = np.linspace(-3.0, 3.0, 24).reshape(4, 6)
+        b1, b2, b0 = spec.coefficients(f)
+        assert b1.shape == b2.shape == b0.shape == (4, 6, 2)
+        for i, ch in enumerate(mixed):
+            assert np.array_equal(b1[..., i], ch.b1.value(f))
+            assert np.array_equal(b2[..., i], ch.b2.value(f))
+            expected = (ch.b2.value(f) * ch.b1.terms(f)[1]
+                        - ch.b1.value(f) * ch.b2.terms(f)[1])
+            assert np.array_equal(b0[..., i], expected)
+        point = spec.coefficients(float(f[1, 2]))
+        assert all(np.array_equal(p, c[1, 2]) for p, c in
+                   zip(point, (b1, b2, b0)))
+        values = spec.coefficient_values(f)
+        assert np.array_equal(values[0], b1) and np.array_equal(values[1], b2)
 
 
 class TestEstimationErrorModel:

@@ -36,7 +36,7 @@ class TestCase1Preset:
     def test_channel_structure(self, case1):
         ch = case1.primary_system.channels[0]
         # objective-proportional coefficient with unit companion
-        assert ch.b1(2.5) == 2.5 and ch.b2(2.5) == 1.0
+        assert ch.b1.value(2.5) == 2.5 and ch.b2.value(2.5) == 1.0
 
 
 class TestCase2Preset:
@@ -50,10 +50,10 @@ class TestCase2Preset:
     def test_rotating_coefficients(self, case2):
         chx, chy = case2.primary_system.channels
         f = 0.3
-        assert chx.b1(f) == pytest.approx(math.cos(2 * f))
-        assert chx.b2(f) == pytest.approx(-math.sin(2 * f))
-        assert chy.b1(f) == pytest.approx(math.sin(2 * f))
-        assert chy.b2(f) == pytest.approx(math.cos(2 * f))
+        assert chx.b1.value(f) == pytest.approx(math.cos(2 * f))
+        assert chx.b2.value(f) == pytest.approx(-math.sin(2 * f))
+        assert chy.b1.value(f) == pytest.approx(math.sin(2 * f))
+        assert chy.b2.value(f) == pytest.approx(math.cos(2 * f))
 
     def test_channels_share_dither_pair(self, case2):
         chx, chy = case2.primary_system.channels
@@ -80,18 +80,18 @@ class TestCase3Preset:
     def test_vehicle3_vector_field_elements(self, case3):
         chx, chy = case3.systems["vehicle3"].channels
         m = 1.7
-        assert chx.b1(m) == pytest.approx(1.0 * m)     # c3 * signal
-        assert chx.b2(m) == pytest.approx(0.3)         # a3
-        assert chy.b1(m) == pytest.approx(0.3)
-        assert chy.b2(m) == pytest.approx(-1.0 * m)
+        assert chx.b1.value(m) == pytest.approx(1.0 * m)     # c3 * signal
+        assert chx.b2.value(m) == pytest.approx(0.3)         # a3
+        assert chy.b1.value(m) == pytest.approx(0.3)
+        assert chy.b2.value(m) == pytest.approx(-1.0 * m)
 
     def test_b2_elements_follow_documented_table(self, case3):
         _, elements, _ = case3.b2_setup()
         by_label = {e.label: e for e in elements}
-        assert by_label["b_11"].fn(0.0) == pytest.approx(10.0)
-        assert by_label["b_21"].fn(0.0) == pytest.approx(0.3)
-        assert by_label["b_12"].fn(-3.0) == pytest.approx(0.3)
-        assert by_label["b_22"].fn(0.0) == pytest.approx(-10.0)
+        assert by_label["b_11"].form.value(0.0) == pytest.approx(10.0)
+        assert by_label["b_21"].form.value(0.0) == pytest.approx(0.3)
+        assert by_label["b_12"].form.value(-3.0) == pytest.approx(0.3)
+        assert by_label["b_22"].form.value(0.0) == pytest.approx(-10.0)
 
 
 class TestScenarioInvariants:
