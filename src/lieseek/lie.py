@@ -8,6 +8,7 @@ states of shape ``(..., n)``, so one call covers a whole trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -65,27 +66,27 @@ def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None) -> np.ndarray:
     """
     if not spec.objective.has_oracle:
         raise CapabilityError("exact averaged dynamics need an oracle gradient")
-    a = None if amplitude is None else np.asarray(amplitude, dtype=float)
-    weight = spec.oracle_weights if a is None else -spec.nu_hats * a * a
+    a = spec.a0 if amplitude is None else np.asarray(amplitude, dtype=float)
+    weight = -spec.nu_hats * a * a
     grad = spec.objective.measured_gradient(z)
     _, _, b0 = spec.coefficients(spec.objective.measured(z))
     return weight * grad * b0
 
 
-def chen_fliess_predict(spec: EscSystemSpec, f_t1, grad_t1, u1_int,
-                        u2_int):
+def chen_fliess_predict(spec: EscSystemSpec, f_t1: float, grad_t1, u1_int,
+                        u2_int) -> float:
     """First-order iterated-integral prediction of the objective value.
 
     ``u1_int``/``u2_int`` are the per-channel integrals of the actual
     inputs over the prediction window, supplied by the caller.  The
     remainder of the truncated series is second order in the window
-    length.  ``f_t1`` may hold several windows (channels last elsewhere).
+    length.
     """
     b1, b2 = spec.coefficient_values(f_t1)
-    out = f_t1 + np.sum(grad_t1 * (b1 * u1_int + b2 * u2_int), axis=-1)
-    if not np.all(np.isfinite(out)):
+    out = float(f_t1 + np.sum(grad_t1 * (b1 * u1_int + b2 * u2_int)))
+    if not math.isfinite(out):
         raise CapabilityError(f"non-finite prediction from f={f_t1}")
-    return float(out) if np.ndim(out) == 0 else out
+    return out
 
 
 def diagonal_fields(spec: EscSystemSpec, channel: int

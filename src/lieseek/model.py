@@ -275,6 +275,11 @@ def _form_terms(kind: str, linear, p, q, pd, sel, m):
     Trigonometric: ``p*cos(q*m)`` where ``is_cos``, else ``p*sin(q*m)``,
     slope ``d*sin(q*m)`` or ``d*cos(q*m)`` with ``d = -p*q`` or ``p*q``.
     ``kind`` tells whether the forms are all linear, all trig or mixed.
+    The mixed path gives the same bits for every kind, but each NumPy
+    call on these short arrays costs about a microsecond, several times
+    per step: used for every kind, it made the benchmark's per-step time
+    30% longer on case1-both, 40% on omega-sweep and 9% on lambda-sweep
+    (medians of 10 alternating runs on a 2-core host).
     """
     if kind == "linear":
         return p * m + q, pd[1]
@@ -416,12 +421,6 @@ class EscSystemSpec:
     @property
     def steps_per_period(self) -> int:
         return max(1, round(self.dither_period_seconds / self.resolved_dt))
-
-    @cached_property
-    def oracle_weights(self) -> np.ndarray:
-        """``-nu_hat * a0 * a0`` per channel, the factor of the exact
-        averaged right-hand side at the initial amplitudes."""
-        return -self.nu_hats * self.a0 * self.a0
 
     @cached_property
     def nu_hats(self) -> np.ndarray:
