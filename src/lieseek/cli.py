@@ -2,8 +2,10 @@
 
 ``sweep --jobs N`` runs the points on N processes: the calling process
 runs every N-th point from the first, and each of N-1 forked workers
-(POSIX only) runs every N-th point from its own offset.  The output does
-not depend on N.
+(POSIX only) runs every N-th point from its own offset.  The lambda
+points of one process share their step size, so their seeking runs go
+through one lockstep batch per system and mode; omega points run one by
+one.  The output does not depend on N.
 
 Exit codes: 0 success (and check passed), 1 check failed, 2 usage error,
 3 runtime failure.
@@ -23,7 +25,8 @@ import numpy as np
 from . import analysis as an
 from .errors import ConfigurationError, InputError, LieseekError, UnknownPresetError
 from .scenarios import Scenario, load_scenario, preset, preset_names
-from .sim import TrajectoryLog, _atomic_write, run_baseline, run_lbs, run_proposed
+from .sim import (TrajectoryLog, _atomic_write, _raised, run_baseline, run_batch,
+                  run_lbs, run_proposed, step_times)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,15 +92,35 @@ def _run_one(sc: Scenario, label: str, mode: str, seed: int) -> TrajectoryLog:
     raise InputError(f"unknown mode {mode!r}")
 
 
-def execute_run(sc: Scenario, mode: str, out_dir: str,
-                seed: int = 0) -> RunArtifacts:
-    """Run a scenario in the requested mode(s) and emit all artifacts."""
+def _require_bound_samples(sc: Scenario, mode: str) -> None:
+    """The bound check of a proposed run needs samples at or after the
+    scenario's ``t_min``: fail at load, before a run writes a file."""
+    if "proposed" not in _run_modes(mode):
+        return
+    t_min = sc.analysis.t_min
+    for label, spec in sc.systems.items():
+        if spec.horizon <= t_min or step_times(spec)[-1] < t_min:
+            raise ConfigurationError(
+                f"horizon {spec.horizon:g} of system {label!r} must exceed "
+                f"the bound check's t_min = {t_min:g} in mode {mode!r}")
+
+
+def execute_run(sc: Scenario, mode: str, out_dir: str, seed: int = 0,
+                runs: Optional[dict] = None) -> RunArtifacts:
+    """Run a scenario in the requested mode(s) and emit all artifacts.
+
+    ``runs`` holds runs made beforehand, by (label, mode): the log, or
+    the error that the run raised.  The other runs are made here.
+    """
+    _require_bound_samples(sc, mode)
     os.makedirs(out_dir, exist_ok=True)
+    runs = runs or {}
     logs: dict[tuple[str, str], TrajectoryLog] = {}
     csv_paths: dict[str, str] = {}
     for label in sc.systems:
         for m in _run_modes(mode):
-            log = _run_one(sc, label, m, seed)
+            log = (_raised(runs[(label, m)]) if (label, m) in runs
+                   else _run_one(sc, label, m, seed))
             logs[(label, m)] = log
             path = os.path.join(out_dir, f"{sc.name}_{label}_{m}.csv")
             log.to_csv(path)
@@ -175,33 +198,82 @@ def _parse_sweep_values(text: str) -> list[float]:
     return values
 
 
+def _batch_runs(scenarios: list[Scenario], mode: str, seed: int) -> list[dict]:
+    """The seeking runs of the point scenarios, one lockstep batch per
+    system and mode: per scenario, the log or error by (label, mode)."""
+    runs: list[dict] = [{} for _ in scenarios]
+    for label in scenarios[0].systems:
+        specs = [point_sc.systems[label] for point_sc in scenarios]
+        for m in _run_modes(mode):
+            if m == "lbs":
+                continue
+            gcfgs = ([point_sc.gekf_config(label) for point_sc in scenarios]
+                     if m == "proposed" else None)
+            results = run_batch(specs, gcfgs, [seed] * len(specs))
+            for point_runs, result in zip(runs, results):
+                point_runs[(label, m)] = result
+    return runs
+
+
+def _point_summary(sc: Scenario, value: float, sub: str,
+                   artifacts: RunArtifacts) -> dict:
+    deviations = {}
+    finals = {}
+    for (label, m), log in artifacts.logs.items():
+        key = f"{label}_{m}"
+        finals[key] = float(np.linalg.norm(log.x[-1] - sc.x_star(label)))
+        if not np.any(np.isnan(log.z_ref)):
+            deviations[key] = float(np.max(np.abs(log.x - log.z_ref)))
+    return {"value": value, "out": sub, "deviation": deviations,
+            "final_error": finals}
+
+
 def _sweep_points(sc: Scenario, param: str, values: list[float],
                   horizon: Optional[float], mode: str, out: str,
                   seed: int) -> tuple[list[dict], Optional[LieseekError]]:
     """Run the sweep points ``values`` in order up to the first failure;
-    returns one dict per finished point, and the failure or ``None``."""
+    returns one dict per finished point, and the failure or ``None``.
+
+    Lambda points share their step size: all of them are loaded first and
+    their runs made in one batch.  Omega points differ in step size and
+    run one at a time.  Either way the points write their files in order,
+    up to the first that fails.
+    """
     points: list[dict] = []
+    pending: list[tuple[float, Scenario]] = []
+
+    def flush() -> Optional[LieseekError]:
+        if not pending:
+            return None
+        scenarios = [point_sc for _, point_sc in pending]
+        runs = (_batch_runs(scenarios, mode, seed) if param == "lambda"
+                else [None] * len(pending))
+        for (value, point_sc), point_runs in zip(pending, runs):
+            sub = os.path.join(out, f"{param}_{value:g}")
+            try:
+                artifacts = execute_run(point_sc, mode, sub, seed=seed,
+                                        runs=point_runs)
+            except LieseekError as exc:
+                return exc
+            points.append(_point_summary(point_sc, value, sub, artifacts))
+        pending.clear()
+        return None
+
     for value in values:
         ns = argparse.Namespace(omega=value if param == "omega" else None,
                                 lam=value if param == "lambda" else None,
                                 dt=None, horizon=horizon)
-        sub = os.path.join(out, f"{param}_{value:g}")
         try:
-            sweep_sc = _apply_overrides(sc, ns)
-            artifacts = execute_run(sweep_sc, mode, sub, seed=seed)
+            point_sc = _apply_overrides(sc, ns)
+            _require_bound_samples(point_sc, mode)
         except LieseekError as exc:
-            return points, exc
-        deviations = {}
-        finals = {}
-        for (label, m), log in artifacts.logs.items():
-            key = f"{label}_{m}"
-            finals[key] = float(
-                np.linalg.norm(log.x[-1] - sweep_sc.x_star(label)))
-            if not np.any(np.isnan(log.z_ref)):
-                deviations[key] = float(np.max(np.abs(log.x - log.z_ref)))
-        points.append({"value": value, "out": sub, "deviation": deviations,
-                       "final_error": finals})
-    return points, None
+            return points, flush() or exc
+        pending.append((value, point_sc))
+        if param == "omega":
+            failure = flush()
+            if failure is not None:
+                return points, failure
+    return points, flush()
 
 
 def _sweep_share(config: dict, *share) -> tuple:

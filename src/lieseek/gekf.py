@@ -19,12 +19,26 @@ makes the update exactly linear, so no measurement Jacobian
 approximation is involved.
 
 :class:`GekfFilter` is the filter: it owns the state, the smoothing
-history and the pause bookkeeping.  An instance is a single-owner mutable
-state machine; run separate instances for separate systems.
+history and the pause bookkeeping of B members that step in lockstep.
+The state is stacked in plain arrays, one leading row per member:
+
+* ``mean`` -- ``(B, 2n+1)``, each row ``[x1 | x2 | x3]``;
+* ``P`` -- ``(B, 2n+1, 2n+1)``, one covariance per member;
+* the smoothing history -- ``(B, 2w, n)`` for a window of w steps.
+
+A filter of one member, started from one float, drops the leading axis:
+``(2n+1,)``, ``(2n+1, 2n+1)`` and ``(2w, n)``.  Members share the
+configuration and the step size but may differ in their amplitude floor.
+The stacked ``matmul`` products (not ``einsum``, which rounds
+differently) and the means over the window axis give each member the
+same bits as a filter of that member alone.  An instance is a
+single-owner mutable state machine.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,27 +52,6 @@ B0_SINGULAR_TOL = 1e-12
 # by the same amount per period at any step size that divides the period.
 PAUSED_J_DECAY = 0.999
 PAUSE_DECAY_STEPS = 64
-
-
-@dataclass(frozen=True)
-class GekfState:
-    """Filter mean and covariance at time ``t``."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    x3: float
-    P: np.ndarray
-    t: float
-
-    @property
-    def n(self) -> int:
-        return self.x1.shape[0]
-
-    def mean(self) -> np.ndarray:
-        return np.concatenate([self.x1, self.x2, [self.x3]])
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.mean())) and np.all(np.isfinite(self.P)))
 
 
 @dataclass(frozen=True)
@@ -93,126 +86,171 @@ class GekfConfig:
             raise ConfigurationError("smooth_window and n_meas must be >= 1")
 
 
-def measurement_coefficients(spec: EscSystemSpec, f1: float,
-                             u1_int: np.ndarray, u2_int: np.ndarray,
-                             a: np.ndarray, nu_hat: np.ndarray,
-                             cfg: GekfConfig) -> np.ndarray:
+def measurement_coefficients(spec: EscSystemSpec, f1, u1_int: np.ndarray,
+                             u2_int: np.ndarray, a: np.ndarray,
+                             nu_hat: np.ndarray, a_floor) -> np.ndarray:
     """Per-channel weight of ``x1`` in the predicted objective sample.
 
     ``c_i = -(b1_i(f1) U1_i + b2_i(f1) U2_i) / (nu_i * a_i^2 * b0_i(f1))``
     with ineligible channels weighted zero, all from one coefficient call
     anchored at the measured value ``f1`` from the start of the window.
     A channel is ineligible when its amplitude magnitude sits below the
-    floor or its bracket factor at ``f1`` is singular.
+    floor ``a_floor`` or its bracket factor at ``f1`` is singular.  With
+    ``f1`` of shape ``(B,)``, the amplitudes and input integrals are
+    ``(B, n)``, ``a_floor`` broadcasts against them, and so does the result.
     """
     b1, b2, b0 = spec.coefficients(f1)
-    ok = (np.abs(a) >= cfg.a_floor) & (np.abs(b0) >= B0_SINGULAR_TOL)
+    ok = (np.abs(a) >= a_floor) & (np.abs(b0) >= B0_SINGULAR_TOL)
     # float_power calls C pow like a scalar a_i ** 2; an array a ** 2
     # squares, which rounds differently in rare cases
     return np.divide(-(b1 * u1_int + b2 * u2_int),
                      nu_hat * np.float_power(a, 2) * b0,
-                     out=np.zeros(spec.n), where=ok)
+                     out=np.zeros(b0.shape), where=ok)
 
 
 class GekfFilter:
-    """The filter: state, smoothing history and per-channel pause.
+    """The filter of B members: stacked state, smoothing history and
+    per-channel pause.
 
-    Starts unbiased (zero RHS estimate, the first measurement as held
-    value).  :meth:`propagate` and :meth:`update` advance ``state``;
-    :meth:`step_export` returns the per-step estimate.  Once a channel's
-    amplitude falls under the floor its exported estimate decays
-    geometrically, at a fixed rate per smoothing window, instead of
-    following ``x1``.
+    ``mean`` is ``(B, 2n+1)`` and ``P`` is ``(B, 2n+1, 2n+1)``; a filter
+    started from one float ``f0`` has no member axis: ``(2n+1,)`` and
+    ``(2n+1, 2n+1)``.  Each member starts unbiased (zero RHS estimate,
+    its first measurement as held value).  :meth:`propagate` and
+    :meth:`update` replace ``mean`` and ``P`` with new arrays and check
+    nothing; :meth:`check` is the finiteness check, once per step.
+    :meth:`step_export` returns the per-step estimates, ``(B, n)`` or
+    ``(n,)``.  Once a channel's amplitude falls under its member's floor,
+    its exported estimate decays geometrically, at a fixed rate per
+    smoothing window, instead of following ``x1``.
     """
 
-    def __init__(self, cfg: GekfConfig, n: int, f0: float, nu_hat,
-                 t0: float = 0.0):
+    def __init__(self, cfg: GekfConfig, n: int, f0, nu_hat, t0: float = 0.0,
+                 a_floor=None):
+        """``f0`` is the first measurement: one float, or one per member;
+        ``a_floor`` is ``cfg.a_floor`` by default, or a ``(B, 1)`` column
+        of per-member amplitude floors."""
         self.cfg = cfg
+        self.n = n
         self.nu_hat = np.atleast_1d(np.asarray(nu_hat, dtype=float))
-        self.state = GekfState(x1=np.zeros(n), x2=np.zeros(n), x3=float(f0),
-                               P=cfg.p0 * np.eye(2 * n + 1), t=t0)
+        f0 = np.asarray(f0, dtype=float)
+        lead, dim = f0.shape, 2 * n + 1
+        self._a_floor = cfg.a_floor if a_floor is None else np.asarray(a_floor)
+        self.mean = np.zeros(lead + (dim,))
+        self.mean[..., -1] = f0
+        self.P = np.broadcast_to(cfg.p0 * np.eye(dim), lead + (dim, dim)).copy()
+        self.t = t0
         self._q = np.diag(np.concatenate([np.full(n, cfg.q1),
                                           np.full(n, cfg.q2), [cfg.q3]]))
-        # The last smooth_window x1 rows, each written twice (at i and
-        # i + window) so that they are always one contiguous slice, oldest
-        # first: the smoothing average sums the same rows in the same order
-        # as a copy of a window-long history would.
-        self._rows = np.empty((2 * cfg.smooth_window, n))
+        # Each member's last smooth_window x1 rows, each written twice (at i
+        # and i + window) so that they are always one contiguous slice,
+        # oldest first.  Averaged over the window axis, a member sums its
+        # rows in the order that the mean of its own window-long history
+        # does: pairwise for n = 1, row by row for n >= 2.
+        self._rows = np.empty(lead + (2 * cfg.smooth_window, n))
         self._count = 0
-        self._push_row(self.state.x1)
-        self.paused = np.zeros(n, dtype=bool)
+        self._push_row(self.mean[..., :n])
+        self.paused = np.zeros(lead + (n,), dtype=bool)
         self._decay = PAUSED_J_DECAY ** (PAUSE_DECAY_STEPS / cfg.smooth_window)
-        self._j = np.zeros(n)
-        self.last_innovation = 0.0
+        self._j = np.zeros(lead + (n,))
+        self.last_innovation = np.zeros(lead)
         self._dt = None
+        self._prior = None
+
+    def take(self, members) -> "GekfFilter":
+        """A copy that holds only the members at the indices ``members``
+        of a filter with a member axis."""
+        out = copy.copy(self)
+        for name in ("mean", "P", "_rows", "paused", "_j", "last_innovation"):
+            setattr(out, name, getattr(self, name)[members])
+        if np.ndim(self._a_floor):
+            out._a_floor = self._a_floor[members]
+        out._prior = None
+        return out
+
+    def snapshot(self) -> tuple:
+        """What :meth:`propagate` and :meth:`update` replace, for
+        :meth:`restore`."""
+        return (self.mean, self.P, self.t, self.paused, self.last_innovation,
+                self._prior)
+
+    def restore(self, snapshot: tuple) -> None:
+        (self.mean, self.P, self.t, self.paused, self.last_innovation,
+         self._prior) = snapshot
 
     def propagate(self, dt: float) -> None:
         """Advance mean and covariance by the constant-velocity model."""
         if dt <= 0:
             raise ConfigurationError("propagation step must be positive")
-        s = self.state
+        n = self.n
         if dt != self._dt:
-            n = s.n
             phi = np.eye(2 * n + 1)
             phi[:n, n:2 * n] = dt * np.eye(n)
             self._dt, self._phi, self._q_dt = dt, phi, self._q * dt
-        x1 = s.x1 + dt * s.x2
+        mean = self.mean.copy()
+        mean[..., :n] = mean[..., :n] + dt * mean[..., n:2 * n]
         phi = self._phi
-        P = phi @ s.P @ phi.T + self._q_dt
-        P = 0.5 * (P + P.T)
-        out = GekfState(x1=x1, x2=s.x2.copy(), x3=s.x3, P=P, t=s.t + dt)
-        if not out.is_finite():
-            raise FilterDivergenceError(
-                "filter state non-finite after propagation", t=out.t)
-        self.state = out
+        P = phi @ self.P @ phi.T + self._q_dt
+        self.mean, self.P = mean, 0.5 * (P + P.swapaxes(-1, -2))
+        self.t += dt
+        self._prior = None
 
-    def update(self, f2: float, f1: float, u1_int, u2_int, a,
-               spec: EscSystemSpec) -> None:
-        """Scalar Kalman update against the objective sample ``f2``.
+    def update(self, f2, f1, u1_int, u2_int, a, spec: EscSystemSpec) -> None:
+        """Scalar Kalman update of each member against its sample ``f2``.
 
         Predicted sample: ``x3 + sum_i c_i x1_i`` with ``c`` from
         :func:`measurement_coefficients` anchored at ``f1``.  Joseph-form
         covariance update, re-symmetrized; afterwards the held value
         ``x3`` is pinned to the new measurement so the next window
         anchors at measured data.  ``last_innovation`` is taken against
-        the pre-update state.
+        the pre-update state.  The products are stacked ``matmul`` calls,
+        which give each member the bits of its own matrix products.
         """
-        a = np.atleast_1d(np.asarray(a, dtype=float))
-        c = measurement_coefficients(spec, f1, np.atleast_1d(u1_int),
-                                     np.atleast_1d(u2_int), a, self.nu_hat,
-                                     self.cfg)
-        s, r = self.state, self.cfg.r
-        n = s.n
-        dim = 2 * n + 1
-        h = np.zeros(dim)
-        h[:n] = c
-        h[-1] = 1.0
+        a = np.asarray(a, dtype=float)
+        c = measurement_coefficients(spec, f1, u1_int, u2_int, a,
+                                     self.nu_hat, self._a_floor)
+        mean, P, r = self.mean, self.P, self.cfg.r
+        h = np.zeros(mean.shape)
+        h[..., :self.n] = c
+        h[..., -1] = 1.0
+        row, col = h[..., None, :], h[..., :, None]
 
-        mean = s.mean()
-        innovation = f2 - float(h @ mean)
-        sv = float(h @ s.P @ h) + r
-        gain = (s.P @ h) / sv
-        mean = mean + gain * innovation
-        ikh = np.eye(dim) - np.outer(gain, h)
-        P = ikh @ s.P @ ikh.T + r * np.outer(gain, gain)
+        innovation = f2 - (row @ mean[..., :, None])[..., 0, 0]
+        sv = (row @ P @ col)[..., 0, 0] + r
+        gain = (P @ col)[..., 0] / sv[..., None]
+        new_mean = mean + gain * innovation[..., None]
+        ikh = np.eye(mean.shape[-1]) - gain[..., :, None] * row
+        new_P = (ikh @ P @ ikh.swapaxes(-1, -2)
+                 + r * (gain[..., :, None] * gain[..., None, :]))
         # Pinning x3 to the fresh measurement makes its error the measurement
         # error: reset its covariance row accordingly, or the stale cross
         # terms feed the pinned state back into x1 through later gains.
-        P[-1, :] = 0.0
-        P[:, -1] = 0.0
-        P[-1, -1] = r
-        P = 0.5 * (P + P.T)
+        new_P[..., -1, :] = 0.0
+        new_P[..., :, -1] = 0.0
+        new_P[..., -1, -1] = r
+        new_mean[..., -1] = f2
 
-        out = GekfState(x1=mean[:n], x2=mean[n:2 * n], x3=float(f2), P=P, t=s.t)
-        if not out.is_finite():
-            raise FilterDivergenceError("filter state non-finite after update",
-                                        t=s.t)
-        self.state, self.last_innovation = out, innovation
-        self.paused = np.abs(a) < self.cfg.a_floor
+        self._prior = (mean, P)
+        self.mean = new_mean
+        self.P = 0.5 * (new_P + new_P.swapaxes(-1, -2))
+        self.last_innovation = innovation
+        self.paused = np.abs(a) < self._a_floor
+
+    def check(self) -> None:
+        """Raise :class:`FilterDivergenceError` if a member's mean or
+        covariance is non-finite, naming the step that made it so."""
+        # a non-finite entry poisons the sum; only then are members searched
+        if math.isfinite(self.mean.sum() + self.P.sum()):
+            return
+        if _finite(self.mean, self.P):
+            return
+        after = ("propagation" if self._prior is None or not _finite(*self._prior)
+                 else "update")
+        raise FilterDivergenceError(f"filter state non-finite after {after}",
+                                    t=self.t)
 
     def _push_row(self, x1: np.ndarray) -> None:
         i = self._count % self.cfg.smooth_window
-        self._rows[i] = self._rows[i + self.cfg.smooth_window] = x1
+        self._rows[..., i, :] = self._rows[..., i + self.cfg.smooth_window, :] = x1
         self._count += 1
 
     def step_export(self) -> np.ndarray:
@@ -222,17 +260,22 @@ class GekfFilter:
         last ``smooth_window`` steps (nominally one dither period);
         otherwise raw ``x1``.
         """
-        self._push_row(self.state.x1)
+        x1 = self.mean[..., :self.n]
+        self._push_row(x1)
         if self.cfg.smoothing:
             w = self.cfg.smooth_window
             end = (self._count - 1) % w + 1 + w
-            smoothed = self._rows[end - min(self._count, w):end].mean(axis=0)
+            smoothed = self._rows[..., end - min(self._count, w):end, :].mean(
+                axis=-2)
         else:
-            smoothed = self.state.x1.copy()
-        active = ~self.paused
-        self._j[active] = smoothed[active]
-        self._j[self.paused] *= self._decay
-        return self._j.copy()
+            smoothed = x1.copy()
+        self._j = np.where(self.paused, self._j * self._decay, smoothed)
+        return self._j
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.state.P).min())
+    def min_eigenvalue(self) -> np.ndarray:
+        """The smallest covariance eigenvalue of each member."""
+        return np.linalg.eigvalsh(self.P).min(axis=-1)
+
+
+def _finite(mean: np.ndarray, P: np.ndarray) -> bool:
+    return bool(np.isfinite(mean).all() and np.isfinite(P).all())

@@ -1,39 +1,48 @@
 """Deterministic fixed-step simulation of seeking systems.
 
-Three runners share one integration core:
+The runners:
 
 * :func:`run_baseline` -- constant-amplitude seeking (the classical
   persistent-oscillation behaviour),
 * :func:`run_proposed` -- amplitude adaptation driven by the estimation
   filter's averaged-RHS signal,
+* :func:`run_batch` -- either kind for B members of one system that
+  differ in lambda, a0, x0 and seed, stepped in lockstep,
 * :func:`run_lbs` -- the averaged (bracket) system itself, exactly or
   with a synthetic decaying estimation error.
 
+The first three are one seeking loop, :class:`_Lockstep`: a single run is
+a batch of one member.  Member k of a batch equals its own run bit for
+bit, and a member that fails stops alone while the others finish.
+
 Runs are single-threaded and bit-deterministic for a given spec and
-seed; optional measurement noise draws from a per-run seeded generator.
+seed; optional measurement noise draws from a per-member seeded
+generator.
 
 The seeking loop does only state-dependent work.  What depends on time
-alone is tabulated once per run by :func:`_dither_tables`: every
+alone is tabulated once per batch by :func:`_dither_tables`: every
 channel's dither values at each step start and midpoint of the loop's
 own time grid (the RK4 stage times), and their per-step Simpson sums,
 which give the filter its input integrals.  The averaged reference
-trajectory is integrated once per system and shared by the runs of that
-system (:func:`_reference` caches it for the last spec), and the ``f``
-column and the oracle ``Jexact`` column are each filled by one array call
-over the logged rows after the loop.
+trajectory is integrated once per batch and distinct (a0, x0), and
+shared by the runs of one system (:func:`_reference` caches it for the
+last spec); the ``f`` column and the oracle ``Jexact`` column are each
+filled by one array call over a member's logged rows after the loop.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import os
 import tempfile
-from typing import Callable, Optional
+from dataclasses import replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, IntegrationError
+from .errors import DivergenceError, InputError, IntegrationError, LieseekError
 from .gekf import GekfConfig, GekfFilter
 from .lie import lbs_rhs_exact
 from .model import TAU, DitherSignal, EscSystemSpec, EstimationErrorModel
@@ -55,6 +64,15 @@ def _dither_values(d: DitherSignal, theta: np.ndarray) -> np.ndarray:
     return np.asarray(d.value(theta), dtype=float)
 
 
+def step_times(spec: EscSystemSpec) -> np.ndarray:
+    """The times of a run's logged rows: step starts accumulated by ``+ dt``."""
+    dt = spec.resolved_dt
+    steps = int(round(spec.horizon / dt))
+    t = np.zeros(steps + 1)
+    np.cumsum(np.full(steps, dt), out=t[1:])
+    return t
+
+
 def _dither_tables(spec: EscSystemSpec, steps: int
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The loop's times and both dithers of every channel on its half steps.
@@ -65,8 +83,7 @@ def _dither_tables(spec: EscSystemSpec, steps: int
     ``t[k] + dt/2``.
     """
     dt = spec.resolved_dt
-    t = np.zeros(steps + 1)
-    np.cumsum(np.full(steps, dt), out=t[1:])
+    t = step_times(spec)
     half = np.empty(2 * steps + 1)
     half[0::2] = t
     half[1::2] = t[:-1] + 0.5 * dt
@@ -219,7 +236,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
-    """Per-step divergence check ``guard(x, t)`` for states of ``spec``."""
+    """Per-step divergence check ``guard(x, t)`` for states of ``spec``,
+    one per row of ``x``; it raises for the first kind of failure found."""
     centre = limit = None
     if spec.objective.domain_box is not None:
         box = np.asarray(spec.objective.domain_box, dtype=float)
@@ -227,11 +245,18 @@ def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
         limit = 10.0 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
 
     def guard(x: np.ndarray, t: float) -> None:
+        if centre is not None:
+            d = x - centre
+            # vecdot is each row's np.linalg.norm(d) ** 2, bit for bit; a
+            # NaN or infinite row fails the comparison too
+            if (np.sqrt(np.vecdot(d, d)) <= limit).all():
+                return
+        elif np.isfinite(x).all():
+            return
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"state non-finite at t={t}", t_exit=t)
-        if centre is not None and np.linalg.norm(x - centre) > limit:
-            raise DivergenceError(
-                f"state left 10x domain-box region at t={t}", t_exit=t)
+        raise DivergenceError(
+            f"state left 10x domain-box region at t={t}", t_exit=t)
     return guard
 
 
@@ -270,24 +295,170 @@ def _reference(spec: EscSystemSpec) -> np.ndarray:
     return z
 
 
-def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
-             seed: int, noise_std: float,
-             j_override) -> TrajectoryLog:
-    dt = spec.resolved_dt
-    steps = int(round(spec.horizon / dt))
-    n = spec.n
-    obj = spec.objective
-    omega = spec.omega
-    sqrt_w = math.sqrt(omega)
-    lam = spec.lam
-    has_oracle = obj.has_oracle
-    guard = _guard(spec)
-    rng = np.random.default_rng(seed)
-    _, u1, u2 = _dither_tables(spec, steps)
+def _require_shared(specs: Sequence[EscSystemSpec],
+                    gcfgs: Optional[Sequence[GekfConfig]]) -> None:
+    """Raise :class:`InputError` unless the members differ only in lambda,
+    a0, x0 and the filter's amplitude floor (which scales with a0)."""
+    first = specs[0]
 
-    def make_xdot(k: int, t0: float, scale: np.ndarray):
-        # the RK4 stage times of step k and their rows in the tables
-        rows = {t0: 2 * k, t0 + 0.5 * dt: 2 * k + 1, t0 + dt: 2 * k + 2}
+    def shape(spec: EscSystemSpec) -> tuple:
+        obj = spec.objective
+        return (spec.omega, spec.resolved_dt, spec.horizon, dict(spec.dithers),
+                [(ch.b1, ch.b2, ch.u1_ref, ch.u2_ref) for ch in spec.channels],
+                (obj.dimension, obj.kind, obj.x_star, obj.f_star,
+                 obj.domain_box, obj.has_oracle))
+
+    if any(shape(spec) != shape(first) for spec in specs[1:]):
+        raise InputError("batch members must share their system but for "
+                         "lambda, a0 and x0")
+    if gcfgs is not None and any(
+            replace(g, a_floor=gcfgs[0].a_floor) != gcfgs[0] for g in gcfgs):
+        raise InputError("batch members must share their filter configuration "
+                         "but for the amplitude floor")
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """One row per member; a single member's own array, copied."""
+    return np.array(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
+
+
+class _Lockstep:
+    """Seeking runs of B members advanced in lockstep, one row per member.
+
+    The members share the objective, the coefficient forms, the dithers,
+    omega, dt and the horizon: those of the first spec.  They differ in
+    lambda, a0, x0, seed and the filter's amplitude floor.  Every array
+    operation of a step acts on each row alone, so member k gets the bits
+    of its own run.  A batch of one member keeps its arrays without the
+    member axis, ``(n,)`` rather than ``(1, n)``: NumPy broadcasts a
+    ``(1, n)`` row against ``(n,)`` operands on a slower path, about a
+    microsecond more per operation.  One step is a fallible part,
+    :meth:`_attempt`, that commits nothing, and :meth:`_commit`.  When
+    the attempt fails, each member attempts the step alone; those that
+    fail record their error and stop, and the others take the step
+    together.
+    """
+
+    def __init__(self, specs: Sequence[EscSystemSpec], adapt: bool,
+                 gcfgs: Optional[Sequence[GekfConfig]], seeds: Sequence[int],
+                 noise_std: float, j_override):
+        spec = specs[0]
+        self.use_filter = adapt and j_override is None
+        if self.use_filter and (gcfgs is None or None in gcfgs):
+            raise InputError("proposed run needs a filter configuration")
+        _require_shared(specs, gcfgs if self.use_filter else None)
+        self.spec, self.obj = spec, spec.objective
+        self.dt = dt = spec.resolved_dt
+        self.steps = steps = int(round(spec.horizon / dt))
+        size, n = len(specs), spec.n
+        self.adapt, self.j_override = adapt, j_override
+        self.sqrt_w = math.sqrt(spec.omega)
+        self.guard = _guard(spec)
+        self.seeds = list(seeds)
+        self.rngs = ([np.random.default_rng(seed) for seed in seeds]
+                     if noise_std > 0 else None)
+        self.noise_std = noise_std
+        self.t, self.u1, self.u2 = _dither_tables(spec, steps)
+        self.times = self.t.tolist()
+        self.errors: dict[int, LieseekError] = {}
+
+        # per-member state; row i belongs to member members[i]
+        self.members = np.arange(size)
+        self.lam = _stack([s.lam for s in specs])
+        self.x = _stack([s.x0 for s in specs])
+        self.a = _stack([s.a0 for s in specs])
+        self.j_sig = np.zeros(self.x.shape)
+        self.filt = self.f_prev = self.u1_acc = self.u2_acc = None
+        if self.use_filter:
+            f0 = self.obj.measured(self.x)
+            if self.rngs:
+                f0 = f0 + self._noise()
+            self.filt = GekfFilter(
+                gcfgs[0], n, f0, spec.nu_hats,
+                a_floor=None if size == 1 else [[g.a_floor] for g in gcfgs])
+            self.f_prev = f0
+            self.u1_acc = np.zeros(self.x.shape)
+            self.u2_acc = np.zeros(self.x.shape)
+            self.u1_sums = _simpson_sums(self.u1)
+            self.u2_sums = _simpson_sums(self.u2)
+        elif adapt:
+            self.j_sig = self._override(0.0)
+
+        total = steps + 1
+        self.x_log = np.empty((total, size, n))
+        self.a_log = np.empty((total, size, n))
+        self.jest_log = np.full((total, size, n), np.nan)
+        if self.use_filter:
+            dim = 2 * n + 1
+            self.mean_log = np.empty((total, size, dim))
+            self.innovation_log = np.empty((total, size))
+            self.P_log = np.empty((total, size, dim, dim))
+        self.zref = [np.full((total, n), np.nan)] * size
+        if self.obj.has_oracle:
+            # one averaged reference per distinct (a0, x0): it does not
+            # depend on lambda
+            refs: dict = {}
+            for k, s in enumerate(specs):
+                key = (s.a0.tobytes(), s.x0.tobytes())
+                if key not in refs:
+                    try:
+                        refs[key] = _reference(s)
+                    except LieseekError as exc:
+                        refs[key] = exc
+                self.zref[k] = refs[key]
+        failed = [k for k, z in enumerate(self.zref)
+                  if isinstance(z, LieseekError)]
+        self.errors.update((k, self.zref[k]) for k in failed)
+        self.columns = slice(None)   # the log columns of the rows
+        if failed:
+            self._keep([k for k in range(size) if k not in failed])
+        if self.members.size:
+            self._log(0)
+
+    def _noise(self):
+        draws = [rng.normal(0.0, self.noise_std) for rng in self.rngs]
+        return draws[0] if self.x.ndim == 1 else np.array(draws)
+
+    def _override(self, t: float) -> np.ndarray:
+        j = self.j_override(t) if callable(self.j_override) else self.j_override
+        return np.broadcast_to(np.asarray(j, dtype=float), self.a.shape).copy()
+
+    def _take(self, rows) -> "_Lockstep":
+        """A copy that holds only the rows ``rows``."""
+        out = copy.copy(self)
+        for name in ("members", "lam", "x", "a", "j_sig", "f_prev", "u1_acc",
+                     "u2_acc"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(out, name, value[rows])
+        if self.rngs:
+            out.rngs = [self.rngs[i] for i in rows]
+        if self.filt is not None:
+            out.filt = self.filt.take(rows)
+        return out
+
+    def _keep(self, rows: list) -> None:
+        if not rows:
+            self.members = self.members[:0]
+            return
+        vars(self).update(vars(self._take(rows)))
+        self.columns = self.members
+
+    def _log(self, k: int) -> None:
+        columns = self.columns
+        self.x_log[k, columns] = self.x
+        self.a_log[k, columns] = self.a
+        if self.adapt:
+            self.jest_log[k, columns] = self.j_sig
+        if self.use_filter:
+            self.mean_log[k, columns] = self.filt.mean
+            self.innovation_log[k, columns] = self.filt.last_innovation
+            self.P_log[k, columns] = self.filt.P
+
+    def _plant(self, step: int, t0: float, scale: np.ndarray):
+        # the RK4 stage times of the step and their rows in the tables
+        dt, spec, obj, u1, u2 = self.dt, self.spec, self.obj, self.u1, self.u2
+        rows = {t0: 2 * step, t0 + 0.5 * dt: 2 * step + 1, t0 + dt: 2 * step + 2}
 
         def xdot(t: float, x: np.ndarray) -> np.ndarray:
             i = rows[t]
@@ -295,104 +466,144 @@ def _run_esc(spec: EscSystemSpec, adapt: bool, gcfg: Optional[GekfConfig],
             return scale * (b1 * u1[i] + b2 * u2[i])
         return xdot
 
-    use_filter = adapt and j_override is None
-    filt: Optional[GekfFilter] = None
-    if use_filter:
-        if gcfg is None:
-            raise InputError("proposed run needs a filter configuration")
-        f0 = obj.measured(spec.x0)
-        if noise_std > 0:
-            f0 += rng.normal(0.0, noise_std)
-        filt = GekfFilter(gcfg, n, f0, spec.nu_hats)
-        f_prev_meas = f0
-        u1_sums, u2_sums = _simpson_sums(u1), _simpson_sums(u2)
-
-    def override_at(t: float) -> np.ndarray:
-        if callable(j_override):
-            return np.atleast_1d(np.asarray(j_override(t), dtype=float))
-        return np.broadcast_to(np.asarray(j_override, dtype=float), (n,)).copy()
-
-    t, x, a = 0.0, spec.x0.copy(), spec.a0.copy()
-    u1_acc, u2_acc = np.zeros(n), np.zeros(n)
-    j_sig = override_at(0.0) if (adapt and j_override is not None) else np.zeros(n)
-
-    total = steps + 1
-    t_log = np.empty(total)
-    x_log = np.empty((total, n))
-    a_log = np.empty((total, n))
-    jest_log = np.full((total, n), np.nan)
-    zref_log = _reference(spec) if has_oracle else np.full((total, n), np.nan)
-    diag = None
-    if use_filter:
-        diag = {"x1": np.empty((total, n)), "x2": np.empty((total, n)),
-                "x3": np.empty(total), "innovation": np.empty(total),
-                "P": np.empty((total, 2 * n + 1, 2 * n + 1))}
-
-    def log_row(k: int) -> None:
-        t_log[k] = t
-        x_log[k] = x
-        a_log[k] = a
-        if adapt:
-            jest_log[k] = j_sig
-        if use_filter:
-            diag["x1"][k] = filt.state.x1
-            diag["x2"][k] = filt.state.x2
-            diag["x3"][k] = filt.state.x3
-            diag["innovation"][k] = filt.last_innovation
-            diag["P"][k] = filt.state.P
-
-    log_row(0)
-
-    for step in range(steps):
-        t0 = t
-        scale = a * sqrt_w
-        j_held = j_sig
-
-        x_new = rk4_step(make_xdot(step, t0, scale), t0, x, dt)
-        if adapt:
+    def _attempt(self, step: int, measure: bool, noise) -> tuple:
+        """The new plant state, amplitudes and filter inputs of ``step``;
+        raises for a failing member, with the filter left as it was."""
+        dt, t0 = self.dt, self.times[step]
+        scale = self.a * self.sqrt_w
+        x = rk4_step(self._plant(step, t0, scale), t0, self.x, dt)
+        a = self.a
+        if self.adapt:
+            lam, j_held = self.lam, self.j_sig
             a = rk4_step(lambda t, a: -lam * (a - j_held), t0, a, dt)
-
-        guard(x_new, t0 + dt)
-        x = x_new
-        t = t0 + dt
-
-        if use_filter:
-            weight = scale * (dt / 4.0)
-            u1_acc += weight * u1_sums[step]
-            u2_acc += weight * u2_sums[step]
+        self.guard(x, t0 + dt)
+        if not self.use_filter:
+            return x, a, None
+        weight = scale * (dt / 4.0)
+        u1_acc = self.u1_acc + weight * self.u1_sums[step]
+        u2_acc = self.u2_acc + weight * self.u2_sums[step]
+        filt, f2 = self.filt, None
+        saved = filt.snapshot()
+        try:
             filt.propagate(dt)
-            if (step + 1) % gcfg.n_meas == 0:
-                f2 = obj.measured(x)
-                if noise_std > 0:
-                    f2 += rng.normal(0.0, noise_std)
-                filt.update(f2, f_prev_meas, u1_acc, u2_acc, a, spec)
-                f_prev_meas = f2
-                u1_acc = np.zeros(n)
-                u2_acc = np.zeros(n)
-            j_sig = filt.step_export()
-        elif adapt and j_override is not None:
-            j_sig = override_at(t)
+            if measure:
+                f2 = self.obj.measured(x)
+                if noise is not None:
+                    f2 = f2 + noise
+                filt.update(f2, self.f_prev, u1_acc, u2_acc, a, self.spec)
+            filt.check()
+        except LieseekError:
+            filt.restore(saved)
+            raise
+        return x, a, (u1_acc, u2_acc, f2)
 
-        log_row(step + 1)
+    def _commit(self, step: int, measure: bool, new: tuple) -> None:
+        self.x, self.a, inputs = new
+        if self.use_filter:
+            self.u1_acc, self.u2_acc, f2 = inputs
+            if measure:
+                self.f_prev = f2
+                self.u1_acc = np.zeros_like(self.u1_acc)
+                self.u2_acc = np.zeros_like(self.u2_acc)
+            self.j_sig = self.filt.step_export()
+        elif self.adapt:
+            self.j_sig = self._override(self.times[step + 1])
+        self._log(step + 1)
 
-    if use_filter:
-        # covariance summaries of all rows at once, then drop the matrices
-        P = diag.pop("P")
-        diag["trace_p"] = np.trace(P, axis1=1, axis2=2)
-        diag["min_eig_p"] = np.linalg.eigvalsh(P).min(axis=1)
-    f_log = obj.value(x_log)
-    jex_log = (lbs_rhs_exact(spec, x_log, amplitude=a_log) if has_oracle
-               else np.full((total, n), np.nan))
-    meta = {"omega": omega, "dt": dt, "mode": "proposed" if adapt else "baseline",
-            "seed": seed}
-    return TrajectoryLog(t_log, x_log, f_log, a_log, jest_log, jex_log,
-                         zref_log, diag=diag, meta=meta)
+    def _drop_failing(self, step: int, measure: bool, noise,
+                      exc: LieseekError) -> list:
+        """Record the error of each row whose step fails when it is taken
+        alone, and keep the other rows; returns their former indices."""
+        if self.members.size == 1:
+            failed = {0: exc}
+        else:
+            failed = {}
+            for i in range(self.members.size):
+                try:
+                    self._take([i])._attempt(
+                        step, measure, None if noise is None else noise[[i]])
+                except LieseekError as err:
+                    failed[i] = err
+            if not failed:   # a failure of the batch, not of a member
+                raise exc
+        for i, err in failed.items():
+            self.errors[int(self.members[i])] = err
+        kept = [i for i in range(self.members.size) if i not in failed]
+        self._keep(kept)
+        return kept
+
+    def run(self) -> list:
+        """Each member's log, or the error that stopped it."""
+        n_meas = self.filt.cfg.n_meas if self.use_filter else 1
+        for step in range(self.steps):
+            if not self.members.size:
+                break
+            measure = self.use_filter and (step + 1) % n_meas == 0
+            noise = self._noise() if measure and self.rngs else None
+            try:
+                new = self._attempt(step, measure, noise)
+            except LieseekError as exc:
+                kept = self._drop_failing(step, measure, noise, exc)
+                if not kept:
+                    break
+                noise = None if noise is None else noise[kept]
+                new = self._attempt(step, measure, noise)
+            self._commit(step, measure, new)
+        return [self._result(k) for k in range(len(self.seeds))]
+
+    def _result(self, k: int):
+        if k in self.errors:
+            return self.errors[k]
+        spec, n = self.spec, self.spec.n
+        x, a = self.x_log[:, k], self.a_log[:, k]
+        try:
+            f = self.obj.value(x)
+            j_exact = (lbs_rhs_exact(spec, x, amplitude=a) if self.obj.has_oracle
+                       else np.full(x.shape, np.nan))
+        except LieseekError as exc:
+            return exc
+        diag = None
+        if self.use_filter:
+            # covariance summaries of all rows at once
+            mean, P = self.mean_log[:, k], self.P_log[:, k]
+            diag = {"x1": mean[:, :n], "x2": mean[:, n:2 * n], "x3": mean[:, -1],
+                    "innovation": self.innovation_log[:, k],
+                    "trace_p": np.trace(P, axis1=1, axis2=2),
+                    "min_eig_p": np.linalg.eigvalsh(P).min(axis=1)}
+        meta = {"omega": spec.omega, "dt": self.dt,
+                "mode": "proposed" if self.adapt else "baseline",
+                "seed": self.seeds[k]}
+        return TrajectoryLog(self.t, x, f, a, self.jest_log[:, k], j_exact,
+                             self.zref[k], diag=diag, meta=meta)
+
+
+def _raised(result):
+    """A run's log, or the error that stopped it, raised."""
+    if isinstance(result, LieseekError):
+        raise result
+    return result
+
+
+def run_batch(specs: Sequence[EscSystemSpec],
+              gcfgs: Optional[Sequence[GekfConfig]] = None,
+              seeds: Optional[Sequence[int]] = None,
+              noise_std: float = 0.0) -> list:
+    """Seeking runs of several members of one system, in lockstep.
+
+    Without ``gcfgs`` these are constant-amplitude runs, with one filter
+    configuration per member adaptive ones.  The members share their
+    system but for lambda, a0 and x0 (see :class:`_Lockstep`).  Returns,
+    per member, the log or the :class:`LieseekError` that its own run
+    raises; member k equals its own run bit for bit.
+    """
+    seeds = [0] * len(specs) if seeds is None else seeds
+    return _Lockstep(specs, gcfgs is not None, gcfgs, seeds, noise_std,
+                     None).run()
 
 
 def run_baseline(spec: EscSystemSpec) -> TrajectoryLog:
     """Constant-amplitude seeking run (persistently oscillating)."""
-    return _run_esc(spec, adapt=False, gcfg=None, seed=0, noise_std=0.0,
-                    j_override=None)
+    return _raised(run_batch([spec])[0])
 
 
 def run_proposed(spec: EscSystemSpec, gcfg: GekfConfig, seed: int = 0,
@@ -403,8 +614,8 @@ def run_proposed(spec: EscSystemSpec, gcfg: GekfConfig, seed: int = 0,
     vector, or callable of time); used to exercise the adaptation law in
     isolation.
     """
-    return _run_esc(spec, adapt=True, gcfg=gcfg, seed=seed,
-                    noise_std=noise_std, j_override=j_override)
+    return _raised(_Lockstep([spec], True, [gcfg], [seed], noise_std,
+                             j_override).run()[0])
 
 
 def run_lbs(spec: EscSystemSpec,

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,13 +216,16 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("systems", "main", "dithers", "u1"), {
         "kind": "tabulated", "period": 2 * math.pi, "bound": 1.5,
         "samples": [[k * 2 * math.pi / 64, 1.0] for k in range(64)]}), []),
+    (None, ["case1", "--mode", "proposed", "--horizon", "0.5"]),
+    (None, ["case1", "--horizon", "1"]),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
         "negative-r", "infinite-b2-index", "analysis-p-below-1",
         "negative-analysis-t-min", "negative-analysis-window",
         "nan-horizon", "inf-horizon", "nan-lambda", "inf-lambda", "nan-x0",
-        "inf-omega", "nan-coefficient-gain", "non-zero-mean-dither"])
+        "inf-omega", "nan-coefficient-gain", "non-zero-mean-dither",
+        "horizon-below-t-min", "horizon-at-t-min"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -287,9 +292,10 @@ def test_sweep_caller_runs_a_share(tmp_path, short_case1_path, monkeypatch,
     calls = []
     rk4_step = sim.rk4_step
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return rk4_step(*args, **kwargs)
+    def counting(rhs, t, x, dt):
+        # one entry per member stepped: a batch steps a row per member
+        calls.extend([None] * (len(x) if np.ndim(x) == 2 else 1))
+        return rk4_step(rhs, t, x, dt)
 
     monkeypatch.setattr(sim, "rk4_step", counting)
     argv = ["sweep", "--config", short_case1_path, "--lambda", "0.1,0.2",
@@ -353,3 +359,45 @@ def test_sweep_reports_the_first_failing_point_at_any_jobs(tmp_path,
     rc, err = results[0]
     assert rc == EXIT_USAGE and err.count("\n") == 1
     assert "lam must be finite" in err
+
+
+def test_sweep_reports_the_first_failing_run_at_any_jobs(tmp_path,
+                                                         monkeypatch, capsys):
+    """Points 1 and 3 leave the box in their first steps; the batch of
+    either share finishes its other points, and the lowest failing index
+    is reported whatever ``--jobs`` is."""
+    argv = ["sweep", "case2", "--mode", "proposed", "--horizon", "1.5",
+            "--lambda", "0.1,1e4,0.2,1e5"]
+    results = []
+    for jobs in (1, 2):
+        rc = _sweep_in(tmp_path / f"jobs{jobs}", argv + ["--jobs", str(jobs)],
+                       monkeypatch)
+        results.append((rc, capsys.readouterr().err))
+    assert results[0] == results[1]
+    rc, err = results[0]
+    assert rc == EXIT_RUNTIME and err.count("\n") == 1
+    assert "left 10x domain-box region" in err
+    # the points before the failing one are written, at any --jobs
+    for jobs in (1, 2):
+        assert (tmp_path / f"jobs{jobs}" / "out" / "lambda_0.1"
+                / "case2_main_proposed.csv").exists()
+
+
+def test_sweep_horizon_below_t_min_fails_at_load(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "case2", "--mode", "proposed", "--horizon", "0.5",
+                 "--lambda", "0.1,0.2", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "t_min" in err
+    assert not list(out.rglob("*.csv"))
+
+
+def test_python_m_lieseek_runs_the_cli():
+    import lieseek
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lieseek.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "lieseek", "list"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.split() == ["case1", "case2", "case3"]

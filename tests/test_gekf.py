@@ -5,8 +5,7 @@ import pytest
 
 import lieseek.gekf as gekf
 from lieseek.errors import ConfigurationError, FilterDivergenceError
-from lieseek.gekf import (GekfConfig, GekfFilter, GekfState,
-                          measurement_coefficients)
+from lieseek.gekf import GekfConfig, GekfFilter, measurement_coefficients
 from conftest import shortened
 from lieseek.model import (ChannelSpec, CoefficientForm, DitherSignal,
                            EscSystemSpec, ObjectiveMap)
@@ -36,27 +35,17 @@ def _min_eig(P):
     return float(np.linalg.eigvalsh(0.5 * (P + P.T)).min())
 
 
-def _filter(cfg, s, nu_hat=(0.5,)):
-    """A one-channel filter started from the state ``s``."""
-    filt = GekfFilter(cfg, 1, f0=s.x3, nu_hat=nu_hat)
-    filt.state = s
+def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, nu_hat=(0.5,)):
+    """A one-channel filter with the mean ``[x1, x2, x3]`` and covariance
+    ``P`` (identity by default)."""
+    filt = GekfFilter(cfg, 1, f0=x3, nu_hat=nu_hat)
+    filt.mean = np.array([x1, x2, x3], dtype=float)
+    filt.P = np.eye(3) if P is None else np.array(P, dtype=float)
     return filt
 
 
-def _propagate(s, cfg, dt):
-    filt = _filter(cfg, s)
-    filt.propagate(dt)
-    return filt.state
-
-
-def _update(s, cfg, f2, f1, u1, u2, a, spec, nu_hat):
-    filt = _filter(cfg, s, nu_hat)
-    filt.update(f2, f1, u1, u2, a, spec)
-    return filt.state
-
-
-def _export(s, cfg, history):
-    filt = _filter(cfg, s)
+def _export(cfg, x1, history):
+    filt = _filter(cfg, x1)
     for row in history:
         filt._push_row(row)
     return filt.step_export()
@@ -67,16 +56,13 @@ class TestPropagate:
         cfg = GekfConfig()
         filt = GekfFilter(cfg, 1, f0=3.0, nu_hat=[0.5])
         filt.propagate(0.25)
-        out = filt.state
-        assert out.x1[0] == 0.0 and out.x3 == 3.0
-        assert out.t == pytest.approx(0.25)
+        assert filt.mean[0] == 0.0 and filt.mean[2] == 3.0
+        assert filt.t == pytest.approx(0.25)
 
     def test_linear_mean_advance(self):
-        cfg = GekfConfig()
-        s = GekfState(x1=np.array([2.0]), x2=np.array([1.0]), x3=0.0,
-                      P=np.eye(3), t=0.0)
-        out = _propagate(s, cfg, 0.5)
-        assert out.x1[0] == pytest.approx(2.5)
+        filt = _filter(GekfConfig(), 2.0, 1.0)
+        filt.propagate(0.5)
+        assert filt.mean[0] == pytest.approx(2.5)
 
     def test_psd_preserved_without_process_noise(self):
         # congruence transform keeps PSD; checked by eigenvalue oracle
@@ -84,10 +70,10 @@ class TestPropagate:
         A = rng.normal(size=(3, 3))
         P0 = A @ A.T  # symmetric PSD by construction
         cfg = GekfConfig(q1=1e-30, q2=1e-30, q3=1e-30)
-        s = GekfState(x1=np.zeros(1), x2=np.zeros(1), x3=0.0, P=P0, t=0.0)
+        filt = _filter(cfg, 0.0, P=P0)
         for _ in range(200):
-            s = _propagate(s, cfg, 0.01)
-            assert _min_eig(s.P) >= -1e-12
+            filt.propagate(0.01)
+            assert _min_eig(filt.P) >= -1e-12
 
     def test_bad_dt_rejected(self):
         cfg = GekfConfig()
@@ -96,87 +82,67 @@ class TestPropagate:
 
 
 class TestMeasurementUpdate:
-    def _setup(self, r=1e-2):
-        cfg = GekfConfig(r=r)
-        s = GekfState(x1=np.array([-1.0]), x2=np.array([0.0]), x3=2.0,
-                      P=np.eye(3), t=0.0)
-        return cfg, s
+    @staticmethod
+    def _updated(f2, a=1.0, channel=None, r=1e-2):
+        """The filter at mean [-1, 0, 2] and identity covariance after one
+        update against ``f2``, with f1 = 2 and u = (0.02, 0.01)."""
+        filt = _filter(GekfConfig(r=r), -1.0, 0.0, 2.0)
+        filt.update(f2, 2.0, np.array([0.02]), np.array([0.01]),
+                    np.array([a]), _system(channel or _channel()))
+        return filt
 
     def test_zero_innovation_keeps_mean_and_shrinks_p(self):
-        cfg, s = self._setup()
-        u1, u2 = np.array([0.02]), np.array([0.01])
-        c = -(2.0 * u1[0] + 1.0 * u2[0]) / (0.5 * 1.0 * 1.0)
-        f2 = s.x3 + c * s.x1[0]  # exactly the predicted sample
-        out = _update(s, cfg, f2, 2.0, u1, u2, np.array([1.0]),
-                      _system(_channel()), np.array([0.5]))
-        assert out.x1[0] == pytest.approx(-1.0)
-        assert out.x2[0] == pytest.approx(0.0)
-        assert out.x3 == f2
-        assert np.trace(out.P) <= np.trace(s.P) + 1e-12
+        c = -(2.0 * 0.02 + 1.0 * 0.01) / (0.5 * 1.0 * 1.0)
+        f2 = 2.0 + c * -1.0  # exactly the predicted sample
+        filt = self._updated(f2)
+        assert filt.mean[0] == pytest.approx(-1.0)
+        assert filt.mean[1] == pytest.approx(0.0)
+        assert filt.mean[2] == f2
+        assert np.trace(filt.P) <= 3.0 + 1e-12
 
     def test_uninformative_measurement_keeps_mean(self):
-        cfg, s = self._setup(r=1e12)
-        out = _update(s, cfg, 5.0, 2.0, np.array([0.02]),
-                      np.array([0.01]), np.array([1.0]),
-                      _system(_channel()), np.array([0.5]))
-        assert abs(out.x1[0] - s.x1[0]) < 1e-6
-        assert abs(out.x2[0] - s.x2[0]) < 1e-6
+        filt = self._updated(5.0, r=1e12)
+        assert abs(filt.mean[0] - -1.0) < 1e-6
+        assert abs(filt.mean[1] - 0.0) < 1e-6
 
     def test_low_amplitude_channel_skipped(self):
-        cfg, s = self._setup()
-        out = _update(s, cfg, 2.5, 2.0, np.array([0.02]),
-                      np.array([0.01]), np.array([1e-6]),
-                      _system(_channel()), np.array([0.5]))
+        filt = self._updated(2.5, a=1e-6)
         # x1 gets no correction; only the held value moves
-        assert out.x1[0] == pytest.approx(s.x1[0])
-        assert out.x3 == 2.5
+        assert filt.mean[0] == pytest.approx(-1.0)
+        assert filt.mean[2] == 2.5
 
     def test_singular_bracket_factor_skipped(self):
-        cfg, s = self._setup()
         flat = ChannelSpec(index=0, b1=_linear(0.0, 1.0), b2=_linear(0.0, 2.0))
-        out = _update(s, cfg, 2.5, 2.0, np.array([0.02]),
-                      np.array([0.01]), np.array([1.0]),
-                      _system(flat), np.array([0.5]))
-        assert out.x1[0] == pytest.approx(s.x1[0])
+        filt = self._updated(2.5, channel=flat)
+        assert filt.mean[0] == pytest.approx(-1.0)
 
     def test_psd_after_update(self):
-        cfg, s = self._setup()
-        out = _update(s, cfg, 2.7, 2.0, np.array([0.02]),
-                      np.array([0.01]), np.array([1.0]),
-                      _system(_channel()), np.array([0.5]))
-        assert _min_eig(out.P) >= -1e-9
-        np.testing.assert_allclose(out.P, out.P.T, atol=1e-10)
+        filt = self._updated(2.7)
+        assert _min_eig(filt.P) >= -1e-9
+        np.testing.assert_allclose(filt.P, filt.P.T, atol=1e-10)
 
     def test_divergent_measurement_raises(self):
-        cfg, s = self._setup()
-        with pytest.raises(FilterDivergenceError):
-            _update(s, cfg, float("nan"), 2.0, np.array([0.02]),
-                    np.array([0.01]), np.array([1.0]),
-                    _system(_channel()), np.array([0.5]))
+        filt = self._updated(float("nan"))
+        with pytest.raises(FilterDivergenceError, match="after update"):
+            filt.check()
 
 
 class TestExtractJ:
     def test_smoothing_off_returns_raw(self):
         cfg = GekfConfig(smoothing=False)
-        s = GekfState(x1=np.array([1.5]), x2=np.zeros(1), x3=0.0,
-                      P=np.eye(3), t=0.0)
-        out = _export(s, cfg, history=[np.array([9.9])])
+        out = _export(cfg, 1.5, history=[np.array([9.9])])
         assert out[0] == 1.5
 
     def test_constant_history_average(self):
         cfg = GekfConfig(smooth_window=16)
-        s = GekfState(x1=np.array([3.0]), x2=np.zeros(1), x3=0.0,
-                      P=np.eye(3), t=0.0)
         hist = [np.array([3.0])] * 40
-        assert _export(s, cfg, hist)[0] == pytest.approx(3.0)
+        assert _export(cfg, 3.0, hist)[0] == pytest.approx(3.0)
 
     def test_sinusoid_over_one_period_averages_out(self):
         n = 64
         cfg = GekfConfig(smooth_window=n)
-        s = GekfState(x1=np.zeros(1), x2=np.zeros(1), x3=0.0, P=np.eye(3),
-                      t=0.0)
         hist = [np.array([math.sin(2 * math.pi * k / n)]) for k in range(n)]
-        assert abs(_export(s, cfg, hist)[0]) < 1e-6
+        assert abs(_export(cfg, 0.0, hist)[0]) < 1e-6
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_smoothing_matches_history_mean_bit_for_bit(self, n):
@@ -186,12 +152,11 @@ class TestExtractJ:
         window = 64
         cfg = GekfConfig(smooth_window=window)
         filt = GekfFilter(cfg, n, f0=0.0, nu_hat=np.full(n, 0.5))
-        history = deque([filt.state.x1.copy()], maxlen=window)
+        history = deque([filt.mean[:n].copy()], maxlen=window)
         rng = np.random.default_rng(n)
         for _ in range(1000):
             x1 = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
-            filt.state = GekfState(x1=x1, x2=np.zeros(n), x3=0.0,
-                                   P=np.eye(2 * n + 1), t=0.0)
+            filt.mean = np.concatenate([x1, np.zeros(n + 1)])
             history.append(x1.copy())
             expected = np.asarray(history, dtype=float).mean(axis=0)
             assert filt.step_export().tobytes() == expected.tobytes()
@@ -201,9 +166,7 @@ class TestPauseBehaviour:
     def test_estimate_decays_at_extremum_with_zero_inputs(self):
         """Pinned state, zero amplitude: export decays toward zero."""
         cfg = GekfConfig(a_floor=1e-3, smooth_window=8)
-        filt = GekfFilter(cfg, 1, f0=5.0, nu_hat=[0.5])
-        filt.state = GekfState(x1=np.array([1.0]), x2=np.zeros(1), x3=5.0,
-                               P=np.eye(3), t=0.0)
+        filt = _filter(cfg, 1.0, 0.0, 5.0)
         filt._j = np.array([1.0])
         zeros = np.zeros(1)
         js = []
@@ -247,20 +210,17 @@ class TestFilterUpdate:
     ARGS = (2.0, np.array([0.02]), np.array([0.01]), np.array([1.0]))
 
     def _filter(self):
-        filt = GekfFilter(GekfConfig(), 1, f0=2.0, nu_hat=[0.5])
-        filt.state = GekfState(x1=np.array([-1.0]), x2=np.array([0.3]),
-                               x3=2.0, P=np.eye(3), t=0.0)
-        return filt
+        return _filter(GekfConfig(), -1.0, 0.3, 2.0)
 
     def test_innovation_is_against_pre_update_state(self):
         filt = self._filter()
-        prev = filt.state
+        x1, _, x3 = filt.mean
         f1, u1, u2, a = self.ARGS
         c = measurement_coefficients(_system(_channel()), f1, u1, u2, a,
-                                     filt.nu_hat, filt.cfg)
+                                     filt.nu_hat, filt.cfg.a_floor)
         filt.update(2.7, f1, u1, u2, a, _system(_channel()))
         assert filt.last_innovation == pytest.approx(
-            2.7 - (prev.x3 + c[0] * prev.x1[0]), abs=1e-12)
+            2.7 - (x3 + c[0] * x1), abs=1e-12)
 
     def test_coefficients_computed_once_per_update(self, monkeypatch):
         calls = []
@@ -286,7 +246,7 @@ class TestFilterUpdate:
                 u1, u2 = rng.normal(size=(2, spec.n)) * 0.01
                 a = rng.uniform(0.0, 1.5, size=spec.n)
                 c = measurement_coefficients(spec, f1, u1, u2, a,
-                                             spec.nu_hats, cfg)
+                                             spec.nu_hats, cfg.a_floor)
                 b1, b2, b0 = spec.coefficients(f1)
                 for i in range(spec.n):
                     expected = 0.0
@@ -299,5 +259,5 @@ class TestFilterUpdate:
         spec = _system(_channel(), _channel(1))
         a = np.array([1.0, 0.0])   # channel 1 sits below the amplitude floor
         c = measurement_coefficients(spec, 2.0, np.ones(2), np.ones(2), a,
-                                     np.array([0.5, 0.5]), GekfConfig())
+                                     np.array([0.5, 0.5]), GekfConfig().a_floor)
         assert c[1] == 0.0 and c[0] != 0.0

@@ -1,13 +1,17 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import shortened
 import lieseek.sim as sim
 from lieseek.cli import execute_run
 from lieseek.errors import DivergenceError, InputError, IntegrationError
-from lieseek.model import DitherSignal, EstimationErrorModel
+from lieseek.model import DitherSignal, EstimationErrorModel, ObjectiveMap
 from lieseek.scenarios import Scenario, preset
 from lieseek.sim import (TrajectoryLog, rk4_step, run_baseline, run_lbs,
                          run_proposed)
@@ -192,7 +196,7 @@ class TestRunProposed:
         step_export = GekfFilter.step_export
 
         def recording(self):
-            covariances.append(self.state.P.copy())
+            covariances.append(self.P.copy())
             return step_export(self)
 
         monkeypatch.setattr(GekfFilter, "step_export", recording)
@@ -347,3 +351,117 @@ class TestDitherTables:
                 d = dithers["u2"]
                 assert u2[row, 0] == math.cos(
                     (sim.TAU / d.period) * th + d.phase)
+
+
+def _member(name: str, horizon: float, gekf: dict | None = None, **system):
+    """Primary system and filter configuration of a shortened preset, with
+    settings of the system's and the filter's config replaced."""
+    cfg = shortened(name, horizon).config
+    cfg["systems"][cfg["primary"]].update(system)
+    cfg["gekf"].update(gekf or {})
+    sc = Scenario(cfg)
+    return sc.primary_system, sc.gekf_config()
+
+
+def _csv_bytes(log: TrajectoryLog) -> list[bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "run.csv", Path(tmp) / "run_gekf.csv"]
+        log.to_csv(str(paths[0]))
+        if log.diag:
+            log.diagnostics_to_csv(str(paths[1]))
+        return [p.read_bytes() for p in paths if p.exists()]
+
+
+def _assert_same_run(member: TrajectoryLog, alone: TrajectoryLog) -> None:
+    """Every array, the meta and both CSV files are equal, bit for bit."""
+    for name in ("t", "x", "f", "a", "j_est", "j_exact", "z_ref"):
+        assert getattr(member, name).tobytes() == getattr(alone, name).tobytes()
+    assert member.meta == alone.meta
+    assert (member.diag is None) == (alone.diag is None)
+    if alone.diag:
+        assert list(member.diag) == list(alone.diag)
+        for key, arr in alone.diag.items():
+            assert member.diag[key].tobytes() == arr.tobytes()
+    assert _csv_bytes(member) == _csv_bytes(alone)
+
+
+class TestLockstepBatch:
+    """Member k of a batch equals the run of that member alone."""
+
+    @given(lams=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)),
+                         min_size=2, max_size=4),
+           horizon=st.floats(0.3, 1.2))
+    @settings(max_examples=6, deadline=None)
+    def test_lambda_members_equal_their_own_runs(self, lams, horizon):
+        members = [_member("case2", horizon, **{"lambda": list(lam)})
+                   for lam in lams]
+        batch = sim.run_batch([spec for spec, _ in members],
+                              [gcfg for _, gcfg in members])
+        for (spec, gcfg), log in zip(members, batch):
+            _assert_same_run(log, run_proposed(spec, gcfg))
+
+    def test_members_with_their_own_references_and_noise(self, monkeypatch):
+        """Differing a0 and x0 give one reference per distinct pair, and
+        per-member amplitude floors; seeded noise stays per member.  The
+        floors are half of a0, so the member started at a0 = 0.5 pauses
+        only under a floor that is not its own."""
+        members = [_member("case1", 3.0, {"a_floor_rel": 0.5}, **kw) for kw in (
+            {"a0": [1.0], "x0": [2.0]}, {"a0": [0.5], "x0": [2.0]},
+            {"a0": [1.0], "x0": [0.5]}, {"x0": [2.0], "lambda": [0.3]})]
+        specs = [spec for spec, _ in members]
+        gcfgs = [gcfg for _, gcfg in members]
+        assert gcfgs[0].a_floor != gcfgs[1].a_floor
+        averaged = []
+        inner = sim._averaged
+
+        def counting(spec, err=None):
+            averaged.append(spec)
+            return inner(spec, err)
+
+        monkeypatch.setattr(sim, "_averaged", counting)
+        sim._reference.cache_clear()
+        seeds = [1, 2, 3, 4]
+        batch = sim.run_batch(specs, gcfgs, seeds, noise_std=0.01)
+        assert len(averaged) == 3
+        for spec, gcfg, seed, log in zip(specs, gcfgs, seeds, batch):
+            _assert_same_run(log, run_proposed(spec, gcfg, seed=seed,
+                                               noise_std=0.01))
+        for spec, log in zip(specs, sim.run_batch(specs)):
+            _assert_same_run(log, run_baseline(spec))
+
+    def test_a_member_leaving_the_box_stops_alone(self):
+        # x0 = 60 lies inside the 10x box (|x0 - 1| < 60) and so does its
+        # averaged reference, but the plant leaves the box in its first step
+        members = [_member("case1", 2.0, x0=[x0]) for x0 in (2.0, 60.0, 0.5)]
+        batch = sim.run_batch([spec for spec, _ in members],
+                              [gcfg for _, gcfg in members])
+        with pytest.raises(DivergenceError) as alone:
+            run_proposed(*members[1])
+        assert type(batch[1]) is DivergenceError
+        assert str(batch[1]) == str(alone.value)
+        assert batch[1].t_exit == alone.value.t_exit < 0.1
+        for k in (0, 2):
+            _assert_same_run(batch[k], run_proposed(*members[k]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_member_with_a_non_finite_stage_stops_alone(self):
+        """Without a domain box, an overflowing member fails in its RK4 step."""
+        spec, gcfg = _member("case1", 1.0)
+        bare = ObjectiveMap(dimension=1, fn=spec.objective.fn)
+        specs = [type(spec)(objective=bare, channels=spec.channels,
+                            dithers=spec.dithers, omega=spec.omega, a0=spec.a0,
+                            lam=spec.lam, x0=[x0], horizon=spec.horizon)
+                 for x0 in (2.0, 1e160, 0.5)]
+        batch = sim.run_batch(specs, [gcfg] * 3)
+        with pytest.raises(IntegrationError) as alone:
+            run_proposed(specs[1], gcfg)
+        assert type(batch[1]) is IntegrationError
+        assert str(batch[1]) == str(alone.value) == "non-finite RK4 stage 1 at t=0.0"
+        for k in (0, 2):
+            _assert_same_run(batch[k], run_proposed(specs[k], gcfg))
+
+    def test_members_must_share_their_system(self):
+        slow, gcfg = _member("case1", 1.0)
+        fast, _ = _member("case1", 1.0, omega=16.0)
+        with pytest.raises(InputError, match="share their system"):
+            sim.run_batch([slow, fast], [gcfg, gcfg])
