@@ -2,10 +2,10 @@
 
 ``sweep --jobs N`` runs the points on N processes: the calling process
 runs every N-th point from the first, and each of N-1 forked workers
-(POSIX only) runs every N-th point from its own offset.  The lambda
-points of one process share their step size, so their seeking runs go
-through one lockstep batch per system and mode; omega points run one by
-one.  The output does not depend on N.
+(POSIX only) runs every N-th point from its own offset.  The seeking runs
+of one process's points go through one lockstep batch per system and
+mode, lambda and omega points alike: omega points each keep their own
+step size and step count.  The output does not depend on N.
 
 Exit codes: 0 success (and check passed), 1 check failed, 2 usage error,
 3 runtime failure.
@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -228,37 +228,46 @@ def _point_summary(sc: Scenario, value: float, sub: str,
             "final_error": finals}
 
 
+def _same_filters(first: Scenario, point_sc: Scenario) -> bool:
+    """Whether every system of the two points has one filter
+    configuration but for the amplitude floor."""
+    for label in first.systems:
+        g = first.gekf_config(label)
+        if replace(point_sc.gekf_config(label), a_floor=g.a_floor) != g:
+            return False
+    return True
+
+
+def _batches(loaded: list, mode: str) -> list[list]:
+    """The loaded ``(value, scenario)`` points in batches, in point order.
+
+    A point joins the current batch unless a mode with the filter runs and
+    its filter configurations differ from the batch's in more than the
+    amplitude floor (an explicit ``dt`` gives each omega its own smoothing
+    window).
+    """
+    batches: list[list] = []
+    for point in loaded:
+        if batches and ("proposed" not in _run_modes(mode)
+                        or _same_filters(batches[-1][0][1], point[1])):
+            batches[-1].append(point)
+        else:
+            batches.append([point])
+    return batches
+
+
 def _sweep_points(sc: Scenario, param: str, values: list[float],
                   horizon: Optional[float], mode: str, out: str,
                   seed: int) -> tuple[list[dict], Optional[LieseekError]]:
     """Run the sweep points ``values`` in order up to the first failure;
     returns one dict per finished point, and the failure or ``None``.
 
-    Lambda points share their step size: all of them are loaded first and
-    their runs made in one batch.  Omega points differ in step size and
-    run one at a time.  Either way the points write their files in order,
-    up to the first that fails.
+    The points are loaded first, up to the first that fails to load, and
+    their seeking runs made in lockstep batches (:func:`_batches`).  The
+    points then write their files in order, up to the first that fails.
     """
-    points: list[dict] = []
-    pending: list[tuple[float, Scenario]] = []
-
-    def flush() -> Optional[LieseekError]:
-        if not pending:
-            return None
-        scenarios = [point_sc for _, point_sc in pending]
-        runs = (_batch_runs(scenarios, mode, seed) if param == "lambda"
-                else [None] * len(pending))
-        for (value, point_sc), point_runs in zip(pending, runs):
-            sub = os.path.join(out, f"{param}_{value:g}")
-            try:
-                artifacts = execute_run(point_sc, mode, sub, seed=seed,
-                                        runs=point_runs)
-            except LieseekError as exc:
-                return exc
-            points.append(_point_summary(point_sc, value, sub, artifacts))
-        pending.clear()
-        return None
-
+    loaded: list[tuple[float, Scenario]] = []
+    failure: Optional[LieseekError] = None
     for value in values:
         ns = argparse.Namespace(omega=value if param == "omega" else None,
                                 lam=value if param == "lambda" else None,
@@ -267,13 +276,22 @@ def _sweep_points(sc: Scenario, param: str, values: list[float],
             point_sc = _apply_overrides(sc, ns)
             _require_bound_samples(point_sc, mode)
         except LieseekError as exc:
-            return points, flush() or exc
-        pending.append((value, point_sc))
-        if param == "omega":
-            failure = flush()
-            if failure is not None:
-                return points, failure
-    return points, flush()
+            failure = exc
+            break
+        loaded.append((value, point_sc))
+
+    points: list[dict] = []
+    for batch in _batches(loaded, mode):
+        runs = _batch_runs([point_sc for _, point_sc in batch], mode, seed)
+        for (value, point_sc), point_runs in zip(batch, runs):
+            sub = os.path.join(out, f"{param}_{value:g}")
+            try:
+                artifacts = execute_run(point_sc, mode, sub, seed=seed,
+                                        runs=point_runs)
+            except LieseekError as exc:
+                return points, exc
+            points.append(_point_summary(point_sc, value, sub, artifacts))
+    return points, failure
 
 
 def _sweep_share(config: dict, *share) -> tuple:

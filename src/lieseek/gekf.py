@@ -28,10 +28,12 @@ The state is stacked in plain arrays, one leading row per member:
 
 A filter of one member, started from one float, drops the leading axis:
 ``(2n+1,)``, ``(2n+1, 2n+1)`` and ``(2w, n)``.  Members share the
-configuration and the step size but may differ in their amplitude floor.
+configuration but may differ in their amplitude floor and step size.
 The stacked ``matmul`` products (not ``einsum``, which rounds
 differently) and the means over the window axis give each member the
-same bits as a filter of that member alone.  An instance is a
+same bits as a filter of that member alone.  The step size is one float,
+or a ``(B, 1)`` column when the members step with different sizes; the
+transition is then stacked too, ``(B, 2n+1, 2n+1)``.  An instance is a
 single-owner mutable state machine.
 """
 
@@ -157,14 +159,19 @@ class GekfFilter:
         self._prior = None
 
     def take(self, members) -> "GekfFilter":
-        """A copy that holds only the members at the indices ``members``
-        of a filter with a member axis."""
+        """A copy that holds only the members ``members`` (a list or a
+        slice of indices) of a filter with a member axis; one index as an
+        int gives a filter without the member axis."""
         out = copy.copy(self)
         for name in ("mean", "P", "_rows", "paused", "_j", "last_innovation"):
-            setattr(out, name, getattr(self, name)[members])
-        if np.ndim(self._a_floor):
-            out._a_floor = self._a_floor[members]
-        out._prior = None
+            setattr(out, name, np.array(getattr(self, name)[members]))
+        # the per-member floor and time are (B, 1) columns
+        single = isinstance(members, int)
+        for name in ("_a_floor", "t"):
+            value = getattr(self, name)
+            if np.ndim(value):
+                setattr(out, name, value[members, 0] if single else value[members])
+        out._dt = out._prior = None
         return out
 
     def snapshot(self) -> tuple:
@@ -177,19 +184,27 @@ class GekfFilter:
         (self.mean, self.P, self.t, self.paused, self.last_innovation,
          self._prior) = snapshot
 
-    def propagate(self, dt: float) -> None:
-        """Advance mean and covariance by the constant-velocity model."""
-        if dt <= 0:
-            raise ConfigurationError("propagation step must be positive")
+    def propagate(self, dt) -> None:
+        """Advance mean and covariance by the constant-velocity model.
+
+        ``dt`` is one float, or a ``(B, 1)`` column of per-member steps;
+        the transition is built again only when ``dt`` is another object
+        than at the last call.
+        """
         n = self.n
-        if dt != self._dt:
-            phi = np.eye(2 * n + 1)
-            phi[:n, n:2 * n] = dt * np.eye(n)
-            self._dt, self._phi, self._q_dt = dt, phi, self._q * dt
+        if dt is not self._dt:
+            if not np.all(dt > 0):
+                raise ConfigurationError("propagation step must be positive")
+            # a float, or a (B, 1, 1) stack of steps for (B, d, d) matrices
+            step = np.asarray(dt, dtype=float)[..., None]
+            dim = 2 * n + 1
+            phi = np.broadcast_to(np.eye(dim), step.shape[:-2] + (dim, dim)).copy()
+            phi[..., :n, n:2 * n] = step * np.eye(n)
+            self._dt, self._phi, self._q_dt = dt, phi, self._q * step
         mean = self.mean.copy()
         mean[..., :n] = mean[..., :n] + dt * mean[..., n:2 * n]
         phi = self._phi
-        P = phi @ self.P @ phi.T + self._q_dt
+        P = phi @ self.P @ phi.swapaxes(-1, -2) + self._q_dt
         self.mean, self.P = mean, 0.5 * (P + P.swapaxes(-1, -2))
         self.t += dt
         self._prior = None

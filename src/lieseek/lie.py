@@ -56,18 +56,28 @@ def lie_bracket(b_i: VectorFieldFn, b_j: VectorFieldFn, t: float, x) -> np.ndarr
     return b_j.jac(t, x) @ b_i.value(t, x) - b_i.jac(t, x) @ b_j.value(t, x)
 
 
-def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None) -> np.ndarray:
+def bracket_weight(spec: EscSystemSpec, amplitude=None) -> np.ndarray:
+    """The channel weights ``-nu_hat * a_i^2`` of the averaged right-hand
+    side; ``amplitude`` defaults to the spec's initial amplitudes."""
+    a = spec.a0 if amplitude is None else np.asarray(amplitude, dtype=float)
+    return -spec.nu_hats * a * a
+
+
+def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None,
+                  weight=None) -> np.ndarray:
     """Oracle: exact averaged right-hand side at the states ``z``.
 
     Per channel: ``-nu_hat * a_i^2 * (df/dz_i) * b0_i(f)``, with the
     gradient taken from the objective's oracle.  ``z`` has shape
     ``(..., n)`` and so has the result; ``amplitude`` broadcasts against
-    it and defaults to the spec's initial amplitudes.
+    it and defaults to the spec's initial amplitudes.  A caller that
+    evaluates many states at fixed amplitudes passes their
+    :func:`bracket_weight` as ``weight`` instead.
     """
     if not spec.objective.has_oracle:
         raise CapabilityError("exact averaged dynamics need an oracle gradient")
-    a = spec.a0 if amplitude is None else np.asarray(amplitude, dtype=float)
-    weight = -spec.nu_hats * a * a
+    if weight is None:
+        weight = bracket_weight(spec, amplitude)
     grad = spec.objective.measured_gradient(z)
     _, _, b0 = spec.coefficients(spec.objective.measured(z))
     return weight * grad * b0

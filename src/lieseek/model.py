@@ -399,6 +399,9 @@ class EscSystemSpec:
             raise ConfigurationError("dt must be positive")
         if self.horizon <= dt:
             raise ConfigurationError("horizon must exceed dt")
+        if not math.isfinite(self.horizon / dt):
+            raise ConfigurationError(
+                f"horizon {self.horizon:g} over dt={dt:g} is too many steps")
         if dt > self.dither_period_seconds / 32.0 + 1e-15:
             raise ConfigurationError(
                 f"dt={dt} too coarse; needs <= (T/omega)/32 = "

@@ -42,8 +42,10 @@ def build_objective(cfg: Mapping) -> ObjectiveMap:
         d = x - c
         return np.vecdot(d * d, w) + offset
 
+    w2 = 2.0 * w
+
     def grad(x: np.ndarray) -> np.ndarray:
-        return 2.0 * w * (x - c)
+        return w2 * (x - c)
 
     return ObjectiveMap(
         dimension=w.shape[0], fn=fn, gradient=grad,

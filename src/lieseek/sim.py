@@ -7,27 +7,30 @@ The runners:
 * :func:`run_proposed` -- amplitude adaptation driven by the estimation
   filter's averaged-RHS signal,
 * :func:`run_batch` -- either kind for B members of one system that
-  differ in lambda, a0, x0 and seed, stepped in lockstep,
+  differ in lambda, a0, x0, omega, dt, horizon and seed, stepped in
+  lockstep,
 * :func:`run_lbs` -- the averaged (bracket) system itself, exactly or
   with a synthetic decaying estimation error.
 
 The first three are one seeking loop, :class:`_Lockstep`: a single run is
 a batch of one member.  Member k of a batch equals its own run bit for
-bit, and a member that fails stops alone while the others finish.
+bit, on its own time grid; a member that reaches its last step leaves the
+batch, and a member that fails stops alone while the others finish.
 
 Runs are single-threaded and bit-deterministic for a given spec and
 seed; optional measurement noise draws from a per-member seeded
 generator.
 
 The seeking loop does only state-dependent work.  What depends on time
-alone is tabulated once per batch by :func:`_dither_tables`: every
-channel's dither values at each step start and midpoint of the loop's
-own time grid (the RK4 stage times), and their per-step Simpson sums,
-which give the filter its input integrals.  The averaged reference
-trajectory is integrated once per batch and distinct (a0, x0), and
-shared by the runs of one system (:func:`_reference` caches it for the
-last spec); the ``f`` column and the oracle ``Jexact`` column are each
-filled by one array call over a member's logged rows after the loop.
+alone is tabulated once per batch and time grid by :func:`_dither_tables`:
+every channel's dither values at each step start and midpoint of the
+grid (the RK4 stage times), and their per-step Simpson sums, which give
+the filter its input integrals.  The averaged reference trajectories of a
+batch, one per distinct (a0, x0, dt, horizon), are integrated together
+as the rows of one RK4 step (:func:`_averaged`), and shared by the runs of
+one system (:func:`_reference` caches them for the last batch); the ``f``
+column and the oracle ``Jexact`` column are each filled by one array call
+over a member's logged rows after the loop.
 """
 
 from __future__ import annotations
@@ -42,9 +45,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, InputError, IntegrationError, LieseekError
+from .errors import (ConfigurationError, DivergenceError, InputError,
+                     IntegrationError, LieseekError)
 from .gekf import GekfConfig, GekfFilter
-from .lie import lbs_rhs_exact
+from .lie import bracket_weight, lbs_rhs_exact
 from .model import TAU, DitherSignal, EscSystemSpec, EstimationErrorModel
 
 CSV_NAN = ""
@@ -64,10 +68,15 @@ def _dither_values(d: DitherSignal, theta: np.ndarray) -> np.ndarray:
     return np.asarray(d.value(theta), dtype=float)
 
 
+def _steps(spec: EscSystemSpec) -> int:
+    """The number of integration steps of a run of ``spec``."""
+    return int(round(spec.horizon / spec.resolved_dt))
+
+
 def step_times(spec: EscSystemSpec) -> np.ndarray:
     """The times of a run's logged rows: step starts accumulated by ``+ dt``."""
     dt = spec.resolved_dt
-    steps = int(round(spec.horizon / dt))
+    steps = _steps(spec)
     t = np.zeros(steps + 1)
     np.cumsum(np.full(steps, dt), out=t[1:])
     return t
@@ -101,8 +110,14 @@ def _simpson_sums(u: np.ndarray) -> np.ndarray:
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
              x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step."""
-    if dt <= 0:
+    """One classical fourth-order Runge-Kutta step.
+
+    ``dt`` is one float, or a ``(rows, 1)`` column that gives each row of
+    ``x`` its own step (and ``t`` is then a column of times too); each row
+    gets the bits of its own step.
+    """
+    positive = dt > 0
+    if positive is not True and not np.all(positive):
         raise IntegrationError("step size must be positive", t=t)
     x = np.asarray(x, dtype=float)
     half = 0.5 * dt
@@ -183,8 +198,11 @@ class TrajectoryLog:
 
     @staticmethod
     def from_csv(path: str) -> "TrajectoryLog":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [ln for ln in fh.read().splitlines() if ln]
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
         if not lines:
             raise InputError(f"empty CSV: {path}")
         header = lines[0].split(",")
@@ -260,57 +278,149 @@ def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
     return guard
 
 
-def _averaged(spec: EscSystemSpec,
-              err: Optional[EstimationErrorModel] = None) -> np.ndarray:
-    """Averaged-system states at the initial amplitudes, one row per step.
 
-    ``err`` adds the synthetic estimation error to the right-hand side.
+
+def _index(rows: Sequence[int]):
+    """An index of ``rows`` along a member axis: an int for one row (it
+    drops the axis), a slice for consecutive rows, else the list."""
+    if len(rows) == 1:
+        return int(rows[0])
+    if all(b == a + 1 for a, b in zip(rows, rows[1:])):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return list(rows)
+
+
+def _per_row(values: list):
+    """The float that all rows share, or a ``(rows, 1)`` column of them."""
+    if all(v == values[0] for v in values):
+        return values[0]
+    return np.array(values)[:, None]
+
+
+def _per_row_tables(tables: list) -> np.ndarray:
+    """The table that all rows share, or the tables stacked along a member
+    axis (axis 1), each padded at its end with zeros that are never read."""
+    if all(tab is tables[0] for tab in tables):
+        return tables[0]
+    out = np.zeros((max(len(tab) for tab in tables), len(tables))
+                   + tables[0].shape[1:])
+    for i, tab in enumerate(tables):
+        out[:len(tab), i] = tab
+    return out
+
+
+def _averaged(specs: Sequence[EscSystemSpec],
+              err: Optional[EstimationErrorModel] = None) -> list:
+    """Averaged-system states of ``specs`` at their initial amplitudes: per
+    spec, one row per step, or the error that its own integration raises.
+
+    The specs share their objective, coefficient forms and dithers, and
+    may differ in a0, x0, dt and horizon.  Their states are the rows of
+    one RK4 step, each row with its own step size, so each gets the bits
+    of its own integration.  A row leaves when it reaches its last step;
+    a failing row leaves with its error and the others go on.  ``err``
+    (with one spec) adds the synthetic estimation error to the
+    right-hand side.
     """
-    dt = spec.resolved_dt
-    steps = int(round(spec.horizon / dt))
-
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        j = lbs_rhs_exact(spec, z)
-        return j if err is None else j + err.value(t)
-
+    spec = specs[0]
     guard = _guard(spec)
-    z = np.empty((steps + 1, spec.n))
-    z[0] = spec.x0
-    for k in range(steps):
-        t = k * dt
-        z[k + 1] = rk4_step(rhs, t, z[k], dt)
-        guard(z[k + 1], t + dt)
-    return z
+    dts = [s.resolved_dt for s in specs]
+    ends = [_steps(s) for s in specs]
+    weights = np.array([bracket_weight(s) for s in specs])
+
+    def rhs_of(weight: np.ndarray) -> Callable:
+        def rhs(t, z: np.ndarray) -> np.ndarray:
+            j = lbs_rhs_exact(spec, z, weight=weight)
+            return j if err is None else j + err.value(t)
+        return rhs
+
+    z = np.empty((max(ends) + 1, len(specs), spec.n))
+    z[0] = [s.x0 for s in specs]
+    out: list = [None] * len(specs)
+    active = list(range(len(specs)))
+    k = 0
+    while active:
+        rows = _index(active)
+        dt = _per_row([dts[i] for i in active])
+        rhs = rhs_of(weights[rows])
+        state = z[k, rows]
+        try:
+            for k in range(k, min(ends[i] for i in active)):
+                t = k * dt
+                state = rk4_step(rhs, t, state, dt)
+                guard(state, t + dt)
+                z[k + 1, rows] = state
+        except LieseekError as exc:
+            failed = {}
+            for i in active:   # which rows fail their step alone
+                try:
+                    t = k * dts[i]
+                    guard(rk4_step(rhs_of(weights[i]), t, z[k, i], dts[i]),
+                          t + dts[i])
+                except LieseekError as row_exc:
+                    failed[i] = row_exc
+            if not failed:   # a failure of the rows together, not of one
+                raise exc
+            for i, row_exc in failed.items():
+                out[i] = row_exc
+            active = [i for i in active if i not in failed]
+            continue
+        k += 1
+        for i in active:
+            if ends[i] == k:
+                out[i] = z[:k + 1, i].copy()
+        active = [i for i in active if ends[i] > k]
+    return out
 
 
 @functools.lru_cache(maxsize=1)
-def _reference(spec: EscSystemSpec) -> np.ndarray:
-    """The unperturbed averaged trajectory of ``spec``, read-only.
+def _reference(specs: tuple) -> tuple:
+    """The unperturbed averaged trajectory of each of ``specs``, read-only,
+    or the error that its integration raises.
 
-    Cached for the last spec, so the runs of one system share one
-    integration.
+    Cached for the last tuple of specs, so the runs of one system (in
+    both modes) share one integration.
     """
-    z = _averaged(spec)
-    z.flags.writeable = False
-    return z
+    refs = _averaged(specs)
+    for z in refs:
+        if isinstance(z, np.ndarray):
+            z.flags.writeable = False
+    return tuple(refs)
+
+
+def _references(specs: Sequence[EscSystemSpec]) -> list:
+    """Per member, its averaged reference or the error that its
+    integration raises; rows of NaN without an oracle.  One reference is
+    integrated per distinct (a0, x0, dt, horizon): it does not depend on
+    lambda or omega."""
+    if not specs[0].objective.has_oracle:
+        return [np.full((_steps(s) + 1, s.n), np.nan) for s in specs]
+    keys = [(s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt, s.horizon)
+            for s in specs]
+    firsts: dict = {}
+    for key, s in zip(keys, specs):
+        firsts.setdefault(key, s)
+    refs = dict(zip(firsts, _reference(tuple(firsts.values()))))
+    return [refs[key] for key in keys]
 
 
 def _require_shared(specs: Sequence[EscSystemSpec],
                     gcfgs: Optional[Sequence[GekfConfig]]) -> None:
-    """Raise :class:`InputError` unless the members differ only in lambda,
-    a0, x0 and the filter's amplitude floor (which scales with a0)."""
+    """Raise :class:`InputError` unless the members share their objective,
+    coefficient forms and dithers, and their filter configuration but for
+    the amplitude floor (which scales with a0)."""
     first = specs[0]
 
     def shape(spec: EscSystemSpec) -> tuple:
         obj = spec.objective
-        return (spec.omega, spec.resolved_dt, spec.horizon, dict(spec.dithers),
+        return (dict(spec.dithers),
                 [(ch.b1, ch.b2, ch.u1_ref, ch.u2_ref) for ch in spec.channels],
                 (obj.dimension, obj.kind, obj.x_star, obj.f_star,
                  obj.domain_box, obj.has_oracle))
 
     if any(shape(spec) != shape(first) for spec in specs[1:]):
-        raise InputError("batch members must share their system but for "
-                         "lambda, a0 and x0")
+        raise InputError("batch members must share their system: objective, "
+                         "coefficient forms and dithers")
     if gcfgs is not None and any(
             replace(g, a_floor=gcfgs[0].a_floor) != gcfgs[0] for g in gcfgs):
         raise InputError("batch members must share their filter configuration "
@@ -322,21 +432,40 @@ def _stack(arrays: list) -> np.ndarray:
     return np.array(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
 
 
+class _Grid:
+    """The time grid of the members that share omega, dt and step count:
+    step size, step times and the dither tables on them."""
+
+    def __init__(self, spec: EscSystemSpec, sums: bool):
+        self.dt = spec.resolved_dt
+        self.steps = _steps(spec)
+        self.sqrt_w = math.sqrt(spec.omega)
+        self.t, self.u1, self.u2 = _dither_tables(spec, self.steps)
+        self.times = self.t.tolist()
+        self.u1_sums = _simpson_sums(self.u1) if sums else None
+        self.u2_sums = _simpson_sums(self.u2) if sums else None
+
+
 class _Lockstep:
     """Seeking runs of B members advanced in lockstep, one row per member.
 
-    The members share the objective, the coefficient forms, the dithers,
-    omega, dt and the horizon: those of the first spec.  They differ in
-    lambda, a0, x0, seed and the filter's amplitude floor.  Every array
+    The members share the objective, the coefficient forms and the
+    dithers: those of the first spec.  They differ in lambda, a0, x0,
+    omega, dt, horizon, seed and the filter's amplitude floor.  Every array
     operation of a step acts on each row alone, so member k gets the bits
-    of its own run.  A batch of one member keeps its arrays without the
-    member axis, ``(n,)`` rather than ``(1, n)``: NumPy broadcasts a
-    ``(1, n)`` row against ``(n,)`` operands on a slower path, about a
-    microsecond more per operation.  One step is a fallible part,
-    :meth:`_attempt`, that commits nothing, and :meth:`_commit`.  When
-    the attempt fails, each member attempts the step alone; those that
-    fail record their error and stop, and the others take the step
-    together.
+    of its own run.  Step k of the loop is step k of every member, each on
+    its own time grid (:class:`_Grid`): when the members' step sizes
+    differ, ``dt`` and the step start are ``(B, 1)`` columns and the
+    dither tables are stacked per member; a shared step size stays a
+    float.  A member leaves the batch after its last step.  A batch of one
+    member keeps its arrays without the member axis, ``(n,)`` rather than
+    ``(1, n)``: NumPy broadcasts a ``(1, n)`` row against ``(n,)``
+    operands on a slower path, about a microsecond more per operation; a
+    batch that shrinks to one member drops the axis too.  One step is a
+    fallible part, :meth:`_attempt`, that commits nothing, and
+    :meth:`_commit`.  When the attempt fails, each member attempts the
+    step alone; those that fail record their error and stop, and the
+    others take the step together.
     """
 
     def __init__(self, specs: Sequence[EscSystemSpec], adapt: bool,
@@ -347,20 +476,28 @@ class _Lockstep:
         if self.use_filter and (gcfgs is None or None in gcfgs):
             raise InputError("proposed run needs a filter configuration")
         _require_shared(specs, gcfgs if self.use_filter else None)
-        self.spec, self.obj = spec, spec.objective
-        self.dt = dt = spec.resolved_dt
-        self.steps = steps = int(round(spec.horizon / dt))
+        self.specs, self.spec, self.obj = list(specs), spec, spec.objective
         size, n = len(specs), spec.n
         self.adapt, self.j_override = adapt, j_override
-        self.sqrt_w = math.sqrt(spec.omega)
         self.guard = _guard(spec)
         self.seeds = list(seeds)
         self.rngs = ([np.random.default_rng(seed) for seed in seeds]
                      if noise_std > 0 else None)
         self.noise_std = noise_std
-        self.t, self.u1, self.u2 = _dither_tables(spec, steps)
-        self.times = self.t.tolist()
         self.errors: dict[int, LieseekError] = {}
+        # the references first: a run's set-up ends at its first RK4 step
+        self.zref = _references(specs)
+
+        # one grid per distinct (omega, dt, steps); grid_of[k] is member k's
+        grids: dict = {}
+        self.grid_of = []
+        for s in specs:
+            key = (s.omega, s.resolved_dt, _steps(s))
+            if key not in grids:
+                grids[key] = _Grid(s, self.use_filter)
+            self.grid_of.append(grids[key])
+        self.steps = max(g.steps for g in self.grid_of)
+        self.ends = {g.steps for g in self.grid_of} - {self.steps}
 
         # per-member state; row i belongs to member members[i]
         self.members = np.arange(size)
@@ -368,6 +505,7 @@ class _Lockstep:
         self.x = _stack([s.x0 for s in specs])
         self.a = _stack([s.a0 for s in specs])
         self.j_sig = np.zeros(self.x.shape)
+        self._regrid()
         self.filt = self.f_prev = self.u1_acc = self.u2_acc = None
         if self.use_filter:
             f0 = self.obj.measured(self.x)
@@ -379,12 +517,10 @@ class _Lockstep:
             self.f_prev = f0
             self.u1_acc = np.zeros(self.x.shape)
             self.u2_acc = np.zeros(self.x.shape)
-            self.u1_sums = _simpson_sums(self.u1)
-            self.u2_sums = _simpson_sums(self.u2)
         elif adapt:
             self.j_sig = self._override(0.0)
 
-        total = steps + 1
+        total = self.steps + 1
         self.x_log = np.empty((total, size, n))
         self.a_log = np.empty((total, size, n))
         self.jest_log = np.full((total, size, n), np.nan)
@@ -393,27 +529,29 @@ class _Lockstep:
             self.mean_log = np.empty((total, size, dim))
             self.innovation_log = np.empty((total, size))
             self.P_log = np.empty((total, size, dim, dim))
-        self.zref = [np.full((total, n), np.nan)] * size
-        if self.obj.has_oracle:
-            # one averaged reference per distinct (a0, x0): it does not
-            # depend on lambda
-            refs: dict = {}
-            for k, s in enumerate(specs):
-                key = (s.a0.tobytes(), s.x0.tobytes())
-                if key not in refs:
-                    try:
-                        refs[key] = _reference(s)
-                    except LieseekError as exc:
-                        refs[key] = exc
-                self.zref[k] = refs[key]
         failed = [k for k, z in enumerate(self.zref)
                   if isinstance(z, LieseekError)]
         self.errors.update((k, self.zref[k]) for k in failed)
-        self.columns = slice(None)   # the log columns of the rows
         if failed:
             self._keep([k for k in range(size) if k not in failed])
         if self.members.size:
             self._log(0)
+
+    def _regrid(self) -> None:
+        """Set the step sizes, step times, tables and log columns of the
+        current rows."""
+        grids = [self.grid_of[k] for k in self.members]
+        self.dt = _per_row([g.dt for g in grids])
+        self.sqrt_w = _per_row([g.sqrt_w for g in grids])
+        if np.ndim(self.dt):
+            self.times = _per_row_tables([g.t for g in grids])[..., None]
+        else:
+            self.times = max(grids, key=lambda g: g.steps).times
+        for name in ("u1", "u2", "u1_sums", "u2_sums"):
+            if getattr(grids[0], name) is not None:
+                setattr(self, name,
+                        _per_row_tables([getattr(g, name) for g in grids]))
+        self.columns = _index(self.members)   # the log columns of the rows
 
     def _noise(self):
         draws = [rng.normal(0.0, self.noise_std) for rng in self.rngs]
@@ -423,18 +561,21 @@ class _Lockstep:
         j = self.j_override(t) if callable(self.j_override) else self.j_override
         return np.broadcast_to(np.asarray(j, dtype=float), self.a.shape).copy()
 
-    def _take(self, rows) -> "_Lockstep":
-        """A copy that holds only the rows ``rows``."""
+    def _take(self, rows: list) -> "_Lockstep":
+        """A copy that holds only the rows ``rows`` of a batch with a
+        member axis; one row drops the axis."""
         out = copy.copy(self)
-        for name in ("members", "lam", "x", "a", "j_sig", "f_prev", "u1_acc",
-                     "u2_acc"):
+        index = _index(rows)
+        for name in ("lam", "x", "a", "j_sig", "f_prev", "u1_acc", "u2_acc"):
             value = getattr(self, name)
             if value is not None:
-                setattr(out, name, value[rows])
+                setattr(out, name, value[index])
+        out.members = self.members[rows]
         if self.rngs:
             out.rngs = [self.rngs[i] for i in rows]
         if self.filt is not None:
-            out.filt = self.filt.take(rows)
+            out.filt = self.filt.take(index)
+        out._regrid()
         return out
 
     def _keep(self, rows: list) -> None:
@@ -442,7 +583,13 @@ class _Lockstep:
             self.members = self.members[:0]
             return
         vars(self).update(vars(self._take(rows)))
-        self.columns = self.members
+
+    def _finish(self, step: int) -> None:
+        """Let the members whose last step is ``step`` leave the batch."""
+        kept = [i for i, k in enumerate(self.members)
+                if self.grid_of[k].steps > step]
+        if len(kept) < self.members.size:
+            self._keep(kept)
 
     def _log(self, k: int) -> None:
         columns = self.columns
@@ -455,13 +602,14 @@ class _Lockstep:
             self.innovation_log[k, columns] = self.filt.last_innovation
             self.P_log[k, columns] = self.filt.P
 
-    def _plant(self, step: int, t0: float, scale: np.ndarray):
-        # the RK4 stage times of the step and their rows in the tables
-        dt, spec, obj, u1, u2 = self.dt, self.spec, self.obj, self.u1, self.u2
-        rows = {t0: 2 * step, t0 + 0.5 * dt: 2 * step + 1, t0 + dt: 2 * step + 2}
+    def _plant(self, step: int, scale: np.ndarray):
+        spec, obj, u1, u2 = self.spec, self.obj, self.u1, self.u2
+        # the table rows of the four RK4 stages, in the order rk4_step
+        # calls them: step start, midpoint twice, step end
+        rows = iter((2 * step, 2 * step + 1, 2 * step + 1, 2 * step + 2))
 
-        def xdot(t: float, x: np.ndarray) -> np.ndarray:
-            i = rows[t]
+        def xdot(t, x: np.ndarray) -> np.ndarray:
+            i = next(rows)
             b1, b2 = spec.coefficient_values(obj.measured(x))
             return scale * (b1 * u1[i] + b2 * u2[i])
         return xdot
@@ -471,12 +619,12 @@ class _Lockstep:
         raises for a failing member, with the filter left as it was."""
         dt, t0 = self.dt, self.times[step]
         scale = self.a * self.sqrt_w
-        x = rk4_step(self._plant(step, t0, scale), t0, self.x, dt)
+        x = rk4_step(self._plant(step, scale), t0, self.x, dt)
         a = self.a
         if self.adapt:
             lam, j_held = self.lam, self.j_sig
             a = rk4_step(lambda t, a: -lam * (a - j_held), t0, a, dt)
-        self.guard(x, t0 + dt)
+        self.guard(x, self.times[step + 1])
         if not self.use_filter:
             return x, a, None
         weight = scale * (dt / 4.0)
@@ -521,7 +669,7 @@ class _Lockstep:
             for i in range(self.members.size):
                 try:
                     self._take([i])._attempt(
-                        step, measure, None if noise is None else noise[[i]])
+                        step, measure, None if noise is None else noise[i])
                 except LieseekError as err:
                     failed[i] = err
             if not failed:   # a failure of the batch, not of a member
@@ -536,6 +684,8 @@ class _Lockstep:
         """Each member's log, or the error that stopped it."""
         n_meas = self.filt.cfg.n_meas if self.use_filter else 1
         for step in range(self.steps):
+            if step in self.ends:
+                self._finish(step)
             if not self.members.size:
                 break
             measure = self.use_filter and (step + 1) % n_meas == 0
@@ -546,7 +696,7 @@ class _Lockstep:
                 kept = self._drop_failing(step, measure, noise, exc)
                 if not kept:
                     break
-                noise = None if noise is None else noise[kept]
+                noise = None if noise is None else noise[_index(kept)]
                 new = self._attempt(step, measure, noise)
             self._commit(step, measure, new)
         return [self._result(k) for k in range(len(self.seeds))]
@@ -554,8 +704,9 @@ class _Lockstep:
     def _result(self, k: int):
         if k in self.errors:
             return self.errors[k]
-        spec, n = self.spec, self.spec.n
-        x, a = self.x_log[:, k], self.a_log[:, k]
+        spec, grid, n = self.specs[k], self.grid_of[k], self.spec.n
+        logged = slice(0, grid.steps + 1)
+        x, a = self.x_log[logged, k], self.a_log[logged, k]
         try:
             f = self.obj.value(x)
             j_exact = (lbs_rhs_exact(spec, x, amplitude=a) if self.obj.has_oracle
@@ -565,15 +716,15 @@ class _Lockstep:
         diag = None
         if self.use_filter:
             # covariance summaries of all rows at once
-            mean, P = self.mean_log[:, k], self.P_log[:, k]
+            mean, P = self.mean_log[logged, k], self.P_log[logged, k]
             diag = {"x1": mean[:, :n], "x2": mean[:, n:2 * n], "x3": mean[:, -1],
-                    "innovation": self.innovation_log[:, k],
+                    "innovation": self.innovation_log[logged, k],
                     "trace_p": np.trace(P, axis1=1, axis2=2),
                     "min_eig_p": np.linalg.eigvalsh(P).min(axis=1)}
-        meta = {"omega": spec.omega, "dt": self.dt,
+        meta = {"omega": spec.omega, "dt": grid.dt,
                 "mode": "proposed" if self.adapt else "baseline",
                 "seed": self.seeds[k]}
-        return TrajectoryLog(self.t, x, f, a, self.jest_log[:, k], j_exact,
+        return TrajectoryLog(grid.t, x, f, a, self.jest_log[logged, k], j_exact,
                              self.zref[k], diag=diag, meta=meta)
 
 
@@ -592,9 +743,11 @@ def run_batch(specs: Sequence[EscSystemSpec],
 
     Without ``gcfgs`` these are constant-amplitude runs, with one filter
     configuration per member adaptive ones.  The members share their
-    system but for lambda, a0 and x0 (see :class:`_Lockstep`).  Returns,
-    per member, the log or the :class:`LieseekError` that its own run
-    raises; member k equals its own run bit for bit.
+    objective, coefficient forms and dithers, and the filter
+    configuration but for its amplitude floor; they may differ in lambda,
+    a0, x0, omega, dt and horizon (see :class:`_Lockstep`).  Returns, per
+    member, the log or the :class:`LieseekError` that its own run raises;
+    member k equals its own run bit for bit.
     """
     seeds = [0] * len(specs) if seeds is None else seeds
     return _Lockstep(specs, gcfgs is not None, gcfgs, seeds, noise_std,
@@ -630,8 +783,9 @@ def run_lbs(spec: EscSystemSpec,
         raise InputError("averaged-system run needs an oracle gradient")
     dt = spec.resolved_dt
     a0 = spec.a0
-    zref_log = _reference(spec)
-    x_log = zref_log.copy() if err is None else _averaged(spec, err)
+    zref_log = _raised(_reference((spec,))[0])
+    x_log = (zref_log.copy() if err is None
+             else _raised(_averaged([spec], err)[0]))
     total, n = x_log.shape
     t_log = np.arange(total) * dt
     f_log = spec.objective.value(x_log)

@@ -8,11 +8,15 @@ import pytest
 from lieseek.scenarios import Scenario, preset
 
 
-def shortened(name: str, horizon: float, label: str | None = None) -> Scenario:
-    """A preset with every system's horizon clipped (for fast tests)."""
+def shortened(name: str, horizon: float, label: str | None = None,
+              omega: float | None = None) -> Scenario:
+    """A preset with every system's horizon clipped (for fast tests), and
+    its omega replaced when ``omega`` is given."""
     cfg = preset(name).config
     for sys_cfg in cfg["systems"].values():
         sys_cfg["horizon"] = horizon
+        if omega is not None:
+            sys_cfg["omega"] = omega
     if label is not None:
         cfg["systems"] = {label: cfg["systems"][label]}
         cfg["primary"] = label

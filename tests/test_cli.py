@@ -218,6 +218,7 @@ def _short_case1_with(path: tuple, value) -> str:
         "samples": [[k * 2 * math.pi / 64, 1.0] for k in range(64)]}), []),
     (None, ["case1", "--mode", "proposed", "--horizon", "0.5"]),
     (None, ["case1", "--horizon", "1"]),
+    (None, ["case1", "--mode", "lbs", "--horizon", "2", "--omega", "1e308"]),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
@@ -225,7 +226,7 @@ def _short_case1_with(path: tuple, value) -> str:
         "negative-analysis-t-min", "negative-analysis-window",
         "nan-horizon", "inf-horizon", "nan-lambda", "inf-lambda", "nan-x0",
         "inf-omega", "nan-coefficient-gain", "non-zero-mean-dither",
-        "horizon-below-t-min", "horizon-at-t-min"])
+        "horizon-below-t-min", "horizon-at-t-min", "overflowing-step-count"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -237,6 +238,19 @@ def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     assert err.startswith("error: ") and err.count("\n") == 1
     # a bad setting fails at load, before any run writes its CSV
     assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-bound", "missing.csv", "--p", "1.1"],
+    ["compare", "missing.csv", "also-missing.csv", "--x-star", "1"],
+], ids=["check-bound", "compare"])
+def test_missing_csv_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
+                                             argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read CSV missing.csv")
+    assert err.count("\n") == 1
 
 
 def test_sweep_uses_in_memory_logs(tmp_path, short_case1_path, monkeypatch,
@@ -361,13 +375,20 @@ def test_sweep_reports_the_first_failing_point_at_any_jobs(tmp_path,
     assert "lam must be finite" in err
 
 
+@pytest.mark.parametrize("scenario,flag,values,first", [
+    ("case2", "--lambda", "0.1,1e4,0.2,1e5", "lambda_0.1"),
+    ("case1", "--omega", "50,2,100,1.5", "omega_50"),
+], ids=["lambda", "omega"])
 def test_sweep_reports_the_first_failing_run_at_any_jobs(tmp_path,
-                                                         monkeypatch, capsys):
-    """Points 1 and 3 leave the box in their first steps; the batch of
-    either share finishes its other points, and the lowest failing index
-    is reported whatever ``--jobs`` is."""
-    argv = ["sweep", "case2", "--mode", "proposed", "--horizon", "1.5",
-            "--lambda", "0.1,1e4,0.2,1e5"]
+                                                         monkeypatch, capsys,
+                                                         scenario, flag,
+                                                         values, first):
+    """Points 1 and 3 leave the box (lambda: in their first steps; omega:
+    at t = 0.39 and 0.46); the batch of either share finishes its other
+    points, and the lowest failing index is reported whatever ``--jobs``
+    is."""
+    argv = ["sweep", scenario, "--mode", "proposed", "--horizon", "1.5",
+            flag, values]
     results = []
     for jobs in (1, 2):
         rc = _sweep_in(tmp_path / f"jobs{jobs}", argv + ["--jobs", str(jobs)],
@@ -379,8 +400,59 @@ def test_sweep_reports_the_first_failing_run_at_any_jobs(tmp_path,
     assert "left 10x domain-box region" in err
     # the points before the failing one are written, at any --jobs
     for jobs in (1, 2):
-        assert (tmp_path / f"jobs{jobs}" / "out" / "lambda_0.1"
-                / "case2_main_proposed.csv").exists()
+        assert (tmp_path / f"jobs{jobs}" / "out" / first
+                / f"{scenario}_main_proposed.csv").exists()
+
+
+def test_omega_sweep_runs_one_batch_per_mode(tmp_path, short_case1_path,
+                                             monkeypatch, capsys):
+    """The omega points of a process go through one batch per mode, and
+    their three references through one integration."""
+    import lieseek.cli as cli
+    import lieseek.sim as sim
+    batches, rows = [], []
+    run_batch, averaged = cli.run_batch, sim._averaged
+
+    def counting_batch(specs, *args):
+        batches.append(len(specs))
+        return run_batch(specs, *args)
+
+    def counting_rows(specs, err=None):
+        rows.append(len(specs))
+        return averaged(specs, err)
+
+    monkeypatch.setattr(cli, "run_batch", counting_batch)
+    monkeypatch.setattr(sim, "_averaged", counting_rows)
+    sim._reference.cache_clear()
+    assert main(["sweep", "--config", short_case1_path, "--omega",
+                 "50,100,200", "--mode", "both", "--horizon", "2",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert batches == [3, 3]
+    assert rows == [3]
+
+
+def test_omega_points_with_their_own_windows_run_apart(tmp_path, monkeypatch,
+                                                       capsys):
+    """With an explicit dt the omega points differ in smoothing window, so
+    in a mode with the filter they split into one batch per point; in
+    baseline mode they stay one batch."""
+    import lieseek.cli as cli
+    cfg = shortened("case1", 2.0).config
+    cfg["systems"]["main"]["dt"] = 0.001
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    batches = []
+    run_batch = cli.run_batch
+
+    def counting(specs, gcfgs=None, *args):
+        batches.append((len(specs), gcfgs is not None))
+        return run_batch(specs, gcfgs, *args)
+
+    monkeypatch.setattr(cli, "run_batch", counting)
+    for mode in ("proposed", "baseline"):
+        assert main(["sweep", "--config", str(path), "--omega", "50,100",
+                     "--mode", mode, "--out", str(tmp_path / mode)]) == EXIT_OK
+    assert batches == [(1, True), (1, True), (2, False)]
 
 
 def test_sweep_horizon_below_t_min_fails_at_load(tmp_path, capsys):

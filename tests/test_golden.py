@@ -23,8 +23,12 @@ from lieseek.sim import TrajectoryLog, run_baseline, run_lbs, run_proposed
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_runs.json")
-SYSTEMS = {"case1": (10.0, None), "case2": (4.0, None),
-           "case3-vehicle3": (4.0, "vehicle3")}
+# case -> (horizon, system label, omega); the case1 omega cases run on
+# their own step sizes and step counts
+SYSTEMS = {"case1": (10.0, None, None), "case2": (4.0, None, None),
+           "case3-vehicle3": (4.0, "vehicle3", None),
+           "case1-omega50": (2.0, None, 50.0),
+           "case1-omega200": (2.0, None, 200.0)}
 MODES = ("baseline", "proposed", "lbs")
 COLUMNS = {"x": "x", "a": "a", "Jest": "j_est", "Jexact": "j_exact",
            "zref": "z_ref"}
@@ -32,8 +36,8 @@ RTOL = 1e-10
 
 
 def _run(system: str, mode: str) -> TrajectoryLog:
-    horizon, label = SYSTEMS[system]
-    sc = shortened(system.split("-")[0], horizon, label)
+    horizon, label, omega = SYSTEMS[system]
+    sc = shortened(system.split("-")[0], horizon, label, omega)
     spec = sc.primary_system
     if mode == "baseline":
         return run_baseline(spec)

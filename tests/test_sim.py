@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import shortened
 import lieseek.sim as sim
 from lieseek.cli import execute_run
-from lieseek.errors import DivergenceError, InputError, IntegrationError
+from lieseek.errors import (DivergenceError, EvaluationError, InputError,
+                            IntegrationError)
 from lieseek.model import DitherSignal, EstimationErrorModel, ObjectiveMap
 from lieseek.scenarios import Scenario, preset
 from lieseek.sim import (TrajectoryLog, rk4_step, run_baseline, run_lbs,
@@ -363,6 +364,12 @@ def _member(name: str, horizon: float, gekf: dict | None = None, **system):
     return sc.primary_system, sc.gekf_config()
 
 
+def _primary_config(name: str) -> dict:
+    """The config of a preset's primary system."""
+    cfg = preset(name).config
+    return cfg["systems"][cfg["primary"]]
+
+
 def _csv_bytes(log: TrajectoryLog) -> list[bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "run.csv", Path(tmp) / "run_gekf.csv"]
@@ -400,6 +407,84 @@ class TestLockstepBatch:
         for (spec, gcfg), log in zip(members, batch):
             _assert_same_run(log, run_proposed(spec, gcfg))
 
+    @given(points=st.lists(st.tuples(st.floats(10.0, 60.0),
+                                     st.floats(0.3, 1.2)),
+                           min_size=2, max_size=4),
+           adapt=st.booleans())
+    @settings(max_examples=8, deadline=None)
+    def test_omega_members_equal_their_own_runs(self, points, adapt):
+        """Members that differ in omega, and so in dt and step count, and
+        in horizon: each runs on its own grid and leaves after its own
+        last step."""
+        members = [_member("case2", horizon, omega=omega)
+                   for omega, horizon in points]
+        specs = [spec for spec, _ in members]
+        batch = sim.run_batch(specs, [g for _, g in members] if adapt else None)
+        for (spec, gcfg), log in zip(members, batch):
+            _assert_same_run(log, run_proposed(spec, gcfg) if adapt
+                             else run_baseline(spec))
+
+    def test_members_leave_after_their_last_step(self, monkeypatch):
+        """Each member is stepped for its own step count, by the reference
+        and by the loop, and the last member left steps without the
+        member axis."""
+        specs = [_member("case1", 0.5, omega=omega)[0]
+                 for omega in (8.0, 16.0, 32.0)]
+        shapes = []
+        inner = sim.rk4_step
+
+        def recording(rhs, t, x, dt):
+            shapes.append(np.shape(x))
+            return inner(rhs, t, x, dt)
+
+        monkeypatch.setattr(sim, "rk4_step", recording)
+        sim._reference.cache_clear()
+        sim.run_batch(specs)
+        steps = [sim._steps(spec) for spec in specs]
+        assert steps == [41, 81, 163]
+        assert sum(shape[0] if len(shape) == 2 else 1
+                   for shape in shapes) == 2 * sum(steps)
+        alone = steps[2] - steps[1]
+        assert shapes[-alone - 1:] == [(2, 1)] + [(1,)] * alone
+
+    def test_an_omega_member_that_fails_stops_alone(self):
+        """At omega = 2 the plant leaves the box at t = 0.39; the members
+        before and after it finish, on their own grids."""
+        members = [_member("case1", 1.5, omega=omega) for omega in (50, 2, 6)]
+        specs = [spec for spec, _ in members]
+        for gcfgs in (None, [gcfg for _, gcfg in members]):
+            batch = sim.run_batch(specs, gcfgs)
+            alone = ([run_baseline(spec) for spec in specs[::2]] if gcfgs is None
+                     else [run_proposed(*m) for m in members[::2]])
+            with pytest.raises(DivergenceError) as failing:
+                (run_baseline(specs[1]) if gcfgs is None
+                 else run_proposed(*members[1]))
+            assert type(batch[1]) is DivergenceError
+            assert str(batch[1]) == str(failing.value)
+            assert batch[1].t_exit == failing.value.t_exit
+            for log, own in zip(batch[::2], alone):
+                _assert_same_run(log, own)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failing_reference_row_stops_its_members_alone(self):
+        """Without a domain box, x0 = 1e160 overflows the objective, so the
+        reference of member 1 fails in its first step; the other rows,
+        each with its own omega and step size, go on."""
+        spec, gcfg = _member("case1", 1.0)
+        boxless = ObjectiveMap(dimension=1, fn=spec.objective.fn,
+                               gradient=spec.objective.gradient)
+        specs = [type(spec)(objective=boxless, channels=spec.channels,
+                            dithers=spec.dithers, omega=omega, a0=spec.a0,
+                            lam=spec.lam, x0=[x0], horizon=spec.horizon)
+                 for omega, x0 in ((8.0, 2.0), (16.0, 1e160), (32.0, 0.5))]
+        batch = sim.run_batch(specs)
+        with pytest.raises(EvaluationError) as alone:
+            run_baseline(specs[1])
+        assert type(batch[1]) is EvaluationError
+        assert str(batch[1]) == str(alone.value)
+        for k in (0, 2):
+            _assert_same_run(batch[k], run_baseline(specs[k]))
+
     def test_members_with_their_own_references_and_noise(self, monkeypatch):
         """Differing a0 and x0 give one reference per distinct pair, and
         per-member amplitude floors; seeded noise stays per member.  The
@@ -414,9 +499,9 @@ class TestLockstepBatch:
         averaged = []
         inner = sim._averaged
 
-        def counting(spec, err=None):
-            averaged.append(spec)
-            return inner(spec, err)
+        def counting(specs, err=None):
+            averaged.extend(specs)   # one reference row per spec
+            return inner(specs, err)
 
         monkeypatch.setattr(sim, "_averaged", counting)
         sim._reference.cache_clear()
@@ -461,7 +546,12 @@ class TestLockstepBatch:
             _assert_same_run(batch[k], run_proposed(specs[k], gcfg))
 
     def test_members_must_share_their_system(self):
-        slow, gcfg = _member("case1", 1.0)
-        fast, _ = _member("case1", 1.0, omega=16.0)
-        with pytest.raises(InputError, match="share their system"):
-            sim.run_batch([slow, fast], [gcfg, gcfg])
+        """Omega may differ; the dithers and the objective may not."""
+        first, gcfg = _member("case1", 1.0)
+        objective = dict(_primary_config("case1")["objective"], center=[1.5])
+        dithers = _primary_config("case1")["dithers"]
+        swapped = {"u1": dithers["u2"], "u2": dithers["u1"]}
+        for system in ({"dithers": swapped}, {"objective": objective}):
+            other, _ = _member("case1", 1.0, omega=16.0, **system)
+            with pytest.raises(InputError, match="share their system"):
+                sim.run_batch([first, other], [gcfg, gcfg])
