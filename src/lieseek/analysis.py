@@ -83,9 +83,9 @@ def check_bound(t: np.ndarray, j: np.ndarray, p: float,
         raise InputError("time and signal lengths differ")
     if np.any(np.diff(t) <= 0):
         raise InputError("samples must be sorted by time")
-    if p <= 1:
+    if not p > 1:
         raise InputError("the decay exponent must exceed 1")
-    if t_min <= 0:
+    if not t_min > 0:
         raise InputError("t_min must be positive")
 
     mask = t >= t_min
@@ -245,8 +245,10 @@ def metrics(log: TrajectoryLog, x_star, window: float,
     """
     if log.t.size == 0:
         raise InputError("empty log")
-    if window >= log.t[-1] - log.t[0]:
-        raise InputError("window must be shorter than the horizon")
+    if not 0 < window < log.t[-1] - log.t[0]:
+        raise InputError("window must be positive and shorter than the horizon")
+    if period is not None and not period > 0:
+        raise InputError("period must be positive")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     avg = log.x
     if period is not None:

@@ -5,7 +5,8 @@ runs every N-th point from the first, and each of N-1 forked workers
 (POSIX only) runs every N-th point from its own offset.  The seeking runs
 of one process's points go through one lockstep batch per system and
 mode, lambda and omega points alike: omega points each keep their own
-step size and step count.  The output does not depend on N.
+step size and step count.  Their averaged-system (``lbs``) runs share one
+integration of their references.  The output does not depend on N.
 
 Exit codes: 0 success (and check passed), 1 check failed, 2 usage error,
 3 runtime failure.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -24,9 +26,10 @@ import numpy as np
 
 from . import analysis as an
 from .errors import ConfigurationError, InputError, LieseekError, UnknownPresetError
+from .model import require_finite
 from .scenarios import Scenario, load_scenario, preset, preset_names
-from .sim import (TrajectoryLog, _atomic_write, _raised, run_baseline, run_batch,
-                  run_lbs, run_proposed, step_times)
+from .sim import (TrajectoryLog, _atomic_write, _raised, lbs_batch, run_baseline,
+                  run_batch, run_lbs, run_proposed, step_times)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -188,28 +191,29 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep_values(text: str) -> list[float]:
+def _parse_floats(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"bad sweep list {text!r}") from exc
+        raise InputError(f"bad number list {text!r}") from exc
     if not values:
-        raise InputError("empty sweep list")
+        raise InputError("empty number list")
     return values
 
 
 def _batch_runs(scenarios: list[Scenario], mode: str, seed: int) -> list[dict]:
-    """The seeking runs of the point scenarios, one lockstep batch per
-    system and mode: per scenario, the log or error by (label, mode)."""
+    """The runs of the point scenarios, one batch per system and mode:
+    per scenario, the log or error by (label, mode)."""
     runs: list[dict] = [{} for _ in scenarios]
     for label in scenarios[0].systems:
         specs = [point_sc.systems[label] for point_sc in scenarios]
         for m in _run_modes(mode):
             if m == "lbs":
-                continue
-            gcfgs = ([point_sc.gekf_config(label) for point_sc in scenarios]
-                     if m == "proposed" else None)
-            results = run_batch(specs, gcfgs, [seed] * len(specs))
+                results = lbs_batch(specs)
+            else:
+                gcfgs = ([point_sc.gekf_config(label) for point_sc in scenarios]
+                         if m == "proposed" else None)
+                results = run_batch(specs, gcfgs, [seed] * len(specs))
             for point_runs, result in zip(runs, results):
                 point_runs[(label, m)] = result
     return runs
@@ -317,11 +321,11 @@ def _run_shares(sc: Scenario, param: str, values: list[float], jobs: int,
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # fork, not spawn: a spawned worker would import numpy and scipy
-        # anew (about 0.8 s).  Forking is safe here: the executor forks all
-        # its workers before it starts its own thread, OpenBLAS (numpy's
-        # BLAS) stops its thread pool around a fork, and the workers share
-        # no state with the caller.
+        # fork, not spawn: a spawned worker would import numpy and the
+        # package anew (about 0.25 s on a 2-core host).  Forking is safe
+        # here: the executor forks all its workers before it starts its
+        # own thread, OpenBLAS (numpy's BLAS) stops its thread pool around
+        # a fork, and the workers share no state with the caller.
         with ProcessPoolExecutor(max_workers=jobs - 1,
                                  mp_context=multiprocessing.get_context("fork")
                                  ) as pool:
@@ -351,7 +355,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     param = "omega" if args.omega is not None else "lambda"
-    values = _parse_sweep_values(args.omega if param == "omega" else args.lam)
+    values = _parse_floats(args.omega if param == "omega" else args.lam)
     os.makedirs(args.out, exist_ok=True)
     points = _run_shares(sc, param, values, min(args.jobs, len(values)),
                          args.horizon, args.mode, args.out, args.seed)
@@ -369,7 +373,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _require_above(flag: str, value: float, bound: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is finite and
+    above ``bound``."""
+    if not (math.isfinite(value) and value > bound):
+        raise ConfigurationError(
+            f"{flag} must be finite and above {bound:g}, got {value:g}")
+
+
 def cmd_check_bound(args) -> int:
+    _require_above("--p", args.p, 1.0)
+    _require_above("--t-min", args.t_min, 0.0)
     log = TrajectoryLog.from_csv(args.csv)
     series = log.j_exact if args.oracle else log.j_est
     if np.any(np.isnan(series)):
@@ -397,9 +411,25 @@ def cmd_check_b2(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _require_above("--window", args.window, 0.0)
+    if args.period is not None:
+        _require_above("--period", args.period, 0.0)
+    try:
+        x_star = np.asarray(_parse_floats(args.x_star))
+    except InputError as exc:
+        raise ConfigurationError(f"--x-star: {exc}") from exc
+    require_finite("--x-star", x_star)
     base = TrajectoryLog.from_csv(args.baseline)
     prop = TrajectoryLog.from_csv(args.proposed)
-    x_star = np.asarray(_parse_sweep_values(args.x_star))
+    if len(x_star) != base.n or len(x_star) != prop.n:
+        raise ConfigurationError(
+            f"--x-star has {len(x_star)} coordinates, the logs have "
+            f"{base.n} and {prop.n}")
+    span = min(log.t[-1] - log.t[0] for log in (base, prop))
+    if not args.window < span:
+        raise ConfigurationError(
+            f"--window must be shorter than the logs' span {span:g}, "
+            f"got {args.window:g}")
     report = an.compare(base, prop, x_star, args.window, args.period)
     payload = report.to_dict()
     print(json.dumps(payload, indent=2))

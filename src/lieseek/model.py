@@ -12,6 +12,13 @@ quantities that the averaged dynamics are built from:
   and the bracket factor ``b0 = b2*b1' - b1*b2'``, in closed form, at
   objective values of any shape.
 
+The quadrature is composite Simpson on an odd number of points, by the
+irregular-spacing rules of Cartwright (2017, J. Math. Sci. & Math. Educ.
+12(2)).  ``_simpson`` and ``_cumulative_simpson`` repeat the operations
+of ``scipy.integrate.simpson`` and ``cumulative_simpson`` (SciPy 1.17) in
+the same order, so they give SciPy's bits while the package imports
+NumPy alone.
+
 All types are immutable after construction and all operations are pure,
 so everything here is safe to share across threads.
 """
@@ -24,7 +31,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .errors import CapabilityError, ConfigurationError, EvaluationError
 
@@ -118,6 +124,50 @@ def _period_grid(period: float, intervals: int = QUAD_INTERVALS) -> np.ndarray:
     return np.linspace(0.0, period, intervals + 1)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples ``y`` at an odd number of
+    increasing points ``x``; same bits as ``scipy.integrate.simpson(y, x=x)``
+    (whose divisions are masked only against zero intervals)."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:-1:2] * (hsum * (hsum / hprod))
+                        + y[2::2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def _simpson_pieces(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson integral over the first interval of each consecutive
+    sample triple, for unequal intervals ``dx`` (Cartwright 2017, eq. 8)."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    return x21 / 6 * ((3 - x21_x31) * y[:-2]
+                      + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      + -x21x21_x31x32 * y[2:])
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running Simpson integral of samples ``y`` at an odd number of
+    increasing points ``x``, from 0 at ``x[0]``; same bits as
+    ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``.
+
+    Interval k's piece comes from the triple it opens for even k, and from
+    the flipped triple it closes for odd k.
+    """
+    dx = np.diff(x)
+    pieces = np.empty(len(dx))
+    pieces[0::2] = _simpson_pieces(y, dx)[0::2]
+    pieces[1::2] = _simpson_pieces(y[::-1], dx[::-1])[::-1][0::2]
+    # ``+ 0.0`` adds the initial value as SciPy does (it turns -0.0 into 0.0)
+    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
+
+
 def verify_assumption_a2(d: DitherSignal, points: int = 1024) -> A2Report:
     """Check periodicity, zero mean and boundedness of a dither.
 
@@ -133,7 +183,7 @@ def verify_assumption_a2(d: DitherSignal, points: int = 1024) -> A2Report:
     periodic = bool(np.max(np.abs(vals - wrapped)) <= tol + 1e-12)
 
     grid = _period_grid(d.period)
-    mean_integral = float(simpson(np.asarray(d.value(grid)), x=grid))
+    mean_integral = float(_simpson(np.asarray(d.value(grid)), grid))
     zero_mean = abs(mean_integral) <= 1e-9 * d.period
 
     bounded = bool(np.max(np.abs(vals)) <= d.bound + 1e-12)
@@ -145,8 +195,8 @@ def _nu_quadrature(u_j: DitherSignal, u_i: DitherSignal,
     grid = _period_grid(u_j.period, intervals)
     vj = np.asarray(u_j.value(grid), dtype=float)
     vi = np.asarray(u_i.value(grid), dtype=float)
-    inner = cumulative_simpson(vi, x=grid, initial=0.0)
-    return float(simpson(vj * inner, x=grid) / u_j.period)
+    inner = _cumulative_simpson(vi, grid)
+    return float(_simpson(vj * inner, grid) / u_j.period)
 
 
 @lru_cache(maxsize=256)

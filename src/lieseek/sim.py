@@ -779,11 +779,34 @@ def run_lbs(spec: EscSystemSpec,
     error and the unperturbed averaged trajectory is co-logged as the
     reference.
     """
-    if not spec.objective.has_oracle:
-        raise InputError("averaged-system run needs an oracle gradient")
+    return _raised(lbs_batch([spec], err)[0])
+
+
+def lbs_batch(specs: Sequence[EscSystemSpec],
+              err: Optional[EstimationErrorModel] = None) -> list:
+    """Averaged-system runs (:func:`run_lbs`) of several members of one
+    system, from one integration of their references (:func:`_references`).
+
+    Returns, per member, the log or the :class:`LieseekError` that its
+    own run raises.  With ``err``, each member's perturbed system is
+    integrated on its own, uncached.
+    """
+    if not specs[0].objective.has_oracle:
+        return [InputError("averaged-system run needs an oracle gradient")
+                for _ in specs]
+    out: list = []
+    for spec, zref in zip(specs, _references(specs)):
+        try:
+            out.append(_lbs_log(spec, _raised(zref), err))
+        except LieseekError as exc:
+            out.append(exc)
+    return out
+
+
+def _lbs_log(spec: EscSystemSpec, zref_log: np.ndarray,
+             err: Optional[EstimationErrorModel]) -> TrajectoryLog:
     dt = spec.resolved_dt
     a0 = spec.a0
-    zref_log = _raised(_reference((spec,))[0])
     x_log = (zref_log.copy() if err is None
              else _raised(_averaged([spec], err)[0]))
     total, n = x_log.shape

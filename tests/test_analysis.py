@@ -67,6 +67,10 @@ class TestCheckBound:
             check_bound(np.array([1.0, 2.0]), np.array([1.0, 1.0]), p=0.9)
         with pytest.raises(InputError):
             check_bound(np.array([2.0, 1.0]), np.array([1.0, 1.0]), p=1.05)
+        for p, t_min in ((float("nan"), 1.0), (1.5, float("nan")), (1.5, 0.0)):
+            with pytest.raises(InputError):
+                check_bound(np.array([1.0, 2.0]), np.array([0.1, 0.1]), p=p,
+                            t_min=t_min)
 
     def test_per_channel_results(self):
         t = np.linspace(1.0, 50.0, 500)
@@ -157,6 +161,14 @@ class TestMetrics:
         t = np.linspace(0, 5, 100)
         with pytest.raises(InputError):
             metrics(_log(t, t), [0.0], window=10.0)
+
+    @pytest.mark.parametrize("window,period", [
+        (float("nan"), None), (0.0, None), (-3.0, None), (float("inf"), None),
+        (1.0, 0.0), (1.0, -1.0), (1.0, float("nan"))])
+    def test_window_and_period_must_be_positive(self, window, period):
+        t = np.linspace(0, 5, 100)
+        with pytest.raises(InputError):
+            metrics(_log(t, t), [0.0], window=window, period=period)
 
 
 class TestCompare:

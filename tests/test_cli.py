@@ -253,6 +253,73 @@ def test_missing_csv_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     assert err.count("\n") == 1
 
 
+@pytest.fixture()
+def one_coordinate_csv(tmp_path):
+    """A readable one-coordinate trajectory CSV with an estimate column."""
+    t = np.linspace(0.0, 10.0, 201)
+    x = (1.0 + 0.1 * np.cos(t))[:, None]
+    j = np.minimum(1.0, (1.0 + t) ** -2.0)[:, None]
+    path = str(tmp_path / "log.csv")
+    TrajectoryLog(t, x, np.zeros(len(t)), np.ones_like(x), j, j,
+                  np.full_like(x, np.nan)).to_csv(path)
+    return path
+
+
+@pytest.mark.parametrize("flags", [
+    ["compare", "{csv}", "{csv}", "--x-star", "0", "--window", "nan"],
+    ["compare", "{csv}", "{csv}", "--x-star", "0", "--window", "-3"],
+    ["compare", "{csv}", "{csv}", "--x-star", "0", "--window", "inf"],
+    ["compare", "{csv}", "{csv}", "--x-star", "0", "--window", "10"],
+    ["compare", "{csv}", "{csv}", "--x-star", "1,2"],
+    ["compare", "{csv}", "{csv}", "--x-star", "nan"],
+    ["compare", "{csv}", "{csv}", "--x-star", "one"],
+    ["compare", "{csv}", "{csv}", "--x-star", "1", "--period", "0"],
+    ["compare", "{csv}", "{csv}", "--x-star", "1", "--period", "-1"],
+    ["compare", "{csv}", "{csv}", "--x-star", "1", "--period", "inf"],
+    ["check-bound", "{csv}", "--p", "nan"],
+    ["check-bound", "{csv}", "--p", "0.5"],
+    ["check-bound", "{csv}", "--p", "inf"],
+    ["check-bound", "{csv}", "--p", "1.5", "--t-min", "-1"],
+    ["check-bound", "{csv}", "--p", "1.5", "--t-min", "nan"],
+], ids=["compare-nan-window", "compare-negative-window", "compare-inf-window",
+        "compare-window-beyond-span",
+        "compare-x-star-length", "compare-nan-x-star", "compare-string-x-star",
+        "compare-zero-period", "compare-negative-period", "compare-inf-period",
+        "check-bound-nan-p", "check-bound-p-below-1", "check-bound-inf-p",
+        "check-bound-negative-t-min", "check-bound-nan-t-min"])
+def test_bad_flag_is_one_line_usage_error(tmp_path, one_coordinate_csv,
+                                          capsys, flags):
+    argv = [arg.format(csv=one_coordinate_csv) for arg in flags]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_good_flags_pass_on_the_same_csv(tmp_path, one_coordinate_csv,
+                                          capsys):
+    csv = one_coordinate_csv
+    assert main(["compare", csv, csv, "--x-star", "1", "--window", "2",
+                 "--period", "6.28"]) == EXIT_OK
+    assert main(["check-bound", csv, "--p", "1.5"]) == EXIT_OK
+
+
+def test_analysis_flags_are_checked_before_any_csv_is_read(monkeypatch,
+                                                           capsys):
+    def unexpected(path):
+        raise AssertionError(f"read {path} before checking the flags")
+
+    monkeypatch.setattr(TrajectoryLog, "from_csv", staticmethod(unexpected))
+    for argv in (["compare", "a.csv", "b.csv", "--x-star", "0", "--window",
+                  "nan"],
+                 ["compare", "a.csv", "b.csv", "--x-star", "0", "--period",
+                  "0"],
+                 ["check-bound", "a.csv", "--p", "nan"],
+                 ["check-bound", "a.csv", "--p", "2", "--t-min", "0"]):
+        assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.count("error: ") == 4
+
+
 def test_sweep_uses_in_memory_logs(tmp_path, short_case1_path, monkeypatch,
                                    capsys):
     def unexpected(path):
@@ -431,6 +498,32 @@ def test_omega_sweep_runs_one_batch_per_mode(tmp_path, short_case1_path,
     assert rows == [3]
 
 
+def test_lbs_sweep_integrates_its_references_once(tmp_path, monkeypatch,
+                                                  capsys):
+    """The lbs runs of a sweep share one reference integration of one row
+    per point, and each point's files equal its own run's."""
+    import lieseek.sim as sim
+    rows = []
+    averaged = sim._averaged
+
+    def counting_rows(specs, err=None):
+        rows.append(len(specs))
+        return averaged(specs, err)
+
+    monkeypatch.setattr(sim, "_averaged", counting_rows)
+    sim._reference.cache_clear()
+    assert main(["sweep", "case1", "--omega", "50,100,200", "--mode", "lbs",
+                 "--horizon", "3", "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    assert rows == [3]
+    for omega in ("50", "100", "200"):
+        run_out = tmp_path / f"run{omega}"
+        assert main(["run", "case1", "--mode", "lbs", "--horizon", "3",
+                     "--omega", omega, "--out", str(run_out)]) == EXIT_OK
+        point = tmp_path / "sweep" / f"omega_{omega}"
+        for name in ("case1_main_lbs.csv", "case1_report.json"):
+            assert (point / name).read_bytes() == (run_out / name).read_bytes()
+
+
 def test_omega_points_with_their_own_windows_run_apart(tmp_path, monkeypatch,
                                                        capsys):
     """With an explicit dt the omega points differ in smoothing window, so
@@ -465,11 +558,33 @@ def test_sweep_horizon_below_t_min_fails_at_load(tmp_path, capsys):
     assert not list(out.rglob("*.csv"))
 
 
-def test_python_m_lieseek_runs_the_cli():
+def _source_env() -> dict:
+    """The environment of a fresh interpreter that imports this source."""
     import lieseek
     src = os.path.dirname(os.path.dirname(os.path.abspath(lieseek.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "lieseek", "list"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_python_m_lieseek_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "lieseek", "list"],
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == EXIT_OK
     assert proc.stdout.split() == ["case1", "case2", "case3"]
+
+
+@pytest.mark.parametrize("argv", [["-c", "import lieseek.cli"],
+                                  ["-m", "lieseek", "list"]],
+                         ids=["import-cli", "list"])
+def test_cli_starts_without_scipy(argv):
+    """The CLI needs NumPy alone; ``-X importtime`` names every module
+    that a fresh interpreter imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == EXIT_OK
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "lieseek.cli" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad, simpson
 
 from conftest import zero_mean_tabulated
 from lieseek.errors import ConfigurationError, EvaluationError
 from lieseek.model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
                            EscSystemSpec, EstimationErrorModel, ObjectiveMap,
-                           QUAD_INTERVALS, _nu_quadrature, nu_coefficient,
+                           QUAD_INTERVALS, _cumulative_simpson, _nu_quadrature,
+                           _period_grid, _simpson, nu_coefficient,
                            verify_assumption_a2)
+from lieseek.scenarios import preset, preset_names
 
 COS = DitherSignal(kind="cosine")
 SIN = DitherSignal(kind="sine")
@@ -92,6 +94,34 @@ class TestNuCoefficient:
         coarse = _nu_quadrature(SIN, COS, QUAD_INTERVALS)
         fine = _nu_quadrature(SIN, COS, 2 * QUAD_INTERVALS)
         assert abs(coarse - fine) < 1e-9
+
+
+class TestSimpsonRules:
+    """The package's Simpson rules give SciPy's bits on the period grid."""
+
+    @pytest.mark.parametrize("intervals", [QUAD_INTERVALS, 2 * QUAD_INTERVALS])
+    @pytest.mark.parametrize("period", [TAU, 1.0, 0.37, 17.3])
+    def test_rules_equal_scipy_bit_for_bit(self, intervals, period):
+        rng = np.random.default_rng(intervals + round(100 * period))
+        grid = _period_grid(period, intervals)
+        for _ in range(10):
+            y = rng.standard_normal(grid.size) * rng.uniform(0.1, 100.0)
+            assert (np.float64(_simpson(y, grid)).tobytes()
+                    == simpson(y, x=grid).tobytes())
+            assert (_cumulative_simpson(y, grid).tobytes()
+                    == cumulative_simpson(y, x=grid, initial=0.0).tobytes())
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_preset_nu_hats_equal_scipy(self, name):
+        for spec in preset(name).systems.values():
+            expected = []
+            for ch in spec.channels:
+                u_j, u_i = spec.dithers[ch.u2_ref], spec.dithers[ch.u1_ref]
+                grid = _period_grid(u_j.period)
+                inner = cumulative_simpson(u_i.value(grid), x=grid, initial=0.0)
+                expected.append(float(simpson(u_j.value(grid) * inner, x=grid)
+                                      / u_j.period))
+            assert spec.nu_hats.tobytes() == np.array(expected).tobytes()
 
 
 def _linear_channel():
