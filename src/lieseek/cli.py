@@ -1,12 +1,13 @@
 """Command-line interface: scenario runs, parameter sweeps, and checks.
 
-``sweep --jobs N`` runs the points on N processes: the calling process
-runs every N-th point from the first, and each of N-1 forked workers
-(POSIX only) runs every N-th point from its own offset.  The seeking runs
-of one process's points go through one lockstep batch per system and
-mode, lambda and omega points alike: omega points each keep their own
-step size and step count.  Their averaged-system (``lbs``) runs share one
-integration of their references.  The output does not depend on N.
+``run`` and ``sweep`` make their runs the same way, through
+:func:`_batch_runs`: one :func:`lieseek.sim.run_batch` (or ``lbs_batch``)
+call per system and mode over all of a process's points, which decides
+on its own which runs share a lockstep loop and one integration of their
+references.  ``sweep --jobs N`` runs the points on N processes: the
+calling process runs every N-th point from the first, and each of N-1
+forked workers (POSIX only) runs every N-th point from its own offset.
+The output does not depend on N.
 
 Exit codes: 0 success (and check passed), 1 check failed, 2 usage error,
 3 runtime failure.
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,8 +29,8 @@ from . import analysis as an
 from .errors import ConfigurationError, InputError, LieseekError, UnknownPresetError
 from .model import require_finite
 from .scenarios import Scenario, load_scenario, preset, preset_names
-from .sim import (TrajectoryLog, _atomic_write, _raised, lbs_batch, run_baseline,
-                  run_batch, run_lbs, run_proposed, step_times)
+from .sim import (TrajectoryLog, _atomic_write, _raised, lbs_batch, run_batch,
+                  step_times)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,18 +82,9 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
 def _run_modes(mode: str) -> tuple[str, ...]:
     if mode == "both":
         return ("baseline", "proposed")
+    if mode not in ("baseline", "proposed", "lbs"):
+        raise InputError(f"unknown mode {mode!r}")
     return (mode,)
-
-
-def _run_one(sc: Scenario, label: str, mode: str, seed: int) -> TrajectoryLog:
-    spec = sc.systems[label]
-    if mode == "baseline":
-        return run_baseline(spec)
-    if mode == "proposed":
-        return run_proposed(spec, sc.gekf_config(label), seed=seed)
-    if mode == "lbs":
-        return run_lbs(spec)
-    raise InputError(f"unknown mode {mode!r}")
 
 
 def _require_bound_samples(sc: Scenario, mode: str) -> None:
@@ -112,18 +104,19 @@ def execute_run(sc: Scenario, mode: str, out_dir: str, seed: int = 0,
                 runs: Optional[dict] = None) -> RunArtifacts:
     """Run a scenario in the requested mode(s) and emit all artifacts.
 
-    ``runs`` holds runs made beforehand, by (label, mode): the log, or
-    the error that the run raised.  The other runs are made here.
+    ``runs`` holds the runs made beforehand, by (label, mode): the log,
+    or the error that the run raised.  Without it the runs are made here,
+    by :func:`_batch_runs`.
     """
     _require_bound_samples(sc, mode)
     os.makedirs(out_dir, exist_ok=True)
-    runs = runs or {}
+    if runs is None:
+        runs = _batch_runs([sc], mode, seed)[0]
     logs: dict[tuple[str, str], TrajectoryLog] = {}
     csv_paths: dict[str, str] = {}
     for label in sc.systems:
         for m in _run_modes(mode):
-            log = (_raised(runs[(label, m)]) if (label, m) in runs
-                   else _run_one(sc, label, m, seed))
+            log = _raised(runs[(label, m)])
             logs[(label, m)] = log
             path = os.path.join(out_dir, f"{sc.name}_{label}_{m}.csv")
             log.to_csv(path)
@@ -191,19 +184,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(flag: str, text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise InputError(f"bad number list {text!r}") from exc
+        raise ConfigurationError(f"{flag}: bad number list {text!r}") from exc
     if not values:
-        raise InputError("empty number list")
+        raise ConfigurationError(f"{flag}: empty number list")
     return values
 
 
 def _batch_runs(scenarios: list[Scenario], mode: str, seed: int) -> list[dict]:
-    """The runs of the point scenarios, one batch per system and mode:
-    per scenario, the log or error by (label, mode)."""
+    """The runs of the scenarios, one :func:`run_batch` (or
+    :func:`lbs_batch`) call per system label and mode, which decides what
+    shares a lockstep loop: per scenario, the log or error by (label,
+    mode)."""
     runs: list[dict] = [{} for _ in scenarios]
     for label in scenarios[0].systems:
         specs = [point_sc.systems[label] for point_sc in scenarios]
@@ -232,32 +227,9 @@ def _point_summary(sc: Scenario, value: float, sub: str,
             "final_error": finals}
 
 
-def _same_filters(first: Scenario, point_sc: Scenario) -> bool:
-    """Whether every system of the two points has one filter
-    configuration but for the amplitude floor."""
-    for label in first.systems:
-        g = first.gekf_config(label)
-        if replace(point_sc.gekf_config(label), a_floor=g.a_floor) != g:
-            return False
-    return True
-
-
-def _batches(loaded: list, mode: str) -> list[list]:
-    """The loaded ``(value, scenario)`` points in batches, in point order.
-
-    A point joins the current batch unless a mode with the filter runs and
-    its filter configurations differ from the batch's in more than the
-    amplitude floor (an explicit ``dt`` gives each omega its own smoothing
-    window).
-    """
-    batches: list[list] = []
-    for point in loaded:
-        if batches and ("proposed" not in _run_modes(mode)
-                        or _same_filters(batches[-1][0][1], point[1])):
-            batches[-1].append(point)
-        else:
-            batches.append([point])
-    return batches
+def _point_dir(param: str, value: float) -> str:
+    """The name of a sweep point's output directory."""
+    return f"{param}_{value:g}"
 
 
 def _sweep_points(sc: Scenario, param: str, values: list[float],
@@ -267,8 +239,9 @@ def _sweep_points(sc: Scenario, param: str, values: list[float],
     returns one dict per finished point, and the failure or ``None``.
 
     The points are loaded first, up to the first that fails to load, and
-    their seeking runs made in lockstep batches (:func:`_batches`).  The
-    points then write their files in order, up to the first that fails.
+    the runs of all loaded points made by one :func:`_batch_runs` call.
+    The points then write their files in order, up to the first that
+    fails.
     """
     loaded: list[tuple[float, Scenario]] = []
     failure: Optional[LieseekError] = None
@@ -284,17 +257,17 @@ def _sweep_points(sc: Scenario, param: str, values: list[float],
             break
         loaded.append((value, point_sc))
 
+    runs = (_batch_runs([point_sc for _, point_sc in loaded], mode, seed)
+            if loaded else [])
     points: list[dict] = []
-    for batch in _batches(loaded, mode):
-        runs = _batch_runs([point_sc for _, point_sc in batch], mode, seed)
-        for (value, point_sc), point_runs in zip(batch, runs):
-            sub = os.path.join(out, f"{param}_{value:g}")
-            try:
-                artifacts = execute_run(point_sc, mode, sub, seed=seed,
-                                        runs=point_runs)
-            except LieseekError as exc:
-                return points, exc
-            points.append(_point_summary(point_sc, value, sub, artifacts))
+    for (value, point_sc), point_runs in zip(loaded, runs):
+        sub = os.path.join(out, _point_dir(param, value))
+        try:
+            artifacts = execute_run(point_sc, mode, sub, seed=seed,
+                                    runs=point_runs)
+        except LieseekError as exc:
+            return points, exc
+        points.append(_point_summary(point_sc, value, sub, artifacts))
     return points, failure
 
 
@@ -351,11 +324,18 @@ def _run_shares(sc: Scenario, param: str, values: list[float], jobs: int,
 def cmd_sweep(args) -> int:
     sc = _load(args)
     if (args.omega is None) == (args.lam is None):
-        raise InputError("sweep needs exactly one of --omega or --lambda")
+        raise ConfigurationError("sweep needs exactly one of --omega or --lambda")
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     param = "omega" if args.omega is not None else "lambda"
-    values = _parse_floats(args.omega if param == "omega" else args.lam)
+    values = _parse_floats(f"--{param}",
+                           args.omega if param == "omega" else args.lam)
+    dirs = [_point_dir(param, value) for value in values]
+    for k, name in enumerate(dirs):
+        if name in dirs[:k]:
+            raise ConfigurationError(
+                f"--{param} values {values[dirs.index(name)]!r} and "
+                f"{values[k]!r} both write to {name}")
     os.makedirs(args.out, exist_ok=True)
     points = _run_shares(sc, param, values, min(args.jobs, len(values)),
                          args.horizon, args.mode, args.out, args.seed)
@@ -414,10 +394,7 @@ def cmd_compare(args) -> int:
     _require_above("--window", args.window, 0.0)
     if args.period is not None:
         _require_above("--period", args.period, 0.0)
-    try:
-        x_star = np.asarray(_parse_floats(args.x_star))
-    except InputError as exc:
-        raise ConfigurationError(f"--x-star: {exc}") from exc
+    x_star = np.asarray(_parse_floats("--x-star", args.x_star))
     require_finite("--x-star", x_star)
     base = TrajectoryLog.from_csv(args.baseline)
     prop = TrajectoryLog.from_csv(args.proposed)

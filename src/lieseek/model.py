@@ -26,9 +26,9 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Callable, Hashable, Mapping, Optional
 
 import numpy as np
 
@@ -225,6 +225,10 @@ class ObjectiveMap:
     minimum or a maximum; for maxima the controller-facing signal is
     negated (see :meth:`measured`).  ``domain_box`` is the compact region
     the system is expected to live in, as (low, high) per coordinate.
+
+    Two objectives are equal when their ``key`` is: one built from a
+    config carries every parameter it was built from, and without one an
+    objective equals only itself.
     """
 
     dimension: int
@@ -234,6 +238,13 @@ class ObjectiveMap:
     f_star: Optional[float] = None
     kind: str = "min"
     domain_box: Optional[tuple[tuple[float, float], ...]] = None
+    key: Hashable = field(default_factory=object, repr=False)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ObjectiveMap) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __post_init__(self):
         if self.dimension < 1:

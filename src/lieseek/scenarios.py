@@ -47,10 +47,15 @@ def build_objective(cfg: Mapping) -> ObjectiveMap:
     def grad(x: np.ndarray) -> np.ndarray:
         return w2 * (x - c)
 
+    domain_box = tuple((float(a), float(b)) for a, b in box) if box else None
+    # the arrays and the offset by their bits: 0.0 and -0.0 may give
+    # differently signed zeros
     return ObjectiveMap(
         dimension=w.shape[0], fn=fn, gradient=grad,
         x_star=tuple(float(v) for v in c), f_star=offset, kind=kind,
-        domain_box=tuple((float(a), float(b)) for a, b in box) if box else None)
+        domain_box=domain_box,
+        key=(form, w.tobytes(), c.tobytes(), np.float64(offset).tobytes(),
+             kind, domain_box))
 
 
 # -- system / scenario assembly ----------------------------------------------

@@ -6,16 +6,19 @@ The runners:
   persistent-oscillation behaviour),
 * :func:`run_proposed` -- amplitude adaptation driven by the estimation
   filter's averaged-RHS signal,
-* :func:`run_batch` -- either kind for B members of one system that
-  differ in lambda, a0, x0, omega, dt, horizon and seed, stepped in
-  lockstep,
+* :func:`run_batch` -- either kind for B members of any systems,
 * :func:`run_lbs` -- the averaged (bracket) system itself, exactly or
-  with a synthetic decaying estimation error.
+  with a synthetic decaying estimation error; :func:`lbs_batch` makes it
+  for B members.
 
 The first three are one seeking loop, :class:`_Lockstep`: a single run is
-a batch of one member.  Member k of a batch equals its own run bit for
-bit, on its own time grid; a member that reaches its last step leaves the
-batch, and a member that fails stops alone while the others finish.
+a batch of one member.  :func:`run_batch` alone decides which members
+share a loop: those of one system (:func:`_system`: objective,
+coefficient forms and dithers) and one filter configuration but for the
+amplitude floor, which may differ in lambda, a0, x0, omega, dt, horizon
+and seed.  Member k of a batch equals its own run bit for bit, on its own
+time grid; a member that reaches its last step leaves the batch, and a
+member that fails stops alone while the others finish.
 
 Runs are single-threaded and bit-deterministic for a given spec and
 seed; optional measurement noise draws from a per-member seeded
@@ -25,12 +28,12 @@ The seeking loop does only state-dependent work.  What depends on time
 alone is tabulated once per batch and time grid by :func:`_dither_tables`:
 every channel's dither values at each step start and midpoint of the
 grid (the RK4 stage times), and their per-step Simpson sums, which give
-the filter its input integrals.  The averaged reference trajectories of a
-batch, one per distinct (a0, x0, dt, horizon), are integrated together
-as the rows of one RK4 step (:func:`_averaged`), and shared by the runs of
-one system (:func:`_reference` caches them for the last batch); the ``f``
-column and the oracle ``Jexact`` column are each filled by one array call
-over a member's logged rows after the loop.
+the filter its input integrals.  The averaged reference trajectories of
+one system's members, one per distinct (a0, x0, dt, horizon), are
+integrated together as the rows of one RK4 step (:func:`_averaged`), and
+shared by the runs of one system (:func:`_reference` caches them for the
+last system); the ``f`` column and the oracle ``Jexact`` column are each
+filled by one array call over a member's logged rows after the loop.
 """
 
 from __future__ import annotations
@@ -373,15 +376,47 @@ def _averaged(specs: Sequence[EscSystemSpec],
     return out
 
 
+def _by_group(keys: Sequence, items: Sequence, run: Callable) -> list:
+    """``run`` of the items of each group of equal keys, the groups in
+    order of first appearance; its results, one per item, in item order."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    out: list = [None] * len(items)
+    for group in groups.values():
+        for k, result in zip(group, run([items[k] for k in group])):
+            out[k] = result
+    return out
+
+
+def _system(spec: EscSystemSpec) -> tuple:
+    """What a batch takes from its first spec: the objective, the
+    coefficient forms and the dithers."""
+    return (spec.objective,
+            tuple((ch.b1, ch.b2, ch.u1_ref, ch.u2_ref) for ch in spec.channels),
+            frozenset(spec.dithers.items()))
+
+
 @functools.lru_cache(maxsize=1)
 def _reference(specs: tuple) -> tuple:
-    """The unperturbed averaged trajectory of each of ``specs``, read-only,
-    or the error that its integration raises.
+    """The unperturbed averaged trajectory of each of ``specs``, members of
+    one system, read-only, or the error that its integration raises; rows
+    of NaN without an oracle.  One reference is integrated per distinct
+    (a0, x0, dt, horizon): it does not depend on lambda or omega.
 
     Cached for the last tuple of specs, so the runs of one system (in
     both modes) share one integration.
     """
-    refs = _averaged(specs)
+    if not specs[0].objective.has_oracle:
+        refs = [np.full((_steps(s) + 1, s.n), np.nan) for s in specs]
+    else:
+        keys = [(s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt, s.horizon)
+                for s in specs]
+        firsts: dict = {}
+        for key, s in zip(keys, specs):
+            firsts.setdefault(key, s)
+        by_key = dict(zip(firsts, _averaged(list(firsts.values()))))
+        refs = [by_key[key] for key in keys]
     for z in refs:
         if isinstance(z, np.ndarray):
             z.flags.writeable = False
@@ -389,42 +424,10 @@ def _reference(specs: tuple) -> tuple:
 
 
 def _references(specs: Sequence[EscSystemSpec]) -> list:
-    """Per member, its averaged reference or the error that its
-    integration raises; rows of NaN without an oracle.  One reference is
-    integrated per distinct (a0, x0, dt, horizon): it does not depend on
-    lambda or omega."""
-    if not specs[0].objective.has_oracle:
-        return [np.full((_steps(s) + 1, s.n), np.nan) for s in specs]
-    keys = [(s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt, s.horizon)
-            for s in specs]
-    firsts: dict = {}
-    for key, s in zip(keys, specs):
-        firsts.setdefault(key, s)
-    refs = dict(zip(firsts, _reference(tuple(firsts.values()))))
-    return [refs[key] for key in keys]
-
-
-def _require_shared(specs: Sequence[EscSystemSpec],
-                    gcfgs: Optional[Sequence[GekfConfig]]) -> None:
-    """Raise :class:`InputError` unless the members share their objective,
-    coefficient forms and dithers, and their filter configuration but for
-    the amplitude floor (which scales with a0)."""
-    first = specs[0]
-
-    def shape(spec: EscSystemSpec) -> tuple:
-        obj = spec.objective
-        return (dict(spec.dithers),
-                [(ch.b1, ch.b2, ch.u1_ref, ch.u2_ref) for ch in spec.channels],
-                (obj.dimension, obj.kind, obj.x_star, obj.f_star,
-                 obj.domain_box, obj.has_oracle))
-
-    if any(shape(spec) != shape(first) for spec in specs[1:]):
-        raise InputError("batch members must share their system: objective, "
-                         "coefficient forms and dithers")
-    if gcfgs is not None and any(
-            replace(g, a_floor=gcfgs[0].a_floor) != gcfgs[0] for g in gcfgs):
-        raise InputError("batch members must share their filter configuration "
-                         "but for the amplitude floor")
+    """Per member, its reference (:func:`_reference`): one integration per
+    system."""
+    return _by_group([_system(s) for s in specs], specs,
+                     lambda members: _reference(tuple(members)))
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -450,32 +453,31 @@ class _Lockstep:
     """Seeking runs of B members advanced in lockstep, one row per member.
 
     The members share the objective, the coefficient forms and the
-    dithers: those of the first spec.  They differ in lambda, a0, x0,
-    omega, dt, horizon, seed and the filter's amplitude floor.  Every array
-    operation of a step acts on each row alone, so member k gets the bits
-    of its own run.  Step k of the loop is step k of every member, each on
-    its own time grid (:class:`_Grid`): when the members' step sizes
-    differ, ``dt`` and the step start are ``(B, 1)`` columns and the
-    dither tables are stacked per member; a shared step size stays a
-    float.  A member leaves the batch after its last step.  A batch of one
-    member keeps its arrays without the member axis, ``(n,)`` rather than
-    ``(1, n)``: NumPy broadcasts a ``(1, n)`` row against ``(n,)``
-    operands on a slower path, about a microsecond more per operation; a
-    batch that shrinks to one member drops the axis too.  One step is a
-    fallible part, :meth:`_attempt`, that commits nothing, and
-    :meth:`_commit`.  When the attempt fails, each member attempts the
-    step alone; those that fail record their error and stop, and the
+    dithers: those of the first spec (:func:`run_batch` groups them), and
+    ``zref`` holds their references (:func:`_references`).  They differ in
+    lambda, a0, x0, omega, dt, horizon, seed and the filter's amplitude
+    floor.  Every array operation of a step acts on each row alone, so
+    member k gets the bits of its own run.  Step k of the loop is step k
+    of every member, each on its own time grid (:class:`_Grid`): when the
+    members' step sizes differ, ``dt`` and the step start are ``(B, 1)``
+    columns and the dither tables are stacked per member; a shared step
+    size stays a float.  A member leaves the batch after its last step.
+    A batch of one member keeps its arrays without the member axis,
+    ``(n,)`` rather than ``(1, n)``: NumPy broadcasts a ``(1, n)`` row
+    against ``(n,)`` operands on a slower path, about a microsecond more
+    per operation; a batch that shrinks to one member drops the axis too.
+    One step is a fallible part, :meth:`_attempt`, that commits nothing,
+    and :meth:`_commit`.  When the attempt fails, each member attempts
+    the step alone; those that fail record their error and stop, and the
     others take the step together.
     """
 
-    def __init__(self, specs: Sequence[EscSystemSpec], adapt: bool,
-                 gcfgs: Optional[Sequence[GekfConfig]], seeds: Sequence[int],
-                 noise_std: float, j_override):
+    def __init__(self, specs: Sequence[EscSystemSpec],
+                 gcfgs: Sequence[Optional[GekfConfig]], seeds: Sequence[int],
+                 zref: Sequence, adapt: bool, noise_std: float,
+                 j_override=None):
         spec = specs[0]
         self.use_filter = adapt and j_override is None
-        if self.use_filter and (gcfgs is None or None in gcfgs):
-            raise InputError("proposed run needs a filter configuration")
-        _require_shared(specs, gcfgs if self.use_filter else None)
         self.specs, self.spec, self.obj = list(specs), spec, spec.objective
         size, n = len(specs), spec.n
         self.adapt, self.j_override = adapt, j_override
@@ -485,17 +487,12 @@ class _Lockstep:
                      if noise_std > 0 else None)
         self.noise_std = noise_std
         self.errors: dict[int, LieseekError] = {}
-        # the references first: a run's set-up ends at its first RK4 step
-        self.zref = _references(specs)
+        self.zref = zref
 
         # one grid per distinct (omega, dt, steps); grid_of[k] is member k's
-        grids: dict = {}
-        self.grid_of = []
-        for s in specs:
-            key = (s.omega, s.resolved_dt, _steps(s))
-            if key not in grids:
-                grids[key] = _Grid(s, self.use_filter)
-            self.grid_of.append(grids[key])
+        self.grid_of = _by_group(
+            [(s.omega, s.resolved_dt, _steps(s)) for s in specs], specs,
+            lambda same: [_Grid(same[0], self.use_filter)] * len(same))
         self.steps = max(g.steps for g in self.grid_of)
         self.ends = {g.steps for g in self.grid_of} - {self.steps}
 
@@ -739,19 +736,31 @@ def run_batch(specs: Sequence[EscSystemSpec],
               gcfgs: Optional[Sequence[GekfConfig]] = None,
               seeds: Optional[Sequence[int]] = None,
               noise_std: float = 0.0) -> list:
-    """Seeking runs of several members of one system, in lockstep.
+    """Seeking runs of several members, in lockstep where they may share
+    a loop.
 
     Without ``gcfgs`` these are constant-amplitude runs, with one filter
-    configuration per member adaptive ones.  The members share their
-    objective, coefficient forms and dithers, and the filter
-    configuration but for its amplitude floor; they may differ in lambda,
-    a0, x0, omega, dt and horizon (see :class:`_Lockstep`).  Returns, per
-    member, the log or the :class:`LieseekError` that its own run raises;
-    member k equals its own run bit for bit.
+    configuration per member adaptive ones.  The members may come from
+    any systems.  They are grouped, in order of first appearance, by
+    system (:func:`_system`: objective, coefficient forms and dithers),
+    and each system's references are integrated once; each system group
+    is split by filter configuration but for its amplitude floor (which
+    scales with a0), and each such group runs as one :class:`_Lockstep`.
+    Returns, per member, the log or the :class:`LieseekError` that its
+    own run raises; member k equals its own run bit for bit.
     """
-    seeds = [0] * len(specs) if seeds is None else seeds
-    return _Lockstep(specs, gcfgs is not None, gcfgs, seeds, noise_std,
-                     None).run()
+    if gcfgs is not None and None in gcfgs:
+        raise InputError("proposed run needs a filter configuration")
+    adapt = gcfgs is not None
+    members = list(zip(specs, gcfgs or [None] * len(specs),
+                       seeds or [0] * len(specs), _references(specs)))
+    # one loop per system and filter configuration but for its amplitude
+    # floor, in which members may differ
+    keys = [(_system(spec),
+             None if gcfg is None else replace(gcfg, a_floor=1.0))
+            for spec, gcfg, _, _ in members]
+    return _by_group(keys, members, lambda group: _Lockstep(
+        *zip(*group), adapt, noise_std).run())
 
 
 def run_baseline(spec: EscSystemSpec) -> TrajectoryLog:
@@ -767,8 +776,10 @@ def run_proposed(spec: EscSystemSpec, gcfg: GekfConfig, seed: int = 0,
     vector, or callable of time); used to exercise the adaptation law in
     isolation.
     """
-    return _raised(_Lockstep([spec], True, [gcfg], [seed], noise_std,
-                             j_override).run()[0])
+    if j_override is None:
+        return _raised(run_batch([spec], [gcfg], [seed], noise_std)[0])
+    return _raised(_Lockstep([spec], [gcfg], [seed], _references([spec]), True,
+                             noise_std, j_override).run()[0])
 
 
 def run_lbs(spec: EscSystemSpec,
@@ -784,19 +795,19 @@ def run_lbs(spec: EscSystemSpec,
 
 def lbs_batch(specs: Sequence[EscSystemSpec],
               err: Optional[EstimationErrorModel] = None) -> list:
-    """Averaged-system runs (:func:`run_lbs`) of several members of one
-    system, from one integration of their references (:func:`_references`).
+    """Averaged-system runs (:func:`run_lbs`) of several members of any
+    systems, from one integration of each system's references
+    (:func:`_references`).
 
     Returns, per member, the log or the :class:`LieseekError` that its
     own run raises.  With ``err``, each member's perturbed system is
     integrated on its own, uncached.
     """
-    if not specs[0].objective.has_oracle:
-        return [InputError("averaged-system run needs an oracle gradient")
-                for _ in specs]
     out: list = []
     for spec, zref in zip(specs, _references(specs)):
         try:
+            if not spec.objective.has_oracle:
+                raise InputError("averaged-system run needs an oracle gradient")
             out.append(_lbs_log(spec, _raised(zref), err))
         except LieseekError as exc:
             out.append(exc)

@@ -123,22 +123,26 @@ def test_compare_command(tmp_path, short_case1_path, capsys):
 
 
 def test_sweep_single_point_matches_run(tmp_path, short_case1_path, capsys):
-    sweep_out = str(tmp_path / "sweep")
-    assert main(["sweep", "--config", short_case1_path, "--omega", "50",
-                 "--mode", "baseline", "--out", sweep_out]) == EXIT_OK
-    capsys.readouterr()
-    run_out = str(tmp_path / "run")
-    assert main(["run", "--config", short_case1_path, "--mode", "baseline",
-                 "--omega", "50", "--out", run_out]) == EXIT_OK
-    capsys.readouterr()
-    sweep_csv = os.path.join(sweep_out, "omega_50", "case1_main_baseline.csv")
-    run_csv = os.path.join(run_out, "case1_main_baseline.csv")
-    assert Path(sweep_csv).read_bytes() == Path(run_csv).read_bytes()
+    """A one-point sweep writes the files of ``run``, byte for byte, in
+    every mode."""
+    for mode, count in (("baseline", 3), ("proposed", 4), ("both", 5)):
+        sweep_out = tmp_path / mode / "sweep"
+        assert main(["sweep", "--config", short_case1_path, "--omega", "50",
+                     "--mode", mode, "--out", str(sweep_out)]) == EXIT_OK
+        run_out = tmp_path / mode / "run"
+        assert main(["run", "--config", short_case1_path, "--mode", mode,
+                     "--omega", "50", "--out", str(run_out)]) == EXIT_OK
+        capsys.readouterr()
+        files = _tree_bytes(run_out)
+        assert len(files) == count
+        assert _tree_bytes(sweep_out / "omega_50") == files
 
 
-def test_sweep_empty_list_is_runtime_error(short_case1_path):
+def test_sweep_empty_list_is_usage_error(tmp_path, short_case1_path, capsys):
     assert main(["sweep", "--config", short_case1_path, "--omega", "",
-                 "--out", "/tmp/nowhere"]) == EXIT_RUNTIME
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_omega_reports_decreasing_deviation(tmp_path, short_case1_path,
@@ -281,12 +285,19 @@ def one_coordinate_csv(tmp_path):
     ["check-bound", "{csv}", "--p", "inf"],
     ["check-bound", "{csv}", "--p", "1.5", "--t-min", "-1"],
     ["check-bound", "{csv}", "--p", "1.5", "--t-min", "nan"],
+    ["sweep", "case1", "--omega", "abc"],
+    ["sweep", "case1", "--omega", "50", "--lambda", "0.1"],
+    ["sweep", "case1"],
+    ["sweep", "case1", "--lambda", "0.1,0.1000001", "--mode", "baseline",
+     "--horizon", "1.5"],
 ], ids=["compare-nan-window", "compare-negative-window", "compare-inf-window",
         "compare-window-beyond-span",
         "compare-x-star-length", "compare-nan-x-star", "compare-string-x-star",
         "compare-zero-period", "compare-negative-period", "compare-inf-period",
         "check-bound-nan-p", "check-bound-p-below-1", "check-bound-inf-p",
-        "check-bound-negative-t-min", "check-bound-nan-t-min"])
+        "check-bound-negative-t-min", "check-bound-nan-t-min",
+        "sweep-bad-number-list", "sweep-omega-and-lambda", "sweep-no-list",
+        "sweep-colliding-values"])
 def test_bad_flag_is_one_line_usage_error(tmp_path, one_coordinate_csv,
                                           capsys, flags):
     argv = [arg.format(csv=one_coordinate_csv) for arg in flags]
@@ -471,30 +482,36 @@ def test_sweep_reports_the_first_failing_run_at_any_jobs(tmp_path,
                 / f"{scenario}_main_proposed.csv").exists()
 
 
-def test_omega_sweep_runs_one_batch_per_mode(tmp_path, short_case1_path,
-                                             monkeypatch, capsys):
-    """The omega points of a process go through one batch per mode, and
-    their three references through one integration."""
-    import lieseek.cli as cli
+def _counting_loops(monkeypatch) -> tuple[list, list]:
+    """Record each lockstep loop as (members, adaptive) and each reference
+    integration by its row count."""
     import lieseek.sim as sim
-    batches, rows = [], []
-    run_batch, averaged = cli.run_batch, sim._averaged
+    loops, rows = [], []
+    lockstep, averaged = sim._Lockstep, sim._averaged
 
-    def counting_batch(specs, *args):
-        batches.append(len(specs))
-        return run_batch(specs, *args)
+    def counting_loop(specs, gcfgs, seeds, zref, adapt, *args):
+        loops.append((len(specs), adapt))
+        return lockstep(specs, gcfgs, seeds, zref, adapt, *args)
 
     def counting_rows(specs, err=None):
         rows.append(len(specs))
         return averaged(specs, err)
 
-    monkeypatch.setattr(cli, "run_batch", counting_batch)
+    monkeypatch.setattr(sim, "_Lockstep", counting_loop)
     monkeypatch.setattr(sim, "_averaged", counting_rows)
     sim._reference.cache_clear()
+    return loops, rows
+
+
+def test_omega_sweep_runs_one_batch_per_mode(tmp_path, short_case1_path,
+                                             monkeypatch, capsys):
+    """The omega points of a process go through one loop per mode, and
+    their three references through one integration."""
+    loops, rows = _counting_loops(monkeypatch)
     assert main(["sweep", "--config", short_case1_path, "--omega",
                  "50,100,200", "--mode", "both", "--horizon", "2",
                  "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert batches == [3, 3]
+    assert loops == [(3, False), (3, True)]
     assert rows == [3]
 
 
@@ -527,25 +544,25 @@ def test_lbs_sweep_integrates_its_references_once(tmp_path, monkeypatch,
 def test_omega_points_with_their_own_windows_run_apart(tmp_path, monkeypatch,
                                                        capsys):
     """With an explicit dt the omega points differ in smoothing window, so
-    in a mode with the filter they split into one batch per point; in
-    baseline mode they stay one batch."""
-    import lieseek.cli as cli
+    their filtered runs split into one loop per point; their baseline runs
+    stay one loop, in ``--mode both`` too.  With one dt the two points
+    have one reference, integrated once."""
     cfg = shortened("case1", 2.0).config
     cfg["systems"]["main"]["dt"] = 0.001
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    batches = []
-    run_batch = cli.run_batch
-
-    def counting(specs, gcfgs=None, *args):
-        batches.append((len(specs), gcfgs is not None))
-        return run_batch(specs, gcfgs, *args)
-
-    monkeypatch.setattr(cli, "run_batch", counting)
-    for mode in ("proposed", "baseline"):
+    import lieseek.sim as sim
+    loops, rows = _counting_loops(monkeypatch)
+    for mode, expected in (("proposed", [(1, True), (1, True)]),
+                           ("baseline", [(2, False)]),
+                           ("both", [(2, False), (1, True), (1, True)])):
+        loops.clear()
+        rows.clear()
+        sim._reference.cache_clear()
         assert main(["sweep", "--config", str(path), "--omega", "50,100",
                      "--mode", mode, "--out", str(tmp_path / mode)]) == EXIT_OK
-    assert batches == [(1, True), (1, True), (2, False)]
+        assert loops == expected
+        assert rows == [1]
 
 
 def test_sweep_horizon_below_t_min_fails_at_load(tmp_path, capsys):

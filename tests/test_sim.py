@@ -11,7 +11,7 @@ from conftest import shortened
 import lieseek.sim as sim
 from lieseek.cli import execute_run
 from lieseek.errors import (DivergenceError, EvaluationError, InputError,
-                            IntegrationError)
+                            IntegrationError, LieseekError)
 from lieseek.model import DitherSignal, EstimationErrorModel, ObjectiveMap
 from lieseek.scenarios import Scenario, preset
 from lieseek.sim import (TrajectoryLog, rk4_step, run_baseline, run_lbs,
@@ -392,6 +392,16 @@ def _assert_same_run(member: TrajectoryLog, alone: TrajectoryLog) -> None:
     assert _csv_bytes(member) == _csv_bytes(alone)
 
 
+def _assert_same_result(member, own_run) -> None:
+    """``member`` is the log of ``own_run()``, or the error that it raises."""
+    try:
+        alone = own_run()
+    except LieseekError as exc:
+        assert type(member) is type(exc) and str(member) == str(exc)
+        return
+    _assert_same_run(member, alone)
+
+
 class TestLockstepBatch:
     """Member k of a batch equals the run of that member alone."""
 
@@ -545,13 +555,38 @@ class TestLockstepBatch:
         for k in (0, 2):
             _assert_same_run(batch[k], run_proposed(specs[k], gcfg))
 
-    def test_members_must_share_their_system(self):
-        """Omega may differ; the dithers and the objective may not."""
-        first, gcfg = _member("case1", 1.0)
-        objective = dict(_primary_config("case1")["objective"], center=[1.5])
+    def test_members_of_other_systems_equal_their_own_runs(self,
+                                                           monkeypatch):
+        """Members with swapped dithers, another center or other weights
+        each run in a loop of their own system, in order of first
+        appearance, and equal their own runs; members of one system share
+        a loop whatever their omega.  The swapped dithers flip the
+        bracket's sign, so that member leaves the box."""
+        objective = _primary_config("case1")["objective"]
         dithers = _primary_config("case1")["dithers"]
-        swapped = {"u1": dithers["u2"], "u2": dithers["u1"]}
-        for system in ({"dithers": swapped}, {"objective": objective}):
-            other, _ = _member("case1", 1.0, omega=16.0, **system)
-            with pytest.raises(InputError, match="share their system"):
-                sim.run_batch([first, other], [gcfg, gcfg])
+        members = [_member("case1", 1.5, **system) for system in (
+            {}, {"dithers": {"u1": dithers["u2"], "u2": dithers["u1"]}},
+            {"objective": dict(objective, center=[1.5])},
+            {"objective": dict(objective, weights=[1.0])},
+            {"omega": 16.0})]
+        specs = [spec for spec, _ in members]
+        gcfgs = [gcfg for _, gcfg in members]
+        loops = []
+        lockstep = sim._Lockstep
+
+        def counting(specs, *args):
+            loops.append(len(specs))
+            return lockstep(specs, *args)
+
+        monkeypatch.setattr(sim, "_Lockstep", counting)
+        for gcfgs_or_none in (None, gcfgs):
+            loops.clear()
+            batch = sim.run_batch(specs, gcfgs_or_none)
+            assert loops == [2, 1, 1, 1]
+            for spec, gcfg, result in zip(specs, gcfgs, batch):
+                _assert_same_result(result, lambda: (
+                    run_baseline(spec) if gcfgs_or_none is None
+                    else run_proposed(spec, gcfg)))
+        assert isinstance(batch[1], DivergenceError)
+        for spec, result in zip(specs, sim.lbs_batch(specs)):
+            _assert_same_result(result, lambda: run_lbs(spec))
