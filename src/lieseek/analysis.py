@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, InputError
+from .errors import InputError
 from .model import CoefficientForm, ObjectiveMap
 from .sim import TrajectoryLog
 
@@ -177,8 +177,6 @@ def check_b2(elements: Sequence[B2Element], objective: ObjectiveMap,
     extremum a least-squares exponent fit over domain samples is
     reported as advisory only.
     """
-    if objective.x_star is None or objective.f_star is None:
-        raise CapabilityError("condition check needs declared extremum metadata")
     reports = []
     rng = np.random.default_rng(seed)
     box = None
@@ -188,8 +186,8 @@ def check_b2(elements: Sequence[B2Element], objective: ObjectiveMap,
         ft = np.empty(0)
         if box is not None and sample_count > 0:
             pts = rng.uniform(box[:, 0], box[:, 1],
-                              size=(sample_count, objective.dimension))
-            ft = objective.value(pts) - objective.f_star
+                              size=(sample_count, len(objective.center)))
+            ft = objective.value(pts) - objective.offset
         # one call: the element at the extremum (ftilde = 0), then at ft
         b = el.form.value(np.concatenate(([0.0], ft)))
         v0 = float(b[0])
@@ -208,8 +206,8 @@ def check_b2(elements: Sequence[B2Element], objective: ObjectiveMap,
             contradiction=contradiction, value_at_extremum=v0,
             m3_fit=m3_fit, m_fit=m_fit))
     return B2Report(elements=tuple(reports),
-                    x_star=tuple(float(v) for v in objective.x_star),
-                    f_star=float(objective.f_star), b1_constants=b1_constants)
+                    x_star=objective.center, f_star=objective.offset,
+                    b1_constants=b1_constants)
 
 
 @dataclass(frozen=True)

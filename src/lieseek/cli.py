@@ -221,8 +221,7 @@ def _point_summary(sc: Scenario, value: float, sub: str,
     for (label, m), log in artifacts.logs.items():
         key = f"{label}_{m}"
         finals[key] = float(np.linalg.norm(log.x[-1] - sc.x_star(label)))
-        if not np.any(np.isnan(log.z_ref)):
-            deviations[key] = float(np.max(np.abs(log.x - log.z_ref)))
+        deviations[key] = float(np.max(np.abs(log.x - log.z_ref)))
     return {"value": value, "out": sub, "deviation": deviations,
             "final_error": finals}
 
@@ -273,7 +272,8 @@ def _sweep_points(sc: Scenario, param: str, values: list[float],
 
 def _sweep_share(config: dict, *share) -> tuple:
     """:func:`_sweep_points` in a worker process, on a scenario rebuilt from
-    its config: the objective's closures cannot be pickled."""
+    its config: a pickled scenario would lose the read-only flag of its
+    specs' arrays, which the runs cached per spec rely on."""
     return _sweep_points(Scenario(config), *share)
 
 
@@ -341,12 +341,11 @@ def cmd_sweep(args) -> int:
                          args.horizon, args.mode, args.out, args.seed)
 
     primary_key = f"{sc.primary}_{_run_modes(args.mode)[0]}"
-    devs = [pt["deviation"].get(primary_key) for pt in points]
+    devs = [pt["deviation"][primary_key] for pt in points]
     summary = {"scenario": sc.name, "parameter": param, "values": values,
                "mode": args.mode, "points": points,
                "deviation_strictly_decreasing":
-                   (None not in devs
-                    and all(b < a for a, b in zip(devs, devs[1:])))}
+                   all(b < a for a, b in zip(devs, devs[1:]))}
     path = os.path.join(args.out, f"{sc.name}_sweep_{param}.json")
     _json_dump(summary, path)
     print(json.dumps(summary, indent=2))

@@ -23,8 +23,8 @@ class EvaluationError(LieseekError):
 
 
 class CapabilityError(LieseekError):
-    """An operation requires an optional capability (e.g. an oracle
-    gradient) that the given objects do not provide."""
+    """An operation cannot give a usable result for the given objects
+    (e.g. a first-order prediction that is not finite)."""
 
 
 class IntegrationError(LieseekError):

@@ -68,14 +68,12 @@ def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None,
     """Oracle: exact averaged right-hand side at the states ``z``.
 
     Per channel: ``-nu_hat * a_i^2 * (df/dz_i) * b0_i(f)``, with the
-    gradient taken from the objective's oracle.  ``z`` has shape
+    objective's closed-form gradient.  ``z`` has shape
     ``(..., n)`` and so has the result; ``amplitude`` broadcasts against
     it and defaults to the spec's initial amplitudes.  A caller that
     evaluates many states at fixed amplitudes passes their
     :func:`bracket_weight` as ``weight`` instead.
     """
-    if not spec.objective.has_oracle:
-        raise CapabilityError("exact averaged dynamics need an oracle gradient")
     if weight is None:
         weight = bracket_weight(spec, amplitude)
     grad = spec.objective.measured_gradient(z)

@@ -1,9 +1,9 @@
 """Domain types for dither-driven seeking systems.
 
 This module holds the building blocks every other part of the package
-consumes: periodic probing signals (dithers), objective maps, the named
-vector-field coefficient forms, full system descriptions, and the two
-quantities that the averaged dynamics are built from:
+consumes: periodic probing signals (dithers), the quadratic objective,
+the named vector-field coefficient forms, full system descriptions, and
+the two quantities that the averaged dynamics are built from:
 
 * ``nu_coefficient`` -- the averaging weight of a dither pair,
   ``(1/T) * integral(u_j(s) * integral(u_i, 0, s), 0, T)`` at unit
@@ -26,13 +26,13 @@ so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError
 
 TAU = 2.0 * math.pi
 
@@ -214,99 +214,113 @@ def nu_coefficient(u_j: DitherSignal, u_i: DitherSignal) -> float:
     return _nu_quadrature(u_j, u_i, QUAD_INTERVALS)
 
 
-@dataclass(frozen=True, eq=False)
+# The largest weight whose doubled value, the gradient's factor, is finite.
+_MAX_WEIGHT = np.finfo(float).max / 2.0
+
+
+@dataclass(frozen=True)
 class ObjectiveMap:
-    """A scalar objective over R^n with optional oracle metadata.
+    """The quadratic objective ``f(x) = sum_i w_i * (x_i - c_i)**2 + offset``
+    over R^n, with ``weights`` w and ``center`` c of length n.
 
-    ``fn`` and ``gradient`` take points of shape ``(..., n)`` and return
-    shapes ``(...)`` and ``(..., n)``.  ``gradient`` is an analytic
-    gradient used only by oracles and tests; the seeking loop itself
-    never reads it.  ``kind`` declares whether the isolated extremum is a
-    minimum or a maximum; for maxima the controller-facing signal is
-    negated (see :meth:`measured`).  ``domain_box`` is the compact region
-    the system is expected to live in, as (low, high) per coordinate.
+    Its extremum is the center, with value ``offset``: a minimum for
+    positive weights, a maximum for negative ones.  ``kind`` declares which
+    is sought; for maxima the controller-facing signal is negated (see
+    :meth:`measured`).  The seeking loop reads only that signal, and the
+    closed-form gradient serves the oracle and the checks.  ``domain_box``
+    is the compact region the system is expected to live in, as (low, high)
+    per coordinate.
 
-    Two objectives are equal when their ``key`` is: one built from a
-    config carries every parameter it was built from, and without one an
-    objective equals only itself.
+    The parameters are stored as floats, a negative zero as ``+0.0``, so
+    objectives of equal parameters are equal and hash alike.
     """
 
-    dimension: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    x_star: Optional[tuple[float, ...]] = None
-    f_star: Optional[float] = None
+    weights: tuple[float, ...]
+    center: tuple[float, ...]
+    offset: float = 0.0
     kind: str = "min"
     domain_box: Optional[tuple[tuple[float, float], ...]] = None
-    key: Hashable = field(default_factory=object, repr=False)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ObjectiveMap) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigurationError("objective dimension must be >= 1")
+        w = np.array(self.weights, dtype=float)
+        c = np.array(self.center, dtype=float)
+        if w.ndim != 1 or not w.size or c.shape != w.shape:
+            raise ConfigurationError("objective weights and center must be "
+                                     "1-D and of one length")
+        require_finite("objective center and offset", c, self.offset)
+        # compared, not doubled, so an overflow raises no NumPy warning
+        if not np.all(np.abs(w) <= _MAX_WEIGHT):
+            raise ConfigurationError("objective weights must be finite and "
+                                     f"at most {_MAX_WEIGHT:g} in magnitude")
         if self.kind not in ("min", "max"):
             raise ConfigurationError(f"extremum kind must be min or max: {self.kind!r}")
-        if self.kind == "max" and self.f_star is None:
-            raise ConfigurationError("max-kind objective needs a declared extremum value")
+        box = self.domain_box
+        if box is not None:
+            try:
+                box = np.array(box, dtype=float)
+            except ValueError:
+                box = None
+            if box is None or box.shape != (w.size, 2):
+                raise ConfigurationError("domain box must be (low, high) per coordinate")
+            require_finite("domain box", box)
+            # ``+ 0.0`` turns -0.0 into 0.0
+            box = tuple(map(tuple, (box + 0.0).tolist()))
+        object.__setattr__(self, "weights", tuple((w + 0.0).tolist()))
+        object.__setattr__(self, "center", tuple((c + 0.0).tolist()))
+        object.__setattr__(self, "offset", float(self.offset) + 0.0)
+        object.__setattr__(self, "domain_box", box)
+
+    @staticmethod
+    def from_config(cfg: Mapping) -> "ObjectiveMap":
+        if cfg.get("form") != "quadratic":
+            raise ConfigurationError(f"unknown objective form {cfg.get('form')!r}")
+        return ObjectiveMap(weights=cfg["weights"], center=cfg["center"],
+                            offset=float(cfg.get("offset", 0.0)),
+                            kind=cfg.get("kind", "min"),
+                            domain_box=cfg.get("domain_box") or None)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``w``, ``c`` and ``2w`` as arrays."""
+        w = np.array(self.weights)
+        return w, np.array(self.center), 2.0 * w
 
     def value(self, x):
         """Objective at the points ``x``: a float for one point, an array
         of shape ``x.shape[:-1]`` for several."""
-        out = self.fn(np.asarray(x, dtype=float))
-        return float(out) if getattr(out, "ndim", 0) == 0 else out
+        w, c, _ = self._arrays
+        d = np.asarray(x, dtype=float) - c
+        out = np.vecdot(d * d, w) + self.offset
+        return float(out) if out.ndim == 0 else out
 
     def measured(self, x):
         """Controller-facing objective signal.
 
         Equal to ``f(x)`` for minimum seeking.  For maximum seeking the
-        signal is ``f* - f(x)``, so the averaged dynamics always descend.
+        signal is ``f* - f(x)`` with ``f* = offset``, so the averaged
+        dynamics always descend.
         """
         if self.kind == "max":
-            return self.f_star - self.value(x)
+            return self.offset - self.value(x)
         return self.value(x)
 
     def measured_gradient(self, x) -> np.ndarray:
-        """Gradient of :meth:`measured`, from the analytic ``gradient``."""
-        if self.gradient is None:
-            raise CapabilityError("objective has no oracle gradient")
-        g = np.asarray(self.gradient(np.asarray(x, dtype=float)), dtype=float)
+        """Gradient of :meth:`measured`, in closed form, shape ``x.shape``."""
+        _, c, w2 = self._arrays
+        g = w2 * (np.asarray(x, dtype=float) - c)
         return -g if self.kind == "max" else g
 
-    @property
-    def has_oracle(self) -> bool:
-        return self.gradient is not None
-
     def validate(self, samples: int = 256, seed: int = 0) -> None:
-        """Check declared-extremum consistency and finiteness on the box;
-        a non-finite value fails its check, without a NumPy warning."""
+        """Check that the objective is finite on the domain box; a
+        non-finite value fails, without a NumPy warning."""
+        if self.domain_box is None:
+            return
+        box = np.asarray(self.domain_box)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.x_star is not None:
-                if len(self.x_star) != self.dimension:
-                    raise ConfigurationError("x_star dimension mismatch")
-                if self.gradient is not None:
-                    g = self.measured_gradient(self.x_star)
-                    if not np.linalg.norm(g) <= 1e-8:
-                        raise ConfigurationError("oracle gradient does not "
-                                                 f"vanish at declared extremum: {g}")
-                if self.f_star is not None:
-                    fv = self.value(self.x_star)
-                    if not abs(fv - self.f_star) <= 1e-8 * max(1.0, abs(self.f_star)):
-                        raise ConfigurationError(
-                            f"f(x*)={fv} disagrees with declared f*={self.f_star}")
-            if self.domain_box is not None:
-                box = np.asarray(self.domain_box, dtype=float)
-                if box.shape != (self.dimension, 2):
-                    raise ConfigurationError("domain box must be (low, high) per coordinate")
-                require_finite("domain box", box)
-                pts = np.random.default_rng(seed).uniform(
-                    box[:, 0], box[:, 1], size=(samples, self.dimension))
-                if not np.all(np.isfinite(self.value(pts))):
-                    raise EvaluationError("objective is non-finite on the domain box")
+            pts = np.random.default_rng(seed).uniform(
+                box[:, 0], box[:, 1], size=(samples, len(self.weights)))
+            if not np.all(np.isfinite(self.value(pts))):
+                raise EvaluationError("objective is non-finite on the domain box")
 
 
 # Parameter names and defaults of each named form: ``p`` then ``q``.
@@ -433,7 +447,7 @@ class EscSystemSpec:
         n = len(self.channels)
         if n == 0:
             raise ConfigurationError("system needs at least one channel")
-        if self.objective.dimension != n:
+        if len(self.objective.weights) != n:
             raise ConfigurationError("objective dimension must equal channel count")
         for name, arr in (("a0", self.a0), ("lam", self.lam), ("x0", self.x0)):
             if arr.shape != (n,):
@@ -460,7 +474,8 @@ class EscSystemSpec:
             raise ConfigurationError("dt must be positive")
         if self.horizon <= dt:
             raise ConfigurationError("horizon must exceed dt")
-        if not math.isfinite(self.horizon / dt):
+        # the step count must index a NumPy array
+        if not self.horizon / dt <= np.iinfo(np.intp).max:
             raise ConfigurationError(
                 f"horizon {self.horizon:g} over dt={dt:g} is too many steps")
         if dt > self.dither_period_seconds / 32.0 + 1e-15:

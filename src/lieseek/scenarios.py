@@ -22,46 +22,13 @@ from .analysis import B2Element
 from .errors import ConfigurationError, EvaluationError, UnknownPresetError
 from .gekf import GekfConfig
 from .model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
-                    EscSystemSpec, ObjectiveMap, require_finite)
-
-
-# -- objective forms ----------------------------------------------------------
-
-def build_objective(cfg: Mapping) -> ObjectiveMap:
-    form = cfg.get("form")
-    if form != "quadratic":
-        raise ConfigurationError(f"unknown objective form {form!r}")
-    w = np.asarray(cfg["weights"], dtype=float)
-    c = np.asarray(cfg["center"], dtype=float)
-    offset = float(cfg.get("offset", 0.0))
-    kind = cfg.get("kind", "min")
-    box = cfg.get("domain_box")
-    require_finite("objective weights, center and offset", w, c, offset)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        d = x - c
-        return np.vecdot(d * d, w) + offset
-
-    w2 = 2.0 * w
-
-    def grad(x: np.ndarray) -> np.ndarray:
-        return w2 * (x - c)
-
-    domain_box = tuple((float(a), float(b)) for a, b in box) if box else None
-    # the arrays and the offset by their bits: 0.0 and -0.0 may give
-    # differently signed zeros
-    return ObjectiveMap(
-        dimension=w.shape[0], fn=fn, gradient=grad,
-        x_star=tuple(float(v) for v in c), f_star=offset, kind=kind,
-        domain_box=domain_box,
-        key=(form, w.tobytes(), c.tobytes(), np.float64(offset).tobytes(),
-             kind, domain_box))
+                    EscSystemSpec, ObjectiveMap)
 
 
 # -- system / scenario assembly ----------------------------------------------
 
 def build_system(cfg: Mapping) -> EscSystemSpec:
-    objective = build_objective(cfg["objective"])
+    objective = ObjectiveMap.from_config(cfg["objective"])
     dithers = {name: DitherSignal.from_config(dc)
                for name, dc in cfg["dithers"].items()}
     channels = tuple(
@@ -185,13 +152,10 @@ class Scenario:
         return self._b2
 
     def x_star(self, label: Optional[str] = None) -> np.ndarray:
-        obj = self.systems[label or self.primary].objective
-        if obj.x_star is None:
-            raise ConfigurationError("system declares no extremum point")
-        return np.asarray(obj.x_star, dtype=float)
+        return np.asarray(self.systems[label or self.primary].objective.center)
 
     def validate(self) -> None:
-        """Dither admissibility and the objective's extremum and box checks."""
+        """Dither admissibility and the objective's finiteness on its box."""
         for spec in self.systems.values():
             spec.validate()
 

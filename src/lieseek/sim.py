@@ -142,8 +142,9 @@ def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
 class TrajectoryLog:
     """Uniform-stride record of a run with optional filter diagnostics.
 
-    Columns with no defined value (e.g. oracle columns without an
-    oracle) hold NaN in memory and serialize to empty CSV cells.
+    Columns with no defined value (the estimate columns of a baseline
+    run) hold NaN in memory and serialize to empty CSV cells; the oracle
+    columns are always filled.
     """
 
     COLUMNS = ("t", "x", "f", "a", "Jest", "Jexact", "zref")
@@ -400,23 +401,20 @@ def _system(spec: EscSystemSpec) -> tuple:
 @functools.lru_cache(maxsize=1)
 def _reference(specs: tuple) -> tuple:
     """The unperturbed averaged trajectory of each of ``specs``, members of
-    one system, read-only, or the error that its integration raises; rows
-    of NaN without an oracle.  One reference is integrated per distinct
-    (a0, x0, dt, horizon): it does not depend on lambda or omega.
+    one system, read-only, or the error that its integration raises.  One
+    reference is integrated per distinct (a0, x0, dt, horizon): it does
+    not depend on lambda or omega.
 
     Cached for the last tuple of specs, so the runs of one system (in
     both modes) share one integration.
     """
-    if not specs[0].objective.has_oracle:
-        refs = [np.full((_steps(s) + 1, s.n), np.nan) for s in specs]
-    else:
-        keys = [(s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt, s.horizon)
-                for s in specs]
-        firsts: dict = {}
-        for key, s in zip(keys, specs):
-            firsts.setdefault(key, s)
-        by_key = dict(zip(firsts, _averaged(list(firsts.values()))))
-        refs = [by_key[key] for key in keys]
+    keys = [(s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt, s.horizon)
+            for s in specs]
+    firsts: dict = {}
+    for key, s in zip(keys, specs):
+        firsts.setdefault(key, s)
+    by_key = dict(zip(firsts, _averaged(list(firsts.values()))))
+    refs = [by_key[key] for key in keys]
     for z in refs:
         if isinstance(z, np.ndarray):
             z.flags.writeable = False
@@ -706,8 +704,7 @@ class _Lockstep:
         x, a = self.x_log[logged, k], self.a_log[logged, k]
         try:
             f = self.obj.value(x)
-            j_exact = (lbs_rhs_exact(spec, x, amplitude=a) if self.obj.has_oracle
-                       else np.full(x.shape, np.nan))
+            j_exact = lbs_rhs_exact(spec, x, amplitude=a)
         except LieseekError as exc:
             return exc
         diag = None
@@ -806,8 +803,6 @@ def lbs_batch(specs: Sequence[EscSystemSpec],
     out: list = []
     for spec, zref in zip(specs, _references(specs)):
         try:
-            if not spec.objective.has_oracle:
-                raise InputError("averaged-system run needs an oracle gradient")
             out.append(_lbs_log(spec, _raised(zref), err))
         except LieseekError as exc:
             out.append(exc)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lieseek.analysis import (B2Element, check_b2, check_bound, compare,
                               metrics, period_average)
-from lieseek.errors import CapabilityError, InputError
+from lieseek.errors import InputError
 from lieseek.model import CoefficientForm, ObjectiveMap
 from lieseek.scenarios import preset
 from lieseek.sim import TrajectoryLog
@@ -82,13 +82,9 @@ class TestCheckBound:
 
 class TestCheckB2:
     def _objective(self):
-        return ObjectiveMap(
-            dimension=2,
-            fn=lambda x: (-(x[..., 0] + 1) ** 2 / 2
-                          - 3 * (x[..., 1] - 1) ** 2 / 2 + 10.0),
-            gradient=lambda x: np.array([-(x[0] + 1), -3 * (x[1] - 1)]),
-            x_star=(-1.0, 1.0), f_star=10.0, kind="max",
-            domain_box=((-4.0, 4.0), (-4.0, 4.0)))
+        return ObjectiveMap(weights=(-0.5, -1.5), center=(-1.0, 1.0),
+                            offset=10.0, kind="max",
+                            domain_box=((-4.0, 4.0), (-4.0, 4.0)))
 
     def test_constant_element_contradicts(self):
         rep = check_b2([B2Element(s=2, i=1, form=_linear(0.0, 0.3), label="b_21")],
@@ -125,11 +121,6 @@ class TestCheckB2:
                     B2Element(s=2, i=1, form=CoefficientForm("sine", 1.0, 1.0))]
         rep = check_b2(elements, objective)
         assert not rep.contradiction
-
-    def test_missing_metadata_rejected(self):
-        bare = ObjectiveMap(dimension=1, fn=lambda x: float(x[0] ** 2))
-        with pytest.raises(CapabilityError):
-            check_b2([B2Element(s=1, i=1, form=_linear(1.0, 0.0))], bare)
 
 
 class TestMetrics:

@@ -24,7 +24,7 @@ def _system(*channels):
     """A system that only serves its channels' coefficients."""
     n = len(channels)
     return EscSystemSpec(
-        objective=ObjectiveMap(dimension=n, fn=lambda x: np.vecdot(x, x)),
+        objective=ObjectiveMap(weights=(1.0,) * n, center=(0.0,) * n),
         channels=channels, dithers={"u1": DitherSignal(kind="cosine"),
                                     "u2": DitherSignal(kind="sine")},
         omega=8.0, a0=np.ones(n), lam=np.full(n, 0.1), x0=np.zeros(n),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lieseek.errors import CapabilityError, ConfigurationError
+from lieseek.errors import ConfigurationError
 from lieseek.lie import (VectorFieldFn, chen_fliess_predict, diagonal_fields,
                          lbs_rhs_exact, lie_bracket)
 from lieseek.scenarios import preset
@@ -101,21 +101,6 @@ class TestLbsRhsExact:
         half = lbs_rhs_exact(spec, [2.0], amplitude=[0.5])
         full = lbs_rhs_exact(spec, [2.0])
         assert half[0] == pytest.approx(0.25 * full[0], rel=1e-9)
-
-    def test_missing_oracle(self):
-        from lieseek.model import (ChannelSpec, CoefficientForm, DitherSignal,
-                                   EscSystemSpec, ObjectiveMap)
-        obj = ObjectiveMap(dimension=1, fn=lambda x: float(x[0] ** 2))
-        spec = EscSystemSpec(
-            objective=obj,
-            channels=(ChannelSpec(index=0,
-                                  b1=CoefficientForm("linear", 1.0, 0.0),
-                                  b2=CoefficientForm("linear", 0.0, 1.0)),),
-            dithers={"u1": DitherSignal(kind="cosine"),
-                     "u2": DitherSignal(kind="sine")},
-            omega=8.0, a0=[1.0], lam=[0.1], x0=[2.0], horizon=10.0)
-        with pytest.raises(CapabilityError):
-            lbs_rhs_exact(spec, [1.0])
 
 
 class TestChenFliess:

@@ -132,7 +132,7 @@ def _linear_channel():
 def b0_of(ch, f):
     """The bracket factor of the one channel ``ch`` at objective value f."""
     spec = EscSystemSpec(
-        objective=ObjectiveMap(dimension=1, fn=lambda x: x[..., 0]),
+        objective=ObjectiveMap(weights=(1.0,), center=(0.0,)),
         channels=(ch,), dithers={"u1": COS, "u2": SIN}, omega=8.0,
         a0=[1.0], lam=[0.1], x0=[0.0], horizon=10.0)
     return float(spec.coefficients(f)[2][0])
@@ -191,31 +191,71 @@ class TestCoefficientForm:
 
 
 class TestObjectiveMap:
-    def test_declared_extremum_must_be_critical(self):
-        bad = ObjectiveMap(dimension=1, fn=lambda x: float(x[0] ** 2),
-                           gradient=lambda x: 2 * x, x_star=(0.5,))
-        with pytest.raises(ConfigurationError):
-            bad.validate()
-
-    def test_max_kind_needs_value(self):
-        with pytest.raises(ConfigurationError):
-            ObjectiveMap(dimension=1, fn=lambda x: -float(x[0] ** 2),
-                         kind="max")
-
     def test_max_kind_measured_descends(self):
-        obj = ObjectiveMap(dimension=1, fn=lambda x: 10.0 - float(x[0] ** 2),
-                           gradient=lambda x: -2 * x, x_star=(0.0,),
-                           f_star=10.0, kind="max")
+        obj = ObjectiveMap(weights=(-1.0,), center=(0.0,), offset=10.0,
+                           kind="max")
         assert obj.measured([0.0]) == pytest.approx(0.0)
         assert obj.measured([2.0]) == pytest.approx(4.0)
         assert obj.measured_gradient([2.0])[0] == pytest.approx(4.0)
 
+    def test_closed_form_at_one_and_many_points(self):
+        obj = ObjectiveMap(weights=(2.0, 0.5), center=(1.0, -1.0), offset=3.0)
+        x = np.array([[1.0, -1.0], [2.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(obj.value(x), [3.0, 7.0, 5.5])
+        np.testing.assert_array_equal(obj.measured_gradient(x),
+                                      [[0.0, 0.0], [4.0, 2.0], [-4.0, 1.0]])
+        assert type(obj.value([2.0, 1.0])) is float
+
+    def test_two_loads_are_equal_and_hash_alike(self):
+        first, second = (preset("case3").systems["vehicle3"].objective
+                         for _ in range(2))
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        cfg = preset("case3").config["systems"]["vehicle3"]["objective"]
+        assert ObjectiveMap.from_config(cfg) == first
+        assert ObjectiveMap.from_config(dict(cfg, center=[-1.0, 1.5])) != first
+
+    def test_negative_zero_builds_the_zero_objective(self):
+        cfg = {"form": "quadratic", "weights": [1.0], "center": [0.0]}
+        zero = ObjectiveMap.from_config(cfg)
+        negative = ObjectiveMap.from_config(dict(cfg, center=[-0.0]))
+        assert negative == zero and hash(negative) == hash(zero)
+        assert math.copysign(1.0, negative.center[0]) == 1.0
+
+    @pytest.mark.parametrize("kw", [
+        {"weights": [[2.0]]},
+        {"weights": [[2.0]], "center": [[0.0]]},
+        {"center": (0.0, 0.0)},
+        {"weights": (), "center": ()},
+        {"weights": (float("nan"),)},
+        {"weights": (1e308,)},
+        {"weights": (-float("inf"),)},
+        {"center": (float("inf"),)},
+        {"offset": float("nan")},
+        {"kind": "saddle"},
+        {"domain_box": ((0.0, 1.0, 2.0),)},
+        {"domain_box": ((0.0, 1.0), (0.0, 1.0))},
+        {"domain_box": ((0.0, 1.0), (2.0,))},
+        {"domain_box": ((0.0, float("inf")),)},
+    ], ids=["2-d-weights", "2-d-both", "longer-center", "empty", "nan-weight",
+            "overflowing-weight", "infinite-weight", "infinite-center",
+            "nan-offset", "unknown-kind", "box-triple", "box-too-long",
+            "ragged-box", "infinite-box"])
+    def test_bad_parameters_rejected(self, kw):
+        # pytest turns a NumPy warning into an error here
+        with pytest.raises(ConfigurationError):
+            ObjectiveMap(**{"weights": (1.0,), "center": (0.0,), **kw})
+
+    def test_largest_weight_gives_a_finite_gradient(self):
+        big = np.finfo(float).max / 2.0
+        obj = ObjectiveMap(weights=(big,), center=(0.0,))
+        assert obj.measured_gradient([1.0])[0] == np.finfo(float).max
+
 
 class TestEscSystemSpec:
     def _spec(self, **kw):
-        obj = ObjectiveMap(dimension=1, fn=lambda x: 2 * (x[..., 0] - 1) ** 2,
-                           gradient=lambda x: 4 * (x - 1), x_star=(1.0,),
-                           f_star=0.0, domain_box=((-2.0, 4.0),))
+        obj = ObjectiveMap(weights=(2.0,), center=(1.0,),
+                           domain_box=((-2.0, 4.0),))
         defaults = dict(objective=obj, channels=(_linear_channel(),),
                         dithers={"u1": COS, "u2": SIN}, omega=8.0,
                         a0=[1.0], lam=[0.1], x0=[2.0], horizon=10.0)
@@ -266,7 +306,7 @@ class TestEscSystemSpec:
                  ChannelSpec(index=1, b1=CoefficientForm("linear", 2.0, 0.0),
                              b2=CoefficientForm("sine", -1.0, 3.0)))
         spec = EscSystemSpec(
-            objective=ObjectiveMap(dimension=2, fn=lambda x: x[..., 0]),
+            objective=ObjectiveMap(weights=(1.0, 1.0), center=(0.0, 0.0)),
             channels=mixed, dithers={"u1": COS, "u2": SIN}, omega=8.0,
             a0=[1.0, 1.0], lam=[0.1, 0.1], x0=[0.0, 0.0], horizon=10.0)
         f = np.linspace(-3.0, 3.0, 24).reshape(4, 6)

@@ -31,7 +31,7 @@ class TestCase1Preset:
         np.testing.assert_allclose(spec.x0, [2.0])
         assert spec.horizon == 100.0
         assert spec.objective.value([3.0]) == pytest.approx(8.0)
-        assert spec.objective.x_star == (1.0,)
+        assert spec.objective.center == (1.0,)
 
     def test_channel_structure(self, case1):
         ch = case1.primary_system.channels[0]
@@ -45,7 +45,7 @@ class TestCase2Preset:
         assert spec.omega == 25.0
         np.testing.assert_allclose(spec.a0, math.sqrt(0.5))
         assert spec.objective.value([1.0, 1.0]) == pytest.approx(2.0)
-        assert spec.objective.x_star == (0.0, 0.0)
+        assert spec.objective.center == (0.0, 0.0)
 
     def test_rotating_coefficients(self, case2):
         chx, chy = case2.primary_system.channels

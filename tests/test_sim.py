@@ -481,8 +481,8 @@ class TestLockstepBatch:
         reference of member 1 fails in its first step; the other rows,
         each with its own omega and step size, go on."""
         spec, gcfg = _member("case1", 1.0)
-        boxless = ObjectiveMap(dimension=1, fn=spec.objective.fn,
-                               gradient=spec.objective.gradient)
+        boxless = ObjectiveMap(weights=spec.objective.weights,
+                               center=spec.objective.center)
         specs = [type(spec)(objective=boxless, channels=spec.channels,
                             dithers=spec.dithers, omega=omega, a0=spec.a0,
                             lam=spec.lam, x0=[x0], horizon=spec.horizon)
@@ -540,18 +540,21 @@ class TestLockstepBatch:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_member_with_a_non_finite_stage_stops_alone(self):
-        """Without a domain box, an overflowing member fails in its RK4 step."""
+        """Without a domain box, a member at x0 = 1e150 has a finite
+        objective and reference, but its plant overflows in its first RK4
+        step."""
         spec, gcfg = _member("case1", 1.0)
-        bare = ObjectiveMap(dimension=1, fn=spec.objective.fn)
-        specs = [type(spec)(objective=bare, channels=spec.channels,
+        boxless = ObjectiveMap(weights=spec.objective.weights,
+                               center=spec.objective.center)
+        specs = [type(spec)(objective=boxless, channels=spec.channels,
                             dithers=spec.dithers, omega=spec.omega, a0=spec.a0,
                             lam=spec.lam, x0=[x0], horizon=spec.horizon)
-                 for x0 in (2.0, 1e160, 0.5)]
+                 for x0 in (2.0, 1e150, 0.5)]
         batch = sim.run_batch(specs, [gcfg] * 3)
         with pytest.raises(IntegrationError) as alone:
             run_proposed(specs[1], gcfg)
         assert type(batch[1]) is IntegrationError
-        assert str(batch[1]) == str(alone.value) == "non-finite RK4 stage 1 at t=0.0"
+        assert str(batch[1]) == str(alone.value) == "non-finite RK4 stage 2 at t=0.0"
         for k in (0, 2):
             _assert_same_run(batch[k], run_proposed(specs[k], gcfg))
 
