@@ -433,6 +433,12 @@ def _stack(arrays: list) -> np.ndarray:
     return np.array(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
 
 
+def _rk4_decay(h: np.ndarray) -> np.ndarray:
+    """The factor by which one RK4 step of ``a' = -lam * (a - j)``, with
+    ``h = -lam * dt``, scales ``a - j``: the step in closed form."""
+    return 1.0 + h + h ** 2 / 2.0 + h ** 3 / 6.0 + h ** 4 / 24.0
+
+
 class _Grid:
     """The time grid of the members that share omega, dt and step count:
     step size, step times and the dither tables on them."""
@@ -496,7 +502,7 @@ class _Lockstep:
 
         # per-member state; row i belongs to member members[i]
         self.members = np.arange(size)
-        self.lam = _stack([s.lam for s in specs])
+        self.decay = _stack([_rk4_decay(-s.lam * s.resolved_dt) for s in specs])
         self.x = _stack([s.x0 for s in specs])
         self.a = _stack([s.a0 for s in specs])
         self.j_sig = np.zeros(self.x.shape)
@@ -561,7 +567,7 @@ class _Lockstep:
         member axis; one row drops the axis."""
         out = copy.copy(self)
         index = _index(rows)
-        for name in ("lam", "x", "a", "j_sig", "f_prev", "u1_acc", "u2_acc"):
+        for name in ("decay", "x", "a", "j_sig", "f_prev", "u1_acc", "u2_acc"):
             value = getattr(self, name)
             if value is not None:
                 setattr(out, name, value[index])
@@ -617,8 +623,10 @@ class _Lockstep:
         x = rk4_step(self._plant(step, scale), t0, self.x, dt)
         a = self.a
         if self.adapt:
-            lam, j_held = self.lam, self.j_sig
-            a = rk4_step(lambda t, a: -lam * (a - j_held), t0, a, dt)
+            j = self.j_sig
+            a = j + (a - j) * self.decay
+            if not np.isfinite(a).all():
+                raise IntegrationError(f"non-finite amplitude at t={t0}", t=t0)
         self.guard(x, self.times[step + 1])
         if not self.use_filter:
             return x, a, None

@@ -136,6 +136,23 @@ class TestRunProposed:
         log = run_proposed(sc.primary_system, sc.gekf_config(), j_override=c)
         assert log.a[-1, 0] == pytest.approx(c, rel=0.01)
 
+    def test_amplitude_step_is_the_rk4_step(self):
+        lam, dt = np.array([0.1, 2.0]), 0.01
+        a, j = np.array([1.0, 0.5]), np.array([0.3, -0.2])
+        step = rk4_step(lambda t, a: -lam * (a - j), 0.0, a, dt)
+        closed = j + (a - j) * sim._rk4_decay(-lam * dt)
+        np.testing.assert_allclose(closed, step, rtol=1e-15)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_signal_fails_the_step_that_reads_it(self):
+        sc = shortened("case1", 1.0)
+        spec = sc.primary_system
+        t_bad = float(sim.step_times(spec)[10])
+        with pytest.raises(IntegrationError) as exc:
+            run_proposed(spec, sc.gekf_config(),
+                         j_override=lambda t: math.inf if t >= t_bad else 0.0)
+        assert exc.value.t == t_bad
+
     def test_start_at_extremum_amplitude_decays(self):
         from lieseek.analysis import period_average
         sc = shortened("case1", 10.0)
