@@ -218,9 +218,16 @@ class TrajectoryLog:
         def parse(cell: str) -> float:
             return float("nan") if cell == CSV_NAN else float(cell)
 
-        data = np.array([[parse(c) for c in ln.split(",")] for ln in lines[1:]])
+        try:
+            data = np.array([[parse(c) for c in ln.split(",")]
+                             for ln in lines[1:]])
+        except ValueError as exc:   # a cell that is no number, or a short row
+            raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
         if data.shape[0] < 2:
             raise InputError(f"trajectory CSV needs at least two rows: {path}")
+        if data.shape[1] != expect:
+            raise ConfigurationError(f"cannot read CSV {path}: its rows have "
+                                     f"{data.shape[1]} cells, its header {expect}")
         t = data[:, 0]
         x = data[:, 1:1 + n]
         f = data[:, 1 + n]

@@ -223,6 +223,11 @@ def _short_case1_with(path: tuple, value) -> str:
     (None, ["case1", "--mode", "proposed", "--horizon", "0.5"]),
     (None, ["case1", "--horizon", "1"]),
     (None, ["case1", "--mode", "lbs", "--horizon", "2", "--omega", "1e308"]),
+    (None, ["case1", "--dt", "1e-300"]),
+    (_short_case1_with(("systems", "main", "objective", "weights"), [[2.0]]),
+     ["--mode", "baseline"]),
+    (_short_case1_with(("systems", "main", "objective", "weights"), [1e308]),
+     []),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
@@ -230,7 +235,8 @@ def _short_case1_with(path: tuple, value) -> str:
         "negative-analysis-t-min", "negative-analysis-window",
         "nan-horizon", "inf-horizon", "nan-lambda", "inf-lambda", "nan-x0",
         "inf-omega", "nan-coefficient-gain", "non-zero-mean-dither",
-        "horizon-below-t-min", "horizon-at-t-min", "overflowing-step-count"])
+        "horizon-below-t-min", "horizon-at-t-min", "overflowing-step-count",
+        "unindexable-step-count", "2-d-weights", "overflowing-weight-gradient"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -254,6 +260,28 @@ def test_missing_csv_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read CSV missing.csv")
+    assert err.count("\n") == 1
+
+
+_ROWS = [f"{t},1.0,0.0,1.0,1.0,1.0," for t in (0.0, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-bound", "{csv}", "--p", "1.1"],
+    ["compare", "{csv}", "{csv}", "--x-star", "1"],
+], ids=["check-bound", "compare"])
+@pytest.mark.parametrize("rows", [
+    [_ROWS[0], "0.5,one,0.0,1.0,1.0,1.0,", _ROWS[2]],
+    [_ROWS[0], _ROWS[1][:-1], _ROWS[2]],
+    [row[:-1] for row in _ROWS],
+], ids=["non-number-cell", "short-row", "every-row-short"])
+def test_malformed_csv_is_one_line_usage_error(tmp_path, capsys, argv, rows):
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join(["t,x_1,f,a_1,Jest_1,Jexact_1,zref_1", *rows])
+                    + "\n")
+    assert main([arg.format(csv=path) for arg in argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read CSV {path}: ")
     assert err.count("\n") == 1
 
 
