@@ -258,9 +258,9 @@ class ObjectiveMap:
         if box is not None:
             try:
                 box = np.array(box, dtype=float)
-            except ValueError:
-                box = None
-            if box is None or box.shape != (w.size, 2):
+            except ValueError:   # pairs of differing lengths
+                box = np.empty(0)
+            if box.shape != (w.size, 2):
                 raise ConfigurationError("domain box must be (low, high) per coordinate")
             require_finite("domain box", box)
             # ``+ 0.0`` turns -0.0 into 0.0
