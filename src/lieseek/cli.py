@@ -2,12 +2,9 @@
 
 ``run`` and ``sweep`` make their runs the same way, through
 :func:`_batch_runs`: one :func:`lieseek.sim.run_batch` (or ``lbs_batch``)
-call per system and mode over all of a process's points, which decides
+call per system and mode over all of a command's points, which decides
 on its own which runs share a lockstep loop and one integration of their
-references.  ``sweep --jobs N`` runs the points on N processes: the
-calling process runs every N-th point from the first, and each of N-1
-forked workers (POSIX only) runs every N-th point from its own offset.
-The output does not depend on N.
+references.
 
 Exit codes: 0 success (and check passed), 1 check failed, 2 usage error,
 3 runtime failure.
@@ -58,24 +55,22 @@ def _load(args) -> Scenario:
     return preset(args.scenario)
 
 
-def _apply_overrides(sc: Scenario, args) -> Scenario:
-    cfg = sc.config
-    overrides = {"omega": getattr(args, "omega", None),
-                 "lambda": getattr(args, "lam", None),
-                 "dt": getattr(args, "dt", None),
-                 "horizon": getattr(args, "horizon", None)}
-    if all(v is None for v in overrides.values()):
+def _apply_overrides(sc: Scenario, *, omega: Optional[float] = None,
+                     lam: Optional[float] = None, dt: Optional[float] = None,
+                     horizon: Optional[float] = None) -> Scenario:
+    if omega is None and lam is None and dt is None and horizon is None:
         return sc
+    cfg = sc.config
     for sys_cfg in cfg["systems"].values():
         n = len(sys_cfg["channels"])
-        if overrides["omega"] is not None:
-            sys_cfg["omega"] = overrides["omega"]
-        if overrides["lambda"] is not None:
-            sys_cfg["lambda"] = [overrides["lambda"]] * n
-        if overrides["dt"] is not None:
-            sys_cfg["dt"] = overrides["dt"]
-        if overrides["horizon"] is not None:
-            sys_cfg["horizon"] = overrides["horizon"]
+        if omega is not None:
+            sys_cfg["omega"] = omega
+        if lam is not None:
+            sys_cfg["lambda"] = [lam] * n
+        if dt is not None:
+            sys_cfg["dt"] = dt
+        if horizon is not None:
+            sys_cfg["horizon"] = horizon
     return Scenario(cfg)
 
 
@@ -176,7 +171,8 @@ def cmd_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    sc = _apply_overrides(_load(args), args)
+    sc = _apply_overrides(_load(args), omega=args.omega, lam=args.lam,
+                          dt=args.dt, horizon=args.horizon)
     artifacts = execute_run(sc, args.mode, args.out, seed=args.seed)
     print(json.dumps({"csv": artifacts.csv_paths,
                       "report": artifacts.report_path,
@@ -233,23 +229,23 @@ def _point_dir(param: str, value: float) -> str:
 
 def _sweep_points(sc: Scenario, param: str, values: list[float],
                   horizon: Optional[float], mode: str, out: str,
-                  seed: int) -> tuple[list[dict], Optional[LieseekError]]:
-    """Run the sweep points ``values`` in order up to the first failure;
-    returns one dict per finished point, and the failure or ``None``.
+                  seed: int) -> list[dict]:
+    """Run the sweep points ``values`` and write their files in order;
+    returns one dict per point.
 
     The points are loaded first, up to the first that fails to load, and
     the runs of all loaded points made by one :func:`_batch_runs` call.
     The points then write their files in order, up to the first that
-    fails.
+    fails.  The first failure is raised: that of a run, or else that of
+    the load.
     """
     loaded: list[tuple[float, Scenario]] = []
     failure: Optional[LieseekError] = None
     for value in values:
-        ns = argparse.Namespace(omega=value if param == "omega" else None,
-                                lam=value if param == "lambda" else None,
-                                dt=None, horizon=horizon)
         try:
-            point_sc = _apply_overrides(sc, ns)
+            point_sc = _apply_overrides(
+                sc, omega=value if param == "omega" else None,
+                lam=value if param == "lambda" else None, horizon=horizon)
             _require_bound_samples(point_sc, mode)
         except LieseekError as exc:
             failure = exc
@@ -261,63 +257,11 @@ def _sweep_points(sc: Scenario, param: str, values: list[float],
     points: list[dict] = []
     for (value, point_sc), point_runs in zip(loaded, runs):
         sub = os.path.join(out, _point_dir(param, value))
-        try:
-            artifacts = execute_run(point_sc, mode, sub, seed=seed,
-                                    runs=point_runs)
-        except LieseekError as exc:
-            return points, exc
+        artifacts = execute_run(point_sc, mode, sub, seed=seed,
+                                runs=point_runs)
         points.append(_point_summary(point_sc, value, sub, artifacts))
-    return points, failure
-
-
-def _sweep_share(config: dict, *share) -> tuple:
-    """:func:`_sweep_points` in a worker process, on a scenario rebuilt from
-    its config: a pickled scenario would lose the read-only flag of its
-    specs' arrays, which the runs cached per spec rely on."""
-    return _sweep_points(Scenario(config), *share)
-
-
-def _run_shares(sc: Scenario, param: str, values: list[float], jobs: int,
-                *rest) -> list[dict]:
-    """Run the sweep points on ``jobs`` processes, in fixed strided shares.
-
-    Share k holds points k, k+jobs, k+2*jobs, ...  The calling process
-    runs share 0 itself and each other share goes to one forked worker.
-    Shares are fixed, not drawn from a queue, so each process runs the
-    same points on every call.  Returns the points in value order, or
-    raises the failure of the first failing point, as ``jobs=1`` does.
-    """
-    if jobs == 1:
-        done = [_sweep_points(sc, param, values, *rest)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork, not spawn: a spawned worker would import numpy and the
-        # package anew (about 0.25 s on a 2-core host).  Forking is safe
-        # here: the executor forks all its workers before it starts its
-        # own thread, OpenBLAS (numpy's BLAS) stops its thread pool around
-        # a fork, and the workers share no state with the caller.
-        with ProcessPoolExecutor(max_workers=jobs - 1,
-                                 mp_context=multiprocessing.get_context("fork")
-                                 ) as pool:
-            shares = [values[k::jobs] for k in range(jobs)]
-            futures = [pool.submit(_sweep_share, sc.config, param, share, *rest)
-                       for share in shares[1:]]
-            done = [_sweep_points(sc, param, shares[0], *rest)]
-            try:
-                done += [future.result() for future in futures]
-            except BrokenProcessPool as exc:
-                raise LieseekError(f"a sweep worker process died: {exc}") from exc
-    # share k stopped at its point k + jobs * (points it finished)
-    failures = [(k + jobs * len(share), exc)
-                for k, (share, exc) in enumerate(done) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    points: list = [None] * len(values)
-    for k, (share_points, _) in enumerate(done):
-        points[k::jobs] = share_points
+    if failure is not None:
+        raise failure
     return points
 
 
@@ -337,8 +281,8 @@ def cmd_sweep(args) -> int:
                 f"--{param} values {values[dirs.index(name)]!r} and "
                 f"{values[k]!r} both write to {name}")
     os.makedirs(args.out, exist_ok=True)
-    points = _run_shares(sc, param, values, min(args.jobs, len(values)),
-                         args.horizon, args.mode, args.out, args.seed)
+    points = _sweep_points(sc, param, values, args.horizon, args.mode,
+                           args.out, args.seed)
 
     primary_key = f"{sc.primary}_{_run_modes(args.mode)[0]}"
     devs = [pt["deviation"][primary_key] for pt in points]
@@ -452,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("baseline", "proposed", "lbs", "both"))
     sweep_p.add_argument("--horizon", type=float, default=None)
     sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--jobs", type=int, default=1)
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility and checked to be "
+                              "at least 1; every point runs in this process")
     sweep_p.add_argument("--out", default="./out")
     sweep_p.set_defaults(fn=cmd_sweep)
 

@@ -84,8 +84,16 @@ class GekfConfig:
         for name in ("q1", "q2", "q3", "r", "p0", "a_floor"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.smooth_window < 1 or self.n_meas < 1:
-            raise ConfigurationError("smooth_window and n_meas must be >= 1")
+        for name in ("smooth_window", "n_meas"):
+            value = getattr(self, name)
+            # a bool is an int, but not a count
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            if not is_int or value < 1:
+                raise ConfigurationError(f"{name} must be an integer >= 1, "
+                                         f"got {value!r}")
+        if not isinstance(self.smoothing, bool):
+            raise ConfigurationError(
+                f"smoothing must be true or false, got {self.smoothing!r}")
 
 
 def measurement_coefficients(spec: EscSystemSpec, f1, u1_int: np.ndarray,

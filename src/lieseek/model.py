@@ -225,11 +225,11 @@ class ObjectiveMap:
 
     Its extremum is the center, with value ``offset``: a minimum for
     positive weights, a maximum for negative ones.  ``kind`` declares which
-    is sought; for maxima the controller-facing signal is negated (see
-    :meth:`measured`).  The seeking loop reads only that signal, and the
-    closed-form gradient serves the oracle and the checks.  ``domain_box``
-    is the compact region the system is expected to live in, as (low, high)
-    per coordinate.
+    is sought, and must agree with the sign of every weight; for maxima
+    the controller-facing signal is negated (see :meth:`measured`).  The
+    seeking loop reads only that signal, and the closed-form gradient
+    serves the oracle and the checks.  ``domain_box`` is the compact region
+    the system is expected to live in, as (low, high) per coordinate.
 
     The parameters are stored as floats, a negative zero as ``+0.0``, so
     objectives of equal parameters are equal and hash alike.
@@ -254,6 +254,10 @@ class ObjectiveMap:
                                      f"at most {_MAX_WEIGHT:g} in magnitude")
         if self.kind not in ("min", "max"):
             raise ConfigurationError(f"extremum kind must be min or max: {self.kind!r}")
+        if not np.all(w > 0 if self.kind == "min" else w < 0):
+            sign = "positive" if self.kind == "min" else "negative"
+            raise ConfigurationError(f"a {self.kind} objective needs every "
+                                     f"weight {sign}, got {self.weights}")
         box = self.domain_box
         if box is not None:
             try:

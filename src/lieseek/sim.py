@@ -831,7 +831,7 @@ def _lbs_log(spec: EscSystemSpec, zref_log: np.ndarray,
     x_log = (zref_log.copy() if err is None
              else _raised(_averaged([spec], err)[0]))
     total, n = x_log.shape
-    t_log = np.arange(total) * dt
+    t_log = step_times(spec)
     f_log = spec.objective.value(x_log)
     a_log = np.tile(a0, (total, 1))
     jex_log = lbs_rhs_exact(spec, x_log)

@@ -228,6 +228,13 @@ def _short_case1_with(path: tuple, value) -> str:
      ["--mode", "baseline"]),
     (_short_case1_with(("systems", "main", "objective", "weights"), [1e308]),
      []),
+    (_short_case1_with(("systems", "main", "objective", "kind"), "max"),
+     ["--mode", "baseline"]),
+    (_short_case1_with(("systems", "main", "objective", "weights"), [0.0]),
+     ["--mode", "baseline"]),
+    (_short_case1_with(("gekf", "n_meas"), 2.5), []),
+    (_short_case1_with(("gekf", "n_meas"), True), []),
+    (_short_case1_with(("gekf", "smoothing"), "no"), []),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
@@ -236,7 +243,9 @@ def _short_case1_with(path: tuple, value) -> str:
         "nan-horizon", "inf-horizon", "nan-lambda", "inf-lambda", "nan-x0",
         "inf-omega", "nan-coefficient-gain", "non-zero-mean-dither",
         "horizon-below-t-min", "horizon-at-t-min", "overflowing-step-count",
-        "unindexable-step-count", "2-d-weights", "overflowing-weight-gradient"])
+        "unindexable-step-count", "2-d-weights", "overflowing-weight-gradient",
+        "kind-contradicts-weights", "zero-weight", "fractional-n-meas",
+        "boolean-n-meas", "string-smoothing"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -405,9 +414,9 @@ def test_sweep_jobs_give_identical_output(tmp_path, short_case1_path,
     assert json.loads(pool_out) == json.loads(serial_out)
 
 
-def test_sweep_caller_runs_a_share(tmp_path, short_case1_path, monkeypatch,
-                                   capsys):
-    """The calling process integrates its own points, not only the workers."""
+def test_sweep_caller_steps_every_point(tmp_path, short_case1_path,
+                                        monkeypatch, capsys):
+    """The calling process integrates every point, whatever ``--jobs``."""
     import lieseek.sim as sim
     calls = []
     rk4_step = sim.rk4_step
@@ -423,39 +432,20 @@ def test_sweep_caller_runs_a_share(tmp_path, short_case1_path, monkeypatch,
     assert _sweep_in(tmp_path / "serial", argv, monkeypatch) == EXIT_OK
     serial = len(calls)
     calls.clear()
-    assert _sweep_in(tmp_path / "pool", argv + ["--jobs", "2"],
+    assert _sweep_in(tmp_path / "jobs2", argv + ["--jobs", "2"],
                      monkeypatch) == EXIT_OK
-    assert 0 < len(calls) < serial
+    assert serial > 0 and len(calls) == serial
 
 
 def test_sweep_worker_error_keeps_exit_code(tmp_path, short_case1_path,
                                             capsys):
-    # the second point, a worker's, is an invalid gain
+    # the second point is an invalid gain
     assert main(["sweep", "--config", short_case1_path, "--lambda", "0.1,-1",
                  "--mode", "proposed", "--horizon", "1.5", "--jobs", "2",
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "gains must be positive" in err
-
-
-def test_sweep_dead_worker_is_runtime_error(tmp_path, short_case1_path,
-                                            monkeypatch, capsys):
-    import lieseek.cli as cli
-    parent = os.getpid()
-    execute_run = cli.execute_run
-
-    def dying(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(1)
-        return execute_run(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "execute_run", dying)
-    assert main(["sweep", "--config", short_case1_path, "--omega", "50,100",
-                 "--mode", "baseline", "--horizon", "1.5", "--jobs", "2",
-                 "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_zero_jobs_is_usage_error(tmp_path, short_case1_path, capsys):
@@ -490,9 +480,8 @@ def test_sweep_reports_the_first_failing_run_at_any_jobs(tmp_path,
                                                          scenario, flag,
                                                          values, first):
     """Points 1 and 3 leave the box (lambda: in their first steps; omega:
-    at t = 0.39 and 0.46); the batch of either share finishes its other
-    points, and the lowest failing index is reported whatever ``--jobs``
-    is."""
+    at t = 0.39 and 0.46); the batch finishes its other points, and the
+    lowest failing index is reported whatever ``--jobs`` is."""
     argv = ["sweep", scenario, "--mode", "proposed", "--horizon", "1.5",
             flag, values]
     results = []
@@ -508,6 +497,21 @@ def test_sweep_reports_the_first_failing_run_at_any_jobs(tmp_path,
     for jobs in (1, 2):
         assert (tmp_path / f"jobs{jobs}" / "out" / first
                 / f"{scenario}_main_proposed.csv").exists()
+
+
+def test_failing_sweep_leaves_the_same_files_at_any_jobs(tmp_path,
+                                                         monkeypatch, capsys):
+    """Point 1 leaves the box; point 2 runs but, after the failure, writes
+    nothing, at ``--jobs 2`` as at ``--jobs 1``."""
+    argv = ["sweep", "case2", "--mode", "proposed", "--horizon", "1.5",
+            "--lambda", "0.1,1e4,0.2,1e5"]
+    trees = []
+    for jobs in (1, 2):
+        assert _sweep_in(tmp_path / f"jobs{jobs}", argv + ["--jobs", str(jobs)],
+                         monkeypatch) == EXIT_RUNTIME
+        trees.append(_tree_bytes(tmp_path / f"jobs{jobs}"))
+    assert trees[0] == trees[1]
+    assert {Path(name).parts[1] for name in trees[0]} == {"lambda_0.1"}
 
 
 def _counting_loops(monkeypatch) -> tuple[list, list]:
@@ -618,12 +622,16 @@ def test_python_m_lieseek_runs_the_cli():
     assert proc.stdout.split() == ["case1", "case2", "case3"]
 
 
-@pytest.mark.parametrize("argv", [["-c", "import lieseek.cli"],
-                                  ["-m", "lieseek", "list"]],
-                         ids=["import-cli", "list"])
-def test_cli_starts_without_scipy(argv):
-    """The CLI needs NumPy alone; ``-X importtime`` names every module
-    that a fresh interpreter imports."""
+@pytest.mark.parametrize("argv", [
+    ["-c", "import lieseek.cli"],
+    ["-m", "lieseek", "list"],
+    ["-m", "lieseek", "sweep", "case1", "--omega", "50,100", "--horizon",
+     "1.5", "--jobs", "2", "--out", "{out}"],
+], ids=["import-cli", "list", "sweep-jobs2"])
+def test_cli_starts_without_scipy(tmp_path, argv):
+    """The CLI needs NumPy alone, and a sweep runs in the calling process:
+    ``-X importtime`` names every module that a fresh interpreter imports."""
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                           env=_source_env(), capture_output=True, text=True,
                           timeout=60)
@@ -632,4 +640,6 @@ def test_cli_starts_without_scipy(argv):
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "lieseek.cli" in imported
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    roots = {m.split(".")[0] for m in imported}
+    assert not roots & {"scipy", "multiprocessing"}
+    assert not [m for m in imported if m.startswith("concurrent.futures")]

@@ -233,14 +233,16 @@ class TestObjectiveMap:
         {"center": (float("inf"),)},
         {"offset": float("nan")},
         {"kind": "saddle"},
+        {"weights": (1.0, -1.0), "center": (0.0, 0.0)},
+        {"weights": (-1.0, 1.0), "center": (0.0, 0.0), "kind": "max"},
         {"domain_box": ((0.0, 1.0, 2.0),)},
         {"domain_box": ((0.0, 1.0), (0.0, 1.0))},
         {"domain_box": ((0.0, 1.0), (2.0,))},
         {"domain_box": ((0.0, float("inf")),)},
     ], ids=["2-d-weights", "2-d-both", "longer-center", "empty", "nan-weight",
             "overflowing-weight", "infinite-weight", "infinite-center",
-            "nan-offset", "unknown-kind", "box-triple", "box-too-long",
-            "ragged-box", "infinite-box"])
+            "nan-offset", "unknown-kind", "mixed-sign-min", "mixed-sign-max",
+            "box-triple", "box-too-long", "ragged-box", "infinite-box"])
     def test_bad_parameters_rejected(self, kw):
         # pytest turns a NumPy warning into an error here
         with pytest.raises(ConfigurationError):

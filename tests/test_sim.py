@@ -94,6 +94,11 @@ class TestRunLbs:
         assert abs(log.z_ref[-1, 0] - 1.0) < 1e-6
 
 
+    def test_time_grid_is_the_seeking_runs(self):
+        spec = shortened("case1", 5.0).primary_system
+        assert run_lbs(spec).t.tobytes() == run_baseline(spec).t.tobytes()
+
+
 class TestRunBaseline:
     def test_case1_practical_convergence_with_oscillation(self):
         sc = shortened("case1", 40.0)
@@ -135,6 +140,17 @@ class TestRunProposed:
         c = 0.4
         log = run_proposed(sc.primary_system, sc.gekf_config(), j_override=c)
         assert log.a[-1, 0] == pytest.approx(c, rel=0.01)
+
+    def test_measuring_every_second_step_holds_the_innovation(self):
+        """With ``n_meas = 2`` the filter measures after every second step,
+        so each odd row repeats the innovation of the row before it, and
+        every even row from 2 on has a new one."""
+        spec, gcfg = _member("case1", 2.0, gekf={"n_meas": 2})
+        innovation = run_proposed(spec, gcfg).diag["innovation"]
+        odd, even = innovation[1::2], innovation[0::2]
+        assert gcfg.n_meas == 2 and odd.size > 50
+        assert np.array_equal(odd, even[:odd.size])
+        assert np.all(even[1:] != even[:-1])
 
     def test_amplitude_step_is_the_rk4_step(self):
         lam, dt = np.array([0.1, 2.0]), 0.01
@@ -450,6 +466,14 @@ class TestLockstepBatch:
         for (spec, gcfg), log in zip(members, batch):
             _assert_same_run(log, run_proposed(spec, gcfg) if adapt
                              else run_baseline(spec))
+
+    def test_members_measuring_every_second_step_equal_their_own_runs(self):
+        members = [_member("case1", 2.0, gekf={"n_meas": 2}, **{"lambda": [lam]})
+                   for lam in (0.1, 0.3)]
+        batch = sim.run_batch([spec for spec, _ in members],
+                              [gcfg for _, gcfg in members])
+        for (spec, gcfg), log in zip(members, batch):
+            _assert_same_run(log, run_proposed(spec, gcfg))
 
     def test_members_leave_after_their_last_step(self, monkeypatch):
         """Each member is stepped for its own step count, by the reference
