@@ -26,8 +26,8 @@ from . import analysis as an
 from .errors import ConfigurationError, InputError, LieseekError, UnknownPresetError
 from .model import require_finite
 from .scenarios import Scenario, load_scenario, preset, preset_names
-from .sim import (TrajectoryLog, _atomic_write, _raised, lbs_batch, run_batch,
-                  step_times)
+from .sim import (TrajectoryLog, _atomic_write, _make_dirs, _raised, lbs_batch,
+                  run_batch, step_times)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,7 +104,7 @@ def execute_run(sc: Scenario, mode: str, out_dir: str, seed: int = 0,
     by :func:`_batch_runs`.
     """
     _require_bound_samples(sc, mode)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dirs(out_dir)
     if runs is None:
         runs = _batch_runs([sc], mode, seed)[0]
     logs: dict[tuple[str, str], TrajectoryLog] = {}
@@ -280,7 +280,7 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(
                 f"--{param} values {values[dirs.index(name)]!r} and "
                 f"{values[k]!r} both write to {name}")
-    os.makedirs(args.out, exist_ok=True)
+    _make_dirs(args.out)
     points = _sweep_points(sc, param, values, args.horizon, args.mode,
                            args.out, args.seed)
 
@@ -308,14 +308,18 @@ def cmd_check_bound(args) -> int:
     _require_above("--p", args.p, 1.0)
     _require_above("--t-min", args.t_min, 0.0)
     log = TrajectoryLog.from_csv(args.csv)
+    if args.t_min > log.t[-1]:
+        raise ConfigurationError(
+            f"--t-min must not exceed the log's last sample time "
+            f"{log.t[-1]:g}, got {args.t_min:g}")
     series = log.j_exact if args.oracle else log.j_est
     if np.any(np.isnan(series)):
         raise InputError("requested signal columns are empty in this CSV")
     result = an.check_bound(log.t, series, p=args.p, t_min=args.t_min)
     payload = result.to_dict()
-    print(json.dumps(payload, indent=2))
     if args.out:
         _json_dump(payload, args.out)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK if result.holds else EXIT_CHECK_FAILED
 
 
@@ -327,9 +331,9 @@ def cmd_check_b2(args) -> int:
     objective, elements, constants = setup
     report = an.check_b2(elements, objective, b1_constants=constants)
     payload = report.to_dict()
-    print(json.dumps(payload, indent=2))
     if args.out:
         _json_dump(payload, args.out)
+    print(json.dumps(payload, indent=2))
     return EXIT_CHECK_FAILED if report.contradiction else EXIT_OK
 
 
@@ -352,9 +356,9 @@ def cmd_compare(args) -> int:
             f"got {args.window:g}")
     report = an.compare(base, prop, x_star, args.window, args.period)
     payload = report.to_dict()
-    print(json.dumps(payload, indent=2))
     if args.out:
         _json_dump(payload, args.out)
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 

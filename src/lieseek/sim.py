@@ -30,7 +30,8 @@ every channel's dither values at each step start and midpoint of the
 grid (the RK4 stage times), and their per-step Simpson sums, which give
 the filter its input integrals.  The averaged reference trajectories of
 one system's members, one per distinct (a0, x0, dt, horizon), are
-integrated together as the rows of one RK4 step (:func:`_averaged`), and
+integrated together as the members of one more lockstep loop,
+:class:`_Averaged` (:func:`_averaged`), which builds no dither tables, and
 shared by the runs of one system (:func:`_reference` caches them for the
 last system); the ``f`` column and the oracle ``Jexact`` column are each
 filled by one array call over a member's logged rows after the loop.
@@ -202,40 +203,42 @@ class TrajectoryLog:
 
     @staticmethod
     def from_csv(path: str) -> "TrajectoryLog":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = [ln for ln in fh.read().splitlines() if ln]
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
-        if not lines:
-            raise InputError(f"empty CSV: {path}")
-        header = lines[0].split(",")
-        n = sum(1 for c in header if c.startswith("x_"))
-        expect = 2 + 5 * n
-        if n == 0 or len(header) != expect or header[0] != "t":
-            raise InputError(f"unrecognized trajectory CSV header in {path}")
+        """The log of a trajectory CSV; a file that cannot be read as one
+        raises :class:`ConfigurationError`."""
 
         def parse(cell: str) -> float:
             return float("nan") if cell == CSV_NAN else float(cell)
 
         try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = [ln for ln in fh.read().splitlines() if ln]
+            if not lines:
+                raise ValueError("it is empty")
+            header = lines[0].split(",")
+            n = sum(1 for c in header if c.startswith("x_"))
+            expect = 2 + 5 * n
+            if n == 0 or len(header) != expect or header[0] != "t":
+                raise ValueError("its header is not a trajectory's")
+            # a cell that is no number, or a short row, raises ValueError
             data = np.array([[parse(c) for c in ln.split(",")]
                              for ln in lines[1:]])
-        except ValueError as exc:   # a cell that is no number, or a short row
+            if data.shape[0] < 2:
+                raise ValueError(f"it has {data.shape[0]} rows, a trajectory "
+                                 "needs at least two")
+            if data.shape[1] != expect:
+                raise ValueError(f"its rows have {data.shape[1]} cells, its "
+                                 f"header {expect}")
+            t = data[:, 0]
+            x = data[:, 1:1 + n]
+            f = data[:, 1 + n]
+            a = data[:, 2 + n:2 + 2 * n]
+            j_est = data[:, 2 + 2 * n:2 + 3 * n]
+            j_exact = data[:, 2 + 3 * n:2 + 4 * n]
+            z_ref = data[:, 2 + 4 * n:2 + 5 * n]
+            return TrajectoryLog(t, x, f, a, j_est, j_exact, z_ref)
+        except (OSError, ValueError, InputError) as exc:
+            # InputError: times that do not increase
             raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
-        if data.shape[0] < 2:
-            raise InputError(f"trajectory CSV needs at least two rows: {path}")
-        if data.shape[1] != expect:
-            raise ConfigurationError(f"cannot read CSV {path}: its rows have "
-                                     f"{data.shape[1]} cells, its header {expect}")
-        t = data[:, 0]
-        x = data[:, 1:1 + n]
-        f = data[:, 1 + n]
-        a = data[:, 2 + n:2 + 2 * n]
-        j_est = data[:, 2 + 2 * n:2 + 3 * n]
-        j_exact = data[:, 2 + 3 * n:2 + 4 * n]
-        z_ref = data[:, 2 + 4 * n:2 + 5 * n]
-        return TrajectoryLog(t, x, f, a, j_est, j_exact, z_ref)
 
 
 def _csv_text(header: str, data: np.ndarray, nan: str = "nan") -> str:
@@ -250,17 +253,35 @@ def _csv_text(header: str, data: np.ndarray, nan: str = "nan") -> str:
     return "\n".join(lines)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _unwritable(path: str, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _make_dirs(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)``; a path that cannot be made a
+    directory raises :class:`ConfigurationError`."""
     try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
+def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it; a
+    path that cannot be written raises :class:`ConfigurationError`."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from exc
         raise
 
 
@@ -326,62 +347,11 @@ def _averaged(specs: Sequence[EscSystemSpec],
     spec, one row per step, or the error that its own integration raises.
 
     The specs share their objective, coefficient forms and dithers, and
-    may differ in a0, x0, dt and horizon.  Their states are the rows of
-    one RK4 step, each row with its own step size, so each gets the bits
-    of its own integration.  A row leaves when it reaches its last step;
-    a failing row leaves with its error and the others go on.  ``err``
-    (with one spec) adds the synthetic estimation error to the
-    right-hand side.
+    may differ in a0, x0, dt and horizon; they are the members of one
+    :class:`_Averaged` loop.  ``err`` (with one spec) adds the synthetic
+    estimation error to the right-hand side.
     """
-    spec = specs[0]
-    guard = _guard(spec)
-    dts = [s.resolved_dt for s in specs]
-    ends = [_steps(s) for s in specs]
-    weights = np.array([bracket_weight(s) for s in specs])
-
-    def rhs_of(weight: np.ndarray) -> Callable:
-        def rhs(t, z: np.ndarray) -> np.ndarray:
-            j = lbs_rhs_exact(spec, z, weight=weight)
-            return j if err is None else j + err.value(t)
-        return rhs
-
-    z = np.empty((max(ends) + 1, len(specs), spec.n))
-    z[0] = [s.x0 for s in specs]
-    out: list = [None] * len(specs)
-    active = list(range(len(specs)))
-    k = 0
-    while active:
-        rows = _index(active)
-        dt = _per_row([dts[i] for i in active])
-        rhs = rhs_of(weights[rows])
-        state = z[k, rows]
-        try:
-            for k in range(k, min(ends[i] for i in active)):
-                t = k * dt
-                state = rk4_step(rhs, t, state, dt)
-                guard(state, t + dt)
-                z[k + 1, rows] = state
-        except LieseekError as exc:
-            failed = {}
-            for i in active:   # which rows fail their step alone
-                try:
-                    t = k * dts[i]
-                    guard(rk4_step(rhs_of(weights[i]), t, z[k, i], dts[i]),
-                          t + dts[i])
-                except LieseekError as row_exc:
-                    failed[i] = row_exc
-            if not failed:   # a failure of the rows together, not of one
-                raise exc
-            for i, row_exc in failed.items():
-                out[i] = row_exc
-            active = [i for i in active if i not in failed]
-            continue
-        k += 1
-        for i in active:
-            if ends[i] == k:
-                out[i] = z[:k + 1, i].copy()
-        active = [i for i in active if ends[i] > k]
-    return out
+    return _Averaged(specs, err).run()
 
 
 def _by_group(keys: Sequence, items: Sequence, run: Callable) -> list:
@@ -448,14 +418,18 @@ def _rk4_decay(h: np.ndarray) -> np.ndarray:
 
 class _Grid:
     """The time grid of the members that share omega, dt and step count:
-    step size, step times and the dither tables on them."""
+    step size and step times, and the dither tables on them for a loop
+    that reads them."""
 
-    def __init__(self, spec: EscSystemSpec, sums: bool):
+    def __init__(self, spec: EscSystemSpec, tables: bool, sums: bool):
         self.dt = spec.resolved_dt
         self.steps = _steps(spec)
         self.sqrt_w = math.sqrt(spec.omega)
-        self.t, self.u1, self.u2 = _dither_tables(spec, self.steps)
-        self.times = self.t.tolist()
+        self.u1 = self.u2 = None
+        if tables:
+            self.t, self.u1, self.u2 = _dither_tables(spec, self.steps)
+        else:
+            self.t = step_times(spec)
         self.u1_sums = _simpson_sums(self.u1) if sums else None
         self.u2_sums = _simpson_sums(self.u2) if sums else None
 
@@ -480,8 +454,13 @@ class _Lockstep:
     One step is a fallible part, :meth:`_attempt`, that commits nothing,
     and :meth:`_commit`.  When the attempt fails, each member attempts
     the step alone; those that fail record their error and stop, and the
-    others take the step together.
+    others take the step together.  The subclass :class:`_Averaged` steps
+    the averaged references by the same loop; what makes a member a
+    seeking run is its plant (:meth:`_plant`) and its result
+    (:meth:`_result`).
     """
+
+    dithered = True   # whether the plant reads the dither tables
 
     def __init__(self, specs: Sequence[EscSystemSpec],
                  gcfgs: Sequence[Optional[GekfConfig]], seeds: Sequence[int],
@@ -503,7 +482,8 @@ class _Lockstep:
         # one grid per distinct (omega, dt, steps); grid_of[k] is member k's
         self.grid_of = _by_group(
             [(s.omega, s.resolved_dt, _steps(s)) for s in specs], specs,
-            lambda same: [_Grid(same[0], self.use_filter)] * len(same))
+            lambda same: [_Grid(same[0], self.dithered, self.use_filter)]
+            * len(same))
         self.steps = max(g.steps for g in self.grid_of)
         self.ends = {g.steps for g in self.grid_of} - {self.steps}
 
@@ -530,8 +510,9 @@ class _Lockstep:
 
         total = self.steps + 1
         self.x_log = np.empty((total, size, n))
-        self.a_log = np.empty((total, size, n))
-        self.jest_log = np.full((total, size, n), np.nan)
+        if adapt:
+            self.a_log = np.empty((total, size, n))
+            self.jest_log = np.empty((total, size, n))
         if self.use_filter:
             dim = 2 * n + 1
             self.mean_log = np.empty((total, size, dim))
@@ -554,7 +535,7 @@ class _Lockstep:
         if np.ndim(self.dt):
             self.times = _per_row_tables([g.t for g in grids])[..., None]
         else:
-            self.times = max(grids, key=lambda g: g.steps).times
+            self.times = max(grids, key=lambda g: g.steps).t.tolist()
         for name in ("u1", "u2", "u1_sums", "u2_sums"):
             if getattr(grids[0], name) is not None:
                 setattr(self, name,
@@ -602,16 +583,17 @@ class _Lockstep:
     def _log(self, k: int) -> None:
         columns = self.columns
         self.x_log[k, columns] = self.x
-        self.a_log[k, columns] = self.a
         if self.adapt:
+            self.a_log[k, columns] = self.a
             self.jest_log[k, columns] = self.j_sig
         if self.use_filter:
             self.mean_log[k, columns] = self.filt.mean
             self.innovation_log[k, columns] = self.filt.last_innovation
             self.P_log[k, columns] = self.filt.P
 
-    def _plant(self, step: int, scale: np.ndarray):
+    def _plant(self, step: int):
         spec, obj, u1, u2 = self.spec, self.obj, self.u1, self.u2
+        scale = self.a * self.sqrt_w
         # the table rows of the four RK4 stages, in the order rk4_step
         # calls them: step start, midpoint twice, step end
         rows = iter((2 * step, 2 * step + 1, 2 * step + 1, 2 * step + 2))
@@ -626,8 +608,7 @@ class _Lockstep:
         """The new plant state, amplitudes and filter inputs of ``step``;
         raises for a failing member, with the filter left as it was."""
         dt, t0 = self.dt, self.times[step]
-        scale = self.a * self.sqrt_w
-        x = rk4_step(self._plant(step, scale), t0, self.x, dt)
+        x = rk4_step(self._plant(step), t0, self.x, dt)
         a = self.a
         if self.adapt:
             j = self.j_sig
@@ -637,7 +618,7 @@ class _Lockstep:
         self.guard(x, self.times[step + 1])
         if not self.use_filter:
             return x, a, None
-        weight = scale * (dt / 4.0)
+        weight = self.a * self.sqrt_w * (dt / 4.0)   # the plant's scale * dt/4
         u1_acc = self.u1_acc + weight * self.u1_sums[step]
         u2_acc = self.u2_acc + weight * self.u2_sums[step]
         filt, f2 = self.filt, None
@@ -709,14 +690,19 @@ class _Lockstep:
                 noise = None if noise is None else noise[_index(kept)]
                 new = self._attempt(step, measure, noise)
             self._commit(step, measure, new)
-        return [self._result(k) for k in range(len(self.seeds))]
+        return [self._result(k) for k in range(len(self.specs))]
 
     def _result(self, k: int):
         if k in self.errors:
             return self.errors[k]
         spec, grid, n = self.specs[k], self.grid_of[k], self.spec.n
         logged = slice(0, grid.steps + 1)
-        x, a = self.x_log[logged, k], self.a_log[logged, k]
+        x = self.x_log[logged, k]
+        if self.adapt:
+            a, j_est = self.a_log[logged, k], self.jest_log[logged, k]
+        else:   # the amplitudes stay at a0, and nothing is estimated
+            a = np.tile(spec.a0, (grid.steps + 1, 1))
+            j_est = np.full(a.shape, np.nan)
         try:
             f = self.obj.value(x)
             j_exact = lbs_rhs_exact(spec, x, amplitude=a)
@@ -733,8 +719,48 @@ class _Lockstep:
         meta = {"omega": spec.omega, "dt": grid.dt,
                 "mode": "proposed" if self.adapt else "baseline",
                 "seed": self.seeds[k]}
-        return TrajectoryLog(grid.t, x, f, a, self.jest_log[logged, k], j_exact,
-                             self.zref[k], diag=diag, meta=meta)
+        return TrajectoryLog(grid.t, x, f, a, j_est, j_exact, self.zref[k],
+                             diag=diag, meta=meta)
+
+
+class _Averaged(_Lockstep):
+    """The averaged (bracket) systems of B members of one system at their
+    initial amplitudes, stepped as the members of a seeking loop are: each
+    on its own grid, leaving after its last step, and a failing member
+    stopping alone.  The members hold no filter and their amplitudes stay
+    at a0, so they log only their states; their plant reads no dither
+    table.  ``err`` (with one member) adds the synthetic estimation error
+    to the right-hand side.
+    """
+
+    dithered = False
+
+    def __init__(self, specs: Sequence[EscSystemSpec],
+                 err: Optional[EstimationErrorModel] = None):
+        self.err = err
+        size = len(specs)
+        super().__init__(specs, [None] * size, [0] * size, [None] * size,
+                         adapt=False, noise_std=0.0)
+
+    def _regrid(self) -> None:
+        """Set, besides the grids, the right-hand side of the current rows,
+        whose weights depend on their amplitudes alone."""
+        super()._regrid()
+        spec, err = self.spec, self.err
+        weight = bracket_weight(spec, self.a)
+
+        def zdot(t, z: np.ndarray) -> np.ndarray:
+            j = lbs_rhs_exact(spec, z, weight=weight)
+            return j if err is None else j + err.value(t)
+        self.zdot = zdot
+
+    def _plant(self, step: int):
+        return self.zdot
+
+    def _result(self, k: int):
+        if k in self.errors:
+            return self.errors[k]
+        return self.x_log[:self.grid_of[k].steps + 1, k]
 
 
 def _raised(result):

@@ -272,22 +272,33 @@ def test_missing_csv_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     assert err.count("\n") == 1
 
 
+_HEADER = "t,x_1,f,a_1,Jest_1,Jexact_1,zref_1"
 _ROWS = [f"{t},1.0,0.0,1.0,1.0,1.0," for t in (0.0, 0.5, 1.0)]
+
+
+def _lines(*lines: str) -> str:
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["check-bound", "{csv}", "--p", "1.1"],
     ["compare", "{csv}", "{csv}", "--x-star", "1"],
 ], ids=["check-bound", "compare"])
-@pytest.mark.parametrize("rows", [
-    [_ROWS[0], "0.5,one,0.0,1.0,1.0,1.0,", _ROWS[2]],
-    [_ROWS[0], _ROWS[1][:-1], _ROWS[2]],
-    [row[:-1] for row in _ROWS],
-], ids=["non-number-cell", "short-row", "every-row-short"])
-def test_malformed_csv_is_one_line_usage_error(tmp_path, capsys, argv, rows):
+@pytest.mark.parametrize("text", [
+    _lines(_HEADER, _ROWS[0], "0.5,one,0.0,1.0,1.0,1.0,", _ROWS[2]),
+    _lines(_HEADER, _ROWS[0], _ROWS[1][:-1], _ROWS[2]),
+    _lines(_HEADER, *[row[:-1] for row in _ROWS]),
+    "",
+    _lines("t,x1_1,x2_1,x3,innovation,trace_p,min_eig_p",
+           "0.0,1.0,0.0,0.0,0.0,1.0,1.0", "0.5,1.0,0.0,0.0,0.0,1.0,1.0"),
+    _lines("{", '  "holds": true', "}"),
+    _lines(_HEADER, _ROWS[0]),
+    _lines(_HEADER, _ROWS[0], _ROWS[1], _ROWS[1]),
+], ids=["non-number-cell", "short-row", "every-row-short", "empty-file",
+        "other-header", "report-json", "one-row", "repeated-time"])
+def test_malformed_csv_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "log.csv"
-    path.write_text("\n".join(["t,x_1,f,a_1,Jest_1,Jexact_1,zref_1", *rows])
-                    + "\n")
+    path.write_text(text)
     assert main([arg.format(csv=path) for arg in argv]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read CSV {path}: ")
@@ -322,6 +333,7 @@ def one_coordinate_csv(tmp_path):
     ["check-bound", "{csv}", "--p", "inf"],
     ["check-bound", "{csv}", "--p", "1.5", "--t-min", "-1"],
     ["check-bound", "{csv}", "--p", "1.5", "--t-min", "nan"],
+    ["check-bound", "{csv}", "--p", "1.1", "--t-min", "11"],
     ["sweep", "case1", "--omega", "abc"],
     ["sweep", "case1", "--omega", "50", "--lambda", "0.1"],
     ["sweep", "case1"],
@@ -333,6 +345,7 @@ def one_coordinate_csv(tmp_path):
         "compare-zero-period", "compare-negative-period", "compare-inf-period",
         "check-bound-nan-p", "check-bound-p-below-1", "check-bound-inf-p",
         "check-bound-negative-t-min", "check-bound-nan-t-min",
+        "check-bound-t-min-beyond-log",
         "sweep-bad-number-list", "sweep-omega-and-lambda", "sweep-no-list",
         "sweep-colliding-values"])
 def test_bad_flag_is_one_line_usage_error(tmp_path, one_coordinate_csv,
@@ -350,6 +363,35 @@ def test_good_flags_pass_on_the_same_csv(tmp_path, one_coordinate_csv,
     assert main(["compare", csv, csv, "--x-star", "1", "--window", "2",
                  "--period", "6.28"]) == EXIT_OK
     assert main(["check-bound", csv, "--p", "1.5"]) == EXIT_OK
+    assert main(["check-bound", csv, "--p", "1.5", "--t-min", "10"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["run", "case1", "--mode", "lbs", "--horizon", "2"], "file"),
+    (["sweep", "case1", "--mode", "lbs", "--omega", "50", "--horizon", "2"],
+     "file"),
+    (["run", "case1", "--mode", "lbs", "--horizon", "2"], "below-file"),
+    (["check-b2", "case2"], "dir"),
+    (["check-bound", "{csv}", "--p", "1.5"], "dir"),
+    (["compare", "{csv}", "{csv}", "--x-star", "1", "--window", "2"], "dir"),
+], ids=["run", "sweep", "run-below-file", "check-b2", "check-bound",
+        "compare"])
+def test_unwritable_out_is_one_line_usage_error(tmp_path, one_coordinate_csv,
+                                                capsys, argv, out):
+    """An ``--out`` that is a file where a directory must go, or a
+    directory where a file must go, fails before any report is printed."""
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    path = {"file": tmp_path / "file", "dir": tmp_path / "dir",
+            "below-file": tmp_path / "file" / "sub"}[out]
+    argv = [arg.format(csv=one_coordinate_csv) for arg in argv]
+    assert main(argv + ["--out", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert list((tmp_path / "dir").iterdir()) == []
 
 
 def test_analysis_flags_are_checked_before_any_csv_is_read(monkeypatch,

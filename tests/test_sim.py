@@ -98,6 +98,41 @@ class TestRunLbs:
         spec = shortened("case1", 5.0).primary_system
         assert run_lbs(spec).t.tobytes() == run_baseline(spec).t.tobytes()
 
+    def test_a_reference_that_fails_late_reports_its_grid_time(self):
+        """At a0 = 10.655 the averaged system leaves the box in step 2408:
+        the lbs run and the seeking run that needs it as its reference
+        report that step's time on the grid, with one error line."""
+        cfg = shortened("case1", 50.0).config
+        cfg["systems"]["main"]["a0"] = [10.655]
+        spec = Scenario(cfg).primary_system
+        sim._reference.cache_clear()
+        errors = []
+        for run in (run_lbs, run_baseline):
+            with pytest.raises(DivergenceError) as exc:
+                run(spec)
+            errors.append(exc.value)
+        assert errors[0].t_exit == sim.step_times(spec)[2408]
+        assert errors[1].t_exit == errors[0].t_exit
+        assert str(errors[1]) == str(errors[0])
+
+    def test_builds_no_dither_tables(self, tmp_path, monkeypatch):
+        """The averaged system reads no dither; each seeking loop builds
+        its tables once, so a ``--mode both`` run builds them twice."""
+        calls = []
+        inner = sim._dither_tables
+
+        def counting(spec, steps):
+            calls.append(steps)
+            return inner(spec, steps)
+
+        monkeypatch.setattr(sim, "_dither_tables", counting)
+        sc = shortened("case1", 2.0)
+        sim._reference.cache_clear()
+        run_lbs(sc.primary_system)
+        assert calls == []
+        execute_run(sc, "both", str(tmp_path))
+        assert calls == [sim._steps(sc.primary_system)] * 2
+
 
 class TestRunBaseline:
     def test_case1_practical_convergence_with_oscillation(self):
@@ -634,3 +669,40 @@ class TestLockstepBatch:
         assert isinstance(batch[1], DivergenceError)
         for spec, result in zip(specs, sim.lbs_batch(specs)):
             _assert_same_result(result, lambda: run_lbs(spec))
+
+
+class TestStepSizeRefinement:
+    """Runs at dt, dt/2 and dt/4, compared at their common grid rows:
+    baseline and lbs converge at RK4 order (differences fall by about 16
+    per halving), proposed, measuring every k-th step at dt/k, at first
+    order (about 2).  The orders are pinned, not the values."""
+
+    @staticmethod
+    def _ratio(name: str, mode: str) -> float:
+        sc = shortened(name, 2.0)
+        dt = sc.primary_system.resolved_dt
+        xs, ts = [], []
+        for k in (1, 2, 4):
+            cfg = sc.config
+            cfg["systems"][sc.primary]["dt"] = dt / k
+            cfg["gekf"]["n_meas"] = k
+            refined = Scenario(cfg)
+            spec = refined.primary_system
+            log = (run_baseline(spec) if mode == "baseline"
+                   else run_lbs(spec) if mode == "lbs"
+                   else run_proposed(spec, refined.gekf_config()))
+            xs.append(log.x[::k])
+            ts.append(log.t[::k])
+        for t in ts[1:]:
+            np.testing.assert_allclose(t, ts[0], rtol=0, atol=1e-12)
+        return (float(np.abs(xs[0] - xs[1]).max())
+                / float(np.abs(xs[1] - xs[2]).max()))
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    @pytest.mark.parametrize("mode", ["baseline", "lbs"])
+    def test_fourth_order(self, name, mode):
+        assert 12.0 < self._ratio(name, mode) < 20.0
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_proposed_first_order(self, name):
+        assert 1.6 < self._ratio(name, "proposed") < 2.8
