@@ -2,9 +2,9 @@
 
 ``run`` and ``sweep`` make their runs the same way, through
 :func:`_batch_runs`: one :func:`lieseek.sim.run_batch` (or ``lbs_batch``)
-call per system and mode over all of a command's points, which decides
-on its own which runs share a lockstep loop and one integration of their
-references.
+call per mode over every system of all of a command's points, which
+alone decides which runs share a lockstep loop and one integration of
+their references.
 
 Exit codes: 0 success (and check passed), 1 check failed, 2 usage error,
 3 runtime failure.
@@ -192,21 +192,22 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 
 def _batch_runs(scenarios: list[Scenario], mode: str, seed: int) -> list[dict]:
     """The runs of the scenarios, one :func:`run_batch` (or
-    :func:`lbs_batch`) call per system label and mode, which decides what
-    shares a lockstep loop: per scenario, the log or error by (label,
-    mode)."""
+    :func:`lbs_batch`) call per mode over every system of every scenario,
+    which alone decides what shares a lockstep loop: per scenario, the
+    log or error by (label, mode)."""
     runs: list[dict] = [{} for _ in scenarios]
-    for label in scenarios[0].systems:
-        specs = [point_sc.systems[label] for point_sc in scenarios]
-        for m in _run_modes(mode):
-            if m == "lbs":
-                results = lbs_batch(specs)
-            else:
-                gcfgs = ([point_sc.gekf_config(label) for point_sc in scenarios]
-                         if m == "proposed" else None)
-                results = run_batch(specs, gcfgs, [seed] * len(specs))
-            for point_runs, result in zip(runs, results):
-                point_runs[(label, m)] = result
+    pairs = [(point_runs, point_sc, label) for label in scenarios[0].systems
+             for point_runs, point_sc in zip(runs, scenarios)]
+    specs = [point_sc.systems[label] for _, point_sc, label in pairs]
+    for m in _run_modes(mode):
+        if m == "lbs":
+            results = lbs_batch(specs)
+        else:
+            gcfgs = ([point_sc.gekf_config(label) for _, point_sc, label in pairs]
+                     if m == "proposed" else None)
+            results = run_batch(specs, gcfgs, [seed] * len(specs))
+        for (point_runs, _, label), result in zip(pairs, results):
+            point_runs[(label, m)] = result
     return runs
 
 
@@ -446,7 +447,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UnknownPresetError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LieseekError as exc:
+    except (LieseekError, MemoryError) as exc:
+        # MemoryError: an array of the run, such as its step table, that
+        # cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -63,8 +63,8 @@ def bracket_weight(spec: EscSystemSpec, amplitude=None) -> np.ndarray:
     return -spec.nu_hats * a * a
 
 
-def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None,
-                  weight=None) -> np.ndarray:
+def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None, weight=None,
+                  objective=None) -> np.ndarray:
     """Oracle: exact averaged right-hand side at the states ``z``.
 
     Per channel: ``-nu_hat * a_i^2 * (df/dz_i) * b0_i(f)``, with the
@@ -72,12 +72,16 @@ def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None,
     ``(..., n)`` and so has the result; ``amplitude`` broadcasts against
     it and defaults to the spec's initial amplitudes.  A caller that
     evaluates many states at fixed amplitudes passes their
-    :func:`bracket_weight` as ``weight`` instead.
+    :func:`bracket_weight` as ``weight`` instead, and ``objective``, with
+    the objective's ``measured`` and ``measured_gradient``, replaces the
+    spec's own (the lockstep loop passes one stacked per row).
     """
     if weight is None:
         weight = bracket_weight(spec, amplitude)
-    grad = spec.objective.measured_gradient(z)
-    _, _, b0 = spec.coefficients(spec.objective.measured(z))
+    if objective is None:
+        objective = spec.objective
+    grad = objective.measured_gradient(z)
+    _, _, b0 = spec.coefficients(objective.measured(z))
     return weight * grad * b0
 
 

@@ -478,8 +478,9 @@ class EscSystemSpec:
             raise ConfigurationError("dt must be positive")
         if self.horizon <= dt:
             raise ConfigurationError("horizon must exceed dt")
-        # the step count must index a NumPy array
-        if not self.horizon / dt <= np.iinfo(np.intp).max:
+        # the step table, steps + 1 float64 entries, must have a byte size
+        # that NumPy can index
+        if not (self.horizon / dt + 1.0) * 8.0 <= np.iinfo(np.intp).max:
             raise ConfigurationError(
                 f"horizon {self.horizon:g} over dt={dt:g} is too many steps")
         if dt > self.dither_period_seconds / 32.0 + 1e-15:

@@ -13,12 +13,14 @@ The runners:
 
 The first three are one seeking loop, :class:`_Lockstep`: a single run is
 a batch of one member.  :func:`run_batch` alone decides which members
-share a loop: those of one system (:func:`_system`: objective,
-coefficient forms and dithers) and one filter configuration but for the
-amplitude floor, which may differ in lambda, a0, x0, omega, dt, horizon
-and seed.  Member k of a batch equals its own run bit for bit, on its own
-time grid; a member that reaches its last step leaves the batch, and a
-member that fails stops alone while the others finish.
+share a loop: those of one system (:func:`_system`: coefficient forms,
+dithers, and the objective's kind and whether it has a domain box) and
+one filter configuration but for the amplitude floor, which may differ
+in the objective's parameters (stacked per row by :class:`_Objectives`),
+lambda, a0, x0, omega, dt, horizon and seed.  Member k of a batch equals
+its own run bit for bit, on its own time grid; a member that reaches its
+last step leaves the batch, and a member that fails stops alone while
+the others finish.
 
 Runs are single-threaded and bit-deterministic for a given spec and
 seed; optional measurement noise draws from a per-member seeded
@@ -29,12 +31,13 @@ alone is tabulated once per batch and time grid by :func:`_dither_tables`:
 every channel's dither values at each step start and midpoint of the
 grid (the RK4 stage times), and their per-step Simpson sums, which give
 the filter its input integrals.  The averaged reference trajectories of
-one system's members, one per distinct (a0, x0, dt, horizon), are
-integrated together as the members of one more lockstep loop,
+one system's members, one per distinct (objective, a0, x0, dt, horizon),
+are integrated together as the members of one more lockstep loop,
 :class:`_Averaged` (:func:`_averaged`), which builds no dither tables, and
 shared by the runs of one system (:func:`_reference` caches them for the
 last system); the ``f`` column and the oracle ``Jexact`` column are each
-filled by one array call over a member's logged rows after the loop.
+filled by one array call over a member's logged rows after the loop, by
+:func:`_log`, which builds the log of every mode.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from .errors import (ConfigurationError, DivergenceError, InputError,
                      IntegrationError, LieseekError)
 from .gekf import GekfConfig, GekfFilter
 from .lie import bracket_weight, lbs_rhs_exact
-from .model import TAU, DitherSignal, EscSystemSpec, EstimationErrorModel
+from .model import (TAU, DitherSignal, EscSystemSpec, EstimationErrorModel,
+                    ObjectiveMap)
 
 CSV_NAN = ""
 
@@ -285,21 +289,38 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
-    """Per-step divergence check ``guard(x, t)`` for states of ``spec``,
-    one per row of ``x``; it raises for the first kind of failure found."""
-    centre = limit = None
-    if spec.objective.domain_box is not None:
-        box = np.asarray(spec.objective.domain_box, dtype=float)
-        centre = box.mean(axis=1)
-        limit = 10.0 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
+class _Objectives:
+    """The objectives of a loop's rows, stacked: :class:`ObjectiveMap`'s own
+    ``value``, ``measured`` and ``measured_gradient`` over each row's
+    weights, centre and ``2w`` (``(B, n)``) and offset (``(B,)``).  A batch
+    of one keeps ``(n,)`` arrays and a float offset.  The rows share the
+    kind, and all or none have a domain box (:func:`_system`).
+    """
 
-    def guard(x: np.ndarray, t: float) -> None:
-        if centre is not None:
-            d = x - centre
+    value = ObjectiveMap.value
+    measured = ObjectiveMap.measured
+    measured_gradient = ObjectiveMap.measured_gradient
+
+    def __init__(self, objectives: list):
+        self.kind = objectives[0].kind
+        self._arrays = tuple(map(_stack, zip(*(o._arrays for o in objectives))))
+        self.offset = _per_member([o.offset for o in objectives])
+        self.centre = self.limit = None
+        if objectives[0].domain_box is not None:
+            boxes = [np.asarray(o.domain_box, dtype=float) for o in objectives]
+            self.centre = _stack([box.mean(axis=1) for box in boxes])
+            self.limit = _per_member(
+                [10.0 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
+                 for box in boxes])
+
+    def guard(self, x: np.ndarray, t) -> None:
+        """Per-step divergence check of the states ``x``, one per row, each
+        against its own box; it raises for the first kind of failure found."""
+        if self.centre is not None:
+            d = x - self.centre
             # vecdot is each row's np.linalg.norm(d) ** 2, bit for bit; a
             # NaN or infinite row fails the comparison too
-            if (np.sqrt(np.vecdot(d, d)) <= limit).all():
+            if (np.sqrt(np.vecdot(d, d)) <= self.limit).all():
                 return
         elif np.isfinite(x).all():
             return
@@ -307,9 +328,6 @@ def _guard(spec: EscSystemSpec) -> Callable[[np.ndarray, float], None]:
             raise DivergenceError(f"state non-finite at t={t}", t_exit=t)
         raise DivergenceError(
             f"state left 10x domain-box region at t={t}", t_exit=t)
-    return guard
-
-
 
 
 def _index(rows: Sequence[int]):
@@ -346,9 +364,10 @@ def _averaged(specs: Sequence[EscSystemSpec],
     """Averaged-system states of ``specs`` at their initial amplitudes: per
     spec, one row per step, or the error that its own integration raises.
 
-    The specs share their objective, coefficient forms and dithers, and
-    may differ in a0, x0, dt and horizon; they are the members of one
-    :class:`_Averaged` loop.  ``err`` (with one spec) adds the synthetic
+    The specs share their coefficient forms and dithers, and the kind of
+    their objective and whether it has a box; they may differ in the
+    objective's parameters, a0, x0, dt and horizon.  They are the members
+    of one :class:`_Averaged` loop.  ``err`` (with one spec) adds the synthetic
     estimation error to the right-hand side.
     """
     return _Averaged(specs, err).run()
@@ -368,9 +387,10 @@ def _by_group(keys: Sequence, items: Sequence, run: Callable) -> list:
 
 
 def _system(spec: EscSystemSpec) -> tuple:
-    """What a batch takes from its first spec: the objective, the
-    coefficient forms and the dithers."""
-    return (spec.objective,
+    """What a loop takes from its first spec: the coefficient forms, the
+    dithers, and the objective's kind and whether it has a domain box.  The
+    objective's parameters are per-member data (:class:`_Objectives`)."""
+    return (spec.objective.kind, spec.objective.domain_box is None,
             tuple((ch.b1, ch.b2, ch.u1_ref, ch.u2_ref) for ch in spec.channels),
             frozenset(spec.dithers.items()))
 
@@ -379,14 +399,14 @@ def _system(spec: EscSystemSpec) -> tuple:
 def _reference(specs: tuple) -> tuple:
     """The unperturbed averaged trajectory of each of ``specs``, members of
     one system, read-only, or the error that its integration raises.  One
-    reference is integrated per distinct (a0, x0, dt, horizon): it does
-    not depend on lambda or omega.
+    reference is integrated per distinct (objective, a0, x0, dt, horizon),
+    all as rows of one loop: it does not depend on lambda or omega.
 
     Cached for the last tuple of specs, so the runs of one system (in
     both modes) share one integration.
     """
-    keys = [(s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt, s.horizon)
-            for s in specs]
+    keys = [(s.objective, s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt,
+             s.horizon) for s in specs]
     firsts: dict = {}
     for key, s in zip(keys, specs):
         firsts.setdefault(key, s)
@@ -400,7 +420,7 @@ def _reference(specs: tuple) -> tuple:
 
 def _references(specs: Sequence[EscSystemSpec]) -> list:
     """Per member, its reference (:func:`_reference`): one integration per
-    system."""
+    system, whatever the members' objective parameters."""
     return _by_group([_system(s) for s in specs], specs,
                      lambda members: _reference(tuple(members)))
 
@@ -408,6 +428,11 @@ def _references(specs: Sequence[EscSystemSpec]) -> list:
 def _stack(arrays: list) -> np.ndarray:
     """One row per member; a single member's own array, copied."""
     return np.array(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
+
+
+def _per_member(values: list):
+    """A single member's value, or an array of one value per member."""
+    return values[0] if len(values) == 1 else np.array(values)
 
 
 def _rk4_decay(h: np.ndarray) -> np.ndarray:
@@ -437,16 +462,18 @@ class _Grid:
 class _Lockstep:
     """Seeking runs of B members advanced in lockstep, one row per member.
 
-    The members share the objective, the coefficient forms and the
-    dithers: those of the first spec (:func:`run_batch` groups them), and
-    ``zref`` holds their references (:func:`_references`).  They differ in
-    lambda, a0, x0, omega, dt, horizon, seed and the filter's amplitude
-    floor.  Every array operation of a step acts on each row alone, so
-    member k gets the bits of its own run.  Step k of the loop is step k
-    of every member, each on its own time grid (:class:`_Grid`): when the
-    members' step sizes differ, ``dt`` and the step start are ``(B, 1)``
-    columns and the dither tables are stacked per member; a shared step
-    size stays a float.  A member leaves the batch after its last step.
+    The members share the coefficient forms, the dithers and the
+    objective's kind and box or none: those of the first spec
+    (:func:`run_batch` groups them), and ``zref`` holds their references
+    (:func:`_references`).  They differ in the objective's parameters,
+    which ``obj`` (:class:`_Objectives`) stacks per row, and in lambda, a0,
+    x0, omega, dt, horizon, seed and the filter's amplitude floor.  Every
+    array operation of a step acts on each row alone, so member k gets the
+    bits of its own run.  Step k of the loop is step k of every member,
+    each on its own time grid (:class:`_Grid`): when the members' step
+    sizes differ, ``dt`` and the step start are ``(B, 1)`` columns and the
+    dither tables are stacked per member; a shared step size stays a
+    float.  A member leaves the batch after its last step.
     A batch of one member keeps its arrays without the member axis,
     ``(n,)`` rather than ``(1, n)``: NumPy broadcasts a ``(1, n)`` row
     against ``(n,)`` operands on a slower path, about a microsecond more
@@ -468,15 +495,16 @@ class _Lockstep:
                  j_override=None):
         spec = specs[0]
         self.use_filter = adapt and j_override is None
-        self.specs, self.spec, self.obj = list(specs), spec, spec.objective
+        self.specs, self.spec = list(specs), spec
         size, n = len(specs), spec.n
         self.adapt, self.j_override = adapt, j_override
-        self.guard = _guard(spec)
         self.seeds = list(seeds)
         self.rngs = ([np.random.default_rng(seed) for seed in seeds]
                      if noise_std > 0 else None)
         self.noise_std = noise_std
-        self.errors: dict[int, LieseekError] = {}
+        # members whose reference failed stop before their first step
+        self.errors: dict[int, LieseekError] = {
+            k: z for k, z in enumerate(zref) if isinstance(z, LieseekError)}
         self.zref = zref
 
         # one grid per distinct (omega, dt, steps); grid_of[k] is member k's
@@ -518,18 +546,16 @@ class _Lockstep:
             self.mean_log = np.empty((total, size, dim))
             self.innovation_log = np.empty((total, size))
             self.P_log = np.empty((total, size, dim, dim))
-        failed = [k for k, z in enumerate(self.zref)
-                  if isinstance(z, LieseekError)]
-        self.errors.update((k, self.zref[k]) for k in failed)
-        if failed:
-            self._keep([k for k in range(size) if k not in failed])
+        if self.errors:
+            self._keep([k for k in range(size) if k not in self.errors])
         if self.members.size:
             self._log(0)
 
     def _regrid(self) -> None:
-        """Set the step sizes, step times, tables and log columns of the
-        current rows."""
+        """Set the step sizes, step times, tables, objectives and log
+        columns of the current rows."""
         grids = [self.grid_of[k] for k in self.members]
+        self.obj = _Objectives([self.specs[k].objective for k in self.members])
         self.dt = _per_row([g.dt for g in grids])
         self.sqrt_w = _per_row([g.sqrt_w for g in grids])
         if np.ndim(self.dt):
@@ -615,7 +641,7 @@ class _Lockstep:
             a = j + (a - j) * self.decay
             if not np.isfinite(a).all():
                 raise IntegrationError(f"non-finite amplitude at t={t0}", t=t0)
-        self.guard(x, self.times[step + 1])
+        self.obj.guard(x, self.times[step + 1])
         if not self.use_filter:
             return x, a, None
         weight = self.a * self.sqrt_w * (dt / 4.0)   # the plant's scale * dt/4
@@ -690,25 +716,15 @@ class _Lockstep:
                 noise = None if noise is None else noise[_index(kept)]
                 new = self._attempt(step, measure, noise)
             self._commit(step, measure, new)
-        return [self._result(k) for k in range(len(self.specs))]
+        return [self.errors[k] if k in self.errors else self._result(k)
+                for k in range(len(self.specs))]
 
     def _result(self, k: int):
-        if k in self.errors:
-            return self.errors[k]
-        spec, grid, n = self.specs[k], self.grid_of[k], self.spec.n
-        logged = slice(0, grid.steps + 1)
-        x = self.x_log[logged, k]
+        """Member k's log, or the error that its log raises."""
+        logged, n = slice(0, self.grid_of[k].steps + 1), self.spec.n
+        a = j_est = diag = None
         if self.adapt:
             a, j_est = self.a_log[logged, k], self.jest_log[logged, k]
-        else:   # the amplitudes stay at a0, and nothing is estimated
-            a = np.tile(spec.a0, (grid.steps + 1, 1))
-            j_est = np.full(a.shape, np.nan)
-        try:
-            f = self.obj.value(x)
-            j_exact = lbs_rhs_exact(spec, x, amplitude=a)
-        except LieseekError as exc:
-            return exc
-        diag = None
         if self.use_filter:
             # covariance summaries of all rows at once
             mean, P = self.mean_log[logged, k], self.P_log[logged, k]
@@ -716,11 +732,12 @@ class _Lockstep:
                     "innovation": self.innovation_log[logged, k],
                     "trace_p": np.trace(P, axis1=1, axis2=2),
                     "min_eig_p": np.linalg.eigvalsh(P).min(axis=1)}
-        meta = {"omega": spec.omega, "dt": grid.dt,
-                "mode": "proposed" if self.adapt else "baseline",
-                "seed": self.seeds[k]}
-        return TrajectoryLog(grid.t, x, f, a, j_est, j_exact, self.zref[k],
-                             diag=diag, meta=meta)
+        try:
+            return _log(self.specs[k], self.x_log[logged, k], self.zref[k],
+                        "proposed" if self.adapt else "baseline",
+                        self.seeds[k], a, j_est, diag)
+        except LieseekError as exc:
+            return exc
 
 
 class _Averaged(_Lockstep):
@@ -728,9 +745,9 @@ class _Averaged(_Lockstep):
     initial amplitudes, stepped as the members of a seeking loop are: each
     on its own grid, leaving after its last step, and a failing member
     stopping alone.  The members hold no filter and their amplitudes stay
-    at a0, so they log only their states; their plant reads no dither
-    table.  ``err`` (with one member) adds the synthetic estimation error
-    to the right-hand side.
+    at a0, so they log only their states; their plant, the oracle at each
+    row's own objective, reads no dither table.  ``err`` (with one member)
+    adds the synthetic estimation error to the right-hand side.
     """
 
     dithered = False
@@ -743,23 +760,19 @@ class _Averaged(_Lockstep):
                          adapt=False, noise_std=0.0)
 
     def _regrid(self) -> None:
-        """Set, besides the grids, the right-hand side of the current rows,
-        whose weights depend on their amplitudes alone."""
+        """Set, besides the grids, the bracket weights of the current rows,
+        which depend on their amplitudes alone."""
         super()._regrid()
-        spec, err = self.spec, self.err
-        weight = bracket_weight(spec, self.a)
-
-        def zdot(t, z: np.ndarray) -> np.ndarray:
-            j = lbs_rhs_exact(spec, z, weight=weight)
-            return j if err is None else j + err.value(t)
-        self.zdot = zdot
+        self.weight = bracket_weight(self.spec, self.a)
 
     def _plant(self, step: int):
-        return self.zdot
+        return self._zdot
+
+    def _zdot(self, t, z: np.ndarray) -> np.ndarray:
+        j = lbs_rhs_exact(self.spec, z, weight=self.weight, objective=self.obj)
+        return j if self.err is None else j + self.err.value(t)
 
     def _result(self, k: int):
-        if k in self.errors:
-            return self.errors[k]
         return self.x_log[:self.grid_of[k].steps + 1, k]
 
 
@@ -778,9 +791,13 @@ def run_batch(specs: Sequence[EscSystemSpec],
     a loop.
 
     Without ``gcfgs`` these are constant-amplitude runs, with one filter
-    configuration per member adaptive ones.  The members may come from
-    any systems.  They are grouped, in order of first appearance, by
-    system (:func:`_system`: objective, coefficient forms and dithers),
+    configuration per member adaptive ones; ``gcfgs`` and ``seeds``, when
+    given, hold one entry per spec, else :class:`InputError` is raised.
+    The members may come from any systems, and this is the one place that
+    decides which of them share a loop.  They are grouped, in order of
+    first appearance, by system (:func:`_system`: coefficient forms,
+    dithers, and the objective's kind and whether it has a domain box), so
+    members that differ only in the objective's parameters share a loop,
     and each system's references are integrated once; each system group
     is split by filter configuration but for its amplitude floor (which
     scales with a0), and each such group runs as one :class:`_Lockstep`.
@@ -789,6 +806,9 @@ def run_batch(specs: Sequence[EscSystemSpec],
     """
     if gcfgs is not None and None in gcfgs:
         raise InputError("proposed run needs a filter configuration")
+    if any(v is not None and len(v) != len(specs) for v in (gcfgs, seeds)):
+        raise InputError("run_batch needs one filter configuration and one "
+                         "seed per spec, or none")
     adapt = gcfgs is not None
     members = list(zip(specs, gcfgs or [None] * len(specs),
                        seeds or [0] * len(specs), _references(specs)))
@@ -844,27 +864,34 @@ def lbs_batch(specs: Sequence[EscSystemSpec],
     out: list = []
     for spec, zref in zip(specs, _references(specs)):
         try:
-            out.append(_lbs_log(spec, _raised(zref), err))
+            zref = _raised(zref)
+            x = (zref.copy() if err is None
+                 else _raised(_averaged([spec], err)[0]))
+            out.append(_log(spec, x, zref, "lbs", err=err))
         except LieseekError as exc:
             out.append(exc)
     return out
 
 
-def _lbs_log(spec: EscSystemSpec, zref_log: np.ndarray,
-             err: Optional[EstimationErrorModel]) -> TrajectoryLog:
-    dt = spec.resolved_dt
-    a0 = spec.a0
-    x_log = (zref_log.copy() if err is None
-             else _raised(_averaged([spec], err)[0]))
-    total, n = x_log.shape
-    t_log = step_times(spec)
-    f_log = spec.objective.value(x_log)
-    a_log = np.tile(a0, (total, 1))
-    jex_log = lbs_rhs_exact(spec, x_log)
-    jest_log = np.full((total, n), np.nan)
-    if err is not None:
-        jest_log = jex_log + np.array([[err.value(t)] for t in t_log.tolist()])
+def _log(spec: EscSystemSpec, x: np.ndarray, zref: np.ndarray, mode: str,
+         seed: int = 0, a: Optional[np.ndarray] = None,
+         j_est: Optional[np.ndarray] = None, diag: Optional[dict] = None,
+         err: Optional[EstimationErrorModel] = None) -> TrajectoryLog:
+    """The log of a run of ``spec`` with the states ``x`` on its step times,
+    its ``f`` and oracle ``Jexact`` columns filled by one array call each.
 
-    meta = {"omega": spec.omega, "dt": dt, "mode": "lbs", "seed": 0}
-    return TrajectoryLog(t_log, x_log, f_log, a_log, jest_log, jex_log,
-                         zref_log, meta=meta)
+    ``a`` defaults to a0 on every row; ``j_est`` to no estimate, or, with
+    ``err``, to the oracle plus the synthetic estimation error.
+    """
+    t = step_times(spec)
+    if a is None:   # the amplitudes stay at a0
+        a = np.tile(spec.a0, (x.shape[0], 1))
+    f = spec.objective.value(x)
+    j_exact = lbs_rhs_exact(spec, x, amplitude=a)
+    if j_est is None:
+        j_est = (np.full(a.shape, np.nan) if err is None else
+                 j_exact + np.array([[err.value(s)] for s in t.tolist()]))
+    meta = {"omega": spec.omega, "dt": spec.resolved_dt, "mode": mode,
+            "seed": seed}
+    return TrajectoryLog(t, x, f, a, j_est, j_exact, zref, diag=diag,
+                         meta=meta)

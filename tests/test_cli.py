@@ -235,6 +235,7 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("gekf", "n_meas"), 2.5), []),
     (_short_case1_with(("gekf", "n_meas"), True), []),
     (_short_case1_with(("gekf", "smoothing"), "no"), []),
+    (None, ["case1", "--mode", "baseline", "--horizon", "1e17"]),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
@@ -245,7 +246,7 @@ def _short_case1_with(path: tuple, value) -> str:
         "horizon-below-t-min", "horizon-at-t-min", "overflowing-step-count",
         "unindexable-step-count", "2-d-weights", "overflowing-weight-gradient",
         "kind-contradicts-weights", "zero-weight", "fractional-n-meas",
-        "boolean-n-meas", "string-smoothing"])
+        "boolean-n-meas", "string-smoothing", "unallocatable-step-table"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -256,6 +257,16 @@ def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     # a bad setting fails at load, before any run writes its CSV
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_step_table_beyond_memory_is_one_line_runtime_error(tmp_path, capsys):
+    """A step table of 5.65 EiB lies beyond any address space: its
+    allocation fails at once, and the run exits 3 with one line."""
+    assert main(["run", "case1", "--mode", "baseline", "--horizon", "1e16",
+                 "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
     assert not list(tmp_path.glob("out/*.csv"))
 
 
@@ -584,6 +595,18 @@ def test_omega_sweep_runs_one_batch_per_mode(tmp_path, short_case1_path,
     loops, rows = _counting_loops(monkeypatch)
     assert main(["sweep", "--config", short_case1_path, "--omega",
                  "50,100,200", "--mode", "both", "--horizon", "2",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert loops == [(3, False), (3, True)]
+    assert rows == [3]
+
+
+def test_case3_vehicles_share_one_loop_per_mode(tmp_path, monkeypatch,
+                                                capsys):
+    """The three vehicles of case3 differ in their objectives and omega:
+    they run in one loop per mode, and their references in one
+    integration."""
+    loops, rows = _counting_loops(monkeypatch)
+    assert main(["run", "case3", "--mode", "both", "--horizon", "1.2",
                  "--out", str(tmp_path / "out")]) == EXIT_OK
     assert loops == [(3, False), (3, True)]
     assert rows == [3]

@@ -358,9 +358,10 @@ class TestAveragedReference:
         art = execute_run(sc, "both", str(tmp_path))
         steps = [int(round(spec.horizon / spec.resolved_dt))
                  for spec in sc.systems.values()]
-        # four RK4 stages per reference step, plus one Jexact call for
-        # all logged rows of each of the two runs
-        assert len(calls) == sum(4 * k + 2 for k in steps)
+        # the three references are rows of one loop: four RK4 stages per
+        # step of the longest, plus one Jexact call for all logged rows of
+        # each of the two runs of each system
+        assert len(calls) == 4 * max(steps) + 2 * len(steps)
         assert sim._reference.cache_info().currsize == 1
         for label in sc.systems:
             base, prop = (TrajectoryLog.from_csv(art.csv_paths[f"{label}_{m}"])
@@ -636,18 +637,25 @@ class TestLockstepBatch:
 
     def test_members_of_other_systems_equal_their_own_runs(self,
                                                            monkeypatch):
-        """Members with swapped dithers, another center or other weights
-        each run in a loop of their own system, in order of first
-        appearance, and equal their own runs; members of one system share
-        a loop whatever their omega.  The swapped dithers flip the
-        bracket's sign, so that member leaves the box."""
+        """Members with swapped dithers, or without a domain box, each run
+        in a loop of their own system, in order of first appearance, and
+        equal their own runs; members of one system share a loop whatever
+        their omega and their objective's parameters: center, weights,
+        offset and box.  The swapped dithers flip the bracket's sign, so
+        that member leaves the box, and so do the seeking runs of the
+        offset member; the tight box stops that member's reference, and so
+        all its runs, in the first step."""
         objective = _primary_config("case1")["objective"]
         dithers = _primary_config("case1")["dithers"]
         members = [_member("case1", 1.5, **system) for system in (
             {}, {"dithers": {"u1": dithers["u2"], "u2": dithers["u1"]}},
             {"objective": dict(objective, center=[1.5])},
             {"objective": dict(objective, weights=[1.0])},
-            {"omega": 16.0})]
+            {"omega": 16.0},
+            {"objective": dict(objective, offset=3.0)},
+            {"objective": dict(objective, domain_box=[[0.99, 1.01]])},
+            {"objective": dict(objective, domain_box=[[-3.0, 5.0]])},
+            {"objective": dict(objective, domain_box=None)})]
         specs = [spec for spec, _ in members]
         gcfgs = [gcfg for _, gcfg in members]
         loops = []
@@ -661,14 +669,23 @@ class TestLockstepBatch:
         for gcfgs_or_none in (None, gcfgs):
             loops.clear()
             batch = sim.run_batch(specs, gcfgs_or_none)
-            assert loops == [2, 1, 1, 1]
+            assert loops == [7, 1, 1]
             for spec, gcfg, result in zip(specs, gcfgs, batch):
                 _assert_same_result(result, lambda: (
                     run_baseline(spec) if gcfgs_or_none is None
                     else run_proposed(spec, gcfg)))
-        assert isinstance(batch[1], DivergenceError)
+        for k in (1, 5, 6):
+            assert isinstance(batch[k], DivergenceError)
         for spec, result in zip(specs, sim.lbs_batch(specs)):
             _assert_same_result(result, lambda: run_lbs(spec))
+
+    def test_fewer_gcfgs_or_seeds_than_specs_is_an_input_error(self):
+        """``zip`` would silently drop the members left without one."""
+        spec, gcfg = _member("case1", 1.0)
+        for specs, gcfgs, seeds in (([spec] * 2, [gcfg], None),
+                                    ([spec] * 3, None, [1])):
+            with pytest.raises(InputError, match="one seed per spec"):
+                sim.run_batch(specs, gcfgs, seeds)
 
 
 class TestStepSizeRefinement:
