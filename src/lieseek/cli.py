@@ -2,9 +2,8 @@
 
 ``run`` and ``sweep`` make their runs the same way, through
 :func:`_batch_runs`: one :func:`lieseek.sim.run_batch` (or ``lbs_batch``)
-call per mode over every system of all of a command's points, which
-alone decides which runs share a lockstep loop and one integration of
-their references.
+call over every mode and system of all of a command's points, which
+alone decides which runs and references share a lockstep loop.
 
 Exit codes: 0 success (and check passed), 1 check failed, 2 usage error,
 3 runtime failure.
@@ -191,23 +190,24 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 
 
 def _batch_runs(scenarios: list[Scenario], mode: str, seed: int) -> list[dict]:
-    """The runs of the scenarios, one :func:`run_batch` (or
-    :func:`lbs_batch`) call per mode over every system of every scenario,
-    which alone decides what shares a lockstep loop: per scenario, the
-    log or error by (label, mode)."""
+    """The runs of the scenarios, by one :func:`run_batch` (or
+    :func:`lbs_batch`) call over every mode of every system of every
+    scenario, which alone decides what shares a lockstep loop: per
+    scenario, the log or error by (label, mode)."""
     runs: list[dict] = [{} for _ in scenarios]
-    pairs = [(point_runs, point_sc, label) for label in scenarios[0].systems
-             for point_runs, point_sc in zip(runs, scenarios)]
-    specs = [point_sc.systems[label] for _, point_sc, label in pairs]
-    for m in _run_modes(mode):
-        if m == "lbs":
-            results = lbs_batch(specs)
-        else:
-            gcfgs = ([point_sc.gekf_config(label) for _, point_sc, label in pairs]
-                     if m == "proposed" else None)
-            results = run_batch(specs, gcfgs, [seed] * len(specs))
-        for (point_runs, _, label), result in zip(pairs, results):
-            point_runs[(label, m)] = result
+    keys = [(point_runs, point_sc, label, m) for m in _run_modes(mode)
+            for label in scenarios[0].systems
+            for point_runs, point_sc in zip(runs, scenarios)]
+    specs = [point_sc.systems[label] for _, point_sc, label, _ in keys]
+    if mode == "lbs":
+        results = lbs_batch(specs)
+    else:
+        results = run_batch(specs, [point_sc.gekf_config(label)
+                                    if m == "proposed" else None
+                                    for _, point_sc, label, m in keys],
+                            [seed] * len(specs))
+    for (point_runs, _, label, m), result in zip(keys, results):
+        point_runs[(label, m)] = result
     return runs
 
 

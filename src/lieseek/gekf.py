@@ -147,7 +147,8 @@ class GekfFilter:
         self._a_floor = cfg.a_floor if a_floor is None else np.asarray(a_floor)
         self.mean = np.zeros(lead + (dim,))
         self.mean[..., -1] = f0
-        self.P = np.broadcast_to(cfg.p0 * np.eye(dim), lead + (dim, dim)).copy()
+        self._eye = np.eye(dim)
+        self.P = np.broadcast_to(cfg.p0 * self._eye, lead + (dim, dim)).copy()
         self.t = t0
         self._q = np.diag(np.concatenate([np.full(n, cfg.q1),
                                           np.full(n, cfg.q2), [cfg.q3]]))
@@ -168,17 +169,15 @@ class GekfFilter:
 
     def take(self, members) -> "GekfFilter":
         """A copy that holds only the members ``members`` (a list or a
-        slice of indices) of a filter with a member axis; one index as an
-        int gives a filter without the member axis."""
+        slice of indices) of a filter with a member axis."""
         out = copy.copy(self)
         for name in ("mean", "P", "_rows", "paused", "_j", "last_innovation"):
             setattr(out, name, np.array(getattr(self, name)[members]))
         # the per-member floor and time are (B, 1) columns
-        single = isinstance(members, int)
         for name in ("_a_floor", "t"):
             value = getattr(self, name)
             if np.ndim(value):
-                setattr(out, name, value[members, 0] if single else value[members])
+                setattr(out, name, value[members])
         out._dt = out._prior = None
         return out
 
@@ -205,8 +204,8 @@ class GekfFilter:
                 raise ConfigurationError("propagation step must be positive")
             # a float, or a (B, 1, 1) stack of steps for (B, d, d) matrices
             step = np.asarray(dt, dtype=float)[..., None]
-            dim = 2 * n + 1
-            phi = np.broadcast_to(np.eye(dim), step.shape[:-2] + (dim, dim)).copy()
+            phi = np.broadcast_to(self._eye, step.shape[:-2]
+                                  + self._eye.shape).copy()
             phi[..., :n, n:2 * n] = step * np.eye(n)
             self._dt, self._phi, self._q_dt = dt, phi, self._q * step
         mean = self.mean.copy()
@@ -241,7 +240,7 @@ class GekfFilter:
         sv = (row @ P @ col)[..., 0, 0] + r
         gain = (P @ col)[..., 0] / sv[..., None]
         new_mean = mean + gain * innovation[..., None]
-        ikh = np.eye(mean.shape[-1]) - gain[..., :, None] * row
+        ikh = self._eye - gain[..., :, None] * row
         new_P = (ikh @ P @ ikh.swapaxes(-1, -2)
                  + r * (gain[..., :, None] * gain[..., None, :]))
         # Pinning x3 to the fresh measurement makes its error the measurement

@@ -2,8 +2,9 @@
 first-order iterated-integral predictor.
 
 The exact averaged right-hand side produced here is the oracle for the
-estimation filter; the seeking loop itself never calls it.  It takes
-states of shape ``(..., n)``, so one call covers a whole trajectory.
+estimation filter, and the plant of the lockstep loop's averaged rows; the
+seeking rows never read it.  It takes states of shape ``(..., n)``, so one
+call covers a whole trajectory.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def bracket_weight(spec: EscSystemSpec, amplitude=None) -> np.ndarray:
 
 
 def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None, weight=None,
-                  objective=None) -> np.ndarray:
+                  objective=None, terms=None) -> np.ndarray:
     """Oracle: exact averaged right-hand side at the states ``z``.
 
     Per channel: ``-nu_hat * a_i^2 * (df/dz_i) * b0_i(f)``, with the
@@ -74,14 +75,19 @@ def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None, weight=None,
     evaluates many states at fixed amplitudes passes their
     :func:`bracket_weight` as ``weight`` instead, and ``objective``, with
     the objective's ``measured`` and ``measured_gradient``, replaces the
-    spec's own (the lockstep loop passes one stacked per row).
+    spec's own (the lockstep loop passes one stacked per row).  ``terms``
+    is ``(f, value, slope)``: the measured values at ``z`` and the forms'
+    values and slopes there (:meth:`EscSystemSpec.form_terms`), as the
+    lockstep plant evaluates them once for all its rows; they are
+    evaluated here when not given.
     """
     if weight is None:
         weight = bracket_weight(spec, amplitude)
     if objective is None:
         objective = spec.objective
     grad = objective.measured_gradient(z)
-    _, _, b0 = spec.coefficients(objective.measured(z))
+    f, *terms = (objective.measured(z),) if terms is None else terms
+    _, _, b0 = spec.coefficients(f, *terms)
     return weight * grad * b0
 
 

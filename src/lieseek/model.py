@@ -519,24 +519,28 @@ class EscSystemSpec:
         return _stack([ch.b1 for ch in self.channels]
                       + [ch.b2 for ch in self.channels])
 
-    def _stacked(self, f):
+    def form_terms(self, f):
         """Values and slopes of the b1 then b2 forms at the objective
-        values ``f``, shape ``f.shape + (2n,)`` or, for slopes, ``(2n,)``."""
+        values ``f``, shape ``f.shape + (2n,)`` or, for slopes of linear
+        forms alone, ``(2n,)``."""
         m = np.asarray(f, dtype=float)
         return _form_terms(*self._stacked_forms, m[..., None] if m.ndim else m)
 
     def coefficient_values(self, f) -> tuple[np.ndarray, np.ndarray]:
         """``b1`` and ``b2`` of every channel at the measured objective
         values ``f``, each of shape ``f.shape + (n,)``."""
-        value, _ = self._stacked(f)
+        value, _ = self.form_terms(f)
         return value[..., :self.n], value[..., self.n:]
 
-    def coefficients(self, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def coefficients(self, f, value=None, slope=None) -> tuple:
         """``b1``, ``b2`` and the bracket factor ``b0 = b2*b1' - b1*b2'``
         of every channel at the measured objective values ``f``, each of
-        shape ``f.shape + (n,)``, with the slopes in closed form."""
+        shape ``f.shape + (n,)``, with the slopes in closed form.  A caller
+        that has :meth:`form_terms` at ``f`` passes them as ``value`` and
+        ``slope``."""
         n = self.n
-        value, slope = self._stacked(f)
+        if value is None:
+            value, slope = self.form_terms(f)
         b1, b2 = value[..., :n], value[..., n:]
         b0 = b2 * slope[..., :n] - b1 * slope[..., n:]
         if not np.isfinite(b0).all():

@@ -11,39 +11,43 @@ The runners:
   with a synthetic decaying estimation error; :func:`lbs_batch` makes it
   for B members.
 
-The first three are one seeking loop, :class:`_Lockstep`: a single run is
-a batch of one member.  :func:`run_batch` alone decides which members
-share a loop: those of one system (:func:`_system`: coefficient forms,
-dithers, and the objective's kind and whether it has a domain box) and
-one filter configuration but for the amplitude floor, which may differ
-in the objective's parameters (stacked per row by :class:`_Objectives`),
-lambda, a0, x0, omega, dt, horizon and seed.  Member k of a batch equals
-its own run bit for bit, on its own time grid; a member that reaches its
-last step leaves the batch, and a member that fails stops alone while
-the others finish.
+All of them are one lockstep loop, :class:`_Lockstep`, whose rows are
+runs of one system: adaptive seeking runs, constant-amplitude seeking
+runs and averaged reference trajectories, each kind a slice of the rows.
+A single run is a loop of its seeking row and its reference row.
+:func:`run_batch` alone decides which members share a loop: those of one
+system (:func:`_system`: coefficient forms, dithers, and the objective's
+kind and whether it has a domain box) and one filter configuration but
+for the amplitude floor, which may differ in the objective's parameters
+(stacked per row by :class:`_Objectives`), lambda, a0, x0, omega, dt,
+horizon and seed.  The first loop of a system also steps its
+constant-amplitude members and, as rows, its members' references, one
+per distinct (objective, a0, x0, dt, horizon); ``run --mode both`` and
+every sweep of the CLI are one loop.  Member k of a batch equals its own
+run bit for bit, on its own time grid; a row that reaches its last step
+leaves the loop, and a row that fails stops alone while the others
+finish, but for the seeking runs of a failing reference, which stop with
+it and return its error.
 
 Runs are single-threaded and bit-deterministic for a given spec and
 seed; optional measurement noise draws from a per-member seeded
 generator.
 
-The seeking loop does only state-dependent work.  What depends on time
-alone is tabulated once per batch and time grid by :func:`_dither_tables`:
-every channel's dither values at each step start and midpoint of the
-grid (the RK4 stage times), and their per-step Simpson sums, which give
-the filter its input integrals.  The averaged reference trajectories of
-one system's members, one per distinct (objective, a0, x0, dt, horizon),
-are integrated together as the members of one more lockstep loop,
-:class:`_Averaged` (:func:`_averaged`), which builds no dither tables, and
-shared by the runs of one system (:func:`_reference` caches them for the
-last system); the ``f`` column and the oracle ``Jexact`` column are each
-filled by one array call over a member's logged rows after the loop, by
-:func:`_log`, which builds the log of every mode.
+The loop does only state-dependent work.  What depends on time alone is
+tabulated once per loop and time grid by :func:`_dither_tables`: every
+channel's dither values at each step start and midpoint of the grid (the
+RK4 stage times), and their per-step Simpson sums, which give the filter
+its input integrals; the averaged rows read no table.  Each RK4 stage
+evaluates the measured objective and the coefficient forms once for all
+rows, and the averaged rows pass that evaluation to
+:func:`lbs_rhs_exact`.  The ``f`` column and the oracle ``Jexact``
+column are each filled by one array call over a member's logged rows
+after the loop, by :func:`_log`, which builds the log of every mode.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import os
 import tempfile
@@ -292,9 +296,8 @@ def _atomic_write(path: str, text: str) -> None:
 class _Objectives:
     """The objectives of a loop's rows, stacked: :class:`ObjectiveMap`'s own
     ``value``, ``measured`` and ``measured_gradient`` over each row's
-    weights, centre and ``2w`` (``(B, n)``) and offset (``(B,)``).  A batch
-    of one keeps ``(n,)`` arrays and a float offset.  The rows share the
-    kind, and all or none have a domain box (:func:`_system`).
+    weights, centre and ``2w`` (``(B, n)``) and offset (``(B,)``).  The rows
+    share the kind, and all or none have a domain box (:func:`_system`).
     """
 
     value = ObjectiveMap.value
@@ -303,15 +306,14 @@ class _Objectives:
 
     def __init__(self, objectives: list):
         self.kind = objectives[0].kind
-        self._arrays = tuple(map(_stack, zip(*(o._arrays for o in objectives))))
-        self.offset = _per_member([o.offset for o in objectives])
+        self._arrays = tuple(map(np.stack, zip(*(o._arrays for o in objectives))))
+        self.offset = np.array([o.offset for o in objectives])
         self.centre = self.limit = None
         if objectives[0].domain_box is not None:
             boxes = [np.asarray(o.domain_box, dtype=float) for o in objectives]
-            self.centre = _stack([box.mean(axis=1) for box in boxes])
-            self.limit = _per_member(
-                [10.0 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
-                 for box in boxes])
+            self.centre = np.stack([box.mean(axis=1) for box in boxes])
+            self.limit = np.array([10.0 * float(np.linalg.norm(b[:, 1] - b[:, 0]))
+                                   for b in boxes])
 
     def guard(self, x: np.ndarray, t) -> None:
         """Per-step divergence check of the states ``x``, one per row, each
@@ -331,10 +333,8 @@ class _Objectives:
 
 
 def _index(rows: Sequence[int]):
-    """An index of ``rows`` along a member axis: an int for one row (it
-    drops the axis), a slice for consecutive rows, else the list."""
-    if len(rows) == 1:
-        return int(rows[0])
+    """An index of ``rows`` along the row axis that keeps the axis: a slice
+    for consecutive rows, else the list."""
     if all(b == a + 1 for a, b in zip(rows, rows[1:])):
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return list(rows)
@@ -348,7 +348,7 @@ def _per_row(values: list):
 
 
 def _per_row_tables(tables: list) -> np.ndarray:
-    """The table that all rows share, or the tables stacked along a member
+    """The table that all rows share, or the tables stacked along a row
     axis (axis 1), each padded at its end with zeros that are never read."""
     if all(tab is tables[0] for tab in tables):
         return tables[0]
@@ -357,20 +357,6 @@ def _per_row_tables(tables: list) -> np.ndarray:
     for i, tab in enumerate(tables):
         out[:len(tab), i] = tab
     return out
-
-
-def _averaged(specs: Sequence[EscSystemSpec],
-              err: Optional[EstimationErrorModel] = None) -> list:
-    """Averaged-system states of ``specs`` at their initial amplitudes: per
-    spec, one row per step, or the error that its own integration raises.
-
-    The specs share their coefficient forms and dithers, and the kind of
-    their objective and whether it has a box; they may differ in the
-    objective's parameters, a0, x0, dt and horizon.  They are the members
-    of one :class:`_Averaged` loop.  ``err`` (with one spec) adds the synthetic
-    estimation error to the right-hand side.
-    """
-    return _Averaged(specs, err).run()
 
 
 def _by_group(keys: Sequence, items: Sequence, run: Callable) -> list:
@@ -389,50 +375,17 @@ def _by_group(keys: Sequence, items: Sequence, run: Callable) -> list:
 def _system(spec: EscSystemSpec) -> tuple:
     """What a loop takes from its first spec: the coefficient forms, the
     dithers, and the objective's kind and whether it has a domain box.  The
-    objective's parameters are per-member data (:class:`_Objectives`)."""
+    objective's parameters are per-row data (:class:`_Objectives`)."""
     return (spec.objective.kind, spec.objective.domain_box is None,
             tuple((ch.b1, ch.b2, ch.u1_ref, ch.u2_ref) for ch in spec.channels),
             frozenset(spec.dithers.items()))
 
 
-@functools.lru_cache(maxsize=1)
-def _reference(specs: tuple) -> tuple:
-    """The unperturbed averaged trajectory of each of ``specs``, members of
-    one system, read-only, or the error that its integration raises.  One
-    reference is integrated per distinct (objective, a0, x0, dt, horizon),
-    all as rows of one loop: it does not depend on lambda or omega.
-
-    Cached for the last tuple of specs, so the runs of one system (in
-    both modes) share one integration.
-    """
-    keys = [(s.objective, s.a0.tobytes(), s.x0.tobytes(), s.resolved_dt,
-             s.horizon) for s in specs]
-    firsts: dict = {}
-    for key, s in zip(keys, specs):
-        firsts.setdefault(key, s)
-    by_key = dict(zip(firsts, _averaged(list(firsts.values()))))
-    refs = [by_key[key] for key in keys]
-    for z in refs:
-        if isinstance(z, np.ndarray):
-            z.flags.writeable = False
-    return tuple(refs)
-
-
-def _references(specs: Sequence[EscSystemSpec]) -> list:
-    """Per member, its reference (:func:`_reference`): one integration per
-    system, whatever the members' objective parameters."""
-    return _by_group([_system(s) for s in specs], specs,
-                     lambda members: _reference(tuple(members)))
-
-
-def _stack(arrays: list) -> np.ndarray:
-    """One row per member; a single member's own array, copied."""
-    return np.array(arrays[0]) if len(arrays) == 1 else np.stack(arrays)
-
-
-def _per_member(values: list):
-    """A single member's value, or an array of one value per member."""
-    return values[0] if len(values) == 1 else np.array(values)
+def _reference_key(spec: EscSystemSpec) -> tuple:
+    """What the averaged reference of a spec of a given system depends on:
+    the objective, a0, x0, dt and horizon, not lambda or omega."""
+    return (spec.objective, spec.a0.tobytes(), spec.x0.tobytes(),
+            spec.resolved_dt, spec.horizon)
 
 
 def _rk4_decay(h: np.ndarray) -> np.ndarray:
@@ -442,154 +395,193 @@ def _rk4_decay(h: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """The time grid of the members that share omega, dt and step count:
-    step size and step times, and the dither tables on them for a loop
-    that reads them."""
+    """The time grid of the rows that share omega, dt and step count:
+    step size and step times, and the dither tables on them for seeking
+    rows."""
 
     def __init__(self, spec: EscSystemSpec, tables: bool, sums: bool):
-        self.dt = spec.resolved_dt
-        self.steps = _steps(spec)
+        self.dt, self.steps = spec.resolved_dt, _steps(spec)
         self.sqrt_w = math.sqrt(spec.omega)
-        self.u1 = self.u2 = None
-        if tables:
-            self.t, self.u1, self.u2 = _dither_tables(spec, self.steps)
-        else:
-            self.t = step_times(spec)
+        self.t, self.u1, self.u2 = (_dither_tables(spec, self.steps) if tables
+                                    else (step_times(spec), None, None))
         self.u1_sums = _simpson_sums(self.u1) if sums else None
         self.u2_sums = _simpson_sums(self.u2) if sums else None
 
 
 class _Lockstep:
-    """Seeking runs of B members advanced in lockstep, one row per member.
+    """The runs of one system advanced in lockstep, one row per run.
 
-    The members share the coefficient forms, the dithers and the
-    objective's kind and box or none: those of the first spec
-    (:func:`run_batch` groups them), and ``zref`` holds their references
-    (:func:`_references`).  They differ in the objective's parameters,
-    which ``obj`` (:class:`_Objectives`) stacks per row, and in lambda, a0,
-    x0, omega, dt, horizon, seed and the filter's amplitude floor.  Every
-    array operation of a step acts on each row alone, so member k gets the
-    bits of its own run.  Step k of the loop is step k of every member,
-    each on its own time grid (:class:`_Grid`): when the members' step
+    The rows are of three kinds, each a slice of the row axis, in order:
+
+    * adaptive rows, seeking runs whose amplitudes follow the filter's
+      estimate (or ``j_override``); the filter, the amplitude law and the
+      filter inputs act on this leading slice, a view;
+    * constant-amplitude rows, seeking runs at a0;
+    * averaged rows, the averaged (bracket) system at a0, one per distinct
+      reference (:func:`_reference_key`) that the loop integrates.
+
+    The rows share the coefficient forms, the dithers and the objective's
+    kind and box or none: those of the first spec (:func:`run_batch`
+    groups them).  They differ in the objective's parameters, which ``obj``
+    (:class:`_Objectives`) stacks per row, and in lambda, a0, x0, omega,
+    dt, horizon, seed and the filter's amplitude floor.  Every array
+    operation of a step acts on each row alone, so each row gets the bits
+    of a loop of that row alone.  Step k of the loop is step k of every
+    row, each on its own time grid (:class:`_Grid`): when the rows' step
     sizes differ, ``dt`` and the step start are ``(B, 1)`` columns and the
-    dither tables are stacked per member; a shared step size stays a
-    float.  A member leaves the batch after its last step.
-    A batch of one member keeps its arrays without the member axis,
-    ``(n,)`` rather than ``(1, n)``: NumPy broadcasts a ``(1, n)`` row
-    against ``(n,)`` operands on a slower path, about a microsecond more
-    per operation; a batch that shrinks to one member drops the axis too.
-    One step is a fallible part, :meth:`_attempt`, that commits nothing,
-    and :meth:`_commit`.  When the attempt fails, each member attempts
-    the step alone; those that fail record their error and stop, and the
-    others take the step together.  The subclass :class:`_Averaged` steps
-    the averaged references by the same loop; what makes a member a
-    seeking run is its plant (:meth:`_plant`) and its result
-    (:meth:`_result`).
-    """
+    dither tables are stacked over the seeking rows; a shared step size
+    stays a float.  A row leaves the loop after its last step.
 
-    dithered = True   # whether the plant reads the dither tables
+    The plant (:meth:`_plant`) evaluates the measured objective and the
+    coefficient forms once for all rows: the seeking rows read the dither
+    tables, the averaged rows :func:`lbs_rhs_exact`.  The amplitude law
+    steps every row; on the rows that do not adapt the estimate stays 0
+    and the decay factor 1, so their amplitudes keep their bits.
+
+    One step is a fallible part, :meth:`_attempt`, that commits nothing,
+    and :meth:`_commit`.  When the attempt fails, each row attempts the
+    step alone; those that fail record their error and stop, and so do the
+    seeking rows whose averaged row fails; the others take the step
+    together.  A seeking run whose reference fails returns that error,
+    whenever its own row stopped.
+    """
 
     def __init__(self, specs: Sequence[EscSystemSpec],
                  gcfgs: Sequence[Optional[GekfConfig]], seeds: Sequence[int],
-                 zref: Sequence, adapt: bool, noise_std: float,
-                 j_override=None):
-        spec = specs[0]
-        self.use_filter = adapt and j_override is None
-        self.specs, self.spec = list(specs), spec
-        size, n = len(specs), spec.n
-        self.adapt, self.j_override = adapt, j_override
-        self.seeds = list(seeds)
-        self.rngs = ([np.random.default_rng(seed) for seed in seeds]
-                     if noise_std > 0 else None)
-        self.noise_std = noise_std
+                 noise_std: float = 0.0, averaged: Sequence = (),
+                 refs: Optional[dict] = None, j_override=None,
+                 err: Optional[EstimationErrorModel] = None):
+        """Member k of ``specs`` is a seeking run, adaptive with the filter
+        configuration ``gcfgs[k]``, or at constant amplitude where that is
+        None.  The loop integrates the reference of each member and of each
+        spec of ``averaged``, but for those that ``refs`` holds already, by
+        :func:`_reference_key`: the trajectories or errors of an earlier
+        loop.  ``err`` adds the synthetic estimation error to the averaged
+        rows' right-hand side.
+        """
+        self.spec = spec = [*specs, *averaged][0]
+        n, order = spec.n, sorted(range(len(specs)),
+                                  key=lambda k: gcfgs[k] is None)
+        self.m0, self.s0 = sum(g is not None for g in gcfgs), len(specs)
+        self.member_rows = [order.index(k) for k in range(self.s0)]
+        self.refs = {} if refs is None else refs
+        integrated: dict = {}
+        for s in (*specs, *averaged):
+            if _reference_key(s) not in self.refs:
+                integrated.setdefault(_reference_key(s), s)
+        self.specs = [specs[k] for k in order] + list(integrated.values())
+        self.keys = [_reference_key(s) for s in self.specs]   # per row
         # members whose reference failed stop before their first step
         self.errors: dict[int, LieseekError] = {
-            k: z for k, z in enumerate(zref) if isinstance(z, LieseekError)}
-        self.zref = zref
+            r: self.refs[key] for r, key in enumerate(self.keys[:self.s0])
+            if isinstance(self.refs.get(key), LieseekError)}
+        self.seeds = [seeds[k] for k in order]
+        adaptive = [gcfgs[k] for k in order[:self.m0]]
+        self.rngs = ([np.random.default_rng(seed) for seed in self.seeds[:self.m0]]
+                     if noise_std > 0 else None)
+        self.noise_std, self.j_override, self.err = noise_std, j_override, err
+        self.use_filter = bool(adaptive) and j_override is None
+        size = len(self.specs)
 
-        # one grid per distinct (omega, dt, steps); grid_of[k] is member k's
+        # one grid per distinct (omega, dt, steps), where the averaged rows
+        # have no omega; grid_of[r] is row r's, and the lowest row of a
+        # group tells which kinds read it
         self.grid_of = _by_group(
-            [(s.omega, s.resolved_dt, _steps(s)) for s in specs], specs,
-            lambda same: [_Grid(same[0], self.dithered, self.use_filter)]
-            * len(same))
+            [(s.omega if r < self.s0 else None, s.resolved_dt, _steps(s))
+             for r, s in enumerate(self.specs)], range(size),
+            lambda rows: [_Grid(self.specs[rows[0]], rows[0] < self.s0,
+                                self.use_filter and rows[0] < self.m0)]
+            * len(rows))
         self.steps = max(g.steps for g in self.grid_of)
         self.ends = {g.steps for g in self.grid_of} - {self.steps}
 
-        # per-member state; row i belongs to member members[i]
+        # per-row state; row i of the arrays is row members[i] of the loop
         self.members = np.arange(size)
-        self.decay = _stack([_rk4_decay(-s.lam * s.resolved_dt) for s in specs])
-        self.x = _stack([s.x0 for s in specs])
-        self.a = _stack([s.a0 for s in specs])
+        self.decay = np.stack([_rk4_decay(-s.lam * s.resolved_dt)
+                               if r < self.m0 else np.ones(n)
+                               for r, s in enumerate(self.specs)])
+        self.x = np.stack([s.x0 for s in self.specs])
+        self.a = np.stack([s.a0 for s in self.specs])
         self.j_sig = np.zeros(self.x.shape)
+        self.filt = self.f_prev = self.u1_acc = self.u2_acc = self.noise = None
+        self.u1 = self.u2 = None
         self._regrid()
-        self.filt = self.f_prev = self.u1_acc = self.u2_acc = None
+        total = self.steps + 1
+        self.x_log, self.a_log, self.jest_log = (
+            np.empty((total, rows, n)) for rows in (size, self.m0, self.m0))
         if self.use_filter:
-            f0 = self.obj.measured(self.x)
+            f0 = self.obj.measured(self.x)[:self.m0]
             if self.rngs:
                 f0 = f0 + self._noise()
-            self.filt = GekfFilter(
-                gcfgs[0], n, f0, spec.nu_hats,
-                a_floor=None if size == 1 else [[g.a_floor] for g in gcfgs])
-            self.f_prev = f0
-            self.u1_acc = np.zeros(self.x.shape)
-            self.u2_acc = np.zeros(self.x.shape)
-        elif adapt:
-            self.j_sig = self._override(0.0)
-
-        total = self.steps + 1
-        self.x_log = np.empty((total, size, n))
-        if adapt:
-            self.a_log = np.empty((total, size, n))
-            self.jest_log = np.empty((total, size, n))
-        if self.use_filter:
+            self.filt = GekfFilter(adaptive[0], n, f0, spec.nu_hats,
+                                   a_floor=[[g.a_floor] for g in adaptive])
+            # the filter inputs after a measurement; never written
+            self.zero = np.zeros((self.m0, n))
+            self.zero.flags.writeable = False
+            self.f_prev, self.u1_acc, self.u2_acc = f0, self.zero, self.zero
             dim = 2 * n + 1
-            self.mean_log = np.empty((total, size, dim))
-            self.innovation_log = np.empty((total, size))
-            self.P_log = np.empty((total, size, dim, dim))
+            self.mean_log = np.empty((total, self.m0, dim))
+            self.innovation_log = np.empty((total, self.m0))
+            self.P_log = np.empty((total, self.m0, dim, dim))
+        elif adaptive:
+            self.j_sig[:self.m0] = self._override(0.0)
         if self.errors:
-            self._keep([k for k in range(size) if k not in self.errors])
+            self._keep([r for r in range(size) if r not in self.errors])
         if self.members.size:
             self._log(0)
 
     def _regrid(self) -> None:
-        """Set the step sizes, step times, tables, objectives and log
-        columns of the current rows."""
-        grids = [self.grid_of[k] for k in self.members]
-        self.obj = _Objectives([self.specs[k].objective for k in self.members])
+        """Set the row counts of the kinds and, for the current rows, the
+        step sizes, step times, tables, objectives, bracket weights and
+        log columns."""
+        rows = self.members
+        self.m, self.s = (int(np.searchsorted(rows, end))
+                          for end in (self.m0, self.s0))
+        grids = [self.grid_of[r] for r in rows]
+        objectives = [self.specs[r].objective for r in rows]
+        self.obj = _Objectives(objectives)
         self.dt = _per_row([g.dt for g in grids])
-        self.sqrt_w = _per_row([g.sqrt_w for g in grids])
-        if np.ndim(self.dt):
-            self.times = _per_row_tables([g.t for g in grids])[..., None]
-        else:
-            self.times = max(grids, key=lambda g: g.steps).t.tolist()
-        for name in ("u1", "u2", "u1_sums", "u2_sums"):
-            if getattr(grids[0], name) is not None:
+        self.times = (_per_row_tables([g.t for g in grids])[..., None]
+                      if np.ndim(self.dt)
+                      else max(grids, key=lambda g: g.steps).t.tolist())
+        seeking, adaptive = grids[:self.s], grids[:self.m]
+        self.sqrt_w = _per_row([g.sqrt_w for g in seeking]) if seeking else None
+        for name, kind in (("u1", seeking), ("u2", seeking),
+                           ("u1_sums", adaptive), ("u2_sums", adaptive)):
+            if kind and getattr(kind[0], name) is not None:
                 setattr(self, name,
-                        _per_row_tables([getattr(g, name) for g in grids]))
-        self.columns = _index(self.members)   # the log columns of the rows
+                        _per_row_tables([getattr(g, name) for g in kind]))
+        if adaptive:
+            self.dt_a = _per_row([g.dt for g in adaptive])
+            self.acols = _index(rows[:self.m])   # their adaptive log columns
+        if self.s < rows.size:
+            self.avg_obj = _Objectives(objectives[self.s:])
+            self.weight = bracket_weight(self.spec, self.a[self.s:])
+        self.columns = _index(rows)
 
-    def _noise(self):
-        draws = [rng.normal(0.0, self.noise_std) for rng in self.rngs]
-        return draws[0] if self.x.ndim == 1 else np.array(draws)
+    def _noise(self) -> np.ndarray:
+        return np.array([rng.normal(0.0, self.noise_std) for rng in self.rngs])
 
-    def _override(self, t: float) -> np.ndarray:
-        j = self.j_override(t) if callable(self.j_override) else self.j_override
-        return np.broadcast_to(np.asarray(j, dtype=float), self.a.shape).copy()
+    def _override(self, t: float):
+        return self.j_override(t) if callable(self.j_override) else self.j_override
 
     def _take(self, rows: list) -> "_Lockstep":
-        """A copy that holds only the rows ``rows`` of a batch with a
-        member axis; one row drops the axis."""
+        """A copy that holds only the rows ``rows`` (positions among the
+        current rows)."""
         out = copy.copy(self)
         index = _index(rows)
-        for name in ("decay", "x", "a", "j_sig", "f_prev", "u1_acc", "u2_acc"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(out, name, value[index])
+        for name in ("decay", "x", "a", "j_sig"):
+            setattr(out, name, getattr(self, name)[index])
         out.members = self.members[rows]
-        if self.rngs:
-            out.rngs = [self.rngs[i] for i in rows]
-        if self.filt is not None:
+        adaptive = [i for i in rows if i < self.m]
+        out.filt = out.rngs = None
+        if adaptive and self.filt is not None:
+            index = _index(adaptive)
+            for name in ("f_prev", "u1_acc", "u2_acc", "zero", "noise"):
+                value = getattr(self, name)
+                setattr(out, name, None if value is None else value[index])
             out.filt = self.filt.take(index)
+            out.rngs = self.rngs and [self.rngs[i] for i in adaptive]
         out._regrid()
         return out
 
@@ -600,62 +592,74 @@ class _Lockstep:
         vars(self).update(vars(self._take(rows)))
 
     def _finish(self, step: int) -> None:
-        """Let the members whose last step is ``step`` leave the batch."""
-        kept = [i for i, k in enumerate(self.members)
-                if self.grid_of[k].steps > step]
-        if len(kept) < self.members.size:
-            self._keep(kept)
+        """Let the rows whose last step is ``step`` leave the loop."""
+        self._keep([i for i, r in enumerate(self.members)
+                    if self.grid_of[r].steps > step])
 
     def _log(self, k: int) -> None:
-        columns = self.columns
-        self.x_log[k, columns] = self.x
-        if self.adapt:
-            self.a_log[k, columns] = self.a
-            self.jest_log[k, columns] = self.j_sig
-        if self.use_filter:
-            self.mean_log[k, columns] = self.filt.mean
-            self.innovation_log[k, columns] = self.filt.last_innovation
-            self.P_log[k, columns] = self.filt.P
+        self.x_log[k, self.columns] = self.x
+        if self.m:
+            self.a_log[k, self.acols] = self.a[:self.m]
+            self.jest_log[k, self.acols] = self.j_sig[:self.m]
+        if self.filt is not None:
+            self.mean_log[k, self.acols] = self.filt.mean
+            self.innovation_log[k, self.acols] = self.filt.last_innovation
+            self.P_log[k, self.acols] = self.filt.P
 
-    def _plant(self, step: int):
-        spec, obj, u1, u2 = self.spec, self.obj, self.u1, self.u2
-        scale = self.a * self.sqrt_w
+    def _plant(self, step: int, scale: Optional[np.ndarray]):
+        """The right-hand side of every row at the stages of ``step``, from
+        one evaluation of the measured objective and the forms: the seeking
+        rows' at the amplitude scales ``scale``, the averaged rows'
+        :func:`lbs_rhs_exact`."""
+        spec, obj, s, n = self.spec, self.obj, self.s, self.spec.n
+        u1, u2, averaged = self.u1, self.u2, s < self.members.size
         # the table rows of the four RK4 stages, in the order rk4_step
         # calls them: step start, midpoint twice, step end
         rows = iter((2 * step, 2 * step + 1, 2 * step + 1, 2 * step + 2))
 
         def xdot(t, x: np.ndarray) -> np.ndarray:
             i = next(rows)
-            b1, b2 = spec.coefficient_values(obj.measured(x))
-            return scale * (b1 * u1[i] + b2 * u2[i])
+            f = obj.measured(x)
+            value, slope = spec.form_terms(f)
+            if s:
+                seeking = scale * (value[:s, :n] * u1[i] + value[:s, n:] * u2[i])
+                if not averaged:
+                    return seeking
+            # linear forms have one slope for all rows
+            terms = (f[s:], value[s:], slope[s:] if slope.ndim > 1 else slope)
+            j = lbs_rhs_exact(spec, x[s:], weight=self.weight,
+                              objective=self.avg_obj, terms=terms)
+            if self.err is not None:
+                j = j + self.err.value(t)
+            return np.concatenate((seeking, j)) if s else j
         return xdot
 
-    def _attempt(self, step: int, measure: bool, noise) -> tuple:
-        """The new plant state, amplitudes and filter inputs of ``step``;
-        raises for a failing member, with the filter left as it was."""
-        dt, t0 = self.dt, self.times[step]
-        x = rk4_step(self._plant(step), t0, self.x, dt)
-        a = self.a
-        if self.adapt:
-            j = self.j_sig
+    def _attempt(self, step: int, measure: bool) -> tuple:
+        """The new states, amplitudes and filter inputs of ``step``; raises
+        for a failing row, with the filter left as it was."""
+        t0, m, s = self.times[step], self.m, self.s
+        scale = self.a[:s] * self.sqrt_w if s else None
+        x = rk4_step(self._plant(step, scale), t0, self.x, self.dt)
+        a, j = self.a, self.j_sig
+        if m:
             a = j + (a - j) * self.decay
             if not np.isfinite(a).all():
                 raise IntegrationError(f"non-finite amplitude at t={t0}", t=t0)
         self.obj.guard(x, self.times[step + 1])
-        if not self.use_filter:
+        if self.filt is None:
             return x, a, None
-        weight = self.a * self.sqrt_w * (dt / 4.0)   # the plant's scale * dt/4
+        weight = scale[:m] * (self.dt_a / 4.0)   # the plant's scale * dt/4
         u1_acc = self.u1_acc + weight * self.u1_sums[step]
         u2_acc = self.u2_acc + weight * self.u2_sums[step]
         filt, f2 = self.filt, None
         saved = filt.snapshot()
         try:
-            filt.propagate(dt)
+            filt.propagate(self.dt_a)
             if measure:
-                f2 = self.obj.measured(x)
-                if noise is not None:
-                    f2 = f2 + noise
-                filt.update(f2, self.f_prev, u1_acc, u2_acc, a, self.spec)
+                f2 = self.obj.measured(x)[:m]
+                if self.noise is not None:
+                    f2 = f2 + self.noise
+                filt.update(f2, self.f_prev, u1_acc, u2_acc, a[:m], self.spec)
             filt.check()
         except LieseekError:
             filt.restore(saved)
@@ -664,116 +668,88 @@ class _Lockstep:
 
     def _commit(self, step: int, measure: bool, new: tuple) -> None:
         self.x, self.a, inputs = new
-        if self.use_filter:
+        if self.filt is not None:
             self.u1_acc, self.u2_acc, f2 = inputs
             if measure:
                 self.f_prev = f2
-                self.u1_acc = np.zeros_like(self.u1_acc)
-                self.u2_acc = np.zeros_like(self.u2_acc)
-            self.j_sig = self.filt.step_export()
-        elif self.adapt:
-            self.j_sig = self._override(self.times[step + 1])
+                self.u1_acc = self.u2_acc = self.zero
+            self.j_sig[:self.m] = self.filt.step_export()
+        elif self.m:
+            self.j_sig[:self.m] = self._override(self.times[step + 1])
         self._log(step + 1)
 
-    def _drop_failing(self, step: int, measure: bool, noise,
-                      exc: LieseekError) -> list:
+    def _drop_failing(self, step: int, measure: bool,
+                      exc: LieseekError) -> bool:
         """Record the error of each row whose step fails when it is taken
-        alone, and keep the other rows; returns their former indices."""
-        if self.members.size == 1:
-            failed = {0: exc}
-        else:
-            failed = {}
-            for i in range(self.members.size):
-                try:
-                    self._take([i])._attempt(
-                        step, measure, None if noise is None else noise[i])
-                except LieseekError as err:
-                    failed[i] = err
-            if not failed:   # a failure of the batch, not of a member
-                raise exc
-        for i, err in failed.items():
-            self.errors[int(self.members[i])] = err
-        kept = [i for i in range(self.members.size) if i not in failed]
-        self._keep(kept)
-        return kept
+        alone, and of each seeking row whose averaged row fails, and keep
+        the other rows; returns whether any is left."""
+        size, failed = self.members.size, {}
+        for i in range(size):
+            try:
+                self._take([i])._attempt(step, measure)
+            except LieseekError as err:
+                failed[i] = err
+        if not failed:   # a failure of the loop, not of a row
+            raise exc
+        rows = self.members.tolist()
+        stopped = {self.keys[rows[i]]: err for i, err in failed.items()
+                   if rows[i] >= self.s0}
+        for i, r in enumerate(rows):
+            if self.keys[r] in stopped:
+                failed.setdefault(i, stopped[self.keys[r]])
+        self.errors.update({rows[i]: err for i, err in failed.items()})
+        self._keep([i for i in range(size) if i not in failed])
+        return self.members.size > 0
 
     def run(self) -> list:
-        """Each member's log, or the error that stopped it."""
+        """Each member's log, or the error that stopped it; ``refs`` then
+        holds every reference, by :func:`_reference_key`."""
         n_meas = self.filt.cfg.n_meas if self.use_filter else 1
         for step in range(self.steps):
             if step in self.ends:
                 self._finish(step)
             if not self.members.size:
                 break
-            measure = self.use_filter and (step + 1) % n_meas == 0
-            noise = self._noise() if measure and self.rngs else None
+            measure = self.filt is not None and (step + 1) % n_meas == 0
+            self.noise = self._noise() if measure and self.rngs else None
             try:
-                new = self._attempt(step, measure, noise)
+                new = self._attempt(step, measure)
             except LieseekError as exc:
-                kept = self._drop_failing(step, measure, noise, exc)
-                if not kept:
+                if not self._drop_failing(step, measure, exc):
                     break
-                noise = None if noise is None else noise[_index(kept)]
-                new = self._attempt(step, measure, noise)
+                new = self._attempt(step, measure)
             self._commit(step, measure, new)
-        return [self.errors[k] if k in self.errors else self._result(k)
-                for k in range(len(self.specs))]
+        for r in range(self.s0, len(self.specs)):
+            z = self.x_log[:self.grid_of[r].steps + 1, r]
+            z.flags.writeable = False
+            self.refs[self.keys[r]] = self.errors.get(r, z)
+        return [self._result(r) for r in self.member_rows]
 
-    def _result(self, k: int):
-        """Member k's log, or the error that its log raises."""
-        logged, n = slice(0, self.grid_of[k].steps + 1), self.spec.n
+    def _result(self, r: int):
+        """The log of the seeking run of row r, or the error that stopped
+        it: its reference's, if that failed."""
+        zref = self.refs[self.keys[r]]
+        if isinstance(zref, LieseekError):
+            return zref
+        if r in self.errors:
+            return self.errors[r]
+        logged, n = slice(0, self.grid_of[r].steps + 1), self.spec.n
         a = j_est = diag = None
-        if self.adapt:
-            a, j_est = self.a_log[logged, k], self.jest_log[logged, k]
-        if self.use_filter:
+        if r < self.m0:
+            a, j_est = self.a_log[logged, r], self.jest_log[logged, r]
+        if r < self.m0 and self.use_filter:
             # covariance summaries of all rows at once
-            mean, P = self.mean_log[logged, k], self.P_log[logged, k]
+            mean, P = self.mean_log[logged, r], self.P_log[logged, r]
             diag = {"x1": mean[:, :n], "x2": mean[:, n:2 * n], "x3": mean[:, -1],
-                    "innovation": self.innovation_log[logged, k],
+                    "innovation": self.innovation_log[logged, r],
                     "trace_p": np.trace(P, axis1=1, axis2=2),
                     "min_eig_p": np.linalg.eigvalsh(P).min(axis=1)}
         try:
-            return _log(self.specs[k], self.x_log[logged, k], self.zref[k],
-                        "proposed" if self.adapt else "baseline",
-                        self.seeds[k], a, j_est, diag)
+            return _log(self.specs[r], self.x_log[logged, r], zref,
+                        "proposed" if r < self.m0 else "baseline",
+                        self.seeds[r], a, j_est, diag)
         except LieseekError as exc:
             return exc
-
-
-class _Averaged(_Lockstep):
-    """The averaged (bracket) systems of B members of one system at their
-    initial amplitudes, stepped as the members of a seeking loop are: each
-    on its own grid, leaving after its last step, and a failing member
-    stopping alone.  The members hold no filter and their amplitudes stay
-    at a0, so they log only their states; their plant, the oracle at each
-    row's own objective, reads no dither table.  ``err`` (with one member)
-    adds the synthetic estimation error to the right-hand side.
-    """
-
-    dithered = False
-
-    def __init__(self, specs: Sequence[EscSystemSpec],
-                 err: Optional[EstimationErrorModel] = None):
-        self.err = err
-        size = len(specs)
-        super().__init__(specs, [None] * size, [0] * size, [None] * size,
-                         adapt=False, noise_std=0.0)
-
-    def _regrid(self) -> None:
-        """Set, besides the grids, the bracket weights of the current rows,
-        which depend on their amplitudes alone."""
-        super()._regrid()
-        self.weight = bracket_weight(self.spec, self.a)
-
-    def _plant(self, step: int):
-        return self._zdot
-
-    def _zdot(self, t, z: np.ndarray) -> np.ndarray:
-        j = lbs_rhs_exact(self.spec, z, weight=self.weight, objective=self.obj)
-        return j if self.err is None else j + self.err.value(t)
-
-    def _result(self, k: int):
-        return self.x_log[:self.grid_of[k].steps + 1, k]
 
 
 def _raised(result):
@@ -784,41 +760,59 @@ def _raised(result):
 
 
 def run_batch(specs: Sequence[EscSystemSpec],
-              gcfgs: Optional[Sequence[GekfConfig]] = None,
+              gcfgs: Optional[Sequence[Optional[GekfConfig]]] = None,
               seeds: Optional[Sequence[int]] = None,
               noise_std: float = 0.0) -> list:
     """Seeking runs of several members, in lockstep where they may share
     a loop.
 
-    Without ``gcfgs`` these are constant-amplitude runs, with one filter
-    configuration per member adaptive ones; ``gcfgs`` and ``seeds``, when
-    given, hold one entry per spec, else :class:`InputError` is raised.
-    The members may come from any systems, and this is the one place that
-    decides which of them share a loop.  They are grouped, in order of
-    first appearance, by system (:func:`_system`: coefficient forms,
-    dithers, and the objective's kind and whether it has a domain box), so
-    members that differ only in the objective's parameters share a loop,
-    and each system's references are integrated once; each system group
-    is split by filter configuration but for its amplitude floor (which
-    scales with a0), and each such group runs as one :class:`_Lockstep`.
-    Returns, per member, the log or the :class:`LieseekError` that its
-    own run raises; member k equals its own run bit for bit.
+    Member k is an adaptive run with the filter configuration
+    ``gcfgs[k]``, or a constant-amplitude run where that entry is None (or
+    ``gcfgs`` is); ``gcfgs`` and ``seeds``, when given, hold one entry per
+    spec, else :class:`InputError` is raised.  The members may come from
+    any systems, and this is the one place that decides which of them
+    share a loop.  They are grouped, in order of first appearance, by
+    system (:func:`_system`: coefficient forms, dithers, and the
+    objective's kind and whether it has a domain box), so members that
+    differ only in the objective's parameters share a loop.  A system's
+    members run as one :class:`_Lockstep` per filter configuration but for
+    its amplitude floor (which scales with a0): the first also steps the
+    constant-amplitude members and, as rows, the references of all the
+    system's members, which the others read.  Returns, per member, the log
+    or the :class:`LieseekError` that its own run raises; member k equals
+    its own run bit for bit.
     """
-    if gcfgs is not None and None in gcfgs:
-        raise InputError("proposed run needs a filter configuration")
     if any(v is not None and len(v) != len(specs) for v in (gcfgs, seeds)):
         raise InputError("run_batch needs one filter configuration and one "
                          "seed per spec, or none")
-    adapt = gcfgs is not None
     members = list(zip(specs, gcfgs or [None] * len(specs),
-                       seeds or [0] * len(specs), _references(specs)))
-    # one loop per system and filter configuration but for its amplitude
-    # floor, in which members may differ
-    keys = [(_system(spec),
-             None if gcfg is None else replace(gcfg, a_floor=1.0))
-            for spec, gcfg, _, _ in members]
-    return _by_group(keys, members, lambda group: _Lockstep(
-        *zip(*group), adapt, noise_std).run())
+                       seeds or [0] * len(specs)))
+    return _by_group([_system(spec) for spec in specs], members,
+                     lambda group: _system_runs(group, noise_std))
+
+
+def _system_runs(members: list, noise_std: float) -> list:
+    """The runs of ``members`` (spec, filter configuration or None, seed)
+    of one system, by :func:`run_batch`'s loops."""
+    configs = [None if g is None else replace(g, a_floor=1.0)
+               for _, g, _ in members]
+    first = next((c for c in configs if c is not None), None)
+    specs, refs = [spec for spec, _, _ in members], {}
+    return _by_group([first if c is None else c for c in configs], members,
+                     lambda group: _Lockstep(
+                         *zip(*group), noise_std, refs=refs,
+                         averaged=() if refs else specs).run())
+
+
+def _references(specs: Sequence[EscSystemSpec],
+                err: Optional[EstimationErrorModel] = None) -> list:
+    """The averaged trajectory of each of ``specs``, members of one system,
+    read-only, or the error that its integration raises: each distinct
+    reference is a row of one loop.  ``err`` adds the synthetic estimation
+    error to the right-hand side."""
+    refs: dict = {}
+    _Lockstep([], [], [], averaged=specs, refs=refs, err=err).run()
+    return [refs[_reference_key(spec)] for spec in specs]
 
 
 def run_baseline(spec: EscSystemSpec) -> TrajectoryLog:
@@ -834,10 +828,8 @@ def run_proposed(spec: EscSystemSpec, gcfg: GekfConfig, seed: int = 0,
     vector, or callable of time); used to exercise the adaptation law in
     isolation.
     """
-    if j_override is None:
-        return _raised(run_batch([spec], [gcfg], [seed], noise_std)[0])
-    return _raised(_Lockstep([spec], [gcfg], [seed], _references([spec]), True,
-                             noise_std, j_override).run()[0])
+    return _raised(_Lockstep([spec], [gcfg], [seed], noise_std,
+                             j_override=j_override).run()[0])
 
 
 def run_lbs(spec: EscSystemSpec,
@@ -854,20 +846,20 @@ def run_lbs(spec: EscSystemSpec,
 def lbs_batch(specs: Sequence[EscSystemSpec],
               err: Optional[EstimationErrorModel] = None) -> list:
     """Averaged-system runs (:func:`run_lbs`) of several members of any
-    systems, from one integration of each system's references
-    (:func:`_references`).
+    systems, from one loop per system that integrates each distinct
+    reference once (:func:`_references`).
 
     Returns, per member, the log or the :class:`LieseekError` that its
     own run raises.  With ``err``, each member's perturbed system is
-    integrated on its own, uncached.
+    integrated in a loop of its own.
     """
     out: list = []
-    for spec, zref in zip(specs, _references(specs)):
+    refs = _by_group([_system(spec) for spec in specs], specs, _references)
+    for spec, zref in zip(specs, refs):
         try:
             zref = _raised(zref)
-            x = (zref.copy() if err is None
-                 else _raised(_averaged([spec], err)[0]))
-            out.append(_log(spec, x, zref, "lbs", err=err))
+            x = zref if err is None else _raised(_references([spec], err)[0])
+            out.append(_log(spec, x.copy(), zref, "lbs", err=err))
         except LieseekError as exc:
             out.append(exc)
     return out

@@ -567,68 +567,49 @@ def test_failing_sweep_leaves_the_same_files_at_any_jobs(tmp_path,
     assert {Path(name).parts[1] for name in trees[0]} == {"lambda_0.1"}
 
 
-def _counting_loops(monkeypatch) -> tuple[list, list]:
-    """Record each lockstep loop as (members, adaptive) and each reference
-    integration by its row count."""
+def _counting_loops(monkeypatch) -> list:
+    """Record each lockstep loop by its numbers of adaptive,
+    constant-amplitude and averaged rows."""
     import lieseek.sim as sim
-    loops, rows = [], []
-    lockstep, averaged = sim._Lockstep, sim._averaged
+    loops = []
+    lockstep = sim._Lockstep
 
-    def counting_loop(specs, gcfgs, seeds, zref, adapt, *args):
-        loops.append((len(specs), adapt))
-        return lockstep(specs, gcfgs, seeds, zref, adapt, *args)
+    def counting(*args, **kwargs):
+        loop = lockstep(*args, **kwargs)
+        loops.append((loop.m0, loop.s0 - loop.m0, len(loop.specs) - loop.s0))
+        return loop
 
-    def counting_rows(specs, err=None):
-        rows.append(len(specs))
-        return averaged(specs, err)
-
-    monkeypatch.setattr(sim, "_Lockstep", counting_loop)
-    monkeypatch.setattr(sim, "_averaged", counting_rows)
-    sim._reference.cache_clear()
-    return loops, rows
+    monkeypatch.setattr(sim, "_Lockstep", counting)
+    return loops
 
 
-def test_omega_sweep_runs_one_batch_per_mode(tmp_path, short_case1_path,
-                                             monkeypatch, capsys):
-    """The omega points of a process go through one loop per mode, and
-    their three references through one integration."""
-    loops, rows = _counting_loops(monkeypatch)
-    assert main(["sweep", "--config", short_case1_path, "--omega",
-                 "50,100,200", "--mode", "both", "--horizon", "2",
-                 "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert loops == [(3, False), (3, True)]
-    assert rows == [3]
-
-
-def test_case3_vehicles_share_one_loop_per_mode(tmp_path, monkeypatch,
-                                                capsys):
-    """The three vehicles of case3 differ in their objectives and omega:
-    they run in one loop per mode, and their references in one
-    integration."""
-    loops, rows = _counting_loops(monkeypatch)
-    assert main(["run", "case3", "--mode", "both", "--horizon", "1.2",
-                 "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert loops == [(3, False), (3, True)]
-    assert rows == [3]
+@pytest.mark.parametrize("argv,rows", [
+    (["run", "case1", "--mode", "both"], (1, 1, 1)),
+    (["run", "case3", "--mode", "both", "--horizon", "1.2"], (3, 3, 3)),
+    (["sweep", "case1", "--omega", "50,100,200", "--mode", "both",
+      "--horizon", "2"], (3, 3, 3)),
+    (["sweep", "case2", "--lambda", "0.05,0.1,0.2,0.4", "--mode", "proposed",
+      "--horizon", "1.5"], (4, 0, 1)),
+], ids=["case1-both", "case3-both", "omega-sweep-both", "lambda-sweep"])
+def test_each_command_steps_one_loop(tmp_path, monkeypatch, capsys, argv,
+                                     rows):
+    """Every run of a command and every reference that they need are rows
+    of one loop: the three vehicles of case3 differ in their objectives
+    and omega, the omega points in omega, dt and step count, and the lambda
+    points share one reference."""
+    loops = _counting_loops(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+    assert loops == [rows]
 
 
 def test_lbs_sweep_integrates_its_references_once(tmp_path, monkeypatch,
                                                   capsys):
-    """The lbs runs of a sweep share one reference integration of one row
-    per point, and each point's files equal its own run's."""
-    import lieseek.sim as sim
-    rows = []
-    averaged = sim._averaged
-
-    def counting_rows(specs, err=None):
-        rows.append(len(specs))
-        return averaged(specs, err)
-
-    monkeypatch.setattr(sim, "_averaged", counting_rows)
-    sim._reference.cache_clear()
+    """The lbs runs of a sweep share one loop of one averaged row per
+    point, and each point's files equal its own run's."""
+    loops = _counting_loops(monkeypatch)
     assert main(["sweep", "case1", "--omega", "50,100,200", "--mode", "lbs",
                  "--horizon", "3", "--out", str(tmp_path / "sweep")]) == EXIT_OK
-    assert rows == [3]
+    assert loops == [(0, 0, 3)]
     for omega in ("50", "100", "200"):
         run_out = tmp_path / f"run{omega}"
         assert main(["run", "case1", "--mode", "lbs", "--horizon", "3",
@@ -642,24 +623,20 @@ def test_omega_points_with_their_own_windows_run_apart(tmp_path, monkeypatch,
                                                        capsys):
     """With an explicit dt the omega points differ in smoothing window, so
     their filtered runs split into one loop per point; their baseline runs
-    stay one loop, in ``--mode both`` too.  With one dt the two points
-    have one reference, integrated once."""
+    and their one reference (one dt) are rows of the first loop, and the
+    second reads that reference."""
     cfg = shortened("case1", 2.0).config
     cfg["systems"]["main"]["dt"] = 0.001
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    import lieseek.sim as sim
-    loops, rows = _counting_loops(monkeypatch)
-    for mode, expected in (("proposed", [(1, True), (1, True)]),
-                           ("baseline", [(2, False)]),
-                           ("both", [(2, False), (1, True), (1, True)])):
+    loops = _counting_loops(monkeypatch)
+    for mode, expected in (("proposed", [(1, 0, 1), (1, 0, 0)]),
+                           ("baseline", [(0, 2, 1)]),
+                           ("both", [(1, 2, 1), (1, 0, 0)])):
         loops.clear()
-        rows.clear()
-        sim._reference.cache_clear()
         assert main(["sweep", "--config", str(path), "--omega", "50,100",
                      "--mode", mode, "--out", str(tmp_path / mode)]) == EXIT_OK
         assert loops == expected
-        assert rows == [1]
 
 
 def test_sweep_horizon_below_t_min_fails_at_load(tmp_path, capsys):

@@ -3,7 +3,8 @@
 Each case runs one preset system at a short horizon in one mode and
 compares x, a, Jest, Jexact and zref at the 1/4, 1/2, 3/4 and last rows
 against values committed in ``golden_runs.json`` (relative 1e-10; NaN
-cells must stay NaN).
+cells must stay NaN).  The baseline and proposed runs of each system are
+checked once more as two rows of one ``run_batch`` loop.
 
 Re-record only when a change is meant to move the numbers::
 
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from conftest import shortened
-from lieseek.sim import TrajectoryLog, run_baseline, run_lbs, run_proposed
+from lieseek.sim import (TrajectoryLog, run_baseline, run_batch, run_lbs,
+                         run_proposed)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_runs.json")
@@ -77,11 +79,8 @@ def golden() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("system", list(SYSTEMS))
-@pytest.mark.parametrize("mode", MODES)
-def test_run_matches_golden(golden, system, mode):
-    want = golden[f"{system}/{mode}"]
-    got = _checkpoints(_run(system, mode))
+def _assert_matches(want: dict, log: TrajectoryLog) -> None:
+    got = _checkpoints(log)
     assert got["rows"] == want["rows"]
     for name in COLUMNS:
         expected, actual = _as_array(want[name]), _as_array(got[name])
@@ -91,6 +90,24 @@ def test_run_matches_golden(golden, system, mode):
         np.testing.assert_allclose(actual, expected, rtol=RTOL,
                                    atol=RTOL * scale, equal_nan=True,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+@pytest.mark.parametrize("mode", MODES)
+def test_run_matches_golden(golden, system, mode):
+    _assert_matches(golden[f"{system}/{mode}"], _run(system, mode))
+
+
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_mixed_loop_matches_golden(golden, system):
+    """The baseline and proposed runs of a system, with their reference,
+    as the rows of one loop."""
+    horizon, label, omega = SYSTEMS[system]
+    sc = shortened(system.split("-")[0], horizon, label, omega)
+    spec = sc.primary_system
+    logs = run_batch([spec, spec], [None, sc.gekf_config()], [0, 0])
+    for mode, log in zip(("baseline", "proposed"), logs):
+        _assert_matches(golden[f"{system}/{mode}"], log)
 
 
 if __name__ == "__main__":

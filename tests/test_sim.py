@@ -105,7 +105,6 @@ class TestRunLbs:
         cfg = shortened("case1", 50.0).config
         cfg["systems"]["main"]["a0"] = [10.655]
         spec = Scenario(cfg).primary_system
-        sim._reference.cache_clear()
         errors = []
         for run in (run_lbs, run_baseline):
             with pytest.raises(DivergenceError) as exc:
@@ -116,8 +115,9 @@ class TestRunLbs:
         assert str(errors[1]) == str(errors[0])
 
     def test_builds_no_dither_tables(self, tmp_path, monkeypatch):
-        """The averaged system reads no dither; each seeking loop builds
-        its tables once, so a ``--mode both`` run builds them twice."""
+        """The averaged system reads no dither; the baseline and proposed
+        runs of a ``--mode both`` run share one loop and one grid, so they
+        build the tables once."""
         calls = []
         inner = sim._dither_tables
 
@@ -127,11 +127,10 @@ class TestRunLbs:
 
         monkeypatch.setattr(sim, "_dither_tables", counting)
         sc = shortened("case1", 2.0)
-        sim._reference.cache_clear()
         run_lbs(sc.primary_system)
         assert calls == []
         execute_run(sc, "both", str(tmp_path))
-        assert calls == [sim._steps(sc.primary_system)] * 2
+        assert calls == [sim._steps(sc.primary_system)]
 
 
 class TestRunBaseline:
@@ -265,7 +264,8 @@ class TestRunProposed:
         step_export = GekfFilter.step_export
 
         def recording(self):
-            covariances.append(self.P.copy())
+            # the loop's filter holds its one member on a member axis
+            covariances.append(self.P.reshape(covariances[0].shape).copy())
             return step_export(self)
 
         monkeypatch.setattr(GekfFilter, "step_export", recording)
@@ -346,23 +346,28 @@ class TestAveragedReference:
 
     def test_both_mode_integrates_the_reference_once_per_system(
             self, tmp_path, monkeypatch):
-        calls = []
-        inner = sim.lbs_rhs_exact
+        calls, loops = [], []
+        inner, lockstep = sim.lbs_rhs_exact, sim._Lockstep
 
         def counting(*args, **kwargs):
             calls.append(1)
             return inner(*args, **kwargs)
 
+        def counting_loop(*args, **kwargs):
+            loops.append(lockstep(*args, **kwargs))
+            return loops[-1]
+
         monkeypatch.setattr(sim, "lbs_rhs_exact", counting)
+        monkeypatch.setattr(sim, "_Lockstep", counting_loop)
         sc = shortened("case3", 1.2)
         art = execute_run(sc, "both", str(tmp_path))
         steps = [int(round(spec.horizon / spec.resolved_dt))
                  for spec in sc.systems.values()]
-        # the three references are rows of one loop: four RK4 stages per
-        # step of the longest, plus one Jexact call for all logged rows of
-        # each of the two runs of each system
+        # the three references are rows of the runs' one loop: four RK4
+        # stages per step of the longest, plus one Jexact call for all
+        # logged rows of each of the two runs of each system
         assert len(calls) == 4 * max(steps) + 2 * len(steps)
-        assert sim._reference.cache_info().currsize == 1
+        assert [len(loop.specs) - loop.s0 for loop in loops] == [3]
         for label in sc.systems:
             base, prop = (TrajectoryLog.from_csv(art.csv_paths[f"{label}_{m}"])
                           for m in ("baseline", "proposed"))
@@ -381,14 +386,26 @@ class TestAveragedReference:
                 j = sim.lbs_rhs_exact(spec, log.x[k], amplitude=log.a[k])
                 assert j.tobytes() == log.j_exact[k].tobytes()
 
-    def test_perturbed_run_leaves_the_reference_cache_alone(self):
+    def test_perturbed_run_integrates_its_reference_apart(self,
+                                                          monkeypatch):
+        """The unperturbed reference and the perturbed system are one row
+        each of two loops, and the reference is logged read-only."""
+        rows = []
+        lockstep = sim._Lockstep
+
+        def counting(*args, **kwargs):
+            loop = lockstep(*args, **kwargs)
+            rows.append((len(loop.specs) - loop.s0, loop.err is not None))
+            return loop
+
+        monkeypatch.setattr(sim, "_Lockstep", counting)
         spec = shortened("case1", 0.5).primary_system
-        ref = run_lbs(spec).z_ref
         err = EstimationErrorModel(eps0=0.1, theta0=0.2)
-        run_lbs(spec, err=err)
-        assert sim._reference.cache_info().currsize == 1
-        assert run_baseline(spec).z_ref is ref
-        assert not ref.flags.writeable
+        log = run_lbs(spec, err=err)
+        assert rows == [(1, False), (1, True)]
+        assert log.z_ref.tobytes() == run_lbs(spec).x.tobytes()
+        assert not log.z_ref.flags.writeable
+        assert np.any(log.x != log.z_ref)
 
 
 class TestDitherTables:
@@ -512,9 +529,9 @@ class TestLockstepBatch:
             _assert_same_run(log, run_proposed(spec, gcfg))
 
     def test_members_leave_after_their_last_step(self, monkeypatch):
-        """Each member is stepped for its own step count, by the reference
-        and by the loop, and the last member left steps without the
-        member axis."""
+        """Each member is stepped for its own step count, as a seeking row
+        and as an averaged row of one loop, and the last member and its
+        reference step alone, as two rows."""
         specs = [_member("case1", 0.5, omega=omega)[0]
                  for omega in (8.0, 16.0, 32.0)]
         shapes = []
@@ -525,14 +542,12 @@ class TestLockstepBatch:
             return inner(rhs, t, x, dt)
 
         monkeypatch.setattr(sim, "rk4_step", recording)
-        sim._reference.cache_clear()
         sim.run_batch(specs)
         steps = [sim._steps(spec) for spec in specs]
         assert steps == [41, 81, 163]
-        assert sum(shape[0] if len(shape) == 2 else 1
-                   for shape in shapes) == 2 * sum(steps)
+        assert sum(shape[0] for shape in shapes) == 2 * sum(steps)
         alone = steps[2] - steps[1]
-        assert shapes[-alone - 1:] == [(2, 1)] + [(1,)] * alone
+        assert shapes[-alone - 1:] == [(4, 1)] + [(2, 1)] * alone
 
     def test_an_omega_member_that_fails_stops_alone(self):
         """At omega = 2 the plant leaves the box at t = 0.39; the members
@@ -572,6 +587,38 @@ class TestLockstepBatch:
         for k in (0, 2):
             _assert_same_run(batch[k], run_baseline(specs[k]))
 
+    def test_a_member_returns_its_failing_references_error(self):
+        """At a0 = 10.655 both seeking rows leave the box in their second
+        step and their shared reference in step 2408; both members of the
+        mixed loop return the reference's error, as ``run_lbs`` raises it."""
+        cfg = shortened("case1", 50.0).config
+        cfg["systems"]["main"]["a0"] = [10.655]
+        sc = Scenario(cfg)
+        spec = sc.primary_system
+        with pytest.raises(DivergenceError) as reference:
+            run_lbs(spec)
+        assert reference.value.t_exit > 29.0
+        for result in sim.run_batch([spec, spec], [None, sc.gekf_config()]):
+            assert type(result) is DivergenceError
+            assert str(result) == str(reference.value)
+            assert result.t_exit == reference.value.t_exit
+
+    def test_a_failing_baseline_row_does_not_stop_its_siblings(self):
+        """The baseline run from x0 = 60 leaves the box in its first step;
+        the proposed and baseline rows from x0 = 2 in its loop finish, and
+        so does the reference of the failing run."""
+        bad, gcfg = _member("case1", 2.0, x0=[60.0])
+        good, _ = _member("case1", 2.0)
+        batch = sim.run_batch([bad, good, good], [None, gcfg, None])
+        with pytest.raises(DivergenceError) as alone:
+            run_baseline(bad)
+        assert type(batch[0]) is DivergenceError
+        assert str(batch[0]) == str(alone.value)
+        assert batch[0].t_exit == alone.value.t_exit
+        _assert_same_run(batch[1], run_proposed(good, gcfg))
+        _assert_same_run(batch[2], run_baseline(good))
+        assert run_lbs(bad).x[-1, 0] < 3.0
+
     def test_members_with_their_own_references_and_noise(self, monkeypatch):
         """Differing a0 and x0 give one reference per distinct pair, and
         per-member amplitude floors; seeded noise stays per member.  The
@@ -584,17 +631,17 @@ class TestLockstepBatch:
         gcfgs = [gcfg for _, gcfg in members]
         assert gcfgs[0].a_floor != gcfgs[1].a_floor
         averaged = []
-        inner = sim._averaged
+        lockstep = sim._Lockstep
 
-        def counting(specs, err=None):
-            averaged.extend(specs)   # one reference row per spec
-            return inner(specs, err)
+        def counting(*args, **kwargs):
+            loop = lockstep(*args, **kwargs)
+            averaged.append(len(loop.specs) - loop.s0)
+            return loop
 
-        monkeypatch.setattr(sim, "_averaged", counting)
-        sim._reference.cache_clear()
+        monkeypatch.setattr(sim, "_Lockstep", counting)
         seeds = [1, 2, 3, 4]
         batch = sim.run_batch(specs, gcfgs, seeds, noise_std=0.01)
-        assert len(averaged) == 3
+        assert averaged == [3]
         for spec, gcfg, seed, log in zip(specs, gcfgs, seeds, batch):
             _assert_same_run(log, run_proposed(spec, gcfg, seed=seed,
                                                noise_std=0.01))
@@ -661,9 +708,9 @@ class TestLockstepBatch:
         loops = []
         lockstep = sim._Lockstep
 
-        def counting(specs, *args):
+        def counting(specs, *args, **kwargs):
             loops.append(len(specs))
-            return lockstep(specs, *args)
+            return lockstep(specs, *args, **kwargs)
 
         monkeypatch.setattr(sim, "_Lockstep", counting)
         for gcfgs_or_none in (None, gcfgs):
