@@ -260,10 +260,10 @@ class GekfFilter:
     def check(self) -> None:
         """Raise :class:`FilterDivergenceError` if a member's mean or
         covariance is non-finite, naming the step that made it so."""
-        # a non-finite entry poisons the sum; only then are members searched
-        if math.isfinite(self.mean.sum() + self.P.sum()):
-            return
-        if _finite(self.mean, self.P):
+        # a non-finite entry poisons the sum; only then are members searched.
+        # np.add.reduce is ndarray.sum without its Python wrapper
+        total = np.add.reduce(self.mean, axis=None) + np.add.reduce(self.P, axis=None)
+        if math.isfinite(total) or _finite(self.mean, self.P):
             return
         after = ("propagation" if self._prior is None or not _finite(*self._prior)
                  else "update")
@@ -286,9 +286,10 @@ class GekfFilter:
         self._push_row(x1)
         if self.cfg.smoothing:
             w = self.cfg.smooth_window
-            end = (self._count - 1) % w + 1 + w
-            smoothed = self._rows[..., end - min(self._count, w):end, :].mean(
-                axis=-2)
+            end, k = (self._count - 1) % w + 1 + w, min(self._count, w)
+            # ndarray.mean bit for bit, without its Python wrapper
+            smoothed = np.add.reduce(self._rows[..., end - k:end, :],
+                                     axis=-2) / k
         else:
             smoothed = x1.copy()
         self._j = np.where(self.paused, self._j * self._decay, smoothed)

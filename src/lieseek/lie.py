@@ -1,10 +1,12 @@
 """Bracket computation, exact averaged right-hand sides, and the
 first-order iterated-integral predictor.
 
-The exact averaged right-hand side produced here is the oracle for the
-estimation filter, and the plant of the lockstep loop's averaged rows; the
-seeking rows never read it.  It takes states of shape ``(..., n)``, so one
-call covers a whole trajectory.
+The exact averaged right-hand side produced here is the oracle: the
+``Jexact`` column of every log, and the reference that the estimation
+filter and the lockstep loop's averaged rows are checked against.  The
+loop does not call it while stepping; its RK4 stage evaluates the same
+product for seeking and averaged rows alike.  It takes states of shape
+``(..., n)``, so one call covers a whole trajectory.
 """
 
 from __future__ import annotations
@@ -64,31 +66,16 @@ def bracket_weight(spec: EscSystemSpec, amplitude=None) -> np.ndarray:
     return -spec.nu_hats * a * a
 
 
-def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None, weight=None,
-                  objective=None, terms=None) -> np.ndarray:
+def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None) -> np.ndarray:
     """Oracle: exact averaged right-hand side at the states ``z``.
 
     Per channel: ``-nu_hat * a_i^2 * (df/dz_i) * b0_i(f)``, with the
-    objective's closed-form gradient.  ``z`` has shape
-    ``(..., n)`` and so has the result; ``amplitude`` broadcasts against
-    it and defaults to the spec's initial amplitudes.  A caller that
-    evaluates many states at fixed amplitudes passes their
-    :func:`bracket_weight` as ``weight`` instead, and ``objective``, with
-    the objective's ``measured`` and ``measured_gradient``, replaces the
-    spec's own (the lockstep loop passes one stacked per row).  ``terms``
-    is ``(f, value, slope)``: the measured values at ``z`` and the forms'
-    values and slopes there (:meth:`EscSystemSpec.form_terms`), as the
-    lockstep plant evaluates them once for all its rows; they are
-    evaluated here when not given.
+    objective's closed-form gradient.  ``z`` has shape ``(..., n)`` and so
+    has the result; ``amplitude`` broadcasts against it and defaults to the
+    spec's initial amplitudes.
     """
-    if weight is None:
-        weight = bracket_weight(spec, amplitude)
-    if objective is None:
-        objective = spec.objective
-    grad = objective.measured_gradient(z)
-    f, *terms = (objective.measured(z),) if terms is None else terms
-    _, _, b0 = spec.coefficients(f, *terms)
-    return weight * grad * b0
+    _, _, b0 = spec.coefficients(spec.objective.measured(z))
+    return bracket_weight(spec, amplitude) * spec.objective.measured_gradient(z) * b0
 
 
 def chen_fliess_predict(spec: EscSystemSpec, f_t1: float, grad_t1, u1_int,

@@ -285,17 +285,20 @@ class ObjectiveMap:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``w``, ``c`` and ``2w`` as arrays."""
+        """``w``, ``c`` and the factor of :meth:`measured_gradient`: ``2w``,
+        negated for a maximum."""
         w = np.array(self.weights)
-        return w, np.array(self.center), 2.0 * w
+        return w, np.array(self.center), (-2.0 if self.kind == "max" else 2.0) * w
 
     def value(self, x):
         """Objective at the points ``x``: a float for one point, an array
         of shape ``x.shape[:-1]`` for several."""
-        w, c, _ = self._arrays
-        d = np.asarray(x, dtype=float) - c
-        out = np.vecdot(d * d, w) + self.offset
+        out = self.value_at(np.asarray(x, dtype=float) - self._arrays[1])
         return float(out) if out.ndim == 0 else out
+
+    def value_at(self, d):
+        """Objective at the deviations ``d = x - center``."""
+        return np.vecdot(d * d, self._arrays[0]) + self.offset
 
     def measured(self, x):
         """Controller-facing objective signal.
@@ -304,15 +307,17 @@ class ObjectiveMap:
         signal is ``f* - f(x)`` with ``f* = offset``, so the averaged
         dynamics always descend.
         """
-        if self.kind == "max":
-            return self.offset - self.value(x)
-        return self.value(x)
+        out = self.measured_at(np.asarray(x, dtype=float) - self._arrays[1])
+        return float(out) if out.ndim == 0 else out
+
+    def measured_at(self, d):
+        """:meth:`measured` at the deviations ``d = x - center``."""
+        f = self.value_at(d)
+        return self.offset - f if self.kind == "max" else f
 
     def measured_gradient(self, x) -> np.ndarray:
         """Gradient of :meth:`measured`, in closed form, shape ``x.shape``."""
-        _, c, w2 = self._arrays
-        g = w2 * (np.asarray(x, dtype=float) - c)
-        return -g if self.kind == "max" else g
+        return self._arrays[2] * (np.asarray(x, dtype=float) - self._arrays[1])
 
     def validate(self, samples: int = 256, seed: int = 0) -> None:
         """Check that the objective is finite on the domain box; a
@@ -532,15 +537,12 @@ class EscSystemSpec:
         value, _ = self.form_terms(f)
         return value[..., :self.n], value[..., self.n:]
 
-    def coefficients(self, f, value=None, slope=None) -> tuple:
+    def coefficients(self, f) -> tuple:
         """``b1``, ``b2`` and the bracket factor ``b0 = b2*b1' - b1*b2'``
         of every channel at the measured objective values ``f``, each of
-        shape ``f.shape + (n,)``, with the slopes in closed form.  A caller
-        that has :meth:`form_terms` at ``f`` passes them as ``value`` and
-        ``slope``."""
+        shape ``f.shape + (n,)``, with the slopes in closed form."""
         n = self.n
-        if value is None:
-            value, slope = self.form_terms(f)
+        value, slope = self.form_terms(f)
         b1, b2 = value[..., :n], value[..., n:]
         b0 = b2 * slope[..., :n] - b1 * slope[..., n:]
         if not np.isfinite(b0).all():

@@ -34,15 +34,18 @@ seed; optional measurement noise draws from a per-member seeded
 generator.
 
 The loop does only state-dependent work.  What depends on time alone is
-tabulated once per loop and time grid by :func:`_dither_tables`: every
-channel's dither values at each step start and midpoint of the grid (the
-RK4 stage times), and their per-step Simpson sums, which give the filter
-its input integrals; the averaged rows read no table.  Each RK4 stage
-evaluates the measured objective and the coefficient forms once for all
-rows, and the averaged rows pass that evaluation to
-:func:`lbs_rhs_exact`.  The ``f`` column and the oracle ``Jexact``
-column are each filled by one array call over a member's logged rows
-after the loop, by :func:`_log`, which builds the log of every mode.
+tabulated once per time grid by :func:`_dither_tables`: every channel's
+dither values at each step start and midpoint of the grid (the RK4 stage
+times), and their per-step Simpson sums, which give the filter its input
+integrals.  The seeking plant ``a*sqrt(omega)*(b1*u1 + b2*u2)`` and the
+averaged right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')`` are
+one bilinear form in ``(b1, b2)``, so each RK4 stage is one product over
+all rows, ``(W*G)*(b1*U1 + b2*U2)`` (:meth:`_Lockstep._plant`), from one
+evaluation of the measured objective and the coefficient forms; it calls
+no oracle.  The ``f`` column and the oracle ``Jexact`` column
+(:func:`lbs_rhs_exact`) are each filled by one array call over a
+member's logged rows after the loop, by :func:`_log`, which builds the
+log of every mode.
 """
 
 from __future__ import annotations
@@ -56,14 +59,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (ConfigurationError, DivergenceError, InputError,
-                     IntegrationError, LieseekError)
+from .errors import (ConfigurationError, DivergenceError, EvaluationError,
+                     InputError, IntegrationError, LieseekError)
 from .gekf import GekfConfig, GekfFilter
 from .lie import bracket_weight, lbs_rhs_exact
 from .model import (TAU, DitherSignal, EscSystemSpec, EstimationErrorModel,
                     ObjectiveMap)
 
 CSV_NAN = ""
+
+# The loop's checks turn every non-finite value into an error of its row,
+# so NumPy's floating-point warnings stay off while it steps.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def _dither_values(d: DitherSignal, theta: np.ndarray) -> np.ndarray:
@@ -295,14 +302,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 class _Objectives:
     """The objectives of a loop's rows, stacked: :class:`ObjectiveMap`'s own
-    ``value``, ``measured`` and ``measured_gradient`` over each row's
-    weights, centre and ``2w`` (``(B, n)``) and offset (``(B,)``).  The rows
-    share the kind, and all or none have a domain box (:func:`_system`).
+    ``measured``, ``measured_at`` and ``value_at`` over each row's weights,
+    centre and gradient factor (``(B, n)``) and offset (``(B,)``).  The
+    rows share the kind, and all or none have a domain box
+    (:func:`_system`).
     """
 
-    value = ObjectiveMap.value
+    value_at = ObjectiveMap.value_at
     measured = ObjectiveMap.measured
-    measured_gradient = ObjectiveMap.measured_gradient
+    measured_at = ObjectiveMap.measured_at
 
     def __init__(self, objectives: list):
         self.kind = objectives[0].kind
@@ -397,7 +405,7 @@ def _rk4_decay(h: np.ndarray) -> np.ndarray:
 class _Grid:
     """The time grid of the rows that share omega, dt and step count:
     step size and step times, and the dither tables on them for seeking
-    rows."""
+    rows, with their Simpson sums for adaptive rows."""
 
     def __init__(self, spec: EscSystemSpec, tables: bool, sums: bool):
         self.dt, self.steps = spec.resolved_dt, _steps(spec)
@@ -428,22 +436,24 @@ class _Lockstep:
     operation of a step acts on each row alone, so each row gets the bits
     of a loop of that row alone.  Step k of the loop is step k of every
     row, each on its own time grid (:class:`_Grid`): when the rows' step
-    sizes differ, ``dt`` and the step start are ``(B, 1)`` columns and the
-    dither tables are stacked over the seeking rows; a shared step size
-    stays a float.  A row leaves the loop after its last step.
+    sizes differ, ``dt`` and the step start are ``(B, 1)`` columns, and a
+    shared step size stays a float; the plant's tables are stacked over all
+    rows.  A row leaves the loop after its last step.
 
-    The plant (:meth:`_plant`) evaluates the measured objective and the
-    coefficient forms once for all rows: the seeking rows read the dither
-    tables, the averaged rows :func:`lbs_rhs_exact`.  The amplitude law
-    steps every row; on the rows that do not adapt the estimate stays 0
-    and the decay factor 1, so their amplitudes keep their bits.
+    The plant (:meth:`_plant`) is one product over all rows, from one
+    evaluation of the measured objective and the coefficient forms.  Its
+    per-row factors are set by :meth:`_regrid` and, where they change, per
+    step and per stage; its tables ``U1``, ``U2`` hold the seeking rows'
+    dithers and the averaged rows' form slopes.  The amplitude law steps
+    every row; on the rows that do not adapt the estimate stays 0 and the
+    decay factor 1, so their amplitudes keep their bits.
 
     One step is a fallible part, :meth:`_attempt`, that commits nothing,
     and :meth:`_commit`.  When the attempt fails, each row attempts the
-    step alone; those that fail record their error and stop, and so do the
-    seeking rows whose averaged row fails; the others take the step
-    together.  A seeking run whose reference fails returns that error,
-    whenever its own row stopped.
+    step alone, with the plant's check of b0 on; those that fail record
+    their error and stop, and so do the seeking rows whose averaged row
+    fails; the others take the step together.  A seeking run whose
+    reference fails returns that error, whenever its own row stopped.
     """
 
     def __init__(self, specs: Sequence[EscSystemSpec],
@@ -504,13 +514,13 @@ class _Lockstep:
         self.a = np.stack([s.a0 for s in self.specs])
         self.j_sig = np.zeros(self.x.shape)
         self.filt = self.f_prev = self.u1_acc = self.u2_acc = self.noise = None
-        self.u1 = self.u2 = None
         self._regrid()
         total = self.steps + 1
         self.x_log, self.a_log, self.jest_log = (
             np.empty((total, rows, n)) for rows in (size, self.m0, self.m0))
         if self.use_filter:
-            f0 = self.obj.measured(self.x)[:self.m0]
+            with np.errstate(**_QUIET):
+                f0 = self.obj.measured(self.x)[:self.m0]
             if self.rngs:
                 f0 = f0 + self._noise()
             self.filt = GekfFilter(adaptive[0], n, f0, spec.nu_hats,
@@ -532,31 +542,41 @@ class _Lockstep:
 
     def _regrid(self) -> None:
         """Set the row counts of the kinds and, for the current rows, the
-        step sizes, step times, tables, objectives, bracket weights and
-        log columns."""
+        step sizes, step times, objectives, the factors and tables of the
+        stage (:meth:`_plant`) and the log columns."""
         rows = self.members
         self.m, self.s = (int(np.searchsorted(rows, end))
                           for end in (self.m0, self.s0))
+        s, n = self.s, self.spec.n
         grids = [self.grid_of[r] for r in rows]
-        objectives = [self.specs[r].objective for r in rows]
-        self.obj = _Objectives(objectives)
+        self.obj = _Objectives([self.specs[r].objective for r in rows])
         self.dt = _per_row([g.dt for g in grids])
         self.times = (_per_row_tables([g.t for g in grids])[..., None]
                       if np.ndim(self.dt)
                       else max(grids, key=lambda g: g.steps).t.tolist())
-        seeking, adaptive = grids[:self.s], grids[:self.m]
-        self.sqrt_w = _per_row([g.sqrt_w for g in seeking]) if seeking else None
-        for name, kind in (("u1", seeking), ("u2", seeking),
-                           ("u1_sums", adaptive), ("u2_sums", adaptive)):
-            if kind and getattr(kind[0], name) is not None:
-                setattr(self, name,
-                        _per_row_tables([getattr(g, name) for g in kind]))
+        seeking, adaptive = grids[:s], grids[:self.m]
+        # any float without seeking rows, so that W[:0] is set alike
+        self.sqrt_w = _per_row([g.sqrt_w for g in seeking] or [1.0])
         if adaptive:
             self.dt_a = _per_row([g.dt for g in adaptive])
             self.acols = _index(rows[:self.m])   # their adaptive log columns
-        if self.s < rows.size:
-            self.avg_obj = _Objectives(objectives[self.s:])
-            self.weight = bracket_weight(self.spec, self.a[self.s:])
+        if adaptive and self.use_filter:
+            self.u1_sums = _per_row_tables([g.u1_sums for g in adaptive])
+            self.u2_sums = _per_row_tables([g.u2_sums for g in adaptive])
+        # W: a * sqrt(omega) on the seeking rows, set per step, and the
+        # bracket weight on the averaged rows; G: 1 on the seeking rows,
+        # and the averaged rows' gradient, set per stage
+        self.W, self.G = np.empty(self.x.shape), np.ones(self.x.shape)
+        self.W[s:] = bracket_weight(self.spec, self.a[s:])
+        # U1, U2: the seeking rows' dither tables, padded with zeros that
+        # are never read, and (-b2', b1') on the averaged rows: constant
+        # for linear forms, else set per stage
+        self.U1, self.U2 = np.zeros((2, 2 * self.steps + 1) + self.x.shape)
+        for r, g in enumerate(seeking):
+            self.U1[:len(g.u1), r], self.U2[:len(g.u2), r] = g.u1, g.u2
+        _, slope = self.spec.form_terms(np.zeros(1))
+        if slope.ndim == 1:   # linear forms' slopes, one (2n,) row
+            self.U1[:, s:], self.U2[:, s:] = -slope[n:], slope[:n]
         self.columns = _index(rows)
 
     def _noise(self) -> np.ndarray:
@@ -589,6 +609,7 @@ class _Lockstep:
         if not rows:
             self.members = self.members[:0]
             return
+        self.U1 = self.U2 = None   # free the old tables before the new
         vars(self).update(vars(self._take(rows)))
 
     def _finish(self, step: int) -> None:
@@ -606,40 +627,55 @@ class _Lockstep:
             self.innovation_log[k, self.acols] = self.filt.last_innovation
             self.P_log[k, self.acols] = self.filt.P
 
-    def _plant(self, step: int, scale: Optional[np.ndarray]):
-        """The right-hand side of every row at the stages of ``step``, from
-        one evaluation of the measured objective and the forms: the seeking
-        rows' at the amplitude scales ``scale``, the averaged rows'
-        :func:`lbs_rhs_exact`."""
-        spec, obj, s, n = self.spec, self.obj, self.s, self.spec.n
-        u1, u2, averaged = self.u1, self.u2, s < self.members.size
+    def _plant(self, step: int, check: bool = False):
+        """The right-hand side of every row at the stages of ``step``, one
+        product for all rows: ``(W * G) * (b1 * U1 + b2 * U2)``.
+
+        On a seeking row, ``W`` is ``a * sqrt(omega)``, set here once per
+        step, ``G`` is 1 and ``U1``, ``U2`` are its dither tables: the
+        plant ``a * sqrt(omega) * (b1 * u1 + b2 * u2)``.  On an averaged
+        row, ``W`` is the bracket weight ``-nu * a0^2``, ``G`` the gradient
+        of the measured objective, from the ``d = x - c`` of its value, and
+        ``(U1, U2) = (-b2', b1')``, set per stage where the slopes vary: its
+        product is :func:`lbs_rhs_exact`, ``weight * grad * b0`` with
+        ``b0 = b2 * b1' - b1 * b2'``, bit for bit, and ``err`` adds the
+        synthetic error.  The stage raises nothing: a non-finite b0 poisons
+        its row, so ``rk4_step``'s check finds it.  With ``check``, a
+        non-finite b0 of an averaged row raises :class:`EvaluationError`,
+        as its evaluation by the oracle does.
+        """
+        spec, obj, s, n, err = self.spec, self.obj, self.s, self.spec.n, self.err
+        W, G, U1, U2 = self.W, self.G, self.U1, self.U2
+        W[:s] = self.a[:s] * self.sqrt_w
+        centre, factor, gradient = obj._arrays[1], obj._arrays[2][s:], G[s:]
         # the table rows of the four RK4 stages, in the order rk4_step
         # calls them: step start, midpoint twice, step end
         rows = iter((2 * step, 2 * step + 1, 2 * step + 1, 2 * step + 2))
 
         def xdot(t, x: np.ndarray) -> np.ndarray:
             i = next(rows)
-            f = obj.measured(x)
+            d = x - centre
+            f = obj.measured_at(d)
             value, slope = spec.form_terms(f)
-            if s:
-                seeking = scale * (value[:s, :n] * u1[i] + value[:s, n:] * u2[i])
-                if not averaged:
-                    return seeking
-            # linear forms have one slope for all rows
-            terms = (f[s:], value[s:], slope[s:] if slope.ndim > 1 else slope)
-            j = lbs_rhs_exact(spec, x[s:], weight=self.weight,
-                              objective=self.avg_obj, terms=terms)
-            if self.err is not None:
-                j = j + self.err.value(t)
-            return np.concatenate((seeking, j)) if s else j
+            np.multiply(factor, d[s:], out=gradient)
+            if slope.ndim > 1:   # slopes that vary with f
+                np.negative(slope[s:, n:], out=U1[i, s:])
+                U2[i, s:] = slope[s:, :n]
+            terms = value[:, :n] * U1[i] + value[:, n:] * U2[i]
+            if check and not np.isfinite(terms[s:]).all():
+                raise EvaluationError("b0 evaluation non-finite", value=f[s:])
+            out = (W * G) * terms
+            if err is not None:
+                out[s:] += err.value(t)
+            return out
         return xdot
 
-    def _attempt(self, step: int, measure: bool) -> tuple:
+    def _attempt(self, step: int, measure: bool, check: bool = False) -> tuple:
         """The new states, amplitudes and filter inputs of ``step``; raises
-        for a failing row, with the filter left as it was."""
-        t0, m, s = self.times[step], self.m, self.s
-        scale = self.a[:s] * self.sqrt_w if s else None
-        x = rk4_step(self._plant(step, scale), t0, self.x, self.dt)
+        for a failing row, with the filter left as it was.  ``check`` turns
+        on the plant's check of b0 (:meth:`_plant`)."""
+        t0, m = self.times[step], self.m
+        x = rk4_step(self._plant(step, check), t0, self.x, self.dt)
         a, j = self.a, self.j_sig
         if m:
             a = j + (a - j) * self.decay
@@ -648,7 +684,7 @@ class _Lockstep:
         self.obj.guard(x, self.times[step + 1])
         if self.filt is None:
             return x, a, None
-        weight = scale[:m] * (self.dt_a / 4.0)   # the plant's scale * dt/4
+        weight = self.W[:m] * (self.dt_a / 4.0)   # a * sqrt(omega) * dt/4
         u1_acc = self.u1_acc + weight * self.u1_sums[step]
         u2_acc = self.u2_acc + weight * self.u2_sums[step]
         filt, f2 = self.filt, None
@@ -682,11 +718,15 @@ class _Lockstep:
                       exc: LieseekError) -> bool:
         """Record the error of each row whose step fails when it is taken
         alone, and of each seeking row whose averaged row fails, and keep
-        the other rows; returns whether any is left."""
+        the other rows; returns whether any is left.  A row attempts the
+        step with the plant's check of b0 on, so it raises what the
+        oracle's evaluation raises: :class:`EvaluationError` for a
+        non-finite b0 of an averaged row at any stage, else the error of
+        the first non-finite stage."""
         size, failed = self.members.size, {}
         for i in range(size):
             try:
-                self._take([i])._attempt(step, measure)
+                self._take([i])._attempt(step, measure, check=True)
             except LieseekError as err:
                 failed[i] = err
         if not failed:   # a failure of the loop, not of a row
@@ -705,20 +745,21 @@ class _Lockstep:
         """Each member's log, or the error that stopped it; ``refs`` then
         holds every reference, by :func:`_reference_key`."""
         n_meas = self.filt.cfg.n_meas if self.use_filter else 1
-        for step in range(self.steps):
-            if step in self.ends:
-                self._finish(step)
-            if not self.members.size:
-                break
-            measure = self.filt is not None and (step + 1) % n_meas == 0
-            self.noise = self._noise() if measure and self.rngs else None
-            try:
-                new = self._attempt(step, measure)
-            except LieseekError as exc:
-                if not self._drop_failing(step, measure, exc):
+        with np.errstate(**_QUIET):
+            for step in range(self.steps):
+                if step in self.ends:
+                    self._finish(step)
+                if not self.members.size:
                     break
-                new = self._attempt(step, measure)
-            self._commit(step, measure, new)
+                measure = self.filt is not None and (step + 1) % n_meas == 0
+                self.noise = self._noise() if measure and self.rngs else None
+                try:
+                    new = self._attempt(step, measure)
+                except LieseekError as exc:
+                    if not self._drop_failing(step, measure, exc):
+                        break
+                    new = self._attempt(step, measure)
+                self._commit(step, measure, new)
         for r in range(self.s0, len(self.specs)):
             z = self.x_log[:self.grid_of[r].steps + 1, r]
             z.flags.writeable = False

@@ -685,3 +685,22 @@ def test_cli_starts_without_scipy(tmp_path, argv):
     roots = {m.split(".")[0] for m in imported}
     assert not roots & {"scipy", "multiprocessing"}
     assert not [m for m in imported if m.startswith("concurrent.futures")]
+
+
+@pytest.mark.parametrize("mode", ["lbs", "proposed"])
+def test_a_failing_run_prints_one_line(tmp_path, mode):
+    """Without a domain box, x0 = 1e160 overflows the objective; the run
+    exits 3 with the error's one line, and no NumPy warning before it."""
+    cfg = shortened("case1", 2.0).config
+    system = cfg["systems"]["main"]
+    del system["objective"]["domain_box"]
+    system["x0"] = [1e160]
+    path = tmp_path / "boxless.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run([sys.executable, "-m", "lieseek", "run", "--config",
+                           str(path), "--mode", mode, "--out",
+                           str(tmp_path / "out")],
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == EXIT_RUNTIME == 3
+    assert proc.stderr == "error: b0 evaluation non-finite\n"

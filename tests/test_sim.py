@@ -12,7 +12,8 @@ import lieseek.sim as sim
 from lieseek.cli import execute_run
 from lieseek.errors import (DivergenceError, EvaluationError, InputError,
                             IntegrationError, LieseekError)
-from lieseek.model import DitherSignal, EstimationErrorModel, ObjectiveMap
+from lieseek.model import (DitherSignal, EscSystemSpec, EstimationErrorModel,
+                           ObjectiveMap)
 from lieseek.scenarios import Scenario, preset
 from lieseek.sim import (TrajectoryLog, rk4_step, run_baseline, run_lbs,
                          run_proposed)
@@ -363,10 +364,10 @@ class TestAveragedReference:
         art = execute_run(sc, "both", str(tmp_path))
         steps = [int(round(spec.horizon / spec.resolved_dt))
                  for spec in sc.systems.values()]
-        # the three references are rows of the runs' one loop: four RK4
-        # stages per step of the longest, plus one Jexact call for all
-        # logged rows of each of the two runs of each system
-        assert len(calls) == 4 * max(steps) + 2 * len(steps)
+        # the three references are rows of the runs' one loop, whose stages
+        # call no oracle: one Jexact call for all logged rows of each of
+        # the two runs of each system
+        assert len(calls) == 2 * len(steps)
         assert [len(loop.specs) - loop.s0 for loop in loops] == [3]
         for label in sc.systems:
             base, prop = (TrajectoryLog.from_csv(art.csv_paths[f"{label}_{m}"])
@@ -438,6 +439,132 @@ class TestDitherTables:
                 d = dithers["u2"]
                 assert u2[row, 0] == math.cos(
                     (sim.TAU / d.period) * th + d.phase)
+
+
+def _plain_case1(spec, steps: int) -> tuple[list, list]:
+    """case1's seeking run at constant amplitude and its averaged system,
+    stepped by classical RK4 in Python floats with :mod:`math`: an oracle
+    that shares no code with the loop."""
+    (w,), (c,) = spec.objective.weights, spec.objective.center
+    ch = spec.channels[0]
+    assert (ch.b1.form, ch.b2.form) == ("linear", "linear")
+    assert spec.dithers[ch.u1_ref] == DitherSignal("cosine")
+    assert spec.dithers[ch.u2_ref] == DitherSignal("sine")
+    a, omega, dt = float(spec.a0[0]), spec.omega, spec.resolved_dt
+    nu = float(spec.nu_hats[0])
+
+    def seeking(t, x):
+        f = w * (x - c) ** 2
+        return a * math.sqrt(omega) * ((ch.b1.p * f + ch.b1.q) * math.cos(omega * t)
+                                       + (ch.b2.p * f + ch.b2.q) * math.sin(omega * t))
+
+    def averaged(t, z):
+        f = w * (z - c) ** 2
+        b0 = (ch.b2.p * f + ch.b2.q) * ch.b1.p - (ch.b1.p * f + ch.b1.q) * ch.b2.p
+        return -nu * a * a * (2.0 * w * (z - c)) * b0
+
+    def step(rhs, t, x):
+        k1 = rhs(t, x)
+        k2 = rhs(t + dt / 2, x + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, x + dt / 2 * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+        return x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    xs, zs = [float(spec.x0[0])], [float(spec.x0[0])]
+    for k in range(steps):
+        xs.append(step(seeking, k * dt, xs[-1]))
+        zs.append(step(averaged, k * dt, zs[-1]))
+    return xs, zs
+
+
+def _expected_stage(spec, X: np.ndarray, a: np.ndarray, u1, u2, s: int,
+                    err=None, t: float = 0.0) -> np.ndarray:
+    """The right-hand sides of rows ``X`` by the formulas of the plant and
+    the oracle: ``a * sqrt(omega) * (b1 * u1 + b2 * u2)`` on the first
+    ``s`` rows, :func:`lbs_rhs_exact` at a0 (plus ``err``) on the others."""
+    b1, b2 = spec.coefficient_values(spec.objective.measured(X))
+    out = np.empty(X.shape)
+    out[:s] = a[:s] * math.sqrt(spec.omega) * (b1[:s] * u1 + b2[:s] * u2)
+    out[s:] = sim.lbs_rhs_exact(spec, X, amplitude=spec.a0)[s:]
+    if err is not None:
+        out[s:] = out[s:] + err.value(t)
+    return out
+
+
+class TestStage:
+    """The loop's one RK4 stage product, ``(W * G) * (b1 * U1 + b2 * U2)``,
+    over seeking and averaged rows alike."""
+
+    @pytest.mark.parametrize("name,with_err", [
+        ("case1", False), ("case2", False), ("case3", False), ("case1", True)])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_equals_the_plant_and_the_oracle(self, name, with_err, data):
+        """case1 (linear, min, n = 1), case2 (trig, n = 2), a case3 vehicle
+        (linear, max, n = 2) and an averaged row with the synthetic error;
+        each RK4 stage of a random step at random states and amplitudes."""
+        err = EstimationErrorModel(eps0=0.1, theta0=0.2) if with_err else None
+        spec = shortened(name, 1.0).primary_system
+        loop = (sim._Lockstep([], [], [], averaged=[spec], err=err) if err
+                else sim._Lockstep([spec], [None], [0]))
+        n, s, dt = spec.n, loop.s, spec.resolved_dt
+        steps = int(round(spec.horizon / dt))
+        k = data.draw(st.integers(0, steps - 1))
+        states = st.floats(-3.0, 3.0)
+        loop.a = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=n,
+                                             max_size=n)) * loop.x.shape[0]
+                          ).reshape(loop.x.shape)
+        t, u1, u2 = sim._dither_tables(spec, steps)
+        xdot = loop._plant(k)
+        for i, tk in ((2 * k, t[k]), (2 * k + 1, t[k] + dt / 2),
+                      (2 * k + 1, t[k] + dt / 2), (2 * k + 2, t[k] + dt)):
+            X = np.array(data.draw(st.lists(states, min_size=loop.x.size,
+                                            max_size=loop.x.size))
+                         ).reshape(loop.x.shape)
+            expected = _expected_stage(spec, X, loop.a, u1[i], u2[i], s, err,
+                                       float(tk))
+            assert np.array_equal(xdot(tk, X), expected)
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_calls_no_oracle(self, name, monkeypatch):
+        """Inside ``rk4_step`` the loop calls none of the oracle's
+        functions, nor ``np.concatenate``; outside it, they are called."""
+        calls, inside = [], [False]
+        step = sim.rk4_step
+
+        def stepping(*args):
+            inside[0] = True
+            try:
+                return step(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(sim, "rk4_step", stepping)
+        for owner, attr in ((sim, "lbs_rhs_exact"),
+                            (EscSystemSpec, "coefficients"),
+                            (ObjectiveMap, "measured"),
+                            (sim._Objectives, "measured"),
+                            (ObjectiveMap, "measured_gradient"),
+                            (np, "concatenate")):
+            def counting(*args, inner=getattr(owner, attr), attr=attr, **kw):
+                calls.append((attr, inside[0]))
+                return inner(*args, **kw)
+            monkeypatch.setattr(owner, attr, counting)
+        sc = shortened(name, 0.5)
+        sim.run_batch([sc.primary_system] * 2, [None, sc.gekf_config()])
+        assert [attr for attr, stage in calls if stage] == []
+        assert {attr for attr, _ in calls} == {
+            "lbs_rhs_exact", "coefficients", "measured", "measured_gradient",
+            "concatenate"}
+
+    def test_runs_equal_a_plain_float_stepper(self):
+        """case1's baseline run and its reference equal an independent
+        stepper in Python floats to the golden tolerance."""
+        spec = shortened("case1", 5.0).primary_system
+        log = run_baseline(spec)
+        xs, zs = _plain_case1(spec, log.t.shape[0] - 1)
+        np.testing.assert_allclose(log.x[:, 0], xs, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(log.z_ref[:, 0], zs, rtol=1e-10, atol=0.0)
 
 
 def _member(name: str, horizon: float, gekf: dict | None = None, **system):

@@ -1,15 +1,31 @@
-"""Run one lieseek CLI command from two source trees and compare what it leaves.
+"""Run lieseek CLI commands from two source trees and compare what they leave.
 
-Each tree's ``src`` goes first on ``PYTHONPATH``, and the command runs as
+Each tree's ``src`` goes first on ``PYTHONPATH``, and a command runs as
 ``python3 -m lieseek ARGS --out out`` in a fresh temporary directory of
 its own.  The two runs must agree byte for byte in every file under
 ``out``, in stdout and stderr and in the exit code, with the temporary
 directory's path replaced by ``<tmp>`` wherever it appears::
 
     python3 tools/same_outputs.py OLD_TREE NEW_TREE -- run case1 --mode both
+    python3 tools/same_outputs.py OLD_TREE NEW_TREE --standard
 
-Prints one line per difference, or ``same`` and the number of files.
-Exits 0 when the outputs are the same, 1 when they differ and 2 on a
+One command prints one line per difference, or ``same`` and the number
+of files.  ``--standard`` runs the byte-identity set below, one verdict
+line per command; a change that must keep the outputs runs it against
+its parent tree:
+
+* ``run case1 --mode both``
+* ``run case2 --mode both --horizon 20``
+* ``run case3 --mode both --horizon 10``
+* ``run case1 --mode lbs``
+* ``run case3 --mode lbs --horizon 10``
+* the benchmark's ``omega-sweep`` and ``lambda-sweep`` commands at seed 0
+* ``sweep case1 --mode both --omega 50,100,200 --horizon 3``
+* ``sweep case2 --mode proposed --horizon 1.5 --lambda 0.1,1e4,0.2,1e5``
+  and ``sweep case3 --mode proposed --omega 20,30 --horizon 3``, which
+  fail with exit code 3
+
+Exits 0 when all outputs are the same, 1 when any differ and 2 on a
 usage error.  Uses the standard library alone.
 """
 
@@ -75,25 +91,59 @@ def differences(old: dict, new: dict) -> list[str]:
     return out
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) < 4 or argv[2] != "--":
-        print(__doc__, file=sys.stderr)
-        return 2
-    old_tree, new_tree, args = argv[0], argv[1], argv[3:]
+STANDARD = (
+    ["run", "case1", "--mode", "both"],
+    ["run", "case2", "--mode", "both", "--horizon", "20"],
+    ["run", "case3", "--mode", "both", "--horizon", "10"],
+    ["run", "case1", "--mode", "lbs"],
+    ["run", "case3", "--mode", "lbs", "--horizon", "10"],
+    ["sweep", "case1", "--mode", "baseline", "--omega", "50,100,200",
+     "--horizon", "5", "--jobs", "1", "--seed", "0"],
+    ["sweep", "case2", "--mode", "proposed", "--lambda", "0.05,0.1,0.2,0.4",
+     "--horizon", "6", "--jobs", "2", "--seed", "0"],
+    ["sweep", "case1", "--mode", "both", "--omega", "50,100,200",
+     "--horizon", "3"],
+    ["sweep", "case2", "--mode", "proposed", "--horizon", "1.5",
+     "--lambda", "0.1,1e4,0.2,1e5"],
+    ["sweep", "case3", "--mode", "proposed", "--omega", "20,30",
+     "--horizon", "3"],
+)
+
+
+def compare(old_tree: str, new_tree: str, args: list[str]) -> tuple:
+    """The differences between ``args`` run from the two trees, and the
+    old tree's result."""
     results = []
     for tree in (old_tree, new_tree):
+        with tempfile.TemporaryDirectory() as tmp:
+            results.append(run(tree, args, tmp))
+    return differences(*results), results[0]
+
+
+def main(argv: list[str]) -> int:
+    if argv[2:] == ["--standard"]:
+        commands = STANDARD
+    elif len(argv) >= 4 and argv[2] == "--":
+        commands = [argv[3:]]
+    else:
+        print(__doc__, file=sys.stderr)
+        return 2
+    for tree in argv[:2]:
         if not os.path.isdir(os.path.join(tree, "src", "lieseek")):
             print(f"error: {tree} has no src/lieseek", file=sys.stderr)
             return 2
-        with tempfile.TemporaryDirectory() as tmp:
-            results.append(run(tree, args, tmp))
-    found = differences(*results)
-    for line in found:
-        print(line)
-    if not found:
-        print(f"same: exit code {results[0]['code']}, "
-              f"{len(results[0]['files'])} files")
-    return 1 if found else 0
+    failed = False
+    for args in commands:
+        found, old = compare(argv[0], argv[1], args)
+        failed = failed or bool(found)
+        same = f"same: exit code {old['code']}, {len(old['files'])} files"
+        if commands is STANDARD:
+            verdict = (f"{len(found)} differences, first {found[0]}"
+                       if found else same)
+            print(f"{' '.join(args)}: {verdict}", flush=True)
+        else:
+            print("\n".join(found) if found else same)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
