@@ -40,10 +40,15 @@ times), and their per-step Simpson sums, which give the filter its input
 integrals.  The seeking plant ``a*sqrt(omega)*(b1*u1 + b2*u2)`` and the
 averaged right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')`` are
 one bilinear form in ``(b1, b2)``, so each RK4 stage is one product over
-all rows, ``(W*G)*(b1*U1 + b2*U2)`` (:meth:`_Lockstep._plant`), from one
+all rows, ``(W*G)*(b1*U1 + b2*U2)`` (:meth:`_Lockstep._stage`), from one
 evaluation of the measured objective and the coefficient forms; it calls
-no oracle.  The ``f`` column and the oracle ``Jexact`` column
-(:func:`lbs_rhs_exact`) are each filled by one array call over a
+no oracle.  ``U1`` and ``U2`` are the two halves of one stacked table
+``U = [U1 | U2]``, so the form is one product of the values ``[b1 | b2]``
+with a row of ``U`` and one add of its halves.  The stage is a method of
+the loop that reads its table row from the loop's stage count; each step
+sets the seeking rows' weight and that count, and builds no closure
+(:meth:`_Lockstep._plant`).  The ``f`` column and the oracle ``Jexact``
+column (:func:`lbs_rhs_exact`) are each filled by one array call over a
 member's logged rows after the loop, by :func:`_log`, which builds the
 log of every mode.
 """
@@ -64,7 +69,7 @@ from .errors import (ConfigurationError, DivergenceError, EvaluationError,
 from .gekf import GekfConfig, GekfFilter
 from .lie import bracket_weight, lbs_rhs_exact
 from .model import (TAU, DitherSignal, EscSystemSpec, EstimationErrorModel,
-                    ObjectiveMap)
+                    ObjectiveMap, _form_terms)
 
 CSV_NAN = ""
 
@@ -129,14 +134,21 @@ def _simpson_sums(u: np.ndarray) -> np.ndarray:
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
              x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step.
+    """One classical fourth-order Runge-Kutta step:
+    ``x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4)``, bit for bit.
 
     ``dt`` is one float, or a ``(rows, 1)`` column that gives each row of
     ``x`` its own step (and ``t`` is then a column of times too); each row
-    gets the bits of its own step.
+    gets the bits of its own step.  A ``dt`` that is not positive
+    everywhere (zero, negative or NaN) raises :class:`IntegrationError`.
+
+    The lockstep loop calls this once per step, by this module's global
+    name and with four positional arguments, ``rk4_step(rhs, t, x, dt)``:
+    the benchmark replaces the global to mark the first step of a command,
+    and tests replace it to tell the stage's calls from the rest.
     """
-    positive = dt > 0
-    if positive is not True and not np.all(positive):
+    positive = dt > 0   # a bool for a float dt, an array for a column
+    if positive is not True and (positive is False or not positive.all()):
         raise IntegrationError("step size must be positive", t=t)
     x = np.asarray(x, dtype=float)
     half = 0.5 * dt
@@ -144,7 +156,8 @@ def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
     k2 = np.asarray(rhs(t + half, x + half * k1), dtype=float)
     k3 = np.asarray(rhs(t + half, x + half * k2), dtype=float)
     k4 = np.asarray(rhs(t + dt, x + dt * k3), dtype=float)
-    ksum = k1 + 2.0 * k2 + 2.0 * k3 + k4
+    # k + k is 2*k exactly, overflow included
+    ksum = k1 + (k2 + k2) + (k3 + k3) + k4
     # a non-finite stage entry poisons the weighted sum, so one scalar
     # check suffices; the stages are searched only to name the culprit
     if not math.isfinite(float(ksum.sum())):
@@ -440,11 +453,16 @@ class _Lockstep:
     shared step size stays a float; the plant's tables are stacked over all
     rows.  A row leaves the loop after its last step.
 
-    The plant (:meth:`_plant`) is one product over all rows, from one
-    evaluation of the measured objective and the coefficient forms.  Its
-    per-row factors are set by :meth:`_regrid` and, where they change, per
-    step and per stage; its tables ``U1``, ``U2`` hold the seeking rows'
-    dithers and the averaged rows' form slopes.  The amplitude law steps
+    The plant's stage (:meth:`_stage`) is one product over all rows, from
+    one evaluation of the measured objective and the coefficient forms.
+    Its per-row factors are set by :meth:`_regrid` and, where they change,
+    per step and per stage.  Its table ``U = [U1 | U2]``, of shape
+    ``(2*steps + 1, rows, 2n)``, holds the seeking rows' dithers and the
+    averaged rows' form slopes; ``U1`` and ``U2`` are views of its halves.
+    :meth:`_plant` sets the stage up for each step and returns it bound;
+    the loop does not keep the bound method, which would make a reference
+    cycle and keep the loop's logs alive after :meth:`run` until the
+    cyclic collector runs.  The amplitude law steps
     every row; on the rows that do not adapt the estimate stays 0 and the
     decay factor 1, so their amplitudes keep their bits.
 
@@ -470,8 +488,8 @@ class _Lockstep:
         rows' right-hand side.
         """
         self.spec = spec = [*specs, *averaged][0]
-        n, order = spec.n, sorted(range(len(specs)),
-                                  key=lambda k: gcfgs[k] is None)
+        self.n = n = spec.n
+        order = sorted(range(len(specs)), key=lambda k: gcfgs[k] is None)
         self.m0, self.s0 = sum(g is not None for g in gcfgs), len(specs)
         self.member_rows = [order.index(k) for k in range(self.s0)]
         self.refs = {} if refs is None else refs
@@ -547,7 +565,7 @@ class _Lockstep:
         rows = self.members
         self.m, self.s = (int(np.searchsorted(rows, end))
                           for end in (self.m0, self.s0))
-        s, n = self.s, self.spec.n
+        s, n = self.s, self.n
         grids = [self.grid_of[r] for r in rows]
         self.obj = _Objectives([self.specs[r].objective for r in rows])
         self.dt = _per_row([g.dt for g in grids])
@@ -568,15 +586,20 @@ class _Lockstep:
         # and the averaged rows' gradient, set per stage
         self.W, self.G = np.empty(self.x.shape), np.ones(self.x.shape)
         self.W[s:] = bracket_weight(self.spec, self.a[s:])
-        # U1, U2: the seeking rows' dither tables, padded with zeros that
-        # are never read, and (-b2', b1') on the averaged rows: constant
-        # for linear forms, else set per stage
-        self.U1, self.U2 = np.zeros((2, 2 * self.steps + 1) + self.x.shape)
+        # U = [U1 | U2], one row per half step: the seeking rows' dither
+        # tables, padded with zeros that are never read, and (-b2', b1') on
+        # the averaged rows: constant for linear forms, else set per stage
+        self.U = np.zeros((2 * self.steps + 1, rows.size, 2 * n))
+        self.U1, self.U2 = self.U[..., :n], self.U[..., n:]
         for r, g in enumerate(seeking):
             self.U1[:len(g.u1), r], self.U2[:len(g.u2), r] = g.u1, g.u2
         _, slope = self.spec.form_terms(np.zeros(1))
         if slope.ndim == 1:   # linear forms' slopes, one (2n,) row
             self.U1[:, s:], self.U2[:, s:] = -slope[n:], slope[:n]
+        # what the stage reads of the objectives: every row's centre, and
+        # the averaged rows' gradient factor and gradient (G's view)
+        self.centre = self.obj._arrays[1]
+        self.factor, self.gradient = self.obj._arrays[2][s:], self.G[s:]
         self.columns = _index(rows)
 
     def _noise(self) -> np.ndarray:
@@ -609,7 +632,7 @@ class _Lockstep:
         if not rows:
             self.members = self.members[:0]
             return
-        self.U1 = self.U2 = None   # free the old tables before the new
+        self.U = self.U1 = self.U2 = None   # free the old tables before the new
         vars(self).update(vars(self._take(rows)))
 
     def _finish(self, step: int) -> None:
@@ -628,47 +651,57 @@ class _Lockstep:
             self.P_log[k, self.acols] = self.filt.P
 
     def _plant(self, step: int, check: bool = False):
-        """The right-hand side of every row at the stages of ``step``, one
-        product for all rows: ``(W * G) * (b1 * U1 + b2 * U2)``.
+        """The right-hand side of every row at the stages of ``step``: the
+        loop's stage method (:meth:`_stage`), bound and set up for the step.
 
-        On a seeking row, ``W`` is ``a * sqrt(omega)``, set here once per
-        step, ``G`` is 1 and ``U1``, ``U2`` are its dither tables: the
-        plant ``a * sqrt(omega) * (b1 * u1 + b2 * u2)``.  On an averaged
-        row, ``W`` is the bracket weight ``-nu * a0^2``, ``G`` the gradient
-        of the measured objective, from the ``d = x - c`` of its value, and
-        ``(U1, U2) = (-b2', b1')``, set per stage where the slopes vary: its
-        product is :func:`lbs_rhs_exact`, ``weight * grad * b0`` with
-        ``b0 = b2 * b1' - b1 * b2'``, bit for bit, and ``err`` adds the
-        synthetic error.  The stage raises nothing: a non-finite b0 poisons
-        its row, so ``rk4_step``'s check finds it.  With ``check``, a
-        non-finite b0 of an averaged row raises :class:`EvaluationError`,
-        as its evaluation by the oracle does.
+        It sets ``W[:s] = a[:s] * sqrt(omega)``, the seeking rows' weight,
+        and the stage count from which the stage reads its table rows.
+        With ``check``, a non-finite b0 of an averaged row raises
+        :class:`EvaluationError`, as its evaluation by the oracle does.
         """
-        spec, obj, s, n, err = self.spec, self.obj, self.s, self.spec.n, self.err
-        W, G, U1, U2 = self.W, self.G, self.U1, self.U2
-        W[:s] = self.a[:s] * self.sqrt_w
-        centre, factor, gradient = obj._arrays[1], obj._arrays[2][s:], G[s:]
-        # the table rows of the four RK4 stages, in the order rk4_step
-        # calls them: step start, midpoint twice, step end
-        rows = iter((2 * step, 2 * step + 1, 2 * step + 1, 2 * step + 2))
+        self.W[:self.s] = self.a[:self.s] * self.sqrt_w
+        self.stage_count, self.check = 4 * step, check
+        return self._stage
 
-        def xdot(t, x: np.ndarray) -> np.ndarray:
-            i = next(rows)
-            d = x - centre
-            f = obj.measured_at(d)
-            value, slope = spec.form_terms(f)
-            np.multiply(factor, d[s:], out=gradient)
-            if slope.ndim > 1:   # slopes that vary with f
-                np.negative(slope[s:, n:], out=U1[i, s:])
-                U2[i, s:] = slope[s:, :n]
-            terms = value[:, :n] * U1[i] + value[:, n:] * U2[i]
-            if check and not np.isfinite(terms[s:]).all():
-                raise EvaluationError("b0 evaluation non-finite", value=f[s:])
-            out = (W * G) * terms
-            if err is not None:
-                out[s:] += err.value(t)
-            return out
-        return xdot
+    def _stage(self, t, x: np.ndarray) -> np.ndarray:
+        """One RK4 stage of every row, one product for all rows:
+        ``(W * G) * (b1 * U1 + b2 * U2)``.
+
+        Stage ``j`` of step ``k`` (``stage_count = 4k + j``, in the order
+        rk4_step calls them) reads table row ``2k + (j + 1) // 2``: the
+        step start, the midpoint twice, the step end.  The values ``[b1 |
+        b2]`` of the coefficient forms times that row of ``U = [U1 | U2]``
+        is one product, and the sum of its halves is the bilinear form.
+
+        On a seeking row, ``W`` is ``a * sqrt(omega)``, ``G`` is 1 and
+        ``U1``, ``U2`` are its dither tables: the plant ``a * sqrt(omega)
+        * (b1 * u1 + b2 * u2)``.  On an averaged row, ``W`` is the bracket
+        weight ``-nu * a0^2``, ``G`` the gradient of the measured
+        objective, from the ``d = x - c`` of its value, and ``(U1, U2) =
+        (-b2', b1')``, set here where the slopes vary: its product is
+        :func:`lbs_rhs_exact`, ``weight * grad * b0`` with ``b0 = b2 * b1'
+        - b1 * b2'``, bit for bit, and ``err`` adds the synthetic error.
+        The stage raises nothing unless :meth:`_plant` was asked to check:
+        a non-finite b0 poisons its row, so ``rk4_step``'s check finds it.
+        """
+        count, s, n = self.stage_count, self.s, self.n
+        self.stage_count = count + 1
+        i = (count + 1) // 2
+        d = x - self.centre
+        f = self.obj.measured_at(d)
+        value, slope = _form_terms(*self.spec._stacked_forms, f[:, None])
+        np.multiply(self.factor, d[s:], out=self.gradient)
+        if slope.ndim > 1:   # slopes that vary with f
+            np.negative(slope[s:, n:], out=self.U1[i, s:])
+            self.U2[i, s:] = slope[s:, :n]
+        terms = value * self.U[i]
+        terms = terms[:, :n] + terms[:, n:]
+        if self.check and not np.isfinite(terms[s:]).all():
+            raise EvaluationError("b0 evaluation non-finite", value=f[s:])
+        out = (self.W * self.G) * terms
+        if self.err is not None:
+            out[s:] += self.err.value(t)
+        return out
 
     def _attempt(self, step: int, measure: bool, check: bool = False) -> tuple:
         """The new states, amplitudes and filter inputs of ``step``; raises
@@ -774,7 +807,7 @@ class _Lockstep:
             return zref
         if r in self.errors:
             return self.errors[r]
-        logged, n = slice(0, self.grid_of[r].steps + 1), self.spec.n
+        logged, n = slice(0, self.grid_of[r].steps + 1), self.n
         a = j_est = diag = None
         if r < self.m0:
             a, j_est = self.a_log[logged, r], self.jest_log[logged, r]

@@ -1,5 +1,7 @@
+import gc
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,57 @@ class TestRk4Step:
         with pytest.raises(IntegrationError,
                            match=f"non-finite RK4 stage {stage} at t=0.5"):
             rk4_step(rhs, 0.5, np.zeros(2), 0.1)
+
+    @given(data=st.data(), column=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_weighted_stage_sum_bit_for_bit(self, data, column):
+        """``x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4)`` of the stages that ``rhs``
+        returns, for a float ``dt`` and a ``(rows, 1)`` column of them, at
+        magnitudes up to overflow; a step whose weighted sum overflows may
+        raise instead."""
+        top = np.finfo(float).max
+        values = st.one_of(
+            st.floats(-10.0, 10.0),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.builds(lambda sign, v: sign * v, st.sampled_from([-1.0, 1.0]),
+                      st.floats(top / 8, top)))
+        sizes = st.floats(0.0, 1e6, exclude_min=True)
+        rows, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+
+        def drawn(elements, shape):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(elements, min_size=size,
+                                               max_size=size))).reshape(shape)
+
+        x, k1, k2, k3, k4 = (drawn(values, (rows, n)) for _ in range(5))
+        dt = drawn(sizes, (rows, 1)) if column else data.draw(sizes)
+        t = np.zeros((rows, 1)) if column else 0.0
+        stages = iter((k1, k2, k3, k4))
+        with np.errstate(all="ignore"):
+            ksum = k1 + 2 * k2 + 2 * k3 + k4
+            expected = x + (dt / 6.0) * ksum
+            try:
+                out = rk4_step(lambda t, x: next(stages), t, x, dt)
+            except IntegrationError:
+                assert not math.isfinite(float(ksum.sum()))
+                return
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("column", [False, True])
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-3, -math.inf, math.nan])
+    def test_rejects_a_step_size_that_is_not_positive(self, bad, column):
+        """A float ``dt``, or one entry of a column, that is zero, negative
+        or NaN raises before any stage is evaluated."""
+        calls = []
+
+        def rhs(t, x):
+            calls.append(t)
+            return np.zeros_like(x)
+        dt = np.array([[0.1], [bad], [0.2]]) if column else bad
+        x = np.ones((3, 1)) if column else np.ones(1)
+        with pytest.raises(IntegrationError, match="step size must be positive"):
+            rk4_step(rhs, 0.0, x, dt)
+        assert calls == []
 
 
 class TestRunLbs:
@@ -525,6 +578,35 @@ class TestStage:
                                        float(tk))
             assert np.array_equal(xdot(tk, X), expected)
 
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_of_different_step_sizes_equal_their_own_specs(self, data):
+        """Three case1 members at omega 50, 100 and 200 and their three
+        references: six rows on three grids, so ``dt`` is a column and the
+        stacked table pads the shorter rows.  At each stage of a step that
+        every row takes, each row equals the plant or the oracle of its own
+        spec."""
+        specs = [shortened("case1", 0.2, omega=w).primary_system
+                 for w in (50.0, 100.0, 200.0)]
+        loop = sim._Lockstep(specs, [None] * 3, [0] * 3)
+        tables = [sim._dither_tables(spec, sim._steps(spec))
+                  for spec in loop.specs]
+        shortest = min(len(t) for t, _, _ in tables) - 1
+        assert loop.x.shape == (6, 1) and loop.dt.shape == (6, 1)
+        assert loop.U.shape[0] > 2 * shortest + 1
+        k = data.draw(st.integers(0, shortest - 1))
+        loop.a = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=6,
+                                             max_size=6))).reshape(6, 1)
+        xdot = loop._plant(k)
+        for i, offset in ((2 * k, 0.0), (2 * k + 1, 0.5), (2 * k + 1, 0.5),
+                          (2 * k + 2, 1.0)):
+            X = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=6,
+                                            max_size=6))).reshape(6, 1)
+            out = xdot(loop.times[k] + offset * loop.dt, X)
+            for r, (spec, (_, u1, u2)) in enumerate(zip(loop.specs, tables)):
+                expected = _expected_stage(spec, X, loop.a, u1[i], u2[i], loop.s)
+                assert np.array_equal(out[r], expected[r])
+
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
     def test_calls_no_oracle(self, name, monkeypatch):
         """Inside ``rk4_step`` the loop calls none of the oracle's
@@ -565,6 +647,22 @@ class TestStage:
         xs, zs = _plain_case1(spec, log.t.shape[0] - 1)
         np.testing.assert_allclose(log.x[:, 0], xs, rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(log.z_ref[:, 0], zs, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["case1", "case2"])
+    def test_a_loop_is_freed_without_the_cycle_collector(self, name):
+        """The stage holds no reference cycle to its loop: once a loop has
+        run and is dropped, reference counting frees it and its logs."""
+        sc = shortened(name, 0.5)
+        loop = sim._Lockstep([sc.primary_system] * 2, [None, sc.gekf_config()],
+                             [0, 0])
+        gc.disable()
+        try:
+            loop.run()
+            alive = weakref.ref(loop)
+            del loop
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def _member(name: str, horizon: float, gekf: dict | None = None, **system):

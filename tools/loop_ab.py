@@ -1,0 +1,149 @@
+"""Time the lockstep loops of two source trees against each other in one process.
+
+Usage::
+
+    python3 tools/loop_ab.py OLD_TREE NEW_TREE [PAIRS]
+
+Each tree's ``src/lieseek`` is imported under a package name of its own
+(``lieseek_old`` and ``lieseek_new``), so both run in one interpreter on
+one NumPy.  The loops are those of the benchmark's three workloads,
+called through ``sim.run_batch`` as the CLI calls it, and case1's
+averaged system through ``sim.lbs_batch``:
+
+* ``case1-both``: case1's baseline and proposed runs;
+* ``omega-sweep``: case1 baseline at omega 50, 100 and 200, horizon 5;
+* ``lambda-sweep``: case2 proposed at lambda 0.05, 0.1, 0.2 and 0.4,
+  horizon 6;
+* ``lbs``: ``run case1 --mode lbs``.
+
+First each loop runs once per tree, and the two trees' logs must agree
+bit for bit, every array, the diagnostics and the meta (else the tool
+exits 1).  Then each loop runs ``PAIRS`` times per tree (default 10),
+interleaved, the first of each pair alternating between the trees.  One
+line per loop gives the median of the new/old ratios of CPU time
+(``time.process_time``), the median times, and in how many pairs the new
+tree was faster.
+
+Why in one process: on a shared 2-core host the same command's time
+drifted by about +-15% from one process to the next, and a perfbench
+series of 10 pairs takes minutes per workload.  Interleaved
+pairs in one interpreter see the same drift on both sides, so a few
+percent shows within a minute.  It is a screen, not the benchmark: a
+claim still needs perfbench's own pairs.  Uses the standard library and
+NumPy alone.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+LOG_ARRAYS = ("t", "x", "f", "a", "j_est", "j_exact", "z_ref")
+
+
+def load(tree: str, name: str) -> dict:
+    """The ``sim``, ``scenarios`` and ``cli`` modules of ``tree``'s
+    ``src/lieseek``, imported as the package ``name``."""
+    root = os.path.join(os.path.abspath(tree), "src", "lieseek")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "__init__.py"),
+        submodule_search_locations=[root])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {sub: importlib.import_module(f"{name}.{sub}")
+            for sub in ("sim", "scenarios", "cli")}
+
+
+def loops(mods: dict) -> dict:
+    """Each loop's call, with its specs built by ``mods``' own package."""
+    sim, cli, preset = mods["sim"], mods["cli"], mods["scenarios"].preset
+    case1, case2 = preset("case1"), preset("case2")
+    both = case1.primary_system
+    omegas = [cli._apply_overrides(case1, omega=w, horizon=5.0).primary_system
+              for w in (50.0, 100.0, 200.0)]
+    lams = [cli._apply_overrides(case2, lam=lam, horizon=6.0)
+            for lam in (0.05, 0.1, 0.2, 0.4)]
+    return {
+        "case1-both": lambda: sim.run_batch(
+            [both, both], [None, case1.gekf_config()], [0, 0]),
+        "omega-sweep": lambda: sim.run_batch(omegas),
+        "lambda-sweep": lambda: sim.run_batch(
+            [sc.primary_system for sc in lams],
+            [sc.gekf_config() for sc in lams], [0] * len(lams)),
+        "lbs": lambda: sim.lbs_batch([both]),
+    }
+
+
+def differences(old: list, new: list) -> list[str]:
+    """Where two loops' results differ: per member, the log array, the
+    diagnostic or the meta, or the error."""
+    out = []
+    for k, (a, b) in enumerate(zip(old, new)):
+        if isinstance(a, Exception) or isinstance(b, Exception):
+            if (type(a).__name__, str(a)) != (type(b).__name__, str(b)):
+                out.append(f"member {k}: {a!r} != {b!r}")
+            continue
+        for name in LOG_ARRAYS:
+            if getattr(a, name).tobytes() != getattr(b, name).tobytes():
+                out.append(f"member {k}: {name}")
+        diag_a, diag_b = a.diag or {}, b.diag or {}
+        if list(diag_a) != list(diag_b):
+            out.append(f"member {k}: diagnostic names")
+        out += [f"member {k}: diag {key}" for key in diag_a
+                if key in diag_b and diag_a[key].tobytes() != diag_b[key].tobytes()]
+        if a.meta != b.meta:
+            out.append(f"member {k}: meta")
+    if len(old) != len(new):
+        out.append(f"{len(old)} members != {len(new)}")
+    return out
+
+
+def cpu_time(call) -> float:
+    start = time.process_time()
+    call()
+    return time.process_time() - start
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (2, 3) or not all(
+            os.path.isdir(os.path.join(tree, "src", "lieseek"))
+            for tree in argv[:2]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    pairs = int(argv[2]) if len(argv) == 3 else 10
+    old, new = (loops(load(tree, name))
+                for tree, name in zip(argv, ("lieseek_old", "lieseek_new")))
+    failed = False
+    with np.errstate(all="ignore"):
+        for name in old:
+            found = differences(old[name](), new[name]())
+            if found:
+                failed = True
+                print(f"{name}: {len(found)} differences, first {found[0]}",
+                      flush=True)
+                continue
+            times = {"old": [], "new": []}
+            for pair in range(pairs):
+                order = ("old", "new") if pair % 2 == 0 else ("new", "old")
+                for side in order:
+                    times[side].append(cpu_time((old if side == "old"
+                                                 else new)[name]))
+            ratios = [b / a for a, b in zip(times["old"], times["new"])]
+            wins = sum(b < a for a, b in zip(times["old"], times["new"]))
+            print(f"{name}: identical logs; new/old CPU median "
+                  f"{statistics.median(ratios):.3f}, "
+                  f"old {statistics.median(times['old']):.3f} s, "
+                  f"new {statistics.median(times['new']):.3f} s, "
+                  f"new faster in {wins} of {pairs} pairs", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
