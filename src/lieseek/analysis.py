@@ -166,28 +166,37 @@ class B2Report:
                 "b1_constants": self.b1_constants}
 
 
+def _sample_design(box: np.ndarray, count: int) -> np.ndarray:
+    """``count`` fixed points in ``box``, an ``(n, 2)`` array of (low,
+    high) rows: the Kronecker sequence ``frac(0.5 + k*alpha)``, k = 1 to
+    ``count``, with ``alpha_j = g**-j`` for the positive root g of
+    ``g**(n+1) = g + 1`` (the golden ratio at n = 1), scaled into the box."""
+    g = 2.0
+    for _ in range(64):   # a contraction; 64 rounds reach the fixed point
+        g = (1.0 + g) ** (1.0 / (len(box) + 1))
+    alpha = g ** -np.arange(1.0, len(box) + 1)
+    u = (0.5 + np.arange(1.0, count + 1)[:, None] * alpha) % 1.0
+    return box[:, 0] + u * (box[:, 1] - box[:, 0])
+
+
 def check_b2(elements: Sequence[B2Element], objective: ObjectiveMap,
-             sample_count: int = 512, seed: int = 0,
+             sample_count: int = 512,
              b1_constants: Optional[dict] = None) -> B2Report:
     """Check each element against the envelope bound near the extremum.
 
     At the extremum the shifted objective vanishes, so the bound
     ``|b| <= M * ftilde^m3`` forces ``|b| <= 0`` there: any element with
     nonzero magnitude at that point is a contradiction.  Away from the
-    extremum a least-squares exponent fit over domain samples is
-    reported as advisory only.
+    extremum a least-squares exponent fit over the ``sample_count``
+    points of :func:`_sample_design` in the domain box, the same on every
+    call, is reported as advisory only.
     """
     reports = []
-    rng = np.random.default_rng(seed)
-    box = None
+    ft = np.empty(0)
     if objective.domain_box is not None:
-        box = np.asarray(objective.domain_box, dtype=float)
+        pts = _sample_design(np.asarray(objective.domain_box), sample_count)
+        ft = objective.value(pts) - objective.offset
     for el in elements:
-        ft = np.empty(0)
-        if box is not None and sample_count > 0:
-            pts = rng.uniform(box[:, 0], box[:, 1],
-                              size=(sample_count, len(objective.center)))
-            ft = objective.value(pts) - objective.offset
         # one call: the element at the extremum (ftilde = 0), then at ft
         b = el.form.value(np.concatenate(([0.0], ft)))
         v0 = float(b[0])

@@ -26,8 +26,7 @@ The state is stacked in plain arrays, one leading row per member:
 * ``P`` -- ``(B, 2n+1, 2n+1)``, one covariance per member;
 * the smoothing history -- ``(B, 2w, n)`` for a window of w steps.
 
-A filter of one member, started from one float, drops the leading axis:
-``(2n+1,)``, ``(2n+1, 2n+1)`` and ``(2w, n)``.  Members share the
+A single run is a filter of one member.  Members share the
 configuration but may differ in their amplitude floor and step size.
 The stacked ``matmul`` products (not ``einsum``, which rounds
 differently) and the means over the window axis give each member the
@@ -122,29 +121,27 @@ class GekfFilter:
     """The filter of B members: stacked state, smoothing history and
     per-channel pause.
 
-    ``mean`` is ``(B, 2n+1)`` and ``P`` is ``(B, 2n+1, 2n+1)``; a filter
-    started from one float ``f0`` has no member axis: ``(2n+1,)`` and
-    ``(2n+1, 2n+1)``.  Each member starts unbiased (zero RHS estimate,
-    its first measurement as held value).  :meth:`propagate` and
-    :meth:`update` replace ``mean`` and ``P`` with new arrays and check
-    nothing; :meth:`check` is the finiteness check, once per step.
-    :meth:`step_export` returns the per-step estimates, ``(B, n)`` or
-    ``(n,)``.  Once a channel's amplitude falls under its member's floor,
-    its exported estimate decays geometrically, at a fixed rate per
-    smoothing window, instead of following ``x1``.
+    ``mean`` is ``(B, 2n+1)`` and ``P`` is ``(B, 2n+1, 2n+1)``.  Each
+    member starts unbiased (zero RHS estimate, its first measurement as
+    held value).  :meth:`propagate` and :meth:`update` replace ``mean``
+    and ``P`` with new arrays and check nothing; :meth:`check` is the
+    finiteness check, once per step.  :meth:`step_export` returns the
+    per-step estimates, ``(B, n)``.  Once a channel's amplitude falls
+    under its member's floor, its exported estimate decays geometrically,
+    at a fixed rate per smoothing window, instead of following ``x1``.
     """
 
-    def __init__(self, cfg: GekfConfig, n: int, f0, nu_hat, t0: float = 0.0,
-                 a_floor=None):
-        """``f0`` is the first measurement: one float, or one per member;
-        ``a_floor`` is ``cfg.a_floor`` by default, or a ``(B, 1)`` column
-        of per-member amplitude floors."""
+    def __init__(self, cfg: GekfConfig, n: int, f0, nu_hat, a_floor,
+                 t0: float = 0.0):
+        """``f0`` holds the first measurement of each member, shape
+        ``(B,)``; ``a_floor`` is the ``(B, 1)`` column of per-member
+        amplitude floors."""
         self.cfg = cfg
         self.n = n
         self.nu_hat = np.atleast_1d(np.asarray(nu_hat, dtype=float))
         f0 = np.asarray(f0, dtype=float)
         lead, dim = f0.shape, 2 * n + 1
-        self._a_floor = cfg.a_floor if a_floor is None else np.asarray(a_floor)
+        self._a_floor = np.asarray(a_floor)
         self.mean = np.zeros(lead + (dim,))
         self.mean[..., -1] = f0
         self._eye = np.eye(dim)
@@ -169,15 +166,13 @@ class GekfFilter:
 
     def take(self, members) -> "GekfFilter":
         """A copy that holds only the members ``members`` (a list or a
-        slice of indices) of a filter with a member axis."""
+        slice of indices)."""
         out = copy.copy(self)
-        for name in ("mean", "P", "_rows", "paused", "_j", "last_innovation"):
+        for name in ("mean", "P", "_rows", "paused", "_j", "last_innovation",
+                     "_a_floor"):
             setattr(out, name, np.array(getattr(self, name)[members]))
-        # the per-member floor and time are (B, 1) columns
-        for name in ("_a_floor", "t"):
-            value = getattr(self, name)
-            if np.ndim(value):
-                setattr(out, name, value[members])
+        if np.ndim(self.t):   # a (B, 1) column once the members' steps differ
+            out.t = self.t[members]
         out._dt = out._prior = None
         return out
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieseek.analysis import (B2Element, check_b2, check_bound, compare,
-                              metrics, period_average)
+from lieseek.analysis import (B2Element, _sample_design, check_b2,
+                              check_bound, compare, metrics, period_average)
 from lieseek.errors import InputError
 from lieseek.model import CoefficientForm, ObjectiveMap
 from lieseek.scenarios import preset
@@ -113,6 +113,41 @@ class TestCheckB2:
         assert by_label["b_21"].contradiction
         assert by_label["b_21"].value_at_extremum == pytest.approx(0.3)
         assert rep.contradiction
+
+    @pytest.mark.parametrize("count", [1, 8, 512])
+    def test_sample_design_is_fixed_and_inside_the_box(self, count):
+        for name in ("case1", "case2", "case3"):
+            objective, _, _ = preset(name).b2_setup()
+            box = np.asarray(objective.domain_box)
+            pts = _sample_design(box, count)
+            assert pts.shape == (count, len(box))
+            assert np.all((box[:, 0] <= pts) & (pts <= box[:, 1]))
+            assert pts.tobytes() == _sample_design(box, count).tobytes()
+            # distinct points that fill the box: none repeats, and at 512
+            # each tenth of every side holds some
+            assert len(np.unique(pts, axis=0)) == count
+            if count == 512:
+                tenth = np.floor((pts - box[:, 0]) / (box[:, 1] - box[:, 0]) * 10)
+                assert all(len(np.unique(c)) == 10 for c in tenth.T)
+
+    def test_case1_fits_are_exact(self, case1):
+        """b_11 = ftilde and b_21 = 1: the fits give M * ftilde^m3 exactly."""
+        objective, elements, _ = case1.b2_setup()
+        by_label = {e.label: e for e in check_b2(elements, objective).elements}
+        for label, m3, m in (("b_11", 1.0, 1.0), ("b_21", 0.0, 1.0)):
+            assert by_label[label].m3_fit == pytest.approx(m3, rel=0, abs=1e-12)
+            assert by_label[label].m_fit == pytest.approx(m, rel=1e-12)
+
+    @pytest.mark.parametrize("name,flags", [
+        ("case1", {"b_11": False, "b_21": True}),
+        ("case2", {"b_11": True, "b_21": False, "b_12": False, "b_22": True}),
+        ("case3", {"b_11": True, "b_21": True, "b_12": True, "b_22": True}),
+    ])
+    def test_preset_contradiction_flags(self, name, flags):
+        objective, elements, _ = preset(name).b2_setup()
+        rep = check_b2(elements, objective)
+        assert {e.label: e.contradiction for e in rep.elements} == flags
+        assert rep.to_dict() == check_b2(elements, objective).to_dict()
 
     def test_never_flags_vanishing_elements(self, case3):
         objective, _, _ = case3.b2_setup()

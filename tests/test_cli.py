@@ -236,6 +236,10 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("gekf", "n_meas"), True), []),
     (_short_case1_with(("gekf", "smoothing"), "no"), []),
     (None, ["case1", "--mode", "baseline", "--horizon", "1e17"]),
+    # finite except for x > 14.4078, the last 0.013% of the box
+    (_short_case1_with(("systems", "main", "objective"), {
+        "form": "quadratic", "weights": [1e306], "center": [1.0],
+        "offset": 0.0, "kind": "min", "domain_box": [[-2.0, 14.41]]}), []),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
@@ -246,7 +250,8 @@ def _short_case1_with(path: tuple, value) -> str:
         "horizon-below-t-min", "horizon-at-t-min", "overflowing-step-count",
         "unindexable-step-count", "2-d-weights", "overflowing-weight-gradient",
         "kind-contradicts-weights", "zero-weight", "fractional-n-meas",
-        "boolean-n-meas", "string-smoothing", "unallocatable-step-table"])
+        "boolean-n-meas", "string-smoothing", "unallocatable-step-table",
+        "overflow-near-one-corner"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -685,6 +690,28 @@ def test_cli_starts_without_scipy(tmp_path, argv):
     roots = {m.split(".")[0] for m in imported}
     assert not roots & {"scipy", "multiprocessing"}
     assert not [m for m in imported if m.startswith("concurrent.futures")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "case1", "--mode", "both", "--horizon", "1.5"],
+    ["run", "case1", "--mode", "lbs", "--horizon", "1.5"],
+    ["sweep", "case1", "--mode", "baseline", "--omega", "50,100",
+     "--horizon", "1.5"],
+    ["check-b2", "case3"],
+], ids=["run-both", "run-lbs", "sweep-baseline", "check-b2"])
+def test_noise_free_commands_never_load_numpy_random(tmp_path, argv):
+    """The presets are noise-free: the box check and the B2 sample design
+    draw no random numbers, so a command ends without ``numpy.random``."""
+    probe = ("import sys; from lieseek.cli import main; code = main(sys.argv[1:]); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m.split('.')[:2] == ['numpy', 'random']), file=sys.stderr)")
+    out = "out.json" if argv[0] == "check-b2" else "out"
+    proc = subprocess.run([sys.executable, "-c", probe, *argv, "--out", out],
+                          cwd=tmp_path, env=_source_env(), capture_output=True,
+                          text=True, timeout=120)
+    code = EXIT_CHECK_FAILED if argv[0] == "check-b2" else EXIT_OK
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[-1] == f"{code} []"
 
 
 @pytest.mark.parametrize("mode", ["lbs", "proposed"])

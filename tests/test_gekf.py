@@ -35,34 +35,41 @@ def _min_eig(P):
     return float(np.linalg.eigvalsh(0.5 * (P + P.T)).min())
 
 
+def _one_member(cfg, n, f0, nu_hat):
+    """A filter of one member, first measurement ``f0``, at the floor of
+    ``cfg``."""
+    return GekfFilter(cfg, n, f0=[f0], nu_hat=nu_hat, a_floor=[[cfg.a_floor]])
+
+
 def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, nu_hat=(0.5,)):
-    """A one-channel filter with the mean ``[x1, x2, x3]`` and covariance
-    ``P`` (identity by default)."""
-    filt = GekfFilter(cfg, 1, f0=x3, nu_hat=nu_hat)
-    filt.mean = np.array([x1, x2, x3], dtype=float)
-    filt.P = np.eye(3) if P is None else np.array(P, dtype=float)
+    """A one-channel filter of one member with the mean ``[x1, x2, x3]``
+    and covariance ``P`` (identity by default)."""
+    filt = _one_member(cfg, 1, x3, nu_hat)
+    filt.mean = np.array([[x1, x2, x3]], dtype=float)
+    filt.P = (np.eye(3) if P is None else np.array(P, dtype=float))[None]
     return filt
 
 
 def _export(cfg, x1, history):
+    """The member's export after pushing the rows of ``history``."""
     filt = _filter(cfg, x1)
     for row in history:
         filt._push_row(row)
-    return filt.step_export()
+    return filt.step_export()[0]
 
 
 class TestPropagate:
     def test_zero_derivative_keeps_mean(self):
         cfg = GekfConfig()
-        filt = GekfFilter(cfg, 1, f0=3.0, nu_hat=[0.5])
+        filt = _one_member(cfg, 1, 3.0, [0.5])
         filt.propagate(0.25)
-        assert filt.mean[0] == 0.0 and filt.mean[2] == 3.0
+        assert filt.mean[0, 0] == 0.0 and filt.mean[0, 2] == 3.0
         assert filt.t == pytest.approx(0.25)
 
     def test_linear_mean_advance(self):
         filt = _filter(GekfConfig(), 2.0, 1.0)
         filt.propagate(0.5)
-        assert filt.mean[0] == pytest.approx(2.5)
+        assert filt.mean[0, 0] == pytest.approx(2.5)
 
     def test_psd_preserved_without_process_noise(self):
         # congruence transform keeps PSD; checked by eigenvalue oracle
@@ -73,12 +80,12 @@ class TestPropagate:
         filt = _filter(cfg, 0.0, P=P0)
         for _ in range(200):
             filt.propagate(0.01)
-            assert _min_eig(filt.P) >= -1e-12
+            assert _min_eig(filt.P[0]) >= -1e-12
 
     def test_bad_dt_rejected(self):
         cfg = GekfConfig()
         with pytest.raises(ConfigurationError):
-            GekfFilter(cfg, 1, 0.0, nu_hat=[0.5]).propagate(0.0)
+            _one_member(cfg, 1, 0.0, [0.5]).propagate(0.0)
 
 
 class TestMeasurementUpdate:
@@ -87,39 +94,40 @@ class TestMeasurementUpdate:
         """The filter at mean [-1, 0, 2] and identity covariance after one
         update against ``f2``, with f1 = 2 and u = (0.02, 0.01)."""
         filt = _filter(GekfConfig(r=r), -1.0, 0.0, 2.0)
-        filt.update(f2, 2.0, np.array([0.02]), np.array([0.01]),
-                    np.array([a]), _system(channel or _channel()))
+        filt.update(f2, np.array([2.0]), np.array([[0.02]]),
+                    np.array([[0.01]]), np.array([[a]]),
+                    _system(channel or _channel()))
         return filt
 
     def test_zero_innovation_keeps_mean_and_shrinks_p(self):
         c = -(2.0 * 0.02 + 1.0 * 0.01) / (0.5 * 1.0 * 1.0)
         f2 = 2.0 + c * -1.0  # exactly the predicted sample
         filt = self._updated(f2)
-        assert filt.mean[0] == pytest.approx(-1.0)
-        assert filt.mean[1] == pytest.approx(0.0)
-        assert filt.mean[2] == f2
-        assert np.trace(filt.P) <= 3.0 + 1e-12
+        assert filt.mean[0, 0] == pytest.approx(-1.0)
+        assert filt.mean[0, 1] == pytest.approx(0.0)
+        assert filt.mean[0, 2] == f2
+        assert np.trace(filt.P[0]) <= 3.0 + 1e-12
 
     def test_uninformative_measurement_keeps_mean(self):
         filt = self._updated(5.0, r=1e12)
-        assert abs(filt.mean[0] - -1.0) < 1e-6
-        assert abs(filt.mean[1] - 0.0) < 1e-6
+        assert abs(filt.mean[0, 0] - -1.0) < 1e-6
+        assert abs(filt.mean[0, 1] - 0.0) < 1e-6
 
     def test_low_amplitude_channel_skipped(self):
         filt = self._updated(2.5, a=1e-6)
         # x1 gets no correction; only the held value moves
-        assert filt.mean[0] == pytest.approx(-1.0)
-        assert filt.mean[2] == 2.5
+        assert filt.mean[0, 0] == pytest.approx(-1.0)
+        assert filt.mean[0, 2] == 2.5
 
     def test_singular_bracket_factor_skipped(self):
         flat = ChannelSpec(index=0, b1=_linear(0.0, 1.0), b2=_linear(0.0, 2.0))
         filt = self._updated(2.5, channel=flat)
-        assert filt.mean[0] == pytest.approx(-1.0)
+        assert filt.mean[0, 0] == pytest.approx(-1.0)
 
     def test_psd_after_update(self):
         filt = self._updated(2.7)
-        assert _min_eig(filt.P) >= -1e-9
-        np.testing.assert_allclose(filt.P, filt.P.T, atol=1e-10)
+        assert _min_eig(filt.P[0]) >= -1e-9
+        np.testing.assert_allclose(filt.P[0], filt.P[0].T, atol=1e-10)
 
     def test_divergent_measurement_raises(self):
         filt = self._updated(float("nan"))
@@ -151,15 +159,15 @@ class TestExtractJ:
         from collections import deque
         window = 64
         cfg = GekfConfig(smooth_window=window)
-        filt = GekfFilter(cfg, n, f0=0.0, nu_hat=np.full(n, 0.5))
-        history = deque([filt.mean[:n].copy()], maxlen=window)
+        filt = _one_member(cfg, n, 0.0, np.full(n, 0.5))
+        history = deque([filt.mean[0, :n].copy()], maxlen=window)
         rng = np.random.default_rng(n)
         for _ in range(1000):
             x1 = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
-            filt.mean = np.concatenate([x1, np.zeros(n + 1)])
+            filt.mean = np.concatenate([x1, np.zeros(n + 1)])[None]
             history.append(x1.copy())
             expected = np.asarray(history, dtype=float).mean(axis=0)
-            assert filt.step_export().tobytes() == expected.tobytes()
+            assert filt.step_export()[0].tobytes() == expected.tobytes()
 
 
 class TestPauseBehaviour:
@@ -167,15 +175,15 @@ class TestPauseBehaviour:
         """Pinned state, zero amplitude: export decays toward zero."""
         cfg = GekfConfig(a_floor=1e-3, smooth_window=8)
         filt = _filter(cfg, 1.0, 0.0, 5.0)
-        filt._j = np.array([1.0])
-        zeros = np.zeros(1)
+        filt._j = np.array([[1.0]])
+        zeros = np.zeros((1, 1))
         js = []
         for _ in range(500):
             filt.propagate(0.01)
-            filt.update(5.0, 5.0, zeros, zeros, np.array([0.0]),
+            filt.update(5.0, np.array([5.0]), zeros, zeros, zeros,
                         _system(_channel()))
-            js.append(abs(filt.step_export()[0]))
-            assert filt.min_eigenvalue() >= -1e-9
+            js.append(abs(filt.step_export()[0, 0]))
+            assert filt.min_eigenvalue()[0] >= -1e-9
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
         assert js[-1] < js[0]
 
@@ -189,13 +197,13 @@ class TestPauseBehaviour:
         cfg["systems"]["main"]["dt"] = spec.dither_period_seconds / dt_divisor
         sc = Scenario(cfg)
         spec = sc.primary_system
-        filt = GekfFilter(sc.gekf_config(), 1, f0=1.0, nu_hat=spec.nu_hats)
+        filt = _one_member(sc.gekf_config(), 1, 1.0, spec.nu_hats)
         filt.paused[:] = True
-        filt._j = np.array([1.0])
+        filt._j = np.array([[1.0]])
         exports = []
         for _ in range(spec.steps_per_period):
             filt.propagate(spec.resolved_dt)
-            exports.append(filt.step_export()[0])
+            exports.append(filt.step_export()[0, 0])
         return exports[0], exports[-1]
 
     def test_decay_per_dither_period_is_step_size_free(self):
@@ -207,20 +215,21 @@ class TestPauseBehaviour:
 
 
 class TestFilterUpdate:
-    ARGS = (2.0, np.array([0.02]), np.array([0.01]), np.array([1.0]))
+    ARGS = (np.array([2.0]), np.array([[0.02]]), np.array([[0.01]]),
+            np.array([[1.0]]))
 
     def _filter(self):
         return _filter(GekfConfig(), -1.0, 0.3, 2.0)
 
     def test_innovation_is_against_pre_update_state(self):
         filt = self._filter()
-        x1, _, x3 = filt.mean
+        x1, _, x3 = filt.mean[0]
         f1, u1, u2, a = self.ARGS
         c = measurement_coefficients(_system(_channel()), f1, u1, u2, a,
                                      filt.nu_hat, filt.cfg.a_floor)
         filt.update(2.7, f1, u1, u2, a, _system(_channel()))
-        assert filt.last_innovation == pytest.approx(
-            2.7 - (x3 + c[0] * x1), abs=1e-12)
+        assert filt.last_innovation[0] == pytest.approx(
+            2.7 - (x3 + c[0, 0] * x1), abs=1e-12)
 
     def test_coefficients_computed_once_per_update(self, monkeypatch):
         calls = []

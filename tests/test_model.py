@@ -10,9 +10,9 @@ from conftest import zero_mean_tabulated
 from lieseek.errors import ConfigurationError, EvaluationError
 from lieseek.model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
                            EscSystemSpec, EstimationErrorModel, ObjectiveMap,
-                           QUAD_INTERVALS, _cumulative_simpson, _nu_quadrature,
-                           _period_grid, _simpson, nu_coefficient,
-                           verify_assumption_a2)
+                           QUAD_INTERVALS, _MAX_WEIGHT, _cumulative_simpson,
+                           _nu_quadrature, _period_grid, _simpson,
+                           nu_coefficient, verify_assumption_a2)
 from lieseek.scenarios import preset, preset_names
 
 COS = DitherSignal(kind="cosine")
@@ -247,6 +247,42 @@ class TestObjectiveMap:
         # pytest turns a NumPy warning into an error here
         with pytest.raises(ConfigurationError):
             ObjectiveMap(**{"weights": (1.0,), "center": (0.0,), **kw})
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3),
+           kind=st.sampled_from(["min", "max"]))
+    def test_box_check_is_exact(self, data, n, kind):
+        """``validate`` raises exactly when the objective is non-finite
+        somewhere on a grid of the box that holds every corner."""
+        coord = st.floats(-1e160, 1e160)
+        size = st.floats(1e-300, float(_MAX_WEIGHT))
+        sign = 1.0 if kind == "min" else -1.0
+        obj = ObjectiveMap(
+            weights=[sign * data.draw(size) for _ in range(n)],
+            center=[data.draw(coord) for _ in range(n)],
+            offset=data.draw(coord), kind=kind,
+            domain_box=[sorted(data.draw(st.tuples(coord, coord)))
+                        for _ in range(n)])
+        axes = [np.linspace(lo, hi, 5) for lo, hi in obj.domain_box]
+        grid = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(obj.value(grid)).all()
+        if finite:
+            obj.validate()
+        else:
+            with pytest.raises(EvaluationError, match="domain box"):
+                obj.validate()
+
+    def test_box_check_finds_an_overflow_at_one_corner(self):
+        """The objective overflows only where x**2 + y**2 > 179.77, a sliver
+        of 1e-5 of the box at its corner (9.5, 9.5)."""
+        obj = ObjectiveMap(weights=(1e306, 1e306), center=(0.0, 0.0),
+                           domain_box=((0.0, 9.5), (0.0, 9.5)))
+        assert np.isfinite(obj.value([9.45, 9.5]))
+        with pytest.raises(EvaluationError, match="domain box"):
+            obj.validate()
+        ObjectiveMap(weights=(1e306, 1e306), center=(0.0, 0.0),
+                     domain_box=((0.0, 9.45), (0.0, 9.45))).validate()
 
     def test_largest_weight_gives_a_finite_gradient(self):
         big = np.finfo(float).max / 2.0

@@ -383,6 +383,13 @@ class TestTrajectoryLog:
                          noise_std=0.01)
         np.testing.assert_array_equal(a.j_est, b.j_est)
         assert np.any(a.j_est != c.j_est)
+        # a noisy batch gives each seed the same bits on every run
+        specs, gcfgs = [sc.primary_system] * 2, [sc.gekf_config()] * 2
+        first, again = (sim.run_batch(specs, gcfgs, [3, 4], noise_std=0.01)
+                        for _ in range(2))
+        for member, repeat, alone in zip(first, again, (a, c)):
+            _assert_same_run(member, repeat)
+            _assert_same_run(member, alone)
 
 
 class TestAveragedReference:
