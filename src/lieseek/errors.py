@@ -46,10 +46,9 @@ class DivergenceError(LieseekError):
 class FilterDivergenceError(LieseekError):
     """The estimation filter state became non-finite."""
 
-    def __init__(self, message: str, t: float | None = None, diagnostics=None):
+    def __init__(self, message: str, t: float | None = None):
         super().__init__(message)
         self.t = t
-        self.diagnostics = diagnostics or {}
 
 
 class InputError(LieseekError):

@@ -13,10 +13,12 @@ Between measurements the mean follows the constant-velocity model
 matching exact discrete transition.  The measurement model is the
 first-order iterated-integral increment of the objective: knowing the
 channel coefficients and the input integrals over the window, a new
-objective sample is linear in ``x1`` once the gradient factor is
-rewritten through ``x1 = -nu * a^2 * grad_i * b0_i``.  That inversion
-makes the update exactly linear, so no measurement Jacobian
-approximation is involved.
+objective sample is the held sample ``x3`` plus a term linear in ``x1``
+once the gradient factor is rewritten through ``x1 = -nu * a^2 * grad_i
+* b0_i``.  That inversion makes the update exactly linear, so no
+measurement Jacobian approximation is involved.  The coefficients are
+anchored at ``x3`` itself, the measured value at the start of the
+window, so the filter needs no copy of it.
 
 :class:`GekfFilter` is the filter: it owns the state, the smoothing
 history and the pause bookkeeping of B members that step in lockstep.
@@ -26,11 +28,15 @@ The state is stacked in plain arrays, one leading row per member:
 * ``P`` -- ``(B, 2n+1, 2n+1)``, one covariance per member;
 * the smoothing history -- ``(B, 2w, n)`` for a window of w steps.
 
-A single run is a filter of one member.  Members share the
-configuration but may differ in their amplitude floor and step size.
-The stacked ``matmul`` products (not ``einsum``, which rounds
-differently) and the means over the window axis give each member the
-same bits as a filter of that member alone.  The step size is one float,
+A single run is a filter of one member.  Members share the system and
+the configuration but may differ in their amplitude floor and step
+size.  The input integrals of an update are one stacked array ``(B, 2,
+n)``: row 0 the integrals of each channel's first dither, row 1 of its
+second.  The filter keeps no clock: the caller names the time of a
+failure (:meth:`GekfFilter.check`).  The stacked ``matmul`` products
+(not ``einsum``, which rounds differently) and the means over the
+window axis give each member the same bits as a filter of that member
+alone.  The step size is one float,
 or a ``(B, 1)`` column when the members step with different sizes; the
 transition is then stacked too, ``(B, 2n+1, 2n+1)``.  An instance is a
 single-owner mutable state machine.
@@ -95,25 +101,27 @@ class GekfConfig:
                 f"smoothing must be true or false, got {self.smoothing!r}")
 
 
-def measurement_coefficients(spec: EscSystemSpec, f1, u1_int: np.ndarray,
-                             u2_int: np.ndarray, a: np.ndarray,
-                             nu_hat: np.ndarray, a_floor) -> np.ndarray:
+def measurement_coefficients(spec: EscSystemSpec, f1, u_int: np.ndarray,
+                             a: np.ndarray, a_floor) -> np.ndarray:
     """Per-channel weight of ``x1`` in the predicted objective sample.
 
     ``c_i = -(b1_i(f1) U1_i + b2_i(f1) U2_i) / (nu_i * a_i^2 * b0_i(f1))``
     with ineligible channels weighted zero, all from one coefficient call
-    anchored at the measured value ``f1`` from the start of the window.
-    A channel is ineligible when its amplitude magnitude sits below the
+    anchored at the measured value ``f1`` from the start of the window;
+    ``nu_i`` is the spec's ``nu_hats`` and ``(U1, U2)`` the two rows of
+    the stacked input integrals ``u_int``, shape ``(..., 2, n)``.  A
+    channel is ineligible when its amplitude magnitude sits below the
     floor ``a_floor`` or its bracket factor at ``f1`` is singular.  With
-    ``f1`` of shape ``(B,)``, the amplitudes and input integrals are
-    ``(B, n)``, ``a_floor`` broadcasts against them, and so does the result.
+    ``f1`` of shape ``(B,)``, the amplitudes are ``(B, n)``, ``u_int`` is
+    ``(B, 2, n)``, ``a_floor`` broadcasts against the amplitudes, and so
+    does the result.
     """
     b1, b2, b0 = spec.coefficients(f1)
     ok = (np.abs(a) >= a_floor) & (np.abs(b0) >= B0_SINGULAR_TOL)
     # float_power calls C pow like a scalar a_i ** 2; an array a ** 2
     # squares, which rounds differently in rare cases
-    return np.divide(-(b1 * u1_int + b2 * u2_int),
-                     nu_hat * np.float_power(a, 2) * b0,
+    return np.divide(-(b1 * u_int[..., 0, :] + b2 * u_int[..., 1, :]),
+                     spec.nu_hats * np.float_power(a, 2) * b0,
                      out=np.zeros(b0.shape), where=ok)
 
 
@@ -131,14 +139,13 @@ class GekfFilter:
     at a fixed rate per smoothing window, instead of following ``x1``.
     """
 
-    def __init__(self, cfg: GekfConfig, n: int, f0, nu_hat, a_floor,
-                 t0: float = 0.0):
-        """``f0`` holds the first measurement of each member, shape
-        ``(B,)``; ``a_floor`` is the ``(B, 1)`` column of per-member
-        amplitude floors."""
+    def __init__(self, cfg: GekfConfig, spec: EscSystemSpec, f0, a_floor):
+        """The filter of the members of one system ``spec``: ``f0`` holds
+        the first measurement of each member, shape ``(B,)``; ``a_floor``
+        is the ``(B, 1)`` column of per-member amplitude floors."""
         self.cfg = cfg
-        self.n = n
-        self.nu_hat = np.atleast_1d(np.asarray(nu_hat, dtype=float))
+        self.spec = spec
+        self.n = n = spec.n
         f0 = np.asarray(f0, dtype=float)
         lead, dim = f0.shape, 2 * n + 1
         self._a_floor = np.asarray(a_floor)
@@ -146,7 +153,6 @@ class GekfFilter:
         self.mean[..., -1] = f0
         self._eye = np.eye(dim)
         self.P = np.broadcast_to(cfg.p0 * self._eye, lead + (dim, dim)).copy()
-        self.t = t0
         self._q = np.diag(np.concatenate([np.full(n, cfg.q1),
                                           np.full(n, cfg.q2), [cfg.q3]]))
         # Each member's last smooth_window x1 rows, each written twice (at i
@@ -171,19 +177,16 @@ class GekfFilter:
         for name in ("mean", "P", "_rows", "paused", "_j", "last_innovation",
                      "_a_floor"):
             setattr(out, name, np.array(getattr(self, name)[members]))
-        if np.ndim(self.t):   # a (B, 1) column once the members' steps differ
-            out.t = self.t[members]
         out._dt = out._prior = None
         return out
 
     def snapshot(self) -> tuple:
         """What :meth:`propagate` and :meth:`update` replace, for
         :meth:`restore`."""
-        return (self.mean, self.P, self.t, self.paused, self.last_innovation,
-                self._prior)
+        return self.mean, self.P, self.paused, self.last_innovation, self._prior
 
     def restore(self, snapshot: tuple) -> None:
-        (self.mean, self.P, self.t, self.paused, self.last_innovation,
+        (self.mean, self.P, self.paused, self.last_innovation,
          self._prior) = snapshot
 
     def propagate(self, dt) -> None:
@@ -208,14 +211,16 @@ class GekfFilter:
         phi = self._phi
         P = phi @ self.P @ phi.swapaxes(-1, -2) + self._q_dt
         self.mean, self.P = mean, 0.5 * (P + P.swapaxes(-1, -2))
-        self.t += dt
         self._prior = None
 
-    def update(self, f2, f1, u1_int, u2_int, a, spec: EscSystemSpec) -> None:
-        """Scalar Kalman update of each member against its sample ``f2``.
+    def update(self, f2, u_int, a) -> None:
+        """Scalar Kalman update of each member against its sample ``f2``,
+        with the window's input integrals ``u_int`` (``(B, 2, n)``) and
+        the amplitudes ``a`` (``(B, n)``).
 
         Predicted sample: ``x3 + sum_i c_i x1_i`` with ``c`` from
-        :func:`measurement_coefficients` anchored at ``f1``.  Joseph-form
+        :func:`measurement_coefficients` anchored at the held sample
+        ``x3``, the measurement at the window's start.  Joseph-form
         covariance update, re-symmetrized; afterwards the held value
         ``x3`` is pinned to the new measurement so the next window
         anchors at measured data.  ``last_innovation`` is taken against
@@ -223,9 +228,9 @@ class GekfFilter:
         which give each member the bits of its own matrix products.
         """
         a = np.asarray(a, dtype=float)
-        c = measurement_coefficients(spec, f1, u1_int, u2_int, a,
-                                     self.nu_hat, self._a_floor)
         mean, P, r = self.mean, self.P, self.cfg.r
+        c = measurement_coefficients(self.spec, mean[..., -1], u_int, a,
+                                     self._a_floor)
         h = np.zeros(mean.shape)
         h[..., :self.n] = c
         h[..., -1] = 1.0
@@ -252,9 +257,10 @@ class GekfFilter:
         self.last_innovation = innovation
         self.paused = np.abs(a) < self._a_floor
 
-    def check(self) -> None:
+    def check(self, t) -> None:
         """Raise :class:`FilterDivergenceError` if a member's mean or
-        covariance is non-finite, naming the step that made it so."""
+        covariance is non-finite, naming the step that made it so and
+        carrying ``t``, the time at that step's end, as its ``t``."""
         # a non-finite entry poisons the sum; only then are members searched.
         # np.add.reduce is ndarray.sum without its Python wrapper
         total = np.add.reduce(self.mean, axis=None) + np.add.reduce(self.P, axis=None)
@@ -263,7 +269,7 @@ class GekfFilter:
         after = ("propagation" if self._prior is None or not _finite(*self._prior)
                  else "update")
         raise FilterDivergenceError(f"filter state non-finite after {after}",
-                                    t=self.t)
+                                    t=t)
 
     def _push_row(self, x1: np.ndarray) -> None:
         i = self._count % self.cfg.smooth_window

@@ -36,9 +36,9 @@ generator.
 The loop does only state-dependent work.  What depends on time alone is
 tabulated once per time grid by :func:`_dither_tables`: every channel's
 dither values at each step start and midpoint of the grid (the RK4 stage
-times), and their per-step Simpson sums, which give the filter its input
-integrals.  The seeking plant ``a*sqrt(omega)*(b1*u1 + b2*u2)`` and the
-averaged right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')`` are
+times).  The filter's input integrals are per-step Simpson sums of the
+same table rows that the stages read.  The seeking plant
+``a*sqrt(omega)*(b1*u1 + b2*u2)`` and the averaged right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')`` are
 one bilinear form in ``(b1, b2)``, so each RK4 stage is one product over
 all rows, ``(W*G)*(b1*U1 + b2*U2)`` (:meth:`_Lockstep._stage`), from one
 evaluation of the measured objective and the coefficient forms; it calls
@@ -107,13 +107,14 @@ def step_times(spec: EscSystemSpec) -> np.ndarray:
 
 
 def _dither_tables(spec: EscSystemSpec, steps: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """The loop's times and both dithers of every channel on its half steps.
 
-    Returns ``(t, u1, u2)``: ``t`` holds the step starts, accumulated by
-    ``+ dt`` as the loop accumulates them, and row ``2k`` of ``u1``/``u2``
-    (one column per channel) is taken at ``t[k]``, row ``2k + 1`` at
-    ``t[k] + dt/2``.
+    Returns ``(t, u)``: ``t`` holds the step starts, accumulated by ``+
+    dt`` as the loop accumulates them, and ``u = [u1 | u2]`` has one
+    column per channel and dither, the first dither of each of the n
+    channels, then their second.  Row ``2k`` of ``u`` is taken at
+    ``t[k]``, row ``2k + 1`` at ``t[k] + dt/2``.
     """
     dt = spec.resolved_dt
     t = step_times(spec)
@@ -122,14 +123,8 @@ def _dither_tables(spec: EscSystemSpec, steps: int
     half[1::2] = t[:-1] + 0.5 * dt
     theta = spec.omega * half
     values = {ref: _dither_values(d, theta) for ref, d in spec.dithers.items()}
-    u1 = np.column_stack([values[ch.u1_ref] for ch in spec.channels])
-    u2 = np.column_stack([values[ch.u2_ref] for ch in spec.channels])
-    return t, u1, u2
-
-
-def _simpson_sums(u: np.ndarray) -> np.ndarray:
-    """Per-step ``u(t0) + 2 u(t0 + dt/2) + u(t0 + dt)`` of a half-step table."""
-    return u[0:-1:2] + 2.0 * u[1::2] + u[2::2]
+    return t, np.column_stack([values[ch.u1_ref] for ch in spec.channels]
+                              + [values[ch.u2_ref] for ch in spec.channels])
 
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
@@ -417,16 +412,14 @@ def _rk4_decay(h: np.ndarray) -> np.ndarray:
 
 class _Grid:
     """The time grid of the rows that share omega, dt and step count:
-    step size and step times, and the dither tables on them for seeking
-    rows, with their Simpson sums for adaptive rows."""
+    step size and step times, and the dither table ``u = [u1 | u2]`` on
+    them for seeking rows."""
 
-    def __init__(self, spec: EscSystemSpec, tables: bool, sums: bool):
+    def __init__(self, spec: EscSystemSpec, tables: bool):
         self.dt, self.steps = spec.resolved_dt, _steps(spec)
         self.sqrt_w = math.sqrt(spec.omega)
-        self.t, self.u1, self.u2 = (_dither_tables(spec, self.steps) if tables
-                                    else (step_times(spec), None, None))
-        self.u1_sums = _simpson_sums(self.u1) if sums else None
-        self.u2_sums = _simpson_sums(self.u2) if sums else None
+        self.t, self.u = (_dither_tables(spec, self.steps) if tables
+                          else (step_times(spec), None))
 
 
 class _Lockstep:
@@ -436,7 +429,8 @@ class _Lockstep:
 
     * adaptive rows, seeking runs whose amplitudes follow the filter's
       estimate (or ``j_override``); the filter, the amplitude law and the
-      filter inputs act on this leading slice, a view;
+      filter inputs, one stacked ``u_int`` of shape ``(rows, 2, n)``, act
+      on this leading slice, a view;
     * constant-amplitude rows, seeking runs at a0;
     * averaged rows, the averaged (bracket) system at a0, one per distinct
       reference (:func:`_reference_key`) that the loop integrates.
@@ -459,6 +453,8 @@ class _Lockstep:
     per step and per stage.  Its table ``U = [U1 | U2]``, of shape
     ``(2*steps + 1, rows, 2n)``, holds the seeking rows' dithers and the
     averaged rows' form slopes; ``U1`` and ``U2`` are views of its halves.
+    It is the one copy of the dithers: the filter's input integrals of a
+    step are the Simpson sums of its rows ``2k``, ``2k + 1`` and ``2k + 2``.
     :meth:`_plant` sets the stage up for each step and returns it bound;
     the loop does not keep the bound method, which would make a reference
     cycle and keep the loop's logs alive after :meth:`run` until the
@@ -517,8 +513,7 @@ class _Lockstep:
         self.grid_of = _by_group(
             [(s.omega if r < self.s0 else None, s.resolved_dt, _steps(s))
              for r, s in enumerate(self.specs)], range(size),
-            lambda rows: [_Grid(self.specs[rows[0]], rows[0] < self.s0,
-                                self.use_filter and rows[0] < self.m0)]
+            lambda rows: [_Grid(self.specs[rows[0]], rows[0] < self.s0)]
             * len(rows))
         self.steps = max(g.steps for g in self.grid_of)
         self.ends = {g.steps for g in self.grid_of} - {self.steps}
@@ -531,7 +526,7 @@ class _Lockstep:
         self.x = np.stack([s.x0 for s in self.specs])
         self.a = np.stack([s.a0 for s in self.specs])
         self.j_sig = np.zeros(self.x.shape)
-        self.filt = self.f_prev = self.u1_acc = self.u2_acc = self.noise = None
+        self.filt = self.u_int = self.noise = None
         self._regrid()
         total = self.steps + 1
         self.x_log, self.a_log, self.jest_log = (
@@ -541,12 +536,12 @@ class _Lockstep:
                 f0 = self.obj.measured(self.x)[:self.m0]
             if self.rngs:
                 f0 = f0 + self._noise()
-            self.filt = GekfFilter(adaptive[0], n, f0, spec.nu_hats,
-                                   a_floor=[[g.a_floor] for g in adaptive])
+            self.filt = GekfFilter(adaptive[0], spec, f0,
+                                   [[g.a_floor] for g in adaptive])
             # the filter inputs after a measurement; never written
-            self.zero = np.zeros((self.m0, n))
+            self.zero = np.zeros((self.m0, 2, n))
             self.zero.flags.writeable = False
-            self.f_prev, self.u1_acc, self.u2_acc = f0, self.zero, self.zero
+            self.u_int = self.zero
             dim = 2 * n + 1
             self.mean_log = np.empty((total, self.m0, dim))
             self.innovation_log = np.empty((total, self.m0))
@@ -578,9 +573,6 @@ class _Lockstep:
         if adaptive:
             self.dt_a = _per_row([g.dt for g in adaptive])
             self.acols = _index(rows[:self.m])   # their adaptive log columns
-        if adaptive and self.use_filter:
-            self.u1_sums = _per_row_tables([g.u1_sums for g in adaptive])
-            self.u2_sums = _per_row_tables([g.u2_sums for g in adaptive])
         # W: a * sqrt(omega) on the seeking rows, set per step, and the
         # bracket weight on the averaged rows; G: 1 on the seeking rows,
         # and the averaged rows' gradient, set per stage
@@ -592,7 +584,7 @@ class _Lockstep:
         self.U = np.zeros((2 * self.steps + 1, rows.size, 2 * n))
         self.U1, self.U2 = self.U[..., :n], self.U[..., n:]
         for r, g in enumerate(seeking):
-            self.U1[:len(g.u1), r], self.U2[:len(g.u2), r] = g.u1, g.u2
+            self.U[:len(g.u), r] = g.u
         _, slope = self.spec.form_terms(np.zeros(1))
         if slope.ndim == 1:   # linear forms' slopes, one (2n,) row
             self.U1[:, s:], self.U2[:, s:] = -slope[n:], slope[:n]
@@ -620,7 +612,7 @@ class _Lockstep:
         out.filt = out.rngs = None
         if adaptive and self.filt is not None:
             index = _index(adaptive)
-            for name in ("f_prev", "u1_acc", "u2_acc", "zero", "noise"):
+            for name in ("u_int", "zero", "noise"):
                 value = getattr(self, name)
                 setattr(out, name, None if value is None else value[index])
             out.filt = self.filt.take(index)
@@ -707,20 +699,23 @@ class _Lockstep:
         """The new states, amplitudes and filter inputs of ``step``; raises
         for a failing row, with the filter left as it was.  ``check`` turns
         on the plant's check of b0 (:meth:`_plant`)."""
-        t0, m = self.times[step], self.m
-        x = rk4_step(self._plant(step, check), t0, self.x, self.dt)
+        start, end, m = self.times[step], self.times[step + 1], self.m
+        x = rk4_step(self._plant(step, check), start, self.x, self.dt)
         a, j = self.a, self.j_sig
         if m:
             a = j + (a - j) * self.decay
             if not np.isfinite(a).all():
-                raise IntegrationError(f"non-finite amplitude at t={t0}", t=t0)
-        self.obj.guard(x, self.times[step + 1])
+                raise IntegrationError(f"non-finite amplitude at t={start}",
+                                       t=start)
+        self.obj.guard(x, end)
         if self.filt is None:
             return x, a, None
-        weight = self.W[:m] * (self.dt_a / 4.0)   # a * sqrt(omega) * dt/4
-        u1_acc = self.u1_acc + weight * self.u1_sums[step]
-        u2_acc = self.u2_acc + weight * self.u2_sums[step]
-        filt, f2 = self.filt, None
+        # a * sqrt(omega) * dt/4 times each dither's Simpson sum, from the
+        # table rows of the step's stages viewed as (rows, 2, n)
+        weight = (self.W[:m] * (self.dt_a / 4.0))[:, None]
+        u = self.U[2 * step:2 * step + 3, :m].reshape(3, m, 2, self.n)
+        u_int = self.u_int + weight * (u[0] + 2.0 * u[1] + u[2])
+        filt = self.filt
         saved = filt.snapshot()
         try:
             filt.propagate(self.dt_a)
@@ -728,20 +723,17 @@ class _Lockstep:
                 f2 = self.obj.measured(x)[:m]
                 if self.noise is not None:
                     f2 = f2 + self.noise
-                filt.update(f2, self.f_prev, u1_acc, u2_acc, a[:m], self.spec)
-            filt.check()
+                filt.update(f2, u_int, a[:m])
+            filt.check(end)
         except LieseekError:
             filt.restore(saved)
             raise
-        return x, a, (u1_acc, u2_acc, f2)
+        return x, a, u_int
 
     def _commit(self, step: int, measure: bool, new: tuple) -> None:
-        self.x, self.a, inputs = new
+        self.x, self.a, u_int = new
         if self.filt is not None:
-            self.u1_acc, self.u2_acc, f2 = inputs
-            if measure:
-                self.f_prev = f2
-                self.u1_acc = self.u2_acc = self.zero
+            self.u_int = self.zero if measure else u_int
             self.j_sig[:self.m] = self.filt.step_export()
         elif self.m:
             self.j_sig[:self.m] = self._override(self.times[step + 1])

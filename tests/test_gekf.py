@@ -35,16 +35,17 @@ def _min_eig(P):
     return float(np.linalg.eigvalsh(0.5 * (P + P.T)).min())
 
 
-def _one_member(cfg, n, f0, nu_hat):
-    """A filter of one member, first measurement ``f0``, at the floor of
-    ``cfg``."""
-    return GekfFilter(cfg, n, f0=[f0], nu_hat=nu_hat, a_floor=[[cfg.a_floor]])
+def _one_member(cfg, spec, f0):
+    """A filter of one member of ``spec``, first measurement ``f0``, at the
+    floor of ``cfg``."""
+    return GekfFilter(cfg, spec, [f0], [[cfg.a_floor]])
 
 
-def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, nu_hat=(0.5,)):
-    """A one-channel filter of one member with the mean ``[x1, x2, x3]``
-    and covariance ``P`` (identity by default)."""
-    filt = _one_member(cfg, 1, x3, nu_hat)
+def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, channel=None):
+    """A one-channel filter of one member of ``_system(channel)`` (nu_hat
+    0.5) with the mean ``[x1, x2, x3]`` and covariance ``P`` (identity by
+    default)."""
+    filt = _one_member(cfg, _system(channel or _channel()), x3)
     filt.mean = np.array([[x1, x2, x3]], dtype=float)
     filt.P = (np.eye(3) if P is None else np.array(P, dtype=float))[None]
     return filt
@@ -61,10 +62,9 @@ def _export(cfg, x1, history):
 class TestPropagate:
     def test_zero_derivative_keeps_mean(self):
         cfg = GekfConfig()
-        filt = _one_member(cfg, 1, 3.0, [0.5])
+        filt = _one_member(cfg, _system(_channel()), 3.0)
         filt.propagate(0.25)
         assert filt.mean[0, 0] == 0.0 and filt.mean[0, 2] == 3.0
-        assert filt.t == pytest.approx(0.25)
 
     def test_linear_mean_advance(self):
         filt = _filter(GekfConfig(), 2.0, 1.0)
@@ -85,18 +85,16 @@ class TestPropagate:
     def test_bad_dt_rejected(self):
         cfg = GekfConfig()
         with pytest.raises(ConfigurationError):
-            _one_member(cfg, 1, 0.0, [0.5]).propagate(0.0)
+            _one_member(cfg, _system(_channel()), 0.0).propagate(0.0)
 
 
 class TestMeasurementUpdate:
     @staticmethod
     def _updated(f2, a=1.0, channel=None, r=1e-2):
         """The filter at mean [-1, 0, 2] and identity covariance after one
-        update against ``f2``, with f1 = 2 and u = (0.02, 0.01)."""
-        filt = _filter(GekfConfig(r=r), -1.0, 0.0, 2.0)
-        filt.update(f2, np.array([2.0]), np.array([[0.02]]),
-                    np.array([[0.01]]), np.array([[a]]),
-                    _system(channel or _channel()))
+        update against ``f2``, with f1 = x3 = 2 and u = (0.02, 0.01)."""
+        filt = _filter(GekfConfig(r=r), -1.0, 0.0, 2.0, channel=channel)
+        filt.update(f2, np.array([[[0.02], [0.01]]]), np.array([[a]]))
         return filt
 
     def test_zero_innovation_keeps_mean_and_shrinks_p(self):
@@ -132,7 +130,16 @@ class TestMeasurementUpdate:
     def test_divergent_measurement_raises(self):
         filt = self._updated(float("nan"))
         with pytest.raises(FilterDivergenceError, match="after update"):
-            filt.check()
+            filt.check(0.0)
+
+    def test_check_raises_with_the_given_time(self):
+        """The filter keeps no clock: the error carries the time that the
+        caller names."""
+        filt = self._updated(float("nan"))
+        with pytest.raises(FilterDivergenceError) as exc:
+            filt.check(0.75)
+        assert exc.value.t == 0.75
+        assert self._updated(2.7).check(0.75) is None
 
 
 class TestExtractJ:
@@ -159,7 +166,7 @@ class TestExtractJ:
         from collections import deque
         window = 64
         cfg = GekfConfig(smooth_window=window)
-        filt = _one_member(cfg, n, 0.0, np.full(n, 0.5))
+        filt = _one_member(cfg, _system(*map(_channel, range(n))), 0.0)
         history = deque([filt.mean[0, :n].copy()], maxlen=window)
         rng = np.random.default_rng(n)
         for _ in range(1000):
@@ -176,12 +183,10 @@ class TestPauseBehaviour:
         cfg = GekfConfig(a_floor=1e-3, smooth_window=8)
         filt = _filter(cfg, 1.0, 0.0, 5.0)
         filt._j = np.array([[1.0]])
-        zeros = np.zeros((1, 1))
         js = []
         for _ in range(500):
             filt.propagate(0.01)
-            filt.update(5.0, np.array([5.0]), zeros, zeros, zeros,
-                        _system(_channel()))
+            filt.update(5.0, np.zeros((1, 2, 1)), np.zeros((1, 1)))
             js.append(abs(filt.step_export()[0, 0]))
             assert filt.min_eigenvalue()[0] >= -1e-9
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
@@ -197,7 +202,7 @@ class TestPauseBehaviour:
         cfg["systems"]["main"]["dt"] = spec.dither_period_seconds / dt_divisor
         sc = Scenario(cfg)
         spec = sc.primary_system
-        filt = _one_member(sc.gekf_config(), 1, 1.0, spec.nu_hats)
+        filt = _one_member(sc.gekf_config(), spec, 1.0)
         filt.paused[:] = True
         filt._j = np.array([[1.0]])
         exports = []
@@ -215,8 +220,8 @@ class TestPauseBehaviour:
 
 
 class TestFilterUpdate:
-    ARGS = (np.array([2.0]), np.array([[0.02]]), np.array([[0.01]]),
-            np.array([[1.0]]))
+    # the window's input integrals (u1, u2) and the amplitude
+    ARGS = (np.array([[[0.02], [0.01]]]), np.array([[1.0]]))
 
     def _filter(self):
         return _filter(GekfConfig(), -1.0, 0.3, 2.0)
@@ -224,10 +229,10 @@ class TestFilterUpdate:
     def test_innovation_is_against_pre_update_state(self):
         filt = self._filter()
         x1, _, x3 = filt.mean[0]
-        f1, u1, u2, a = self.ARGS
-        c = measurement_coefficients(_system(_channel()), f1, u1, u2, a,
-                                     filt.nu_hat, filt.cfg.a_floor)
-        filt.update(2.7, f1, u1, u2, a, _system(_channel()))
+        u_int, a = self.ARGS
+        c = measurement_coefficients(_system(_channel()), np.array([x3]),
+                                     u_int, a, filt.cfg.a_floor)
+        filt.update(2.7, u_int, a)
         assert filt.last_innovation[0] == pytest.approx(
             2.7 - (x3 + c[0, 0] * x1), abs=1e-12)
 
@@ -241,7 +246,7 @@ class TestFilterUpdate:
         monkeypatch.setattr(gekf, "measurement_coefficients", counting)
         filt = self._filter()
         for k in range(3):
-            filt.update(2.0 + 0.1 * k, *self.ARGS, _system(_channel()))
+            filt.update(2.0 + 0.1 * k, *self.ARGS)
         assert len(calls) == 3
 
     def test_matches_a_per_channel_loop(self):
@@ -254,8 +259,8 @@ class TestFilterUpdate:
                 f1 = float(rng.uniform(-3.0, 3.0))
                 u1, u2 = rng.normal(size=(2, spec.n)) * 0.01
                 a = rng.uniform(0.0, 1.5, size=spec.n)
-                c = measurement_coefficients(spec, f1, u1, u2, a,
-                                             spec.nu_hats, cfg.a_floor)
+                c = measurement_coefficients(spec, f1, np.stack([u1, u2]), a,
+                                             cfg.a_floor)
                 b1, b2, b0 = spec.coefficients(f1)
                 for i in range(spec.n):
                     expected = 0.0
@@ -267,6 +272,6 @@ class TestFilterUpdate:
     def test_ineligible_channel_gets_zero_weight(self):
         spec = _system(_channel(), _channel(1))
         a = np.array([1.0, 0.0])   # channel 1 sits below the amplitude floor
-        c = measurement_coefficients(spec, 2.0, np.ones(2), np.ones(2), a,
-                                     np.array([0.5, 0.5]), GekfConfig().a_floor)
+        c = measurement_coefficients(spec, 2.0, np.ones((2, 2)), a,
+                                     GekfConfig().a_floor)
         assert c[1] == 0.0 and c[0] != 0.0

@@ -4,7 +4,9 @@ Each case runs one preset system at a short horizon in one mode and
 compares x, a, Jest, Jexact and zref at the 1/4, 1/2, 3/4 and last rows
 against values committed in ``golden_runs.json`` (relative 1e-10; NaN
 cells must stay NaN).  The baseline and proposed runs of each system are
-checked once more as two rows of one ``run_batch`` loop.
+checked once more as two rows of one ``run_batch`` loop.  Case1 and
+case2 also have a seeded noisy proposed run (mode ``proposed-noisy``),
+its measurement noise at ``sqrt(r)`` of the presets' filter.
 
 Re-record only when a change is meant to move the numbers::
 
@@ -32,6 +34,8 @@ SYSTEMS = {"case1": (10.0, None, None), "case2": (4.0, None, None),
            "case1-omega50": (2.0, None, 50.0),
            "case1-omega200": (2.0, None, 200.0)}
 MODES = ("baseline", "proposed", "lbs")
+NOISY = ("case1", "case2")
+NOISE_SEED, NOISE_STD = 3, 0.0173
 COLUMNS = {"x": "x", "a": "a", "Jest": "j_est", "Jexact": "j_exact",
            "zref": "z_ref"}
 RTOL = 1e-10
@@ -45,6 +49,9 @@ def _run(system: str, mode: str) -> TrajectoryLog:
         return run_baseline(spec)
     if mode == "proposed":
         return run_proposed(spec, sc.gekf_config(), seed=0)
+    if mode == "proposed-noisy":
+        return run_proposed(spec, sc.gekf_config(), seed=NOISE_SEED,
+                            noise_std=NOISE_STD)
     return run_lbs(spec)
 
 
@@ -65,8 +72,10 @@ def _as_array(cells) -> np.ndarray:
 
 
 def record() -> None:
+    cases = [(system, mode) for system in SYSTEMS for mode in MODES]
+    cases += [(system, "proposed-noisy") for system in NOISY]
     golden = {f"{system}/{mode}": _checkpoints(_run(system, mode))
-              for system in SYSTEMS for mode in MODES}
+              for system, mode in cases}
     cases = [f" {json.dumps(key)}: {json.dumps(val)}"
              for key, val in golden.items()]
     with open(GOLDEN, "w", encoding="utf-8") as fh:
@@ -96,6 +105,12 @@ def _assert_matches(want: dict, log: TrajectoryLog) -> None:
 @pytest.mark.parametrize("mode", MODES)
 def test_run_matches_golden(golden, system, mode):
     _assert_matches(golden[f"{system}/{mode}"], _run(system, mode))
+
+
+@pytest.mark.parametrize("system", NOISY)
+def test_noisy_run_matches_golden(golden, system):
+    _assert_matches(golden[f"{system}/proposed-noisy"],
+                    _run(system, "proposed-noisy"))
 
 
 @pytest.mark.parametrize("system", list(SYSTEMS))

@@ -475,7 +475,7 @@ class TestDitherTables:
         sc = shortened(name, 1.0)
         spec = sc.primary_system
         steps = int(round(spec.horizon / spec.resolved_dt))
-        t, _, _ = sim._dither_tables(spec, steps)
+        t, _ = sim._dither_tables(spec, steps)
         for log in (run_baseline(spec), run_proposed(spec, sc.gekf_config())):
             assert log.t.tobytes() == t.tobytes()
 
@@ -489,7 +489,8 @@ class TestDitherTables:
                           dithers=dithers, omega=spec.omega, a0=spec.a0,
                           lam=spec.lam, x0=spec.x0, horizon=spec.horizon)
         steps = int(round(spec.horizon / spec.resolved_dt))
-        t, u1, u2 = sim._dither_tables(spec, steps)
+        t, u = sim._dither_tables(spec, steps)
+        u1, u2 = u[:, :spec.n], u[:, spec.n:]
         dt = spec.resolved_dt
         for k in (0, 1, steps // 2, steps - 1):
             for row, tk in ((2 * k, t[k]), (2 * k + 1, t[k] + 0.5 * dt),
@@ -499,6 +500,45 @@ class TestDitherTables:
                 d = dithers["u2"]
                 assert u2[row, 0] == math.cos(
                     (sim.TAU / d.period) * th + d.phase)
+
+    def test_filter_inputs_are_simpson_sums_on_two_grids(self, monkeypatch):
+        """case1 proposed at omega 50 and 200 in one loop: two adaptive rows
+        on two grids, read from one padded stage table.  At every update
+        each member's input integrals are ``(a_k * sqrt(omega)) * (dt/4) *
+        ((u(t_k) + 2 u(t_k + dt/2)) + u(t_{k+1}))`` of its own dithers,
+        evaluated by :mod:`math` point by point, bit for bit."""
+        from lieseek.gekf import measurement_coefficients
+        inputs = []
+
+        def recording(spec, f1, u_int, a, a_floor):
+            inputs.append(u_int.copy())
+            return measurement_coefficients(spec, f1, u_int, a, a_floor)
+
+        monkeypatch.setattr("lieseek.gekf.measurement_coefficients", recording)
+        scs = [shortened("case1", 0.5, omega=w) for w in (50.0, 200.0)]
+        specs = [sc.primary_system for sc in scs]
+        logs = sim.run_batch(specs, [sc.gekf_config() for sc in scs], [0, 0])
+        steps = [sim._steps(spec) for spec in specs]
+        assert steps[0] < steps[1] and len(inputs) == steps[1]
+        for member, (spec, log) in enumerate(zip(specs, logs)):
+            ch, dt = spec.channels[0], spec.resolved_dt
+            dithers = [(spec.dithers[ref], fn) for ref, fn in
+                       ((ch.u1_ref, math.cos), (ch.u2_ref, math.sin))]
+            assert [d.kind for d, _ in dithers] == ["cosine", "sine"]
+
+            def u(t):
+                return [fn((sim.TAU / d.period) * (spec.omega * t) + d.phase)
+                        for d, fn in dithers]
+
+            for k in range(steps[member]):
+                rows = inputs[k]
+                assert len(rows) == (2 if k < steps[0] else 1)
+                tk, tnext = float(log.t[k]), float(log.t[k + 1])
+                weight = (float(log.a[k, 0]) * math.sqrt(spec.omega)) * (dt / 4.0)
+                expected = [[weight * ((start + 2.0 * mid) + end)]
+                            for start, mid, end in zip(u(tk), u(tk + dt / 2),
+                                                       u(tnext))]
+                assert rows[-1 if member else 0].tolist() == expected
 
 
 def _plain_case1(spec, steps: int) -> tuple[list, list]:
@@ -574,7 +614,8 @@ class TestStage:
         loop.a = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=n,
                                              max_size=n)) * loop.x.shape[0]
                           ).reshape(loop.x.shape)
-        t, u1, u2 = sim._dither_tables(spec, steps)
+        t, u = sim._dither_tables(spec, steps)
+        u1, u2 = u[:, :n], u[:, n:]
         xdot = loop._plant(k)
         for i, tk in ((2 * k, t[k]), (2 * k + 1, t[k] + dt / 2),
                       (2 * k + 1, t[k] + dt / 2), (2 * k + 2, t[k] + dt)):
@@ -598,7 +639,7 @@ class TestStage:
         loop = sim._Lockstep(specs, [None] * 3, [0] * 3)
         tables = [sim._dither_tables(spec, sim._steps(spec))
                   for spec in loop.specs]
-        shortest = min(len(t) for t, _, _ in tables) - 1
+        shortest = min(len(t) for t, _ in tables) - 1
         assert loop.x.shape == (6, 1) and loop.dt.shape == (6, 1)
         assert loop.U.shape[0] > 2 * shortest + 1
         k = data.draw(st.integers(0, shortest - 1))
@@ -610,8 +651,9 @@ class TestStage:
             X = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=6,
                                             max_size=6))).reshape(6, 1)
             out = xdot(loop.times[k] + offset * loop.dt, X)
-            for r, (spec, (_, u1, u2)) in enumerate(zip(loop.specs, tables)):
-                expected = _expected_stage(spec, X, loop.a, u1[i], u2[i], loop.s)
+            for r, (spec, (_, u)) in enumerate(zip(loop.specs, tables)):
+                expected = _expected_stage(spec, X, loop.a, u[i, :1], u[i, 1:],
+                                           loop.s)
                 assert np.array_equal(out[r], expected[r])
 
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])

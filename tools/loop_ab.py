@@ -14,6 +14,8 @@ averaged system through ``sim.lbs_batch``:
 * ``omega-sweep``: case1 baseline at omega 50, 100 and 200, horizon 5;
 * ``lambda-sweep``: case2 proposed at lambda 0.05, 0.1, 0.2 and 0.4,
   horizon 6;
+* ``case1-noisy``: eight case1 proposed members, seeds 0 to 7, with
+  measurement noise of standard deviation 0.0173 (``sqrt(r)``), horizon 8;
 * ``lbs``: ``run case1 --mode lbs``.
 
 First each loop runs once per tree, and the two trees' logs must agree
@@ -70,6 +72,7 @@ def loops(mods: dict) -> dict:
               for w in (50.0, 100.0, 200.0)]
     lams = [cli._apply_overrides(case2, lam=lam, horizon=6.0)
             for lam in (0.05, 0.1, 0.2, 0.4)]
+    noisy = cli._apply_overrides(case1, horizon=8.0)
     return {
         "case1-both": lambda: sim.run_batch(
             [both, both], [None, case1.gekf_config()], [0, 0]),
@@ -77,6 +80,9 @@ def loops(mods: dict) -> dict:
         "lambda-sweep": lambda: sim.run_batch(
             [sc.primary_system for sc in lams],
             [sc.gekf_config() for sc in lams], [0] * len(lams)),
+        "case1-noisy": lambda: sim.run_batch(
+            [noisy.primary_system] * 8, [noisy.gekf_config()] * 8,
+            list(range(8)), noise_std=0.0173),
         "lbs": lambda: sim.lbs_batch([both]),
     }
 
