@@ -202,9 +202,9 @@ def _batch_runs(scenarios: list[Scenario], mode: str, seed: int) -> list[dict]:
     if mode == "lbs":
         results = lbs_batch(specs)
     else:
-        results = run_batch(specs, [point_sc.gekf_config(label)
+        results = run_batch(specs, [point_sc.gekf_config()
                                     if m == "proposed" else None
-                                    for _, point_sc, label, m in keys],
+                                    for _, point_sc, _, m in keys],
                             [seed] * len(specs))
     for (point_runs, _, label, m), result in zip(keys, results):
         point_runs[(label, m)] = result

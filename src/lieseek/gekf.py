@@ -28,18 +28,20 @@ The state is stacked in plain arrays, one leading row per member:
 * ``P`` -- ``(B, 2n+1, 2n+1)``, one covariance per member;
 * the smoothing history -- ``(B, 2w, n)`` for a window of w steps.
 
-A single run is a filter of one member.  Members share the system and
-the configuration but may differ in their amplitude floor and step
-size.  The input integrals of an update are one stacked array ``(B, 2,
-n)``: row 0 the integrals of each channel's first dither, row 1 of its
-second.  The filter keeps no clock: the caller names the time of a
-failure (:meth:`GekfFilter.check`).  The stacked ``matmul`` products
-(not ``einsum``, which rounds differently) and the means over the
-window axis give each member the same bits as a filter of that member
-alone.  The step size is one float,
-or a ``(B, 1)`` column when the members step with different sizes; the
-transition is then stacked too, ``(B, 2n+1, 2n+1)``.  An instance is a
-single-owner mutable state machine.
+A single run is a filter of one member.  Members share the system, the
+configuration (:class:`GekfConfig`, the scenario's ``gekf`` section) and
+the number of steps per dither period, which is the smoothing window;
+each member's amplitude floor follows from its own initial amplitudes,
+and the members may differ in step size.  The input integrals of an
+update are one stacked array ``(B, 2, n)``: row 0 the integrals of each
+channel's first dither, row 1 of its second.  The filter keeps no
+clock: the caller names the time of a failure
+(:meth:`GekfFilter.check`).  The stacked ``matmul`` products (not
+``einsum``, which rounds differently) and the means over the window axis
+give each member the same bits as a filter of that member alone.  The
+step size is one float, or a ``(B, 1)`` column when the members step
+with different sizes; the transition is then stacked too, ``(B, 2n+1,
+2n+1)``.  An instance is a single-owner mutable state machine.
 """
 
 from __future__ import annotations
@@ -63,16 +65,18 @@ PAUSE_DECAY_STEPS = 64
 
 @dataclass(frozen=True)
 class GekfConfig:
-    """Noise levels and update policy for one filter instance.
+    """The filter settings that a scenario's ``gekf`` section chooses.
 
     ``q1``/``q2``/``q3`` are per-block process-noise densities, ``r`` the
-    measurement variance, ``p0`` the initial covariance scale.  Channels
-    whose amplitude magnitude falls below ``a_floor`` stop receiving
-    measurement corrections (the measurement coefficient scales like
-    1/a^2 and turns ill-conditioned); their exported estimate decays
-    geometrically instead.  ``smooth_window`` is the moving-average
-    length in samples, normally one dither period; the pause decay is
-    paced by it (``PAUSED_J_DECAY ** PAUSE_DECAY_STEPS`` per window).
+    measurement variance, ``p0`` the initial covariance scale, each finite
+    and positive.  Channels whose amplitude magnitude falls below their
+    member's floor, ``a_floor_rel`` times its smallest initial amplitude,
+    stop receiving measurement corrections (the measurement coefficient
+    scales like 1/a^2 and turns ill-conditioned); their exported estimate
+    decays geometrically instead.  ``smoothing`` averages the export over
+    one dither period of steps; ``n_meas`` is the number of steps per
+    measurement.  What follows from the system, the floors and the
+    window, :class:`GekfFilter` works out from its spec and amplitudes.
     """
 
     q1: float = 1e-2
@@ -80,22 +84,21 @@ class GekfConfig:
     q3: float = 1e-2
     r: float = 1e-2
     p0: float = 10.0
-    a_floor: float = 1e-3
+    a_floor_rel: float = 1e-3
     smoothing: bool = True
-    smooth_window: int = 64
     n_meas: int = 1
 
     def __post_init__(self):
-        for name in ("q1", "q2", "q3", "r", "p0", "a_floor"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("smooth_window", "n_meas"):
+        for name in ("q1", "q2", "q3", "r", "p0", "a_floor_rel"):
             value = getattr(self, name)
-            # a bool is an int, but not a count
-            is_int = isinstance(value, int) and not isinstance(value, bool)
-            if not is_int or value < 1:
-                raise ConfigurationError(f"{name} must be an integer >= 1, "
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, "
                                          f"got {value!r}")
+        # a bool is an int, but not a count
+        if (not isinstance(self.n_meas, int) or isinstance(self.n_meas, bool)
+                or self.n_meas < 1):
+            raise ConfigurationError(f"n_meas must be an integer >= 1, "
+                                     f"got {self.n_meas!r}")
         if not isinstance(self.smoothing, bool):
             raise ConfigurationError(
                 f"smoothing must be true or false, got {self.smoothing!r}")
@@ -139,32 +142,37 @@ class GekfFilter:
     at a fixed rate per smoothing window, instead of following ``x1``.
     """
 
-    def __init__(self, cfg: GekfConfig, spec: EscSystemSpec, f0, a_floor):
+    def __init__(self, cfg: GekfConfig, spec: EscSystemSpec, f0, a0):
         """The filter of the members of one system ``spec``: ``f0`` holds
-        the first measurement of each member, shape ``(B,)``; ``a_floor``
-        is the ``(B, 1)`` column of per-member amplitude floors."""
+        the first measurement of each member, shape ``(B,)``, and ``a0``
+        their initial amplitudes, ``(B, n)``.  Each member's amplitude
+        floor is ``cfg.a_floor_rel`` times its smallest initial amplitude,
+        and the smoothing window is one dither period of ``spec``'s steps.
+        """
         self.cfg = cfg
         self.spec = spec
         self.n = n = spec.n
+        self.window = w = spec.steps_per_period
         f0 = np.asarray(f0, dtype=float)
         lead, dim = f0.shape, 2 * n + 1
-        self._a_floor = np.asarray(a_floor)
+        a0 = np.asarray(a0, dtype=float)
+        self._a_floor = cfg.a_floor_rel * a0.min(axis=-1, keepdims=True)
         self.mean = np.zeros(lead + (dim,))
         self.mean[..., -1] = f0
         self._eye = np.eye(dim)
         self.P = np.broadcast_to(cfg.p0 * self._eye, lead + (dim, dim)).copy()
         self._q = np.diag(np.concatenate([np.full(n, cfg.q1),
                                           np.full(n, cfg.q2), [cfg.q3]]))
-        # Each member's last smooth_window x1 rows, each written twice (at i
-        # and i + window) so that they are always one contiguous slice,
-        # oldest first.  Averaged over the window axis, a member sums its
-        # rows in the order that the mean of its own window-long history
-        # does: pairwise for n = 1, row by row for n >= 2.
-        self._rows = np.empty(lead + (2 * cfg.smooth_window, n))
+        # Each member's last w x1 rows, each written twice (at i and i + w)
+        # so that they are always one contiguous slice, oldest first.
+        # Averaged over the window axis, a member sums its rows in the
+        # order that the mean of its own window-long history does: pairwise
+        # for n = 1, row by row for n >= 2.
+        self._rows = np.empty(lead + (2 * w, n))
         self._count = 0
         self._push_row(self.mean[..., :n])
         self.paused = np.zeros(lead + (n,), dtype=bool)
-        self._decay = PAUSED_J_DECAY ** (PAUSE_DECAY_STEPS / cfg.smooth_window)
+        self._decay = PAUSED_J_DECAY ** (PAUSE_DECAY_STEPS / w)
         self._j = np.zeros(lead + (n,))
         self.last_innovation = np.zeros(lead)
         self._dt = None
@@ -272,21 +280,21 @@ class GekfFilter:
                                     t=t)
 
     def _push_row(self, x1: np.ndarray) -> None:
-        i = self._count % self.cfg.smooth_window
-        self._rows[..., i, :] = self._rows[..., i + self.cfg.smooth_window, :] = x1
+        w = self.window
+        i = self._count % w
+        self._rows[..., i, :] = self._rows[..., i + w, :] = x1
         self._count += 1
 
     def step_export(self) -> np.ndarray:
         """Per-step estimate export with pause decay applied.
 
         With smoothing on, the estimate is the mean of ``x1`` over the
-        last ``smooth_window`` steps (nominally one dither period);
-        otherwise raw ``x1``.
+        last ``window`` steps, one dither period; otherwise raw ``x1``.
         """
         x1 = self.mean[..., :self.n]
         self._push_row(x1)
         if self.cfg.smoothing:
-            w = self.cfg.smooth_window
+            w = self.window
             end, k = (self._count - 1) % w + 1 + w, min(self._count, w)
             # ndarray.mean bit for bit, without its Python wrapper
             smoothed = np.add.reduce(self._rows[..., end - k:end, :],

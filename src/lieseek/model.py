@@ -88,14 +88,22 @@ class DitherSignal:
         pts = np.asarray(self.samples, dtype=float)
         return pts[:, 0], pts[:, 1]
 
-    def value(self, theta):
-        """Evaluate the waveform at scaled time ``theta`` (scalar or array)."""
-        if self.kind == "cosine":
-            return np.cos(TAU * np.asarray(theta) / self.period + self.phase)
-        if self.kind == "sine":
-            return np.sin(TAU * np.asarray(theta) / self.period + self.phase)
-        th, val = self._table
-        return np.interp(np.asarray(theta, dtype=float), th, val, period=self.period)
+    def value(self, theta) -> np.ndarray:
+        """Evaluate the waveform at scaled times ``theta``, an array of any
+        shape (0-d for a scalar).
+
+        Cosine and sine are evaluated point by point with :mod:`math` on
+        ``(TAU/period)*theta + phase``; NumPy's vectorised ``cos``/``sin``
+        may round the last bit differently.
+        """
+        theta = np.asarray(theta, dtype=float)
+        if self.kind == "tabulated":
+            th, val = self._table
+            return np.interp(theta, th, val, period=self.period)
+        fn = math.cos if self.kind == "cosine" else math.sin
+        arg = (TAU / self.period) * theta + self.phase
+        return np.fromiter(map(fn, arg.ravel().tolist()), float,
+                           count=arg.size).reshape(arg.shape)
 
     @staticmethod
     def from_config(cfg: Mapping) -> "DitherSignal":
@@ -168,12 +176,14 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
+@lru_cache(maxsize=256)
 def verify_assumption_a2(d: DitherSignal, points: int = 1024) -> A2Report:
     """Check periodicity, zero mean and boundedness of a dither.
 
     Sampling uses at least ``points`` locations per period; the mean is
     computed with the module's composite-Simpson quadrature.  Report-only:
-    never raises for a failing signal.
+    never raises for a failing signal.  Cached, like
+    :func:`nu_coefficient`: the scenarios of a sweep repeat their dithers.
     """
     points = max(points, 1024)
     theta = np.linspace(0.0, d.period, points, endpoint=False)

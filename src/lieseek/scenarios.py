@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -62,28 +62,9 @@ class AnalysisSettings:
             raise ConfigurationError("analysis t_min and window must be positive")
 
 
-# Filter settings a config may set; ``a_floor_rel`` scales the smallest
-# initial amplitude into the absolute floor, and the smoothing window is
-# one dither period of the system.
-GEKF_KEYS = ("q1", "q2", "q3", "r", "p0", "a_floor_rel", "smoothing", "n_meas")
-
 # What malformed config values raise while a scenario is built.
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, AttributeError,
               ArithmeticError)
-
-
-def _gekf_configs(settings: Mapping, systems: Mapping[str, EscSystemSpec]
-                  ) -> dict[str, GekfConfig]:
-    unknown = sorted(set(settings) - set(GEKF_KEYS))
-    if unknown:
-        raise ConfigurationError(f"unknown gekf settings {unknown}; "
-                                 f"have {list(GEKF_KEYS)}")
-    kw = dict(settings)
-    a_floor_rel = kw.pop("a_floor_rel", 1e-3)
-    return {label: GekfConfig(**kw,
-                              a_floor=a_floor_rel * float(np.min(spec.a0)),
-                              smooth_window=spec.steps_per_period)
-            for label, spec in systems.items()}
 
 
 class Scenario:
@@ -108,7 +89,13 @@ class Scenario:
             if self.primary not in self.systems:
                 raise ConfigurationError(
                     f"primary system {self.primary!r} unknown")
-            self._gekf = _gekf_configs(cfg.get("gekf", {}), self.systems)
+            gekf = cfg.get("gekf", {})
+            known = [f.name for f in fields(GekfConfig)]
+            unknown = sorted(set(gekf) - set(known))
+            if unknown:
+                raise ConfigurationError(f"unknown gekf settings {unknown}; "
+                                         f"have {known}")
+            self._gekf = GekfConfig(**gekf)
             self.analysis = AnalysisSettings(**cfg.get("analysis", {}))
             self.metadata: dict = cfg.get("metadata", {})
             self._b2 = self._parse_b2(cfg.get("b2"))
@@ -142,8 +129,11 @@ class Scenario:
     def primary_system(self) -> EscSystemSpec:
         return self.systems[self.primary]
 
-    def gekf_config(self, label: Optional[str] = None) -> GekfConfig:
-        return self._gekf[label or self.primary]
+    def gekf_config(self) -> GekfConfig:
+        """The filter settings of every system; each filter derives its
+        members' amplitude floors and its smoothing window from its own
+        system (:class:`lieseek.gekf.GekfFilter`)."""
+        return self._gekf
 
     def b2_setup(self) -> Optional[
             tuple[ObjectiveMap, tuple[B2Element, ...], Optional[dict]]]:

@@ -17,10 +17,11 @@ runs and averaged reference trajectories, each kind a slice of the rows.
 A single run is a loop of its seeking row and its reference row.
 :func:`run_batch` alone decides which members share a loop: those of one
 system (:func:`_system`: coefficient forms, dithers, and the objective's
-kind and whether it has a domain box) and one filter configuration but
-for the amplitude floor, which may differ in the objective's parameters
-(stacked per row by :class:`_Objectives`), lambda, a0, x0, omega, dt,
-horizon and seed.  The first loop of a system also steps its
+kind and whether it has a domain box), one filter configuration and, for
+the filtered members, one number of steps per dither period (the
+filter's smoothing window); they may differ in the objective's
+parameters (stacked per row by :class:`_Objectives`), lambda, a0, x0,
+omega, dt, horizon and seed.  The first loop of a system also steps its
 constant-amplitude members and, as rows, its members' references, one
 per distinct (objective, a0, x0, dt, horizon); ``run --mode both`` and
 every sweep of the CLI are one loop.  Member k of a batch equals its own
@@ -59,7 +60,6 @@ import copy
 import math
 import os
 import tempfile
-from dataclasses import replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,28 +68,13 @@ from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      InputError, IntegrationError, LieseekError)
 from .gekf import GekfConfig, GekfFilter
 from .lie import bracket_weight, lbs_rhs_exact
-from .model import (TAU, DitherSignal, EscSystemSpec, EstimationErrorModel,
-                    ObjectiveMap, _form_terms)
+from .model import EscSystemSpec, EstimationErrorModel, ObjectiveMap, _form_terms
 
 CSV_NAN = ""
 
 # The loop's checks turn every non-finite value into an error of its row,
 # so NumPy's floating-point warnings stay off while it steps.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
-
-
-def _dither_values(d: DitherSignal, theta: np.ndarray) -> np.ndarray:
-    """Dither values at the scaled times ``theta``.
-
-    Cosine and sine are evaluated point by point with :mod:`math` on
-    ``(TAU/period)*theta + phase``; NumPy's vectorised ``cos``/``sin``
-    may round the last bit differently.
-    """
-    if d.kind in ("cosine", "sine"):
-        fn = math.cos if d.kind == "cosine" else math.sin
-        arg = (TAU / d.period) * theta + d.phase
-        return np.fromiter(map(fn, arg), float, count=arg.shape[0])
-    return np.asarray(d.value(theta), dtype=float)
 
 
 def _steps(spec: EscSystemSpec) -> int:
@@ -122,7 +107,7 @@ def _dither_tables(spec: EscSystemSpec, steps: int
     half[0::2] = t
     half[1::2] = t[:-1] + 0.5 * dt
     theta = spec.omega * half
-    values = {ref: _dither_values(d, theta) for ref, d in spec.dithers.items()}
+    values = {ref: d.value(theta) for ref, d in spec.dithers.items()}
     return t, np.column_stack([values[ch.u1_ref] for ch in spec.channels]
                               + [values[ch.u2_ref] for ch in spec.channels])
 
@@ -439,13 +424,15 @@ class _Lockstep:
     kind and box or none: those of the first spec (:func:`run_batch`
     groups them).  They differ in the objective's parameters, which ``obj``
     (:class:`_Objectives`) stacks per row, and in lambda, a0, x0, omega,
-    dt, horizon, seed and the filter's amplitude floor.  Every array
-    operation of a step acts on each row alone, so each row gets the bits
-    of a loop of that row alone.  Step k of the loop is step k of every
-    row, each on its own time grid (:class:`_Grid`): when the rows' step
-    sizes differ, ``dt`` and the step start are ``(B, 1)`` columns, and a
-    shared step size stays a float; the plant's tables are stacked over all
-    rows.  A row leaves the loop after its last step.
+    dt, horizon and seed; the filter takes its smoothing window from the
+    first adaptive row, so the adaptive rows share their steps per dither
+    period.  Every array operation of a step acts on each row alone, so
+    each row gets the bits of a loop of that row alone.  Step k of the
+    loop is step k of every row, each on its own time grid
+    (:class:`_Grid`): when the rows' step sizes differ, ``dt`` and the
+    step start are ``(B, 1)`` columns, and a shared step size stays a
+    float; the plant's tables are stacked over all rows.  A row leaves
+    the loop after its last step.
 
     The plant's stage (:meth:`_stage`) is one product over all rows, from
     one evaluation of the measured objective and the coefficient forms.
@@ -518,40 +505,41 @@ class _Lockstep:
         self.steps = max(g.steps for g in self.grid_of)
         self.ends = {g.steps for g in self.grid_of} - {self.steps}
 
-        # per-row state; row i of the arrays is row members[i] of the loop
-        self.members = np.arange(size)
-        self.decay = np.stack([_rk4_decay(-s.lam * s.resolved_dt)
-                               if r < self.m0 else np.ones(n)
-                               for r, s in enumerate(self.specs)])
-        self.x = np.stack([s.x0 for s in self.specs])
-        self.a = np.stack([s.a0 for s in self.specs])
-        self.j_sig = np.zeros(self.x.shape)
-        self.filt = self.u_int = self.noise = None
-        self._regrid()
-        total = self.steps + 1
-        self.x_log, self.a_log, self.jest_log = (
-            np.empty((total, rows, n)) for rows in (size, self.m0, self.m0))
-        if self.use_filter:
-            with np.errstate(**_QUIET):
+        # the set-up's overflows, like the steps', are errors of their rows
+        with np.errstate(**_QUIET):
+            # per-row state; row i of the arrays is row members[i] of the loop
+            self.members = np.arange(size)
+            self.decay = np.stack([_rk4_decay(-s.lam * s.resolved_dt)
+                                   if r < self.m0 else np.ones(n)
+                                   for r, s in enumerate(self.specs)])
+            self.x = np.stack([s.x0 for s in self.specs])
+            self.a = np.stack([s.a0 for s in self.specs])
+            self.j_sig = np.zeros(self.x.shape)
+            self.filt = self.u_int = self.noise = None
+            self._regrid()
+            total = self.steps + 1
+            self.x_log, self.a_log, self.jest_log = (
+                np.empty((total, rows, n)) for rows in (size, self.m0, self.m0))
+            if self.use_filter:
                 f0 = self.obj.measured(self.x)[:self.m0]
-            if self.rngs:
-                f0 = f0 + self._noise()
-            self.filt = GekfFilter(adaptive[0], spec, f0,
-                                   [[g.a_floor] for g in adaptive])
-            # the filter inputs after a measurement; never written
-            self.zero = np.zeros((self.m0, 2, n))
-            self.zero.flags.writeable = False
-            self.u_int = self.zero
-            dim = 2 * n + 1
-            self.mean_log = np.empty((total, self.m0, dim))
-            self.innovation_log = np.empty((total, self.m0))
-            self.P_log = np.empty((total, self.m0, dim, dim))
-        elif adaptive:
-            self.j_sig[:self.m0] = self._override(0.0)
-        if self.errors:
-            self._keep([r for r in range(size) if r not in self.errors])
-        if self.members.size:
-            self._log(0)
+                if self.rngs:
+                    f0 = f0 + self._noise()
+                self.filt = GekfFilter(adaptive[0], self.specs[0], f0,
+                                       self.a[:self.m0])
+                # the filter inputs after a measurement; never written
+                self.zero = np.zeros((self.m0, 2, n))
+                self.zero.flags.writeable = False
+                self.u_int = self.zero
+                dim = 2 * n + 1
+                self.mean_log = np.empty((total, self.m0, dim))
+                self.innovation_log = np.empty((total, self.m0))
+                self.P_log = np.empty((total, self.m0, dim, dim))
+            elif adaptive:
+                self.j_sig[:self.m0] = self._override(0.0)
+            if self.errors:
+                self._keep([r for r in range(size) if r not in self.errors])
+            if self.members.size:
+                self._log(0)
 
     def _regrid(self) -> None:
         """Set the row counts of the kinds and, for the current rows, the
@@ -841,10 +829,11 @@ def run_batch(specs: Sequence[EscSystemSpec],
     system (:func:`_system`: coefficient forms, dithers, and the
     objective's kind and whether it has a domain box), so members that
     differ only in the objective's parameters share a loop.  A system's
-    members run as one :class:`_Lockstep` per filter configuration but for
-    its amplitude floor (which scales with a0): the first also steps the
-    constant-amplitude members and, as rows, the references of all the
-    system's members, which the others read.  Returns, per member, the log
+    filtered members run as one :class:`_Lockstep` per filter
+    configuration and number of steps per dither period (the filter's
+    smoothing window): the first also steps the constant-amplitude
+    members and, as rows, the references of all the system's members,
+    which the others read.  Returns, per member, the log
     or the :class:`LieseekError` that its own run raises; member k equals
     its own run bit for bit.
     """
@@ -860,11 +849,11 @@ def run_batch(specs: Sequence[EscSystemSpec],
 def _system_runs(members: list, noise_std: float) -> list:
     """The runs of ``members`` (spec, filter configuration or None, seed)
     of one system, by :func:`run_batch`'s loops."""
-    configs = [None if g is None else replace(g, a_floor=1.0)
-               for _, g, _ in members]
-    first = next((c for c in configs if c is not None), None)
+    keys = [None if g is None else (g, spec.steps_per_period)
+            for spec, g, _ in members]
+    first = next((key for key in keys if key is not None), None)
     specs, refs = [spec for spec, _, _ in members], {}
-    return _by_group([first if c is None else c for c in configs], members,
+    return _by_group([first if key is None else key for key in keys], members,
                      lambda group: _Lockstep(
                          *zip(*group), noise_std, refs=refs,
                          averaged=() if refs else specs).run())

@@ -23,6 +23,22 @@ def shortened(name: str, horizon: float, label: str | None = None,
     return Scenario(cfg)
 
 
+def counting_loops(monkeypatch) -> list:
+    """Record each lockstep loop by its numbers of adaptive,
+    constant-amplitude and averaged rows."""
+    import lieseek.sim as sim
+    loops = []
+    lockstep = sim._Lockstep
+
+    def counting(*args, **kwargs):
+        loop = lockstep(*args, **kwargs)
+        loops.append((loop.m0, loop.s0 - loop.m0, len(loop.specs) - loop.s0))
+        return loop
+
+    monkeypatch.setattr(sim, "_Lockstep", counting)
+    return loops
+
+
 @pytest.fixture(scope="session")
 def case1() -> Scenario:
     return preset("case1")

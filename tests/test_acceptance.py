@@ -50,7 +50,7 @@ def case3_run():
     sc = preset("case3")
     spec = sc.systems["vehicle3"]
     return {"sc": sc, "spec": spec,
-            "proposed": run_proposed(spec, sc.gekf_config("vehicle3"))}
+            "proposed": run_proposed(spec, sc.gekf_config())}
 
 
 def test_c01_case1_reproduction(case1_runs):

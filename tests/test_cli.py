@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import shortened
+from conftest import counting_loops as _counting_loops, shortened
 from lieseek.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          execute_run, main)
 from lieseek.scenarios import save_scenario
@@ -236,6 +236,13 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("gekf", "n_meas"), True), []),
     (_short_case1_with(("gekf", "smoothing"), "no"), []),
     (None, ["case1", "--mode", "baseline", "--horizon", "1e17"]),
+    (_short_case1_with(("gekf", "q1"), float("nan")), ["--mode", "both"]),
+    (_short_case1_with(("gekf", "r"), float("inf")), ["--mode", "both"]),
+    (_short_case1_with(("gekf", "p0"), float("inf")), ["--mode", "both"]),
+    (_short_case1_with(("gekf", "a_floor_rel"), float("nan")),
+     ["--mode", "both"]),
+    (_short_case1_with(("gekf", "a_floor_rel"), float("inf")),
+     ["--mode", "both"]),
     # finite except for x > 14.4078, the last 0.013% of the box
     (_short_case1_with(("systems", "main", "objective"), {
         "form": "quadratic", "weights": [1e306], "center": [1.0],
@@ -251,6 +258,7 @@ def _short_case1_with(path: tuple, value) -> str:
         "unindexable-step-count", "2-d-weights", "overflowing-weight-gradient",
         "kind-contradicts-weights", "zero-weight", "fractional-n-meas",
         "boolean-n-meas", "string-smoothing", "unallocatable-step-table",
+        "nan-q1", "inf-r", "inf-p0", "nan-a-floor-rel", "inf-a-floor-rel",
         "overflow-near-one-corner"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
@@ -572,22 +580,6 @@ def test_failing_sweep_leaves_the_same_files_at_any_jobs(tmp_path,
     assert {Path(name).parts[1] for name in trees[0]} == {"lambda_0.1"}
 
 
-def _counting_loops(monkeypatch) -> list:
-    """Record each lockstep loop by its numbers of adaptive,
-    constant-amplitude and averaged rows."""
-    import lieseek.sim as sim
-    loops = []
-    lockstep = sim._Lockstep
-
-    def counting(*args, **kwargs):
-        loop = lockstep(*args, **kwargs)
-        loops.append((loop.m0, loop.s0 - loop.m0, len(loop.specs) - loop.s0))
-        return loop
-
-    monkeypatch.setattr(sim, "_Lockstep", counting)
-    return loops
-
-
 @pytest.mark.parametrize("argv,rows", [
     (["run", "case1", "--mode", "both"], (1, 1, 1)),
     (["run", "case3", "--mode", "both", "--horizon", "1.2"], (3, 3, 3)),
@@ -714,20 +706,33 @@ def test_noise_free_commands_never_load_numpy_random(tmp_path, argv):
     assert proc.stderr.splitlines()[-1] == f"{code} []"
 
 
-@pytest.mark.parametrize("mode", ["lbs", "proposed"])
-def test_a_failing_run_prints_one_line(tmp_path, mode):
-    """Without a domain box, x0 = 1e160 overflows the objective; the run
-    exits 3 with the error's one line, and no NumPy warning before it."""
-    cfg = shortened("case1", 2.0).config
-    system = cfg["systems"]["main"]
+def _boxless_far(system: dict) -> None:
     del system["objective"]["domain_box"]
     system["x0"] = [1e160]
-    path = tmp_path / "boxless.json"
+
+
+@pytest.mark.parametrize("edit,extra,message", [
+    (_boxless_far, ["--mode", "lbs"], "b0 evaluation non-finite"),
+    (_boxless_far, ["--mode", "proposed"], "b0 evaluation non-finite"),
+    (None, ["--mode", "proposed", "--lambda", "1e80"],
+     "non-finite amplitude at t=0.0"),
+    (lambda system: system.update(a0=[1e200]), ["--mode", "both"],
+     "b0 evaluation non-finite"),
+], ids=["lbs", "proposed", "huge-lambda", "huge-a0"])
+def test_a_failing_run_prints_one_line(tmp_path, edit, extra, message):
+    """The run exits 3 with the error's one line, and no NumPy warning
+    before it: without a domain box, x0 = 1e160 overflows the objective
+    in the first step; lambda = 1e80 overflows the amplitude's decay
+    factor, and a0 = 1e200 the averaged rows' bracket weight, while the
+    loop is built."""
+    cfg = shortened("case1", 2.0).config
+    if edit is not None:
+        edit(cfg["systems"]["main"])
+    path = tmp_path / "case1.json"
     path.write_text(json.dumps(cfg))
     proc = subprocess.run([sys.executable, "-m", "lieseek", "run", "--config",
-                           str(path), "--mode", mode, "--out",
-                           str(tmp_path / "out")],
+                           str(path), *extra, "--out", str(tmp_path / "out")],
                           env=_source_env(), capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == EXIT_RUNTIME == 3
-    assert proc.stderr == "error: b0 evaluation non-finite\n"
+    assert proc.stderr == f"error: {message}\n"

@@ -7,7 +7,7 @@ import lieseek.gekf as gekf
 from lieseek.errors import ConfigurationError, FilterDivergenceError
 from lieseek.gekf import GekfConfig, GekfFilter, measurement_coefficients
 from conftest import shortened
-from lieseek.model import (ChannelSpec, CoefficientForm, DitherSignal,
+from lieseek.model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
                            EscSystemSpec, ObjectiveMap)
 from lieseek.scenarios import Scenario
 
@@ -20,15 +20,18 @@ def _channel(index=0):
     return ChannelSpec(index=index, b1=_linear(1.0, 0.0), b2=_linear(0.0, 1.0))
 
 
-def _system(*channels):
-    """A system that only serves its channels' coefficients."""
+def _system(*channels, window=None):
+    """A system that only serves its channels' coefficients, its initial
+    amplitudes (1) and its number of steps per dither period, ``window``
+    (64 by default)."""
     n = len(channels)
     return EscSystemSpec(
         objective=ObjectiveMap(weights=(1.0,) * n, center=(0.0,) * n),
         channels=channels, dithers={"u1": DitherSignal(kind="cosine"),
                                     "u2": DitherSignal(kind="sine")},
         omega=8.0, a0=np.ones(n), lam=np.full(n, 0.1), x0=np.zeros(n),
-        horizon=10.0)
+        horizon=10.0,
+        dt=None if window is None else (TAU / 8.0) / window)
 
 
 def _min_eig(P):
@@ -36,24 +39,25 @@ def _min_eig(P):
 
 
 def _one_member(cfg, spec, f0):
-    """A filter of one member of ``spec``, first measurement ``f0``, at the
-    floor of ``cfg``."""
-    return GekfFilter(cfg, spec, [f0], [[cfg.a_floor]])
+    """A filter of one member of ``spec`` at its initial amplitudes, first
+    measurement ``f0``."""
+    return GekfFilter(cfg, spec, [f0], spec.a0[None])
 
 
-def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, channel=None):
-    """A one-channel filter of one member of ``_system(channel)`` (nu_hat
-    0.5) with the mean ``[x1, x2, x3]`` and covariance ``P`` (identity by
-    default)."""
-    filt = _one_member(cfg, _system(channel or _channel()), x3)
+def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, channel=None, window=None):
+    """A one-channel filter of one member of ``_system(channel, window)``
+    (nu_hat 0.5, a0 1, so its floor is ``cfg.a_floor_rel``) with the mean
+    ``[x1, x2, x3]`` and covariance ``P`` (identity by default)."""
+    filt = _one_member(cfg, _system(channel or _channel(), window=window),
+                       x3)
     filt.mean = np.array([[x1, x2, x3]], dtype=float)
     filt.P = (np.eye(3) if P is None else np.array(P, dtype=float))[None]
     return filt
 
 
-def _export(cfg, x1, history):
+def _export(cfg, x1, history, window=None):
     """The member's export after pushing the rows of ``history``."""
-    filt = _filter(cfg, x1)
+    filt = _filter(cfg, x1, window=window)
     for row in history:
         filt._push_row(row)
     return filt.step_export()[0]
@@ -149,13 +153,12 @@ class TestExtractJ:
         assert out[0] == 1.5
 
     def test_constant_history_average(self):
-        cfg = GekfConfig(smooth_window=16)
         hist = [np.array([3.0])] * 40
-        assert _export(cfg, 3.0, hist)[0] == pytest.approx(3.0)
+        assert _export(GekfConfig(), 3.0, hist, window=32)[0] == pytest.approx(3.0)
 
     def test_sinusoid_over_one_period_averages_out(self):
         n = 64
-        cfg = GekfConfig(smooth_window=n)
+        cfg = GekfConfig()
         hist = [np.array([math.sin(2 * math.pi * k / n)]) for k in range(n)]
         assert abs(_export(cfg, 0.0, hist)[0]) < 1e-6
 
@@ -165,8 +168,8 @@ class TestExtractJ:
         included, to the last bit."""
         from collections import deque
         window = 64
-        cfg = GekfConfig(smooth_window=window)
-        filt = _one_member(cfg, _system(*map(_channel, range(n))), 0.0)
+        filt = _one_member(GekfConfig(), _system(*map(_channel, range(n))), 0.0)
+        assert filt.window == window
         history = deque([filt.mean[0, :n].copy()], maxlen=window)
         rng = np.random.default_rng(n)
         for _ in range(1000):
@@ -180,8 +183,8 @@ class TestExtractJ:
 class TestPauseBehaviour:
     def test_estimate_decays_at_extremum_with_zero_inputs(self):
         """Pinned state, zero amplitude: export decays toward zero."""
-        cfg = GekfConfig(a_floor=1e-3, smooth_window=8)
-        filt = _filter(cfg, 1.0, 0.0, 5.0)
+        cfg = GekfConfig(a_floor_rel=1e-3)
+        filt = _filter(cfg, 1.0, 0.0, 5.0, window=32)
         filt._j = np.array([[1.0]])
         js = []
         for _ in range(500):
@@ -231,7 +234,7 @@ class TestFilterUpdate:
         x1, _, x3 = filt.mean[0]
         u_int, a = self.ARGS
         c = measurement_coefficients(_system(_channel()), np.array([x3]),
-                                     u_int, a, filt.cfg.a_floor)
+                                     u_int, a, filt.cfg.a_floor_rel)
         filt.update(2.7, u_int, a)
         assert filt.last_innovation[0] == pytest.approx(
             2.7 - (x3 + c[0, 0] * x1), abs=1e-12)
@@ -254,17 +257,17 @@ class TestFilterUpdate:
         rng = np.random.default_rng(8)
         for name in ("case2", "case3"):
             spec = shortened(name, 1.0).primary_system
-            cfg = GekfConfig(a_floor=0.05)
+            a_floor = 0.05
             for _ in range(200):
                 f1 = float(rng.uniform(-3.0, 3.0))
                 u1, u2 = rng.normal(size=(2, spec.n)) * 0.01
                 a = rng.uniform(0.0, 1.5, size=spec.n)
                 c = measurement_coefficients(spec, f1, np.stack([u1, u2]), a,
-                                             cfg.a_floor)
+                                             a_floor)
                 b1, b2, b0 = spec.coefficients(f1)
                 for i in range(spec.n):
                     expected = 0.0
-                    if abs(a[i]) >= cfg.a_floor:
+                    if abs(a[i]) >= a_floor:
                         num = b1[i] * u1[i] + b2[i] * u2[i]
                         expected = -num / (spec.nu_hats[i] * a[i] ** 2 * b0[i])
                     assert c[i].tobytes() == np.float64(expected).tobytes()
@@ -272,6 +275,31 @@ class TestFilterUpdate:
     def test_ineligible_channel_gets_zero_weight(self):
         spec = _system(_channel(), _channel(1))
         a = np.array([1.0, 0.0])   # channel 1 sits below the amplitude floor
-        c = measurement_coefficients(spec, 2.0, np.ones((2, 2)), a,
-                                     GekfConfig().a_floor)
+        c = measurement_coefficients(spec, 2.0, np.ones((2, 2)), a, 1e-3)
         assert c[1] == 0.0 and c[0] != 0.0
+
+
+class TestDerivedSettings:
+    """What follows from the system: each member's floor and the window."""
+
+    def test_each_member_floor_is_rel_times_its_smallest_a0(self):
+        spec = _system(_channel(), _channel(1))
+        a0 = np.array([[1.0, 0.5], [2.0, 4.0]])
+        cfg = GekfConfig(a_floor_rel=1e-3)
+        filt = GekfFilter(cfg, spec, [0.0, 0.0], a0)
+        # floors 5e-4 and 2e-3: 6e-4 sits above the first, below the second
+        filt.update(np.zeros(2), np.zeros((2, 2, 2)),
+                    np.array([[6e-4, 1.0], [6e-4, 1.0]]))
+        assert filt.paused.tolist() == [[False, False], [True, False]]
+        assert filt._a_floor.tobytes() == np.array(
+            [[1e-3 * 0.5], [1e-3 * 2.0]]).tobytes()
+
+    @pytest.mark.parametrize("window", [32, 64, 100])
+    def test_window_is_the_systems_steps_per_period(self, window):
+        spec = _system(_channel(), window=window)
+        filt = _one_member(GekfConfig(), spec, 0.0)
+        assert filt.window == spec.steps_per_period == window
+        filt.paused[:] = True
+        filt._j = np.array([[1.0]])
+        assert filt.step_export()[0, 0] == gekf.PAUSED_J_DECAY ** (
+            gekf.PAUSE_DECAY_STEPS / window)

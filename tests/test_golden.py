@@ -8,15 +8,19 @@ checked once more as two rows of one ``run_batch`` loop.  Case1 and
 case2 also have a seeded noisy proposed run (mode ``proposed-noisy``),
 its measurement noise at ``sqrt(r)`` of the presets' filter.
 
-Re-record only when a change is meant to move the numbers::
+Re-record a record only when a change is meant to move its numbers, by
+its key (``system/mode``, such as ``case1/proposed``); a key that the
+file lacks is added at its end, and every other record keeps its line
+byte for byte::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py KEY...
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +43,9 @@ NOISE_SEED, NOISE_STD = 3, 0.0173
 COLUMNS = {"x": "x", "a": "a", "Jest": "j_est", "Jexact": "j_exact",
            "zref": "z_ref"}
 RTOL = 1e-10
+# every record's key, system/mode
+KEYS = ([f"{system}/{mode}" for system in SYSTEMS for mode in MODES]
+        + [f"{system}/proposed-noisy" for system in NOISY])
 
 
 def _run(system: str, mode: str) -> TrajectoryLog:
@@ -71,15 +78,44 @@ def _as_array(cells) -> np.ndarray:
                      for row in cells], dtype=float)
 
 
-def record() -> None:
-    cases = [(system, mode) for system in SYSTEMS for mode in MODES]
-    cases += [(system, "proposed-noisy") for system in NOISY]
-    golden = {f"{system}/{mode}": _checkpoints(_run(system, mode))
-              for system, mode in cases}
-    cases = [f" {json.dumps(key)}: {json.dumps(val)}"
-             for key, val in golden.items()]
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        fh.write("{\n" + ",\n".join(cases) + "\n}\n")
+def _lines(path: str) -> dict:
+    """The golden file's record lines by key: one record per line between
+    ``{`` and ``}``, without the separating comma."""
+    with open(path, encoding="utf-8") as fh:
+        body = fh.read().split("\n")[1:-2]
+    lines = {}
+    for line in body:
+        line = line.removesuffix(",")
+        lines[next(iter(json.loads("{" + line + "}")))] = line
+    return lines
+
+
+def _write(path: str, lines: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{\n" + ",\n".join(lines.values()) + "\n}\n")
+
+
+def record(keys, path: str = GOLDEN) -> None:
+    """Re-record the records ``keys`` of the golden file at ``path``, or
+    add those it lacks at its end; every other line is written as it was."""
+    lines = _lines(path)
+    for key in keys:
+        record = _checkpoints(_run(*key.split("/")))
+        lines[key] = f" {json.dumps(key)}: {json.dumps(record)}"
+    _write(path, lines)
+
+
+def main(argv) -> int:
+    """Re-record the records named in ``argv``; without a name, or with
+    an unknown one, print the usage and write nothing."""
+    unknown = [key for key in argv if key not in KEYS]
+    if not argv or unknown:
+        print("usage: PYTHONPATH=src python tests/test_golden.py KEY...\n"
+              + (f"unknown keys {unknown}; " if unknown else "")
+              + f"keys: {' '.join(KEYS)}", file=sys.stderr)
+        return 2
+    record(argv)
+    return 0
 
 
 @pytest.fixture(scope="module")
@@ -125,5 +161,36 @@ def test_mixed_loop_matches_golden(golden, system):
         _assert_matches(golden[f"{system}/{mode}"], log)
 
 
+def test_record_rewrites_only_the_named_records(tmp_path):
+    """Read and written back, the golden file keeps its bytes; a named
+    record is recorded again in its place, or added at the end when the
+    file lacks it, and every other line stays as it was."""
+    path = str(tmp_path / "golden.json")
+    lines = _lines(GOLDEN)
+    _write(path, lines)
+    with open(path, "rb") as new, open(GOLDEN, "rb") as old:
+        assert new.read() == old.read()
+    again, dropped = "case1-omega50/lbs", "case1-omega200/lbs"
+    del lines[dropped]
+    _write(path, lines)
+    record([again, dropped], path)
+    after = _lines(path)
+    assert list(after) == list(lines) + [dropped]
+    assert all(after[key] == line for key, line in lines.items()
+               if key != again)
+    with open(path, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    for key in (again, dropped):
+        _assert_matches(recorded[key], _run(*key.split("/")))
+
+
+@pytest.mark.parametrize("argv", [[], ["case9/lbs"]], ids=["none", "unknown"])
+def test_record_without_known_keys_writes_nothing(capsys, argv):
+    before = os.stat(GOLDEN).st_mtime_ns
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: ")
+    assert os.stat(GOLDEN).st_mtime_ns == before
+
+
 if __name__ == "__main__":
-    record()
+    sys.exit(main(sys.argv[1:]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieseek.errors import LieseekError, UnknownPresetError
+from lieseek.gekf import GekfFilter
 from lieseek.model import verify_assumption_a2
 from lieseek.scenarios import (Scenario, load_scenario, preset, preset_names,
                                save_scenario)
@@ -123,17 +125,21 @@ class TestScenarioInvariants:
 
 
 class TestGekfResolution:
+    def test_config_is_the_gekf_section(self, case1):
+        assert dataclasses.asdict(case1.gekf_config()) == case1.config["gekf"]
+
     def test_window_matches_dither_period(self, case1):
         spec = case1.primary_system
-        cfg = case1.gekf_config()
-        assert cfg.smooth_window == spec.steps_per_period
-        assert cfg.a_floor == pytest.approx(1e-3 * float(spec.a0.min()))
+        filt = GekfFilter(case1.gekf_config(), spec, [0.0], spec.a0[None])
+        assert filt.window == spec.steps_per_period
+        assert filt._a_floor[0, 0] == pytest.approx(1e-3 * float(spec.a0.min()))
 
     def test_per_system_resolution(self, case3):
-        c1 = case3.gekf_config("vehicle1")
-        c3 = case3.gekf_config("vehicle3")
-        assert c1.smooth_window == case3.systems["vehicle1"].steps_per_period
-        assert c3.smooth_window == case3.systems["vehicle3"].steps_per_period
+        cfg = case3.gekf_config()
+        for label in ("vehicle1", "vehicle3"):
+            spec = case3.systems[label]
+            filt = GekfFilter(cfg, spec, [0.0], spec.a0[None])
+            assert filt.window == spec.steps_per_period
 
 
 def _leaf_paths(node, path=()):
@@ -172,8 +178,7 @@ class TestConfigFuzz:
             node[path[-1]] = data.draw(LEAF_VALUES)
         try:
             sc = Scenario(cfg)
-            for label in sc.systems:
-                sc.gekf_config(label)
+            sc.gekf_config()
             sc.x_star()
             sc.b2_setup()
         except LieseekError:

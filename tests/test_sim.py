@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shortened
+from conftest import counting_loops, shortened
 import lieseek.sim as sim
 from lieseek.cli import execute_run
 from lieseek.errors import (DivergenceError, EvaluationError, InputError,
                             IntegrationError, LieseekError)
-from lieseek.model import (DitherSignal, EscSystemSpec, EstimationErrorModel,
+from lieseek.model import (TAU, DitherSignal, EscSystemSpec, EstimationErrorModel,
                            ObjectiveMap)
 from lieseek.scenarios import Scenario, preset
 from lieseek.sim import (TrajectoryLog, rk4_step, run_baseline, run_lbs,
@@ -499,7 +499,7 @@ class TestDitherTables:
                 assert u1[row, 1] == float(dithers["u1"].value(th))
                 d = dithers["u2"]
                 assert u2[row, 0] == math.cos(
-                    (sim.TAU / d.period) * th + d.phase)
+                    (TAU / d.period) * th + d.phase)
 
     def test_filter_inputs_are_simpson_sums_on_two_grids(self, monkeypatch):
         """case1 proposed at omega 50 and 200 in one loop: two adaptive rows
@@ -527,7 +527,7 @@ class TestDitherTables:
             assert [d.kind for d, _ in dithers] == ["cosine", "sine"]
 
             def u(t):
-                return [fn((sim.TAU / d.period) * (spec.omega * t) + d.phase)
+                return [fn((TAU / d.period) * (spec.omega * t) + d.phase)
                         for d, fn in dithers]
 
             for k in range(steps[member]):
@@ -903,7 +903,8 @@ class TestLockstepBatch:
             {"a0": [1.0], "x0": [0.5]}, {"x0": [2.0], "lambda": [0.3]})]
         specs = [spec for spec, _ in members]
         gcfgs = [gcfg for _, gcfg in members]
-        assert gcfgs[0].a_floor != gcfgs[1].a_floor
+        # one configuration, and floors that differ with a0
+        assert gcfgs[0] == gcfgs[1] and specs[0].a0[0] != specs[1].a0[0]
         averaged = []
         lockstep = sim._Lockstep
 
@@ -921,6 +922,35 @@ class TestLockstepBatch:
                                                noise_std=0.01))
         for spec, log in zip(specs, sim.run_batch(specs)):
             _assert_same_run(log, run_baseline(spec))
+
+    def test_members_differing_only_in_a0_share_one_loop(self, monkeypatch):
+        """The members share one filter configuration; each filter row
+        derives its floor, half of its own a0, so the members that start
+        at a0 = 1, 0.5 and 0.8 are one loop (with three references) and
+        each equals its own run.  A floor of another member's a0 would
+        pause the member at a0 = 0.5 from its first step."""
+        loops = counting_loops(monkeypatch)
+        members = [_member("case1", 2.0, {"a_floor_rel": 0.5}, a0=[a0])
+                   for a0 in (1.0, 0.5, 0.8)]
+        batch = sim.run_batch([spec for spec, _ in members],
+                              [gcfg for _, gcfg in members])
+        assert loops == [(3, 0, 3)]
+        for (spec, gcfg), log in zip(members, batch):
+            _assert_same_run(log, run_proposed(spec, gcfg))
+
+    def test_the_filter_window_is_that_of_an_adaptive_row(self, monkeypatch):
+        """At dt = 0.001 a dither period is 63 steps at omega 100 and 126
+        at omega 50.  The baseline member at omega 100 comes first, so its
+        spec is the loop's first; the proposed member's filter smooths
+        over its own 126 steps, and the member equals its own run."""
+        loops = counting_loops(monkeypatch)
+        base, _ = _member("case1", 2.0, omega=100.0, dt=0.001)
+        spec, gcfg = _member("case1", 2.0, omega=50.0, dt=0.001)
+        assert (base.steps_per_period, spec.steps_per_period) == (63, 126)
+        batch = sim.run_batch([base, spec], [None, gcfg])
+        assert loops == [(1, 1, 1)]
+        _assert_same_run(batch[0], run_baseline(base))
+        _assert_same_run(batch[1], run_proposed(spec, gcfg))
 
     def test_a_member_leaving_the_box_stops_alone(self):
         # x0 = 60 lies inside the 10x box (|x0 - 1| < 60) and so does its
