@@ -1,31 +1,39 @@
 """Continuous-discrete extended Kalman filter that reconstructs the
 averaged right-hand side of a seeking system from objective measurements.
 
-State layout (2n+1 entries for an n-channel system):
+State layout (2n entries for an n-channel system):
 
 * ``x1`` -- the averaged right-hand side per channel (the quantity the
   adaptation law consumes),
-* ``x2`` -- its assumed-constant derivative,
-* ``x3`` -- the held objective value from the previous measurement.
+* ``x2`` -- its assumed-constant derivative.
+
+Beside the state the filter holds ``x3``, the objective sample of the
+previous measurement, and ``p33``, its variance.
 
 Between measurements the mean follows the constant-velocity model
-``x1 += x2*dt`` with ``x2`` and ``x3`` frozen; covariance follows the
-matching exact discrete transition.  The measurement model is the
-first-order iterated-integral increment of the objective: knowing the
-channel coefficients and the input integrals over the window, a new
-objective sample is the held sample ``x3`` plus a term linear in ``x1``
-once the gradient factor is rewritten through ``x1 = -nu * a^2 * grad_i
-* b0_i``.  That inversion makes the update exactly linear, so no
-measurement Jacobian approximation is involved.  The coefficients are
-anchored at ``x3`` itself, the measured value at the start of the
-window, so the filter needs no copy of it.
+``x1 += x2*dt`` with ``x2`` frozen; covariance follows the matching exact
+discrete transition, and ``p33`` grows by ``q3*dt``.  The measurement
+model is the first-order iterated-integral increment of the objective:
+knowing the channel coefficients and the input integrals over the
+window, a new objective sample is the held sample ``x3`` plus a term
+linear in ``x1`` once the gradient factor is rewritten through ``x1 =
+-nu * a^2 * grad_i * b0_i``.  That inversion makes the update exactly
+linear, so no measurement Jacobian approximation is involved.  The held
+sample never correlates with ``x1`` or ``x2``, so the update is that of
+the state against ``f2 - x3`` with measurement variance ``p33 + r``;
+afterwards ``x3`` is the new sample and ``p33`` its variance ``r``.  The
+coefficients are anchored at ``x3`` itself, the measured value at the
+start of the window, so the caller keeps no copy of it.
 
 :class:`GekfFilter` is the filter: it owns the state, the smoothing
 history and the pause bookkeeping of B members that step in lockstep.
-The state is stacked in plain arrays, one leading row per member:
+The state and the held sample are stacked in plain arrays, one leading
+row per member:
 
-* ``mean`` -- ``(B, 2n+1)``, each row ``[x1 | x2 | x3]``;
-* ``P`` -- ``(B, 2n+1, 2n+1)``, one covariance per member;
+* ``mean`` -- ``(B, 2n)``, each row ``[x1 | x2]``;
+* ``P`` -- ``(B, 2n, 2n)``, one covariance per member;
+* ``x3`` and ``p33`` -- ``(B,)``, each member's held sample and its
+  variance;
 * the smoothing history -- ``(B, 2w, n)`` for a window of w steps.
 
 A single run is a filter of one member.  Members share the system, the
@@ -40,8 +48,8 @@ clock: the caller names the time of a failure
 ``einsum``, which rounds differently) and the means over the window axis
 give each member the same bits as a filter of that member alone.  The
 step size is one float, or a ``(B, 1)`` column when the members step
-with different sizes; the transition is then stacked too, ``(B, 2n+1,
-2n+1)``.  An instance is a single-owner mutable state machine.
+with different sizes; the transition is then stacked too, ``(B, 2n,
+2n)``.  An instance is a single-owner mutable state machine.
 """
 
 from __future__ import annotations
@@ -67,10 +75,11 @@ PAUSE_DECAY_STEPS = 64
 class GekfConfig:
     """The filter settings that a scenario's ``gekf`` section chooses.
 
-    ``q1``/``q2``/``q3`` are per-block process-noise densities, ``r`` the
-    measurement variance, ``p0`` the initial covariance scale, each finite
-    and positive.  Channels whose amplitude magnitude falls below their
-    member's floor, ``a_floor_rel`` times its smallest initial amplitude,
+    ``q1``/``q2`` are the process-noise densities of ``x1`` and ``x2``,
+    ``q3`` the rate at which the held sample's variance grows between
+    measurements, ``r`` the measurement variance, ``p0`` the initial
+    covariance scale, each finite and positive.  Channels whose amplitude
+    magnitude falls below their member's floor, ``a_floor_rel`` times its smallest initial amplitude,
     stop receiving measurement corrections (the measurement coefficient
     scales like 1/a^2 and turns ill-conditioned); their exported estimate
     decays geometrically instead.  ``smoothing`` averages the export over
@@ -132,12 +141,13 @@ class GekfFilter:
     """The filter of B members: stacked state, smoothing history and
     per-channel pause.
 
-    ``mean`` is ``(B, 2n+1)`` and ``P`` is ``(B, 2n+1, 2n+1)``.  Each
-    member starts unbiased (zero RHS estimate, its first measurement as
-    held value).  :meth:`propagate` and :meth:`update` replace ``mean``
-    and ``P`` with new arrays and check nothing; :meth:`check` is the
-    finiteness check, once per step.  :meth:`step_export` returns the
-    per-step estimates, ``(B, n)``.  Once a channel's amplitude falls
+    ``mean`` is ``(B, 2n)`` and ``P`` is ``(B, 2n, 2n)``; ``x3`` and
+    ``p33``, ``(B,)``, are the held sample and its variance.  Each member
+    starts unbiased (zero RHS estimate, its first measurement as held
+    sample, variance ``p0`` throughout).  :meth:`propagate` and
+    :meth:`update` replace these arrays with new ones and check nothing;
+    :meth:`check` is the finiteness check, once per step.
+    :meth:`step_export` returns the per-step estimates, ``(B, n)``.  Once a channel's amplitude falls
     under its member's floor, its exported estimate decays geometrically,
     at a fixed rate per smoothing window, instead of following ``x1``.
     """
@@ -153,16 +163,16 @@ class GekfFilter:
         self.spec = spec
         self.n = n = spec.n
         self.window = w = spec.steps_per_period
-        f0 = np.asarray(f0, dtype=float)
-        lead, dim = f0.shape, 2 * n + 1
+        self.x3 = np.array(f0, dtype=float)
+        lead, dim = self.x3.shape, 2 * n
         a0 = np.asarray(a0, dtype=float)
         self._a_floor = cfg.a_floor_rel * a0.min(axis=-1, keepdims=True)
         self.mean = np.zeros(lead + (dim,))
-        self.mean[..., -1] = f0
         self._eye = np.eye(dim)
         self.P = np.broadcast_to(cfg.p0 * self._eye, lead + (dim, dim)).copy()
-        self._q = np.diag(np.concatenate([np.full(n, cfg.q1),
-                                          np.full(n, cfg.q2), [cfg.q3]]))
+        self.p33 = np.full(lead, cfg.p0)
+        self._r = np.full(lead, cfg.r)   # p33 after an update; never written
+        self._q = np.diag(np.repeat([cfg.q1, cfg.q2], n))
         # Each member's last w x1 rows, each written twice (at i and i + w)
         # so that they are always one contiguous slice, oldest first.
         # Averaged over the window axis, a member sums its rows in the
@@ -182,23 +192,23 @@ class GekfFilter:
         """A copy that holds only the members ``members`` (a list or a
         slice of indices)."""
         out = copy.copy(self)
-        for name in ("mean", "P", "_rows", "paused", "_j", "last_innovation",
-                     "_a_floor"):
+        for name in ("mean", "P", "x3", "p33", "_rows", "paused", "_j",
+                     "last_innovation", "_a_floor", "_r"):
             setattr(out, name, np.array(getattr(self, name)[members]))
         out._dt = out._prior = None
         return out
 
-    def snapshot(self) -> tuple:
-        """What :meth:`propagate` and :meth:`update` replace, for
-        :meth:`restore`."""
-        return self.mean, self.P, self.paused, self.last_innovation, self._prior
+    def snapshot(self) -> dict:
+        """The filter's attributes, for :meth:`restore`: :meth:`propagate`
+        and :meth:`update` replace arrays and never write into them."""
+        return self.__dict__.copy()
 
-    def restore(self, snapshot: tuple) -> None:
-        (self.mean, self.P, self.paused, self.last_innovation,
-         self._prior) = snapshot
+    def restore(self, snapshot: dict) -> None:
+        self.__dict__.update(snapshot)
 
     def propagate(self, dt) -> None:
-        """Advance mean and covariance by the constant-velocity model.
+        """Advance mean and covariance by the constant-velocity model, and
+        the held sample's variance by ``q3*dt``.
 
         ``dt`` is one float, or a ``(B, 1)`` column of per-member steps;
         the transition is built again only when ``dt`` is another object
@@ -212,13 +222,16 @@ class GekfFilter:
             step = np.asarray(dt, dtype=float)[..., None]
             phi = np.broadcast_to(self._eye, step.shape[:-2]
                                   + self._eye.shape).copy()
-            phi[..., :n, n:2 * n] = step * np.eye(n)
+            phi[..., :n, n:] = step * np.eye(n)
             self._dt, self._phi, self._q_dt = dt, phi, self._q * step
+            # one entry per member, (B,) like p33, not a (B, 1) column
+            self._q3_dt = self.cfg.q3 * step.ravel()
         mean = self.mean.copy()
-        mean[..., :n] = mean[..., :n] + dt * mean[..., n:2 * n]
+        mean[..., :n] = mean[..., :n] + dt * mean[..., n:]
         phi = self._phi
         P = phi @ self.P @ phi.swapaxes(-1, -2) + self._q_dt
         self.mean, self.P = mean, 0.5 * (P + P.swapaxes(-1, -2))
+        self.p33 = self.p33 + self._q3_dt
         self._prior = None
 
     def update(self, f2, u_int, a) -> None:
@@ -228,51 +241,47 @@ class GekfFilter:
 
         Predicted sample: ``x3 + sum_i c_i x1_i`` with ``c`` from
         :func:`measurement_coefficients` anchored at the held sample
-        ``x3``, the measurement at the window's start.  Joseph-form
-        covariance update, re-symmetrized; afterwards the held value
-        ``x3`` is pinned to the new measurement so the next window
-        anchors at measured data.  ``last_innovation`` is taken against
-        the pre-update state.  The products are stacked ``matmul`` calls,
+        ``x3``, the measurement at the window's start.  The innovation
+        variance is ``S = c'P11c + p33 + r``, where ``P11`` is the ``x1``
+        block of ``P``.  Joseph-form covariance update with measurement
+        variance ``p33 + r``, re-symmetrized; afterwards ``x3`` is the new
+        sample and ``p33`` its variance ``r``, so the next window anchors
+        at measured data.  ``last_innovation`` is taken against the
+        pre-update state.  The products are stacked ``matmul`` calls,
         which give each member the bits of its own matrix products.
         """
-        a = np.asarray(a, dtype=float)
-        mean, P, r = self.mean, self.P, self.cfg.r
-        c = measurement_coefficients(self.spec, mean[..., -1], u_int, a,
-                                     self._a_floor)
-        h = np.zeros(mean.shape)
-        h[..., :self.n] = c
-        h[..., -1] = 1.0
+        mean, P, x3, r = self.mean, self.P, self.x3, self.cfg.r
+        c = measurement_coefficients(self.spec, x3, u_int, a, self._a_floor)
+        h = np.concatenate([c, np.zeros(c.shape)], axis=-1)   # [c | 0]
         row, col = h[..., None, :], h[..., :, None]
 
-        innovation = f2 - (row @ mean[..., :, None])[..., 0, 0]
-        sv = (row @ P @ col)[..., 0, 0] + r
-        gain = (P @ col)[..., 0] / sv[..., None]
+        innovation = f2 - (x3 + (row @ mean[..., :, None])[..., 0, 0])
+        p_col = P @ col
+        spread = (row @ p_col)[..., 0, 0]   # c'P11c
+        # p33 + r: the held sample's variance and the new sample's
+        noise = (self.p33 + r)[..., None]
+        gain = p_col[..., 0] / (spread[..., None] + noise)
         new_mean = mean + gain * innovation[..., None]
         ikh = self._eye - gain[..., :, None] * row
         new_P = (ikh @ P @ ikh.swapaxes(-1, -2)
-                 + r * (gain[..., :, None] * gain[..., None, :]))
-        # Pinning x3 to the fresh measurement makes its error the measurement
-        # error: reset its covariance row accordingly, or the stale cross
-        # terms feed the pinned state back into x1 through later gains.
-        new_P[..., -1, :] = 0.0
-        new_P[..., :, -1] = 0.0
-        new_P[..., -1, -1] = r
-        new_mean[..., -1] = f2
+                 + noise[..., None] * (gain[..., :, None] * gain[..., None, :]))
 
-        self._prior = (mean, P)
-        self.mean = new_mean
-        self.P = 0.5 * (new_P + new_P.swapaxes(-1, -2))
+        self._prior = (mean, P, x3, self.p33)
+        self.mean, self.P = new_mean, 0.5 * (new_P + new_P.swapaxes(-1, -2))
+        self.x3, self.p33 = np.full(x3.shape, f2), self._r
         self.last_innovation = innovation
         self.paused = np.abs(a) < self._a_floor
 
     def check(self, t) -> None:
-        """Raise :class:`FilterDivergenceError` if a member's mean or
-        covariance is non-finite, naming the step that made it so and
-        carrying ``t``, the time at that step's end, as its ``t``."""
+        """Raise :class:`FilterDivergenceError` if a member's mean,
+        covariance, held sample or its variance is non-finite, naming the
+        step that made it so and carrying ``t``, the time at that step's
+        end, as its ``t``."""
         # a non-finite entry poisons the sum; only then are members searched.
         # np.add.reduce is ndarray.sum without its Python wrapper
-        total = np.add.reduce(self.mean, axis=None) + np.add.reduce(self.P, axis=None)
-        if math.isfinite(total) or _finite(self.mean, self.P):
+        total = (np.add.reduce(self.mean, axis=None) + np.add.reduce(self.P, axis=None)
+                 + np.add.reduce(self.x3 + self.p33))
+        if math.isfinite(total) or _finite(self.mean, self.P, self.x3, self.p33):
             return
         after = ("propagation" if self._prior is None or not _finite(*self._prior)
                  else "update")
@@ -305,9 +314,10 @@ class GekfFilter:
         return self._j
 
     def min_eigenvalue(self) -> np.ndarray:
-        """The smallest covariance eigenvalue of each member."""
-        return np.linalg.eigvalsh(self.P).min(axis=-1)
+        """The smallest covariance eigenvalue of each member, ``p33``
+        among them."""
+        return np.minimum(np.linalg.eigvalsh(self.P).min(axis=-1), self.p33)
 
 
-def _finite(mean: np.ndarray, P: np.ndarray) -> bool:
-    return bool(np.isfinite(mean).all() and np.isfinite(P).all())
+def _finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(part).all() for part in arrays)

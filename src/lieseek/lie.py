@@ -59,13 +59,6 @@ def lie_bracket(b_i: VectorFieldFn, b_j: VectorFieldFn, t: float, x) -> np.ndarr
     return b_j.jac(t, x) @ b_i.value(t, x) - b_i.jac(t, x) @ b_j.value(t, x)
 
 
-def bracket_weight(spec: EscSystemSpec, amplitude=None) -> np.ndarray:
-    """The channel weights ``-nu_hat * a_i^2`` of the averaged right-hand
-    side; ``amplitude`` defaults to the spec's initial amplitudes."""
-    a = spec.a0 if amplitude is None else np.asarray(amplitude, dtype=float)
-    return -spec.nu_hats * a * a
-
-
 def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None) -> np.ndarray:
     """Oracle: exact averaged right-hand side at the states ``z``.
 
@@ -75,7 +68,7 @@ def lbs_rhs_exact(spec: EscSystemSpec, z, amplitude=None) -> np.ndarray:
     spec's initial amplitudes.
     """
     _, _, b0 = spec.coefficients(spec.objective.measured(z))
-    return bracket_weight(spec, amplitude) * spec.objective.measured_gradient(z) * b0
+    return spec.bracket_weight(amplitude) * spec.objective.measured_gradient(z) * b0
 
 
 def chen_fliess_predict(spec: EscSystemSpec, f_t1: float, grad_t1, u1_int,

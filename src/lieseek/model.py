@@ -564,13 +564,31 @@ class EscSystemSpec:
             raise EvaluationError("b0 evaluation non-finite", value=f)
         return b1, b2, b0
 
+    @cached_property
+    def amplitude_decay(self) -> np.ndarray:
+        """The factor by which one RK4 step of ``a' = -lam * (a - j)``
+        scales ``a - j``: the step in closed form, at ``h = -lam * dt``."""
+        h = -self.lam * self.resolved_dt
+        return 1.0 + h + h ** 2 / 2.0 + h ** 3 / 6.0 + h ** 4 / 24.0
+
+    def bracket_weight(self, amplitude=None) -> np.ndarray:
+        """The channel weights ``-nu_hat * a_i^2`` of the averaged right-hand
+        side; ``amplitude`` defaults to the initial amplitudes."""
+        a = self.a0 if amplitude is None else np.asarray(amplitude, dtype=float)
+        return -self.nu_hats * a * a
+
     def validate(self) -> None:
-        """Check the objective on its domain box and every dither."""
+        """Check the objective on its domain box, every dither, and that
+        the factors by which ``a0`` and ``lambda`` enter a run are finite:
+        the bracket weight and the amplitude's RK4 factor."""
         self.objective.validate()
         for name, d in self.dithers.items():
             rep = verify_assumption_a2(d)
             if not rep.all_ok:
                 raise ConfigurationError(f"dither {name!r} fails admissibility: {rep}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            require_finite("a0's bracket weight -nu*a0^2", self.bracket_weight())
+            require_finite("lambda's amplitude factor", self.amplitude_decay)
 
 
 _ERROR_FORMS: dict[str, Callable[[float, float, float], float]] = {

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      InputError, IntegrationError, LieseekError)
 from .gekf import GekfConfig, GekfFilter
-from .lie import bracket_weight, lbs_rhs_exact
+from .lie import lbs_rhs_exact
 from .model import EscSystemSpec, EstimationErrorModel, ObjectiveMap, _form_terms
 
 CSV_NAN = ""
@@ -389,12 +389,6 @@ def _reference_key(spec: EscSystemSpec) -> tuple:
             spec.resolved_dt, spec.horizon)
 
 
-def _rk4_decay(h: np.ndarray) -> np.ndarray:
-    """The factor by which one RK4 step of ``a' = -lam * (a - j)``, with
-    ``h = -lam * dt``, scales ``a - j``: the step in closed form."""
-    return 1.0 + h + h ** 2 / 2.0 + h ** 3 / 6.0 + h ** 4 / 24.0
-
-
 class _Grid:
     """The time grid of the rows that share omega, dt and step count:
     step size and step times, and the dither table ``u = [u1 | u2]`` on
@@ -509,9 +503,8 @@ class _Lockstep:
         with np.errstate(**_QUIET):
             # per-row state; row i of the arrays is row members[i] of the loop
             self.members = np.arange(size)
-            self.decay = np.stack([_rk4_decay(-s.lam * s.resolved_dt)
-                                   if r < self.m0 else np.ones(n)
-                                   for r, s in enumerate(self.specs)])
+            self.decay = np.stack([s.amplitude_decay for s in self.specs])
+            self.decay[self.m0:] = 1.0   # constant-amplitude and averaged rows
             self.x = np.stack([s.x0 for s in self.specs])
             self.a = np.stack([s.a0 for s in self.specs])
             self.j_sig = np.zeros(self.x.shape)
@@ -530,10 +523,11 @@ class _Lockstep:
                 self.zero = np.zeros((self.m0, 2, n))
                 self.zero.flags.writeable = False
                 self.u_int = self.zero
-                dim = 2 * n + 1
-                self.mean_log = np.empty((total, self.m0, dim))
-                self.innovation_log = np.empty((total, self.m0))
-                self.P_log = np.empty((total, self.m0, dim, dim))
+                # per step, what *_gekf.csv is made from, in the order
+                # that _result unpacks
+                self.filter_logs = {
+                    name: np.empty((total,) + getattr(self.filt, name).shape)
+                    for name in ("mean", "x3", "last_innovation", "P", "p33")}
             elif adaptive:
                 self.j_sig[:self.m0] = self._override(0.0)
             if self.errors:
@@ -565,7 +559,7 @@ class _Lockstep:
         # bracket weight on the averaged rows; G: 1 on the seeking rows,
         # and the averaged rows' gradient, set per stage
         self.W, self.G = np.empty(self.x.shape), np.ones(self.x.shape)
-        self.W[s:] = bracket_weight(self.spec, self.a[s:])
+        self.W[s:] = self.spec.bracket_weight(self.a[s:])
         # U = [U1 | U2], one row per half step: the seeking rows' dither
         # tables, padded with zeros that are never read, and (-b2', b1') on
         # the averaged rows: constant for linear forms, else set per stage
@@ -626,9 +620,8 @@ class _Lockstep:
             self.a_log[k, self.acols] = self.a[:self.m]
             self.jest_log[k, self.acols] = self.j_sig[:self.m]
         if self.filt is not None:
-            self.mean_log[k, self.acols] = self.filt.mean
-            self.innovation_log[k, self.acols] = self.filt.last_innovation
-            self.P_log[k, self.acols] = self.filt.P
+            for name, log in self.filter_logs.items():
+                log[k, self.acols] = getattr(self.filt, name)
 
     def _plant(self, step: int, check: bool = False):
         """The right-hand side of every row at the stages of ``step``: the
@@ -792,12 +785,14 @@ class _Lockstep:
         if r < self.m0:
             a, j_est = self.a_log[logged, r], self.jest_log[logged, r]
         if r < self.m0 and self.use_filter:
-            # covariance summaries of all rows at once
-            mean, P = self.mean_log[logged, r], self.P_log[logged, r]
-            diag = {"x1": mean[:, :n], "x2": mean[:, n:2 * n], "x3": mean[:, -1],
-                    "innovation": self.innovation_log[logged, r],
-                    "trace_p": np.trace(P, axis1=1, axis2=2),
-                    "min_eig_p": np.linalg.eigvalsh(P).min(axis=1)}
+            # covariance summaries of all rows at once, p33 among them
+            mean, x3, innovation, P, p33 = (
+                log[logged, r] for log in self.filter_logs.values())
+            diag = {"x1": mean[:, :n], "x2": mean[:, n:], "x3": x3,
+                    "innovation": innovation,
+                    "trace_p": np.trace(P, axis1=1, axis2=2) + p33,
+                    "min_eig_p": np.minimum(np.linalg.eigvalsh(P).min(axis=1),
+                                            p33)}
         try:
             return _log(self.specs[r], self.x_log[logged, r], zref,
                         "proposed" if r < self.m0 else "baseline",

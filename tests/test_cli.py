@@ -247,6 +247,11 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("systems", "main", "objective"), {
         "form": "quadratic", "weights": [1e306], "center": [1.0],
         "offset": 0.0, "kind": "min", "domain_box": [[-2.0, 14.41]]}), []),
+    # the amplitude's RK4 factor at lambda*dt and the bracket weight
+    # -nu*a0^2 overflow
+    (None, ["case1", "--mode", "proposed", "--lambda", "1e80"]),
+    (_short_case1_with(("systems", "main", "a0"), [1e200]),
+     ["--mode", "both"]),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
@@ -259,7 +264,7 @@ def _short_case1_with(path: tuple, value) -> str:
         "kind-contradicts-weights", "zero-weight", "fractional-n-meas",
         "boolean-n-meas", "string-smoothing", "unallocatable-step-table",
         "nan-q1", "inf-r", "inf-p0", "nan-a-floor-rel", "inf-a-floor-rel",
-        "overflow-near-one-corner"])
+        "overflow-near-one-corner", "huge-lambda", "huge-a0"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -714,17 +719,11 @@ def _boxless_far(system: dict) -> None:
 @pytest.mark.parametrize("edit,extra,message", [
     (_boxless_far, ["--mode", "lbs"], "b0 evaluation non-finite"),
     (_boxless_far, ["--mode", "proposed"], "b0 evaluation non-finite"),
-    (None, ["--mode", "proposed", "--lambda", "1e80"],
-     "non-finite amplitude at t=0.0"),
-    (lambda system: system.update(a0=[1e200]), ["--mode", "both"],
-     "b0 evaluation non-finite"),
-], ids=["lbs", "proposed", "huge-lambda", "huge-a0"])
+], ids=["lbs", "proposed"])
 def test_a_failing_run_prints_one_line(tmp_path, edit, extra, message):
     """The run exits 3 with the error's one line, and no NumPy warning
     before it: without a domain box, x0 = 1e160 overflows the objective
-    in the first step; lambda = 1e80 overflows the amplitude's decay
-    factor, and a0 = 1e200 the averaged rows' bracket weight, while the
-    loop is built."""
+    in the first step."""
     cfg = shortened("case1", 2.0).config
     if edit is not None:
         edit(cfg["systems"]["main"])

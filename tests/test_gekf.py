@@ -44,14 +44,17 @@ def _one_member(cfg, spec, f0):
     return GekfFilter(cfg, spec, [f0], spec.a0[None])
 
 
-def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, channel=None, window=None):
+def _filter(cfg, x1, x2=0.0, x3=0.0, P=None, p33=1.0, channel=None,
+            window=None):
     """A one-channel filter of one member of ``_system(channel, window)``
     (nu_hat 0.5, a0 1, so its floor is ``cfg.a_floor_rel``) with the mean
-    ``[x1, x2, x3]`` and covariance ``P`` (identity by default)."""
+    ``[x1, x2]``, covariance ``P`` (identity by default), held sample
+    ``x3`` and its variance ``p33``."""
     filt = _one_member(cfg, _system(channel or _channel(), window=window),
                        x3)
-    filt.mean = np.array([[x1, x2, x3]], dtype=float)
-    filt.P = (np.eye(3) if P is None else np.array(P, dtype=float))[None]
+    filt.mean = np.array([[x1, x2]], dtype=float)
+    filt.P = (np.eye(2) if P is None else np.array(P, dtype=float))[None]
+    filt.p33 = np.array([p33], dtype=float)
     return filt
 
 
@@ -68,7 +71,7 @@ class TestPropagate:
         cfg = GekfConfig()
         filt = _one_member(cfg, _system(_channel()), 3.0)
         filt.propagate(0.25)
-        assert filt.mean[0, 0] == 0.0 and filt.mean[0, 2] == 3.0
+        assert filt.mean[0, 0] == 0.0 and filt.x3[0] == 3.0
 
     def test_linear_mean_advance(self):
         filt = _filter(GekfConfig(), 2.0, 1.0)
@@ -81,10 +84,11 @@ class TestPropagate:
         A = rng.normal(size=(3, 3))
         P0 = A @ A.T  # symmetric PSD by construction
         cfg = GekfConfig(q1=1e-30, q2=1e-30, q3=1e-30)
-        filt = _filter(cfg, 0.0, P=P0)
+        filt = _filter(cfg, 0.0, P=P0[:2, :2], p33=P0[2, 2])
         for _ in range(200):
             filt.propagate(0.01)
             assert _min_eig(filt.P[0]) >= -1e-12
+            assert filt.min_eigenvalue()[0] >= -1e-12
 
     def test_bad_dt_rejected(self):
         cfg = GekfConfig()
@@ -95,8 +99,9 @@ class TestPropagate:
 class TestMeasurementUpdate:
     @staticmethod
     def _updated(f2, a=1.0, channel=None, r=1e-2):
-        """The filter at mean [-1, 0, 2] and identity covariance after one
-        update against ``f2``, with f1 = x3 = 2 and u = (0.02, 0.01)."""
+        """The filter at mean [-1, 0], held sample 2 and identity
+        covariance (``P`` and ``p33``) after one update against ``f2``,
+        with f1 = x3 = 2 and u = (0.02, 0.01)."""
         filt = _filter(GekfConfig(r=r), -1.0, 0.0, 2.0, channel=channel)
         filt.update(f2, np.array([[[0.02], [0.01]]]), np.array([[a]]))
         return filt
@@ -107,8 +112,8 @@ class TestMeasurementUpdate:
         filt = self._updated(f2)
         assert filt.mean[0, 0] == pytest.approx(-1.0)
         assert filt.mean[0, 1] == pytest.approx(0.0)
-        assert filt.mean[0, 2] == f2
-        assert np.trace(filt.P[0]) <= 3.0 + 1e-12
+        assert filt.x3[0] == f2
+        assert np.trace(filt.P[0]) + filt.p33[0] <= 3.0 + 1e-12
 
     def test_uninformative_measurement_keeps_mean(self):
         filt = self._updated(5.0, r=1e12)
@@ -119,7 +124,7 @@ class TestMeasurementUpdate:
         filt = self._updated(2.5, a=1e-6)
         # x1 gets no correction; only the held value moves
         assert filt.mean[0, 0] == pytest.approx(-1.0)
-        assert filt.mean[0, 2] == 2.5
+        assert filt.x3[0] == 2.5
 
     def test_singular_bracket_factor_skipped(self):
         flat = ChannelSpec(index=0, b1=_linear(0.0, 1.0), b2=_linear(0.0, 2.0))
@@ -128,7 +133,7 @@ class TestMeasurementUpdate:
 
     def test_psd_after_update(self):
         filt = self._updated(2.7)
-        assert _min_eig(filt.P[0]) >= -1e-9
+        assert min(_min_eig(filt.P[0]), filt.p33[0]) >= -1e-9
         np.testing.assert_allclose(filt.P[0], filt.P[0].T, atol=1e-10)
 
     def test_divergent_measurement_raises(self):
@@ -174,7 +179,7 @@ class TestExtractJ:
         rng = np.random.default_rng(n)
         for _ in range(1000):
             x1 = rng.normal(size=n) * 10.0 ** rng.integers(-6, 6)
-            filt.mean = np.concatenate([x1, np.zeros(n + 1)])[None]
+            filt.mean = np.concatenate([x1, np.zeros(n)])[None]
             history.append(x1.copy())
             expected = np.asarray(history, dtype=float).mean(axis=0)
             assert filt.step_export()[0].tobytes() == expected.tobytes()
@@ -231,7 +236,7 @@ class TestFilterUpdate:
 
     def test_innovation_is_against_pre_update_state(self):
         filt = self._filter()
-        x1, _, x3 = filt.mean[0]
+        (x1, _), x3 = filt.mean[0], filt.x3[0]
         u_int, a = self.ARGS
         c = measurement_coefficients(_system(_channel()), np.array([x3]),
                                      u_int, a, filt.cfg.a_floor_rel)
@@ -303,3 +308,102 @@ class TestDerivedSettings:
         filt._j = np.array([[1.0]])
         assert filt.step_export()[0, 0] == gekf.PAUSED_J_DECAY ** (
             gekf.PAUSE_DECAY_STEPS / window)
+
+
+def _joseph_with_held_state(cfg, spec, floor, mean, P, x3, p33, dt, f2,
+                            u_int, a):
+    """One propagate and one update of a single member by the filter that
+    carries the held sample as a third block of its state: ``z = [x1 | x2
+    | x3]``, its covariance ``(2n+1)``-square with ``x3`` uncorrelated,
+    ``h = [c | 0 | 1]``, the Joseph form at measurement variance ``r``,
+    and afterwards ``x3`` pinned to ``f2`` with its row and column reset."""
+    n, r = spec.n, cfg.r
+    d = 2 * n + 1
+    z = np.concatenate([mean, [x3]])
+    Pz = np.zeros((d, d))
+    Pz[:-1, :-1], Pz[-1, -1] = P, p33
+    phi = np.eye(d)
+    phi[:n, n:2 * n] = dt * np.eye(n)
+    q = np.diag(np.concatenate([np.full(n, cfg.q1), np.full(n, cfg.q2),
+                                [cfg.q3]]))
+    z[:n] = z[:n] + dt * z[n:2 * n]
+    Pz = phi @ Pz @ phi.T + q * dt
+    Pz = 0.5 * (Pz + Pz.T)
+    c = measurement_coefficients(spec, z[-1], u_int, a, floor)
+    h = np.concatenate([c, np.zeros(n), [1.0]])
+    innovation = f2 - h @ z
+    gain = Pz @ h / (h @ Pz @ h + r)
+    z = z + gain * innovation
+    ikh = np.eye(d) - np.outer(gain, h)
+    Pz = ikh @ Pz @ ikh.T + r * np.outer(gain, gain)
+    Pz[-1, :], Pz[:, -1] = 0.0, 0.0
+    Pz[-1, -1], z[-1] = r, f2
+    Pz = 0.5 * (Pz + Pz.T)
+    return z[:-1], Pz[:-1, :-1], z[-1], Pz[-1, -1], innovation
+
+
+def _close(new, old, rel=1e-12):
+    """``new`` equals ``old`` to ``rel`` of the largest entry of ``old``."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.max(np.abs(new - old)) <= rel * np.max(np.abs(old))
+
+
+class TestHeldSample:
+    """``x3`` and ``p33`` sit beside the 2n-state filter: it is the filter
+    that carries them as a third, uncorrelated block of its state."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_the_filter_with_the_held_sample_as_a_state(self, n):
+        rng = np.random.default_rng(10 + n)
+        cfg = GekfConfig(q1=0.3, q2=0.05, q3=0.2, r=0.04)
+        spec = _system(*map(_channel, range(n)))
+        a0 = rng.uniform(0.5, 1.5, size=(2, n))
+        filt = GekfFilter(cfg, spec, rng.normal(size=2), a0)
+        A = rng.normal(size=(2, 2 * n, 2 * n))
+        filt.mean = rng.normal(size=(2, 2 * n))
+        filt.P = A @ A.swapaxes(-1, -2) + 0.1 * np.eye(2 * n)
+        filt.p33 = rng.uniform(0.5, 2.0, size=2)
+        before = filt.mean, filt.P, filt.x3, filt.p33
+        dt = np.array([[0.01], [0.03]])
+        f2 = rng.normal(size=2)
+        u_int = rng.normal(size=(2, 2, n)) * 0.1
+        a = rng.uniform(0.5, 1.5, size=(2, n))
+        filt.propagate(dt)
+        filt.update(f2, u_int, a)
+        for b in range(2):
+            mean, P, x3, p33, innovation = _joseph_with_held_state(
+                cfg, spec, filt._a_floor[b], *(part[b] for part in before),
+                float(dt[b, 0]), f2[b], u_int[b], a[b])
+            _close(filt.mean[b], mean)
+            _close(filt.P[b], P)
+            _close(filt.last_innovation[b], innovation)
+            assert filt.x3[b] == x3 and filt.p33[b] == p33
+
+    def test_variance_grows_between_updates_and_weighs_each(self):
+        """``p33`` is ``p0 + k q3 dt`` after k steps, ``r`` after an update
+        and ``r + q3 dt n_meas`` before the next, one entry per member, and
+        the update's innovation variance is ``c'P11c + p33 + r``."""
+        cfg = GekfConfig(q3=0.5, r=0.02, p0=3.0)
+        spec = _system(_channel())
+        filt = GekfFilter(cfg, spec, [2.0, -1.0], np.ones((2, 1)))
+        dt, n_meas = np.array([[0.01], [0.04]]), 3
+        u_int, a = np.full((2, 2, 1), 0.05), np.ones((2, 1))
+        expected = np.full(2, cfg.p0)
+        for steps in (5, n_meas, n_meas):
+            for _ in range(steps):
+                filt.propagate(dt)
+                expected = expected + cfg.q3 * dt[:, 0]
+            assert filt.p33.shape == (2,)
+            np.testing.assert_allclose(filt.p33, expected, rtol=1e-14)
+            mean, P, x3, p33 = filt.mean, filt.P, filt.x3, filt.p33
+            c = measurement_coefficients(spec, x3, u_int, a, filt._a_floor)
+            f2 = x3 + 0.3
+            filt.update(f2, u_int, a)
+            p_col = P[:, :, 0] * c   # P's first column times c, per member
+            gain = p_col / (c[:, 0] * p_col[:, 0] + p33 + cfg.r)[:, None]
+            np.testing.assert_allclose(
+                filt.mean, mean + gain * filt.last_innovation[:, None],
+                rtol=1e-13)
+            assert filt.p33.shape == (2,) and np.all(filt.p33 == cfg.r)
+            expected = np.full(2, cfg.r)

@@ -322,6 +322,19 @@ class TestEscSystemSpec:
     def test_validate_passes(self):
         self._spec().validate()
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"a0": [1e200]}, "a0's bracket weight -nu\\*a0\\^2 must be finite"),
+        ({"lam": [1e80]}, "lambda's amplitude factor must be finite"),
+    ], ids=["a0", "lambda"])
+    def test_validate_names_a_loop_factor_that_overflows(self, setting,
+                                                         message):
+        """The bracket weight -nu*a0^2 and the amplitude's RK4 factor at
+        lambda*dt overflow without a NumPy warning (an error here), and
+        the error names the setting."""
+        spec = self._spec(**setting)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            spec.validate()
+
     def test_arrays_are_read_only_copies(self):
         a0 = np.array([1.0])
         spec = self._spec(a0=a0)

@@ -241,10 +241,13 @@ class TestRunProposed:
         assert np.all(even[1:] != even[:-1])
 
     def test_amplitude_step_is_the_rk4_step(self):
-        lam, dt = np.array([0.1, 2.0]), 0.01
+        spec, _ = _member("case2", 1.0, omega=8.0, dt=0.01,
+                          **{"lambda": [0.1, 2.0]})
+        lam, dt = spec.lam, spec.resolved_dt
+        assert lam.tolist() == [0.1, 2.0] and dt == 0.01
         a, j = np.array([1.0, 0.5]), np.array([0.3, -0.2])
         step = rk4_step(lambda t, a: -lam * (a - j), 0.0, a, dt)
-        closed = j + (a - j) * sim._rk4_decay(-lam * dt)
+        closed = j + (a - j) * spec.amplitude_decay
         np.testing.assert_allclose(closed, step, rtol=1e-15)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -310,16 +313,18 @@ class TestRunProposed:
 
     def test_covariance_summaries_match_each_row(self, monkeypatch):
         """``trace_p`` and ``min_eig_p``, computed for all rows after the
-        loop, equal a per-matrix trace and ``eigvalsh`` bit for bit."""
+        loop, equal ``trace(P) + p33`` and the smaller of ``eigvalsh(P)``'s
+        least and ``p33``, per matrix, bit for bit."""
         from lieseek.gekf import GekfFilter
         sc = shortened("case2", 2.0)
         gcfg = sc.gekf_config()
-        covariances = [gcfg.p0 * np.eye(2 * sc.primary_system.n + 1)]
+        covariances = [(gcfg.p0 * np.eye(2 * sc.primary_system.n), gcfg.p0)]
         step_export = GekfFilter.step_export
 
         def recording(self):
             # the loop's filter holds its one member on a member axis
-            covariances.append(self.P.reshape(covariances[0].shape).copy())
+            P, (p33,) = self.P, self.p33
+            covariances.append((P.reshape(covariances[0][0].shape).copy(), p33))
             return step_export(self)
 
         monkeypatch.setattr(GekfFilter, "step_export", recording)
@@ -327,9 +332,10 @@ class TestRunProposed:
         assert len(covariances) == log.t.size
         assert set(log.diag) == {"x1", "x2", "x3", "innovation", "trace_p",
                                  "min_eig_p"}
-        for k, P in enumerate(covariances):
-            assert log.diag["trace_p"][k] == np.trace(P)
-            assert log.diag["min_eig_p"][k] == np.linalg.eigvalsh(P).min()
+        for k, (P, p33) in enumerate(covariances):
+            assert log.diag["trace_p"][k] == np.trace(P) + p33
+            assert log.diag["min_eig_p"][k] == min(
+                np.linalg.eigvalsh(P).min(), p33)
 
 
 class TestTrajectoryLog:

@@ -20,11 +20,15 @@ averaged system through ``sim.lbs_batch``:
 
 First each loop runs once per tree, and the two trees' logs must agree
 bit for bit, every array, the diagnostics and the meta (else the tool
-exits 1).  Then each loop runs ``PAIRS`` times per tree (default 10),
-interleaved, the first of each pair alternating between the trees.  One
-line per loop gives the median of the new/old ratios of CPU time
-(``time.process_time``), the median times, and in how many pairs the new
-tree was faster.
+exits 1).  Each log array or diagnostic that differs gets a line of its
+own with how far it moved: the largest ``|new - old|`` of a column over
+the largest ``|old|`` of that column, the scale by which
+``perfbench/check.py`` judges a value, and the column where that ratio
+is largest.  Then each loop, the same or not, runs ``PAIRS`` times per
+tree (default 10), interleaved, the first of each pair alternating
+between the trees.  One line per loop gives the median of the new/old
+ratios of CPU time (``time.process_time``), the median times, and in how
+many pairs the new tree was faster.
 
 Why in one process: on a shared 2-core host the same command's time
 drifted by about +-15% from one process to the next, and a perfbench
@@ -87,6 +91,26 @@ def loops(mods: dict) -> dict:
     }
 
 
+def move(a: np.ndarray, b: np.ndarray) -> str:
+    """How far ``b`` moved from ``a``: the largest ratio, over the columns
+    of a ``(steps, ...)`` array, of the largest ``|b - a|`` to the largest
+    finite ``|a|``, and its column; a NaN against a number, or a move of a
+    column that is 0 throughout, is infinite."""
+    if a.shape != b.shape:
+        return f"shape {a.shape} != {b.shape}"
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    with np.errstate(invalid="ignore"):
+        gap = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0,
+                       np.abs(b - a))
+    gap[np.isnan(gap)] = np.inf
+    scale = np.where(np.isfinite(a), np.abs(a), 0.0).max(axis=0)
+    delta = gap.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(delta == 0.0, 0.0, delta / scale)
+    column = int(np.argmax(ratio))
+    return f"largest |new - old| / max |old| {ratio[column]:.3g} in column {column}"
+
+
 def differences(old: list, new: list) -> list[str]:
     """Where two loops' results differ: per member, the log array, the
     diagnostic or the meta, or the error."""
@@ -96,14 +120,15 @@ def differences(old: list, new: list) -> list[str]:
             if (type(a).__name__, str(a)) != (type(b).__name__, str(b)):
                 out.append(f"member {k}: {a!r} != {b!r}")
             continue
-        for name in LOG_ARRAYS:
-            if getattr(a, name).tobytes() != getattr(b, name).tobytes():
-                out.append(f"member {k}: {name}")
+        pairs = [(name, getattr(a, name), getattr(b, name))
+                 for name in LOG_ARRAYS]
         diag_a, diag_b = a.diag or {}, b.diag or {}
         if list(diag_a) != list(diag_b):
             out.append(f"member {k}: diagnostic names")
-        out += [f"member {k}: diag {key}" for key in diag_a
-                if key in diag_b and diag_a[key].tobytes() != diag_b[key].tobytes()]
+        pairs += [(f"diag {key}", diag_a[key], diag_b[key]) for key in diag_a
+                  if key in diag_b]
+        out += [f"member {k}: {name}: {move(x, y)}" for name, x, y in pairs
+                if x.shape != y.shape or x.tobytes() != y.tobytes()]
         if a.meta != b.meta:
             out.append(f"member {k}: meta")
     if len(old) != len(new):
@@ -130,11 +155,9 @@ def main(argv: list[str]) -> int:
     with np.errstate(all="ignore"):
         for name in old:
             found = differences(old[name](), new[name]())
-            if found:
-                failed = True
-                print(f"{name}: {len(found)} differences, first {found[0]}",
-                      flush=True)
-                continue
+            failed = failed or bool(found)
+            for line in found:
+                print(f"{name}: {line}", flush=True)
             times = {"old": [], "new": []}
             for pair in range(pairs):
                 order = ("old", "new") if pair % 2 == 0 else ("new", "old")
@@ -143,7 +166,8 @@ def main(argv: list[str]) -> int:
                                                  else new)[name]))
             ratios = [b / a for a, b in zip(times["old"], times["new"])]
             wins = sum(b < a for a, b in zip(times["old"], times["new"]))
-            print(f"{name}: identical logs; new/old CPU median "
+            verdict = f"{len(found)} differences" if found else "identical logs"
+            print(f"{name}: {verdict}; new/old CPU median "
                   f"{statistics.median(ratios):.3f}, "
                   f"old {statistics.median(times['old']):.3f} s, "
                   f"new {statistics.median(times['new']):.3f} s, "

@@ -10,9 +10,13 @@ directory's path replaced by ``<tmp>`` wherever it appears::
     python3 tools/same_outputs.py OLD_TREE NEW_TREE --standard
 
 One command prints one line per difference, or ``same`` and the number
-of files.  ``--standard`` runs the byte-identity set below, one verdict
-line per command; a change that must keep the outputs runs it against
-its parent tree:
+of files.  A CSV that differs but keeps its header and row count is
+reported by how far it moved: the largest ``|new - old|`` of a column
+over the largest ``|old|`` of that column, the scale by which
+``perfbench/check.py`` judges a value, and the column where that ratio
+is largest.  ``--standard`` runs the byte-identity set below, one
+verdict line per command and then one line per difference; a change
+that must keep the outputs runs it against its parent tree:
 
 * ``run case1 --mode both``
 * ``run case2 --mode both --horizon 20``
@@ -31,6 +35,7 @@ usage error.  Uses the standard library alone.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +78,44 @@ def first_difference(a: bytes, b: bytes) -> str:
     return f"{len(lines_a)} lines != {len(lines_b)} lines"
 
 
+def _cells(data: bytes) -> tuple[str, list[list[float]]]:
+    """The header and the rows of a CSV, an empty cell read as NaN."""
+    header, *lines = data.decode("utf-8").splitlines()
+    return header, [[float(c) if c else math.nan for c in line.split(",")]
+                    for line in lines if line]
+
+
+def _gap(x: float, y: float) -> float:
+    """``|y - x|``: 0 for two NaNs, infinite where only one is finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
+
+
+def csv_move(a: bytes, b: bytes) -> str:
+    """How far the CSV ``b`` moved from ``a``: the largest ratio, over the
+    columns, of the largest ``|new - old|`` to the largest finite
+    ``|old|``, and its column; where the header or the row count differ,
+    the first difference."""
+    try:
+        (head_a, rows_a), (head_b, rows_b) = _cells(a), _cells(b)
+    except ValueError:   # not a numeric CSV
+        return first_difference(a, b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return first_difference(a, b)
+    worst, where = 0.0, None
+    for j, name in enumerate(head_a.split(",")):
+        pairs = [(r[j], s[j]) for r, s in zip(rows_a, rows_b)]
+        scale = max((abs(x) for x, _ in pairs if math.isfinite(x)),
+                    default=0.0)
+        delta = max(_gap(x, y) for x, y in pairs)
+        ratio = delta / scale if scale else (math.inf if delta else 0.0)
+        if ratio > worst:
+            worst, where = ratio, name
+    return (f"largest |new - old| / max |old| {worst:.3g} in column {where}"
+            if where is not None else first_difference(a, b))
+
+
 def differences(old: dict, new: dict) -> list[str]:
     out = []
     if old["code"] != new["code"]:
@@ -87,7 +130,8 @@ def differences(old: dict, new: dict) -> list[str]:
             out.append(f"{name}: only in the "
                        + ("new" if a is None else "old") + " tree")
         elif a != b:
-            out.append(f"{name}: " + first_difference(a, b))
+            out.append(f"{name}: " + (csv_move(a, b) if name.endswith(".csv")
+                                      else first_difference(a, b)))
     return out
 
 
@@ -138,9 +182,10 @@ def main(argv: list[str]) -> int:
         failed = failed or bool(found)
         same = f"same: exit code {old['code']}, {len(old['files'])} files"
         if commands is STANDARD:
-            verdict = (f"{len(found)} differences, first {found[0]}"
-                       if found else same)
+            verdict = f"{len(found)} differences" if found else same
             print(f"{' '.join(args)}: {verdict}", flush=True)
+            for line in found:
+                print(f"  {line}", flush=True)
         else:
             print("\n".join(found) if found else same)
     return 1 if failed else 0
