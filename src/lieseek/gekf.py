@@ -42,9 +42,12 @@ the number of steps per dither period, which is the smoothing window;
 each member's amplitude floor follows from its own initial amplitudes,
 and the members may differ in step size.  The input integrals of an
 update are one stacked array ``(B, 2, n)``: row 0 the integrals of each
-channel's first dither, row 1 of its second.  The filter keeps no
-clock: the caller names the time of a failure
-(:meth:`GekfFilter.check`).  The stacked ``matmul`` products (not
+channel's first dither, row 1 of its second.  Stepping raises nothing
+for a member: a member that fails, by a non-finite state or a non-finite
+bracket factor at its held sample, is named by position by the read
+that follows the step (:meth:`GekfFilter.check`), and the caller stops
+it.  The filter keeps no clock: the caller names each member's time
+for that read.  The stacked ``matmul`` products (not
 ``einsum``, which rounds differently) and the means over the window axis
 give each member the same bits as a filter of that member alone.  The
 step size is one float, or a ``(B, 1)`` column when the members step
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FilterDivergenceError
+from .errors import ConfigurationError, EvaluationError, FilterDivergenceError
 from .model import EscSystemSpec
 
 B0_SINGULAR_TOL = 1e-12
@@ -123,18 +126,20 @@ def measurement_coefficients(spec: EscSystemSpec, f1, u_int: np.ndarray,
     ``nu_i`` is the spec's ``nu_hats`` and ``(U1, U2)`` the two rows of
     the stacked input integrals ``u_int``, shape ``(..., 2, n)``.  A
     channel is ineligible when its amplitude magnitude sits below the
-    floor ``a_floor`` or its bracket factor at ``f1`` is singular.  With
-    ``f1`` of shape ``(B,)``, the amplitudes are ``(B, n)``, ``u_int`` is
-    ``(B, 2, n)``, ``a_floor`` broadcasts against the amplitudes, and so
-    does the result.
+    floor ``a_floor`` or its bracket factor at ``f1`` is singular.  A
+    channel whose bracket factor is non-finite weighs NaN, eligible or
+    not, and raises nothing.  With ``f1`` of shape ``(B,)``, the
+    amplitudes are ``(B, n)``, ``u_int`` is ``(B, 2, n)``, ``a_floor``
+    broadcasts against the amplitudes, and so does the result.
     """
-    b1, b2, b0 = spec.coefficients(f1)
+    b1, b2, b0 = spec.bracket_terms(f1)
     ok = (np.abs(a) >= a_floor) & (np.abs(b0) >= B0_SINGULAR_TOL)
     # float_power calls C pow like a scalar a_i ** 2; an array a ** 2
     # squares, which rounds differently in rare cases
-    return np.divide(-(b1 * u_int[..., 0, :] + b2 * u_int[..., 1, :]),
-                     spec.nu_hats * np.float_power(a, 2) * b0,
-                     out=np.zeros(b0.shape), where=ok)
+    return np.where(np.isfinite(b0), np.divide(
+        -(b1 * u_int[..., 0, :] + b2 * u_int[..., 1, :]),
+        spec.nu_hats * np.float_power(a, 2) * b0,
+        out=np.zeros(b0.shape), where=ok), np.nan)
 
 
 class GekfFilter:
@@ -145,11 +150,14 @@ class GekfFilter:
     ``p33``, ``(B,)``, are the held sample and its variance.  Each member
     starts unbiased (zero RHS estimate, its first measurement as held
     sample, variance ``p0`` throughout).  :meth:`propagate` and
-    :meth:`update` replace these arrays with new ones and check nothing;
-    :meth:`check` is the finiteness check, once per step.
-    :meth:`step_export` returns the per-step estimates, ``(B, n)``.  Once a channel's amplitude falls
-    under its member's floor, its exported estimate decays geometrically,
-    at a fixed rate per smoothing window, instead of following ``x1``.
+    :meth:`update` replace these arrays with new ones, raise nothing for
+    a member and keep no copy of the old ones; :meth:`check`, once per
+    step, names the members that failed, given the arrays that the step's
+    update started from.  :meth:`take` keeps the others.
+    :meth:`step_export` returns the per-step estimates, ``(B, n)``.  Once
+    a channel's amplitude falls under its member's floor, its exported
+    estimate decays geometrically, at a fixed rate per smoothing window,
+    instead of following ``x1``.
     """
 
     def __init__(self, cfg: GekfConfig, spec: EscSystemSpec, f0, a0):
@@ -186,7 +194,6 @@ class GekfFilter:
         self._j = np.zeros(lead + (n,))
         self.last_innovation = np.zeros(lead)
         self._dt = None
-        self._prior = None
 
     def take(self, members) -> "GekfFilter":
         """A copy that holds only the members ``members`` (a list or a
@@ -195,16 +202,8 @@ class GekfFilter:
         for name in ("mean", "P", "x3", "p33", "_rows", "paused", "_j",
                      "last_innovation", "_a_floor", "_r"):
             setattr(out, name, np.array(getattr(self, name)[members]))
-        out._dt = out._prior = None
+        out._dt = None
         return out
-
-    def snapshot(self) -> dict:
-        """The filter's attributes, for :meth:`restore`: :meth:`propagate`
-        and :meth:`update` replace arrays and never write into them."""
-        return self.__dict__.copy()
-
-    def restore(self, snapshot: dict) -> None:
-        self.__dict__.update(snapshot)
 
     def propagate(self, dt) -> None:
         """Advance mean and covariance by the constant-velocity model, and
@@ -232,7 +231,6 @@ class GekfFilter:
         P = phi @ self.P @ phi.swapaxes(-1, -2) + self._q_dt
         self.mean, self.P = mean, 0.5 * (P + P.swapaxes(-1, -2))
         self.p33 = self.p33 + self._q3_dt
-        self._prior = None
 
     def update(self, f2, u_int, a) -> None:
         """Scalar Kalman update of each member against its sample ``f2``,
@@ -248,7 +246,10 @@ class GekfFilter:
         sample and ``p33`` its variance ``r``, so the next window anchors
         at measured data.  ``last_innovation`` is taken against the
         pre-update state.  The products are stacked ``matmul`` calls,
-        which give each member the bits of its own matrix products.
+        which give each member the bits of its own matrix products.  A
+        member whose bracket factor at ``x3`` is non-finite gets a NaN
+        weight, so its new state is non-finite and :meth:`check` names
+        it; the update raises nothing.
         """
         mean, P, x3, r = self.mean, self.P, self.x3, self.cfg.r
         c = measurement_coefficients(self.spec, x3, u_int, a, self._a_floor)
@@ -266,27 +267,39 @@ class GekfFilter:
         new_P = (ikh @ P @ ikh.swapaxes(-1, -2)
                  + noise[..., None] * (gain[..., :, None] * gain[..., None, :]))
 
-        self._prior = (mean, P, x3, self.p33)
         self.mean, self.P = new_mean, 0.5 * (new_P + new_P.swapaxes(-1, -2))
         self.x3, self.p33 = np.full(x3.shape, f2), self._r
         self.last_innovation = innovation
         self.paused = np.abs(a) < self._a_floor
 
-    def check(self, t) -> None:
-        """Raise :class:`FilterDivergenceError` if a member's mean,
-        covariance, held sample or its variance is non-finite, naming the
-        step that made it so and carrying ``t``, the time at that step's
-        end, as its ``t``."""
+    def check(self, t, prior=None) -> dict:
+        """The members whose mean, covariance, held sample or its variance
+        is non-finite, by position, each with the error that stops it.
+
+        ``prior`` holds the arrays ``(mean, P, x3, p33)`` that the step's
+        update started from, or is None for a step without an update.  A
+        member whose bracket factor at that ``x3`` was non-finite gets
+        :class:`EvaluationError`.  Any other gets
+        :class:`FilterDivergenceError`, which names the part of the step
+        that made it so: the update if the member was finite in
+        ``prior``, else the propagation.  Its ``t`` is the member's step
+        end: ``t`` is one float, or a ``(B, 1)`` column of them.
+        """
         # a non-finite entry poisons the sum; only then are members searched.
         # np.add.reduce is ndarray.sum without its Python wrapper
-        total = (np.add.reduce(self.mean, axis=None) + np.add.reduce(self.P, axis=None)
-                 + np.add.reduce(self.x3 + self.p33))
-        if math.isfinite(total) or _finite(self.mean, self.P, self.x3, self.p33):
-            return
-        after = ("propagation" if self._prior is None or not _finite(*self._prior)
-                 else "update")
-        raise FilterDivergenceError(f"filter state non-finite after {after}",
-                                    t=t)
+        total = np.add.reduce(self.mean, None) + np.add.reduce(self.P, None)
+        if math.isfinite(total + np.add.reduce(self.x3 + self.p33)):
+            return {}
+        times = np.broadcast_to(np.ravel(t), self.x3.shape)
+        unevaluated = updated = np.zeros(self.x3.shape, dtype=bool)
+        if prior is not None:
+            b0 = self.spec.bracket_terms(prior[2])[2]
+            unevaluated, updated = ~_finite(b0), _finite(*prior)
+        after = np.where(updated, "update", "propagation")
+        return {int(i): EvaluationError("b0 evaluation non-finite", value=prior[2][i])
+                if unevaluated[i] else FilterDivergenceError(
+                    f"filter state non-finite after {after[i]}", t=float(times[i]))
+                for i in np.flatnonzero(~_finite(self.mean, self.P, self.x3, self.p33))}
 
     def _push_row(self, x1: np.ndarray) -> None:
         w = self.window
@@ -319,5 +332,7 @@ class GekfFilter:
         return np.minimum(np.linalg.eigvalsh(self.P).min(axis=-1), self.p33)
 
 
-def _finite(*arrays: np.ndarray) -> bool:
-    return all(np.isfinite(part).all() for part in arrays)
+def _finite(*arrays: np.ndarray) -> np.ndarray:
+    """Per member, whether all its entries in ``arrays`` are finite; the
+    leading axis of each array is the members'."""
+    return np.isfinite(np.column_stack([a.reshape(len(a), -1) for a in arrays])).all(1)

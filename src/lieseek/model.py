@@ -552,14 +552,21 @@ class EscSystemSpec:
         value, _ = self.form_terms(f)
         return value[..., :self.n], value[..., self.n:]
 
-    def coefficients(self, f) -> tuple:
+    def bracket_terms(self, f) -> tuple:
         """``b1``, ``b2`` and the bracket factor ``b0 = b2*b1' - b1*b2'``
         of every channel at the measured objective values ``f``, each of
-        shape ``f.shape + (n,)``, with the slopes in closed form."""
+        shape ``f.shape + (n,)``, with the slopes in closed form; a
+        non-finite b0 is returned as it is, for the caller to name the
+        entries that failed."""
         n = self.n
         value, slope = self.form_terms(f)
         b1, b2 = value[..., :n], value[..., n:]
-        b0 = b2 * slope[..., :n] - b1 * slope[..., n:]
+        return b1, b2, b2 * slope[..., :n] - b1 * slope[..., n:]
+
+    def coefficients(self, f) -> tuple:
+        """:meth:`bracket_terms`, where a non-finite b0 raises
+        :class:`EvaluationError`."""
+        b1, b2, b0 = self.bracket_terms(f)
         if not np.isfinite(b0).all():
             raise EvaluationError("b0 evaluation non-finite", value=f)
         return b1, b2, b0

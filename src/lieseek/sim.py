@@ -28,7 +28,11 @@ every sweep of the CLI are one loop.  Member k of a batch equals its own
 run bit for bit, on its own time grid; a row that reaches its last step
 leaves the loop, and a row that fails stops alone while the others
 finish, but for the seeking runs of a failing reference, which stop with
-it and return its error.
+it and return its error.  A failing plant step is pinned on its rows by
+stepping each row again alone, because ``rk4_step`` raises for the whole
+array; the filter steps after the plant step that it measures has passed,
+and names each member that fails by position, so only the plant is ever
+stepped again.
 
 Runs are single-threaded and bit-deterministic for a given spec and
 seed; optional measurement noise draws from a per-member seeded
@@ -443,12 +447,19 @@ class _Lockstep:
     every row; on the rows that do not adapt the estimate stays 0 and the
     decay factor 1, so their amplitudes keep their bits.
 
-    One step is a fallible part, :meth:`_attempt`, that commits nothing,
-    and :meth:`_commit`.  When the attempt fails, each row attempts the
-    step alone, with the plant's check of b0 on; those that fail record
-    their error and stop, and so do the seeking rows whose averaged row
-    fails; the others take the step together.  A seeking run whose
-    reference fails returns that error, whenever its own row stopped.
+    One step is the plant's fallible part, :meth:`_attempt`, that commits
+    nothing, and :meth:`_commit`.  When the attempt fails, each row
+    attempts the plant step alone, with the plant's check of b0 on; those
+    that fail record their error and stop (:meth:`_stop`), and so do the
+    seeking rows whose averaged row fails; the others take the step
+    together.  Only the plant is replayed: its checks raise for all rows
+    at once, and the filter has nothing to do until the plant step that it
+    measures has passed.  So the filter steps in :meth:`_commit`, its
+    arrays are replaced once per step and never undone, and its read
+    (:meth:`GekfFilter.check`) names each member whose state turned
+    non-finite, or whose b0 at its held sample did; those members stop
+    alone, and no row steps again.  A seeking run whose reference fails
+    returns that error, whenever its own row stopped.
     """
 
     def __init__(self, specs: Sequence[EscSystemSpec],
@@ -583,15 +594,24 @@ class _Lockstep:
         return self.j_override(t) if callable(self.j_override) else self.j_override
 
     def _take(self, rows: list) -> "_Lockstep":
-        """A copy that holds only the rows ``rows`` (positions among the
-        current rows)."""
+        """A copy that holds only the plant of the rows ``rows`` (positions
+        among the current rows), and no filter."""
         out = copy.copy(self)
         index = _index(rows)
         for name in ("decay", "x", "a", "j_sig"):
             setattr(out, name, getattr(self, name)[index])
         out.members = self.members[rows]
-        adaptive = [i for i in rows if i < self.m]
         out.filt = out.rngs = None
+        out._regrid()
+        return out
+
+    def _keep(self, rows: list) -> None:
+        """Keep only the rows ``rows``, with their filter members."""
+        if not rows:
+            self.members = self.members[:0]
+            return
+        self.U = self.U1 = self.U2 = None   # free the old tables before the new
+        out, adaptive = self._take(rows), [i for i in rows if i < self.m]
         if adaptive and self.filt is not None:
             index = _index(adaptive)
             for name in ("u_int", "zero", "noise"):
@@ -599,15 +619,7 @@ class _Lockstep:
                 setattr(out, name, None if value is None else value[index])
             out.filt = self.filt.take(index)
             out.rngs = self.rngs and [self.rngs[i] for i in adaptive]
-        out._regrid()
-        return out
-
-    def _keep(self, rows: list) -> None:
-        if not rows:
-            self.members = self.members[:0]
-            return
-        self.U = self.U1 = self.U2 = None   # free the old tables before the new
-        vars(self).update(vars(self._take(rows)))
+        vars(self).update(vars(out))
 
     def _finish(self, step: int) -> None:
         """Let the rows whose last step is ``step`` leave the loop."""
@@ -676,67 +688,71 @@ class _Lockstep:
             out[s:] += self.err.value(t)
         return out
 
-    def _attempt(self, step: int, measure: bool, check: bool = False) -> tuple:
-        """The new states, amplitudes and filter inputs of ``step``; raises
-        for a failing row, with the filter left as it was.  ``check`` turns
-        on the plant's check of b0 (:meth:`_plant`)."""
-        start, end, m = self.times[step], self.times[step + 1], self.m
+    def _attempt(self, step: int, check: bool = False) -> tuple:
+        """The new states and amplitudes of ``step``; raises for a failing
+        row.  ``check`` turns on the plant's check of b0 (:meth:`_plant`)."""
+        start, end = self.times[step], self.times[step + 1]
         x = rk4_step(self._plant(step, check), start, self.x, self.dt)
         a, j = self.a, self.j_sig
-        if m:
+        if self.m:
             a = j + (a - j) * self.decay
             if not np.isfinite(a).all():
                 raise IntegrationError(f"non-finite amplitude at t={start}",
                                        t=start)
         self.obj.guard(x, end)
-        if self.filt is None:
-            return x, a, None
-        # a * sqrt(omega) * dt/4 times each dither's Simpson sum, from the
-        # table rows of the step's stages viewed as (rows, 2, n)
-        weight = (self.W[:m] * (self.dt_a / 4.0))[:, None]
-        u = self.U[2 * step:2 * step + 3, :m].reshape(3, m, 2, self.n)
-        u_int = self.u_int + weight * (u[0] + 2.0 * u[1] + u[2])
-        filt = self.filt
-        saved = filt.snapshot()
-        try:
-            filt.propagate(self.dt_a)
-            if measure:
-                f2 = self.obj.measured(x)[:m]
-                if self.noise is not None:
-                    f2 = f2 + self.noise
-                filt.update(f2, u_int, a[:m])
-            filt.check(end)
-        except LieseekError:
-            filt.restore(saved)
-            raise
-        return x, a, u_int
+        return x, a
 
     def _commit(self, step: int, measure: bool, new: tuple) -> None:
-        self.x, self.a, u_int = new
+        """Take the step that every row has passed, and then the filter's
+        step; a member whose filter state turns non-finite stops alone."""
+        self.x, self.a = new
+        m, end = self.m, self.times[step + 1]
         if self.filt is not None:
+            # a * sqrt(omega) * dt/4 times each dither's Simpson sum, from the
+            # table rows of the step's stages viewed as (rows, 2, n)
+            weight = (self.W[:m] * (self.dt_a / 4.0))[:, None]
+            u = self.U[2 * step:2 * step + 3, :m].reshape(3, m, 2, self.n)
+            u_int = self.u_int + weight * (u[0] + 2.0 * u[1] + u[2])
+            filt, prior = self.filt, None
+            filt.propagate(self.dt_a)
+            if measure:
+                prior = filt.mean, filt.P, filt.x3, filt.p33
+                f2 = self.obj.measured(self.x)[:m]
+                if self.noise is not None:
+                    f2 = f2 + self.noise
+                filt.update(f2, u_int, self.a[:m])
             self.u_int = self.zero if measure else u_int
-            self.j_sig[:self.m] = self.filt.step_export()
-        elif self.m:
-            self.j_sig[:self.m] = self._override(self.times[step + 1])
+            failed = filt.check(end if isinstance(end, float) else end[:m], prior)
+            # the export of a member that stops here is never read
+            self.j_sig[:m] = filt.step_export()
+            if failed:
+                self._stop(failed)
+        elif m:
+            self.j_sig[:m] = self._override(end)
         self._log(step + 1)
 
-    def _drop_failing(self, step: int, measure: bool,
-                      exc: LieseekError) -> bool:
-        """Record the error of each row whose step fails when it is taken
-        alone, and of each seeking row whose averaged row fails, and keep
-        the other rows; returns whether any is left.  A row attempts the
-        step with the plant's check of b0 on, so it raises what the
+    def _drop_failing(self, step: int, exc: LieseekError) -> bool:
+        """Stop each row whose plant step fails when it is taken alone
+        (:meth:`_stop`); returns whether any row is left.  A row attempts
+        the step with the plant's check of b0 on, so it raises what the
         oracle's evaluation raises: :class:`EvaluationError` for a
         non-finite b0 of an averaged row at any stage, else the error of
         the first non-finite stage."""
-        size, failed = self.members.size, {}
-        for i in range(size):
+        failed = {}
+        for i in range(self.members.size):
             try:
-                self._take([i])._attempt(step, measure, check=True)
+                self._take([i])._attempt(step, check=True)
             except LieseekError as err:
                 failed[i] = err
         if not failed:   # a failure of the loop, not of a row
             raise exc
+        self._stop(failed)
+        return self.members.size > 0
+
+    def _stop(self, failed: dict) -> None:
+        """Record the error of each row in ``failed`` (positions among the
+        current rows) and of each seeking row whose averaged row is among
+        them, and keep the other rows."""
         rows = self.members.tolist()
         stopped = {self.keys[rows[i]]: err for i, err in failed.items()
                    if rows[i] >= self.s0}
@@ -744,8 +760,7 @@ class _Lockstep:
             if self.keys[r] in stopped:
                 failed.setdefault(i, stopped[self.keys[r]])
         self.errors.update({rows[i]: err for i, err in failed.items()})
-        self._keep([i for i in range(size) if i not in failed])
-        return self.members.size > 0
+        self._keep([i for i in range(len(rows)) if i not in failed])
 
     def run(self) -> list:
         """Each member's log, or the error that stopped it; ``refs`` then
@@ -760,17 +775,18 @@ class _Lockstep:
                 measure = self.filt is not None and (step + 1) % n_meas == 0
                 self.noise = self._noise() if measure and self.rngs else None
                 try:
-                    new = self._attempt(step, measure)
+                    new = self._attempt(step)
                 except LieseekError as exc:
-                    if not self._drop_failing(step, measure, exc):
+                    if not self._drop_failing(step, exc):
                         break
-                    new = self._attempt(step, measure)
+                    new = self._attempt(step)
                 self._commit(step, measure, new)
-        for r in range(self.s0, len(self.specs)):
-            z = self.x_log[:self.grid_of[r].steps + 1, r]
-            z.flags.writeable = False
-            self.refs[self.keys[r]] = self.errors.get(r, z)
-        return [self._result(r) for r in self.member_rows]
+            for r in range(self.s0, len(self.specs)):
+                z = self.x_log[:self.grid_of[r].steps + 1, r]
+                z.flags.writeable = False
+                self.refs[self.keys[r]] = self.errors.get(r, z)
+            # the summaries read logs that may hold overflowing values
+            return [self._result(r) for r in self.member_rows]
 
     def _result(self, r: int):
         """The log of the seeking run of row r, or the error that stopped

@@ -711,22 +711,49 @@ def test_noise_free_commands_never_load_numpy_random(tmp_path, argv):
     assert proc.stderr.splitlines()[-1] == f"{code} []"
 
 
-def _boxless_far(system: dict) -> None:
+def test_a_run_whose_covariance_trace_overflows_prints_nothing(tmp_path):
+    """At p0 = 8.98e307 the covariance and ``p33`` are finite, but their
+    trace overflows: the run exits 0 with an empty stderr, and the first
+    row of ``_gekf.csv`` holds ``inf`` as ``trace_p``."""
+    cfg = shortened("case1", 2.0).config
+    cfg["gekf"]["p0"] = 8.98e307
+    path = tmp_path / "case1.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "lieseek", "run", "--config",
+                           str(path), "--mode", "proposed", "--out", str(out)],
+                          env=_source_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    header, first = (out / "case1_main_proposed_gekf.csv").read_text().splitlines()[:2]
+    assert dict(zip(header.split(","), first.split(",")))["trace_p"] == "inf"
+
+
+def _boxless_far(cfg: dict) -> None:
+    system = cfg["systems"]["main"]
     del system["objective"]["domain_box"]
     system["x0"] = [1e160]
+
+
+def _diverging_filter(cfg: dict) -> None:
+    cfg["gekf"]["p0"] = 1e307
+    cfg["systems"]["main"]["a0"] = [1e-3]
 
 
 @pytest.mark.parametrize("edit,extra,message", [
     (_boxless_far, ["--mode", "lbs"], "b0 evaluation non-finite"),
     (_boxless_far, ["--mode", "proposed"], "b0 evaluation non-finite"),
-], ids=["lbs", "proposed"])
+    (_diverging_filter, ["--mode", "proposed"],
+     "filter state non-finite after update"),
+], ids=["lbs", "proposed", "filter"])
 def test_a_failing_run_prints_one_line(tmp_path, edit, extra, message):
     """The run exits 3 with the error's one line, and no NumPy warning
     before it: without a domain box, x0 = 1e160 overflows the objective
-    in the first step."""
+    in the first step; at p0 = 1e307 and a0 = 1e-3 the filter's first
+    update overflows its covariance."""
     cfg = shortened("case1", 2.0).config
-    if edit is not None:
-        edit(cfg["systems"]["main"])
+    edit(cfg)
     path = tmp_path / "case1.json"
     path.write_text(json.dumps(cfg))
     proc = subprocess.run([sys.executable, "-m", "lieseek", "run", "--config",

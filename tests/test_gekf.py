@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lieseek.gekf as gekf
-from lieseek.errors import ConfigurationError, FilterDivergenceError
+from lieseek.errors import (ConfigurationError, EvaluationError,
+                            FilterDivergenceError)
 from lieseek.gekf import GekfConfig, GekfFilter, measurement_coefficients
 from conftest import shortened
 from lieseek.model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
@@ -136,19 +137,54 @@ class TestMeasurementUpdate:
         assert min(_min_eig(filt.P[0]), filt.p33[0]) >= -1e-9
         np.testing.assert_allclose(filt.P[0], filt.P[0].T, atol=1e-10)
 
+    @staticmethod
+    def _read(f2, t):
+        """The failure read at ``t`` after the update of :meth:`_updated`
+        against ``f2``, given the arrays that the update started from."""
+        filt = _filter(GekfConfig(), -1.0, 0.0, 2.0)
+        prior = filt.mean, filt.P, filt.x3, filt.p33
+        filt.update(f2, np.array([[[0.02], [0.01]]]), np.array([[1.0]]))
+        return filt.check(t, prior)
+
     def test_divergent_measurement_raises(self):
-        filt = self._updated(float("nan"))
+        failed = self._read(float("nan"), 0.0)
+        assert list(failed) == [0]
         with pytest.raises(FilterDivergenceError, match="after update"):
-            filt.check(0.0)
+            raise failed[0]
 
     def test_check_raises_with_the_given_time(self):
         """The filter keeps no clock: the error carries the time that the
         caller names."""
-        filt = self._updated(float("nan"))
-        with pytest.raises(FilterDivergenceError) as exc:
-            filt.check(0.75)
-        assert exc.value.t == 0.75
-        assert self._updated(2.7).check(0.75) is None
+        failed = self._read(float("nan"), 0.75)
+        assert type(failed[0]) is FilterDivergenceError
+        assert failed[0].t == 0.75
+        assert self._read(2.7, 0.75) == {}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_b0_names_its_member_alone(self):
+        """Linear forms of gain 1e200 give a NaN b0 at the held sample 1
+        and a finite one at 1e-300.  The update of both members raises
+        nothing; the read names the first alone, with the error that the
+        coefficients raise, and the second has the bits of a filter of it
+        alone."""
+        steep = ChannelSpec(index=0, b1=_linear(1e200, 0.0),
+                            b2=_linear(1e200, 1.0))
+        spec, cfg = _system(steep), GekfConfig()
+        u_int, a = np.full((2, 2, 1), 0.01), np.ones((2, 1))
+        pair = GekfFilter(cfg, spec, [1.0, 1e-300], a)
+        alone = GekfFilter(cfg, spec, [1e-300], a[1:])
+        with pytest.raises(EvaluationError, match="b0 evaluation non-finite"):
+            spec.coefficients(pair.x3)
+        prior = pair.mean, pair.P, pair.x3, pair.p33
+        pair.update(np.array([0.5, 0.25]), u_int, a)
+        alone.update(np.array([0.25]), u_int[1:], a[1:])
+        failed = pair.check(0.5, prior)
+        assert list(failed) == [0]
+        assert type(failed[0]) is EvaluationError
+        assert str(failed[0]) == "b0 evaluation non-finite"
+        for name in ("mean", "P", "x3", "p33"):
+            assert getattr(pair, name)[1:].tobytes() == getattr(alone, name).tobytes()
+        assert np.isfinite(alone.P).all()
 
 
 class TestExtractJ:

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import counting_loops, shortened
 import lieseek.sim as sim
 from lieseek.cli import execute_run
-from lieseek.errors import (DivergenceError, EvaluationError, InputError,
+from lieseek.errors import (DivergenceError, EvaluationError,
+                            FilterDivergenceError, InputError,
                             IntegrationError, LieseekError)
 from lieseek.model import (TAU, DitherSignal, EscSystemSpec, EstimationErrorModel,
                            ObjectiveMap)
@@ -991,6 +992,40 @@ class TestLockstepBatch:
         assert str(batch[1]) == str(alone.value) == "non-finite RK4 stage 2 at t=0.0"
         for k in (0, 2):
             _assert_same_run(batch[k], run_proposed(specs[k], gcfg))
+
+    @pytest.mark.parametrize("p0,system,after", [
+        (1e307, [{"a0": [a0]} for a0 in (1.0, 1e-3, 0.5)], "update"),
+        (8.98e307, [{"omega": w} for w in (8.0, 2.0, 6.0)], "propagation"),
+    ], ids=["a0", "omega"])
+    def test_a_member_whose_filter_diverges_stops_alone(self, monkeypatch, p0,
+                                                        system, after):
+        """At p0 = 1e307 the first update of the member at a0 = 1e-3
+        overflows its covariance; at p0 = 8.98e307 the first propagation of
+        the member at omega = 2, whose step is the longest, does.  That
+        member returns the error of its own run, at its own step's end,
+        and the others equal their own runs.  No row steps again: the loop
+        calls ``rk4_step`` once per step."""
+        members = [_member("case1", 2.0, {"p0": p0}, **kw) for kw in system]
+        specs = [spec for spec, _ in members]
+        calls = []
+        inner = sim.rk4_step
+
+        def counting(rhs, t, x, dt):
+            calls.append(1)
+            return inner(rhs, t, x, dt)
+
+        monkeypatch.setattr(sim, "rk4_step", counting)
+        batch = sim.run_batch(specs, [gcfg for _, gcfg in members])
+        assert len(calls) == max(sim._steps(spec) for spec in specs) == 163
+        with pytest.raises(FilterDivergenceError) as alone:
+            run_proposed(*members[1])
+        assert type(batch[1]) is FilterDivergenceError
+        assert str(batch[1]) == str(alone.value) == (
+            f"filter state non-finite after {after}")
+        assert batch[1].t == alone.value.t == specs[1].resolved_dt
+        for k in (0, 2):
+            assert np.isfinite(batch[k].diag["min_eig_p"]).all()
+            _assert_same_run(batch[k], run_proposed(*members[k]))
 
     def test_members_of_other_systems_equal_their_own_runs(self,
                                                            monkeypatch):

@@ -16,10 +16,18 @@ averaged system through ``sim.lbs_batch``:
   horizon 6;
 * ``case1-noisy``: eight case1 proposed members, seeds 0 to 7, with
   measurement noise of standard deviation 0.0173 (``sqrt(r)``), horizon 8;
-* ``lbs``: ``run case1 --mode lbs``.
+* ``lbs``: ``run case1 --mode lbs``;
+* ``failing``: batches whose members fail, horizon 2 unless noted:
+  case1 proposed at ``gekf.p0 = 1e307`` with a0 1, 1e-3 and 0.5 (the
+  second member's filter fails after its first update), case1 proposed
+  at ``gekf.p0 = 8.98e307`` with omega 8, 2 and 6 (the second member's
+  filter fails after its first propagation), and case1 at omega 50, 2
+  and 6, horizon 1.5, proposed and then baseline (the second member
+  leaves the domain box).
 
 First each loop runs once per tree, and the two trees' logs must agree
-bit for bit, every array, the diagnostics and the meta (else the tool
+bit for bit, every array, the diagnostics and the meta, and so must
+their errors, in type, message, ``t`` and ``t_exit`` (else the tool
 exits 1).  Each log array or diagnostic that differs gets a line of its
 own with how far it moved: the largest ``|new - old|`` of a column over
 the largest ``|old|`` of that column, the scale by which
@@ -67,6 +75,17 @@ def load(tree: str, name: str) -> dict:
             for sub in ("sim", "scenarios", "cli")}
 
 
+def edited(scenarios, gekf: dict, **system) -> tuple:
+    """case1's primary system and filter configuration, built by the
+    package's ``scenarios``, with settings of that system and of the
+    ``gekf`` section replaced."""
+    cfg = scenarios.preset("case1").config
+    cfg["systems"][cfg["primary"]].update(system)
+    cfg["gekf"].update(gekf)
+    sc = scenarios.Scenario(cfg)
+    return sc.primary_system, sc.gekf_config()
+
+
 def loops(mods: dict) -> dict:
     """Each loop's call, with its specs built by ``mods``' own package."""
     sim, cli, preset = mods["sim"], mods["cli"], mods["scenarios"].preset
@@ -77,6 +96,20 @@ def loops(mods: dict) -> dict:
     lams = [cli._apply_overrides(case2, lam=lam, horizon=6.0)
             for lam in (0.05, 0.1, 0.2, 0.4)]
     noisy = cli._apply_overrides(case1, horizon=8.0)
+    batches = [[edited(mods["scenarios"], {"p0": 1e307}, horizon=2.0, a0=[a0])
+                for a0 in (1.0, 1e-3, 0.5)],
+               [edited(mods["scenarios"], {"p0": 8.98e307}, horizon=2.0, omega=w)
+                for w in (8.0, 2.0, 6.0)]]
+    leaving = [edited(mods["scenarios"], {}, horizon=1.5, omega=w)
+               for w in (50.0, 2.0, 6.0)]
+
+    def failing() -> list:
+        out = []
+        for members in batches + [leaving]:
+            out += sim.run_batch([spec for spec, _ in members],
+                                 [gcfg for _, gcfg in members])
+        return out + sim.run_batch([spec for spec, _ in leaving])
+
     return {
         "case1-both": lambda: sim.run_batch(
             [both, both], [None, case1.gekf_config()], [0, 0]),
@@ -88,6 +121,7 @@ def loops(mods: dict) -> dict:
             [noisy.primary_system] * 8, [noisy.gekf_config()] * 8,
             list(range(8)), noise_std=0.0173),
         "lbs": lambda: sim.lbs_batch([both]),
+        "failing": failing,
     }
 
 
@@ -111,14 +145,23 @@ def move(a: np.ndarray, b: np.ndarray) -> str:
     return f"largest |new - old| / max |old| {ratio[column]:.3g} in column {column}"
 
 
+def outcome(result):
+    """An error as its type's name, message, ``t`` and ``t_exit``; a log
+    as its repr."""
+    if not isinstance(result, Exception):
+        return repr(result)
+    return (type(result).__name__, str(result), getattr(result, "t", None),
+            getattr(result, "t_exit", None))
+
+
 def differences(old: list, new: list) -> list[str]:
     """Where two loops' results differ: per member, the log array, the
     diagnostic or the meta, or the error."""
     out = []
     for k, (a, b) in enumerate(zip(old, new)):
         if isinstance(a, Exception) or isinstance(b, Exception):
-            if (type(a).__name__, str(a)) != (type(b).__name__, str(b)):
-                out.append(f"member {k}: {a!r} != {b!r}")
+            if outcome(a) != outcome(b):
+                out.append(f"member {k}: {outcome(a)} != {outcome(b)}")
             continue
         pairs = [(name, getattr(a, name), getattr(b, name))
                  for name in LOG_ARRAYS]
