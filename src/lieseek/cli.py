@@ -19,6 +19,15 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+# The program's matrices are small (2n x 2n per filter member, 512 x 2 in
+# its fits), so a BLAS worker thread has no work to share, yet OpenBLAS
+# starts one when NumPy loads and it spins on a CPU.  The thread count is
+# read only at that load, so it is set here, before NumPy is imported; a
+# value the user set wins, and a host that loaded NumPy already keeps its
+# environment as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import analysis as an

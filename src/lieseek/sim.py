@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import os
 import tempfile
 from typing import Callable, Optional, Sequence
@@ -824,6 +825,20 @@ def _raised(result):
     return result
 
 
+def _check_noise(noise_std: float, seeds: Sequence) -> None:
+    """Raise :class:`InputError` for a noise level that is not a finite
+    non-negative number or, with noise on, a seed that is not a
+    non-negative integer (a noise-free run never reads its seed)."""
+    if not (isinstance(noise_std, numbers.Real) and math.isfinite(noise_std)
+            and noise_std >= 0):
+        raise InputError(f"noise_std must be finite and non-negative, "
+                         f"not {noise_std!r}")
+    for seed in seeds if noise_std > 0 else ():
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise InputError(f"seed must be a non-negative integer when "
+                             f"noise_std > 0, not {seed!r}")
+
+
 def run_batch(specs: Sequence[EscSystemSpec],
               gcfgs: Optional[Sequence[Optional[GekfConfig]]] = None,
               seeds: Optional[Sequence[int]] = None,
@@ -834,7 +849,8 @@ def run_batch(specs: Sequence[EscSystemSpec],
     Member k is an adaptive run with the filter configuration
     ``gcfgs[k]``, or a constant-amplitude run where that entry is None (or
     ``gcfgs`` is); ``gcfgs`` and ``seeds``, when given, hold one entry per
-    spec, else :class:`InputError` is raised.  The members may come from
+    spec, else :class:`InputError` is raised, as it is for a bad
+    ``noise_std`` or seed (:func:`_check_noise`).  The members may come from
     any systems, and this is the one place that decides which of them
     share a loop.  They are grouped, in order of first appearance, by
     system (:func:`_system`: coefficient forms, dithers, and the
@@ -851,8 +867,9 @@ def run_batch(specs: Sequence[EscSystemSpec],
     if any(v is not None and len(v) != len(specs) for v in (gcfgs, seeds)):
         raise InputError("run_batch needs one filter configuration and one "
                          "seed per spec, or none")
-    members = list(zip(specs, gcfgs or [None] * len(specs),
-                       seeds or [0] * len(specs)))
+    seeds = seeds or [0] * len(specs)
+    _check_noise(noise_std, seeds)
+    members = list(zip(specs, gcfgs or [None] * len(specs), seeds))
     return _by_group([_system(spec) for spec in specs], members,
                      lambda group: _system_runs(group, noise_std))
 
@@ -892,8 +909,10 @@ def run_proposed(spec: EscSystemSpec, gcfg: GekfConfig, seed: int = 0,
 
     ``j_override`` replaces the filter with a fixed signal (scalar,
     vector, or callable of time); used to exercise the adaptation law in
-    isolation.
+    isolation.  A bad ``noise_std`` or seed raises :class:`InputError`
+    (:func:`_check_noise`).
     """
+    _check_noise(noise_std, [seed])
     return _raised(_Lockstep([spec], [gcfg], [seed], noise_std,
                              j_override=j_override).run()[0])
 

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import lieseek
 
 PUBLIC = ["Scenario", "TrajectoryLog", "check_b2", "check_bound", "compare",
@@ -26,3 +28,9 @@ def test_readme_imports_are_public():
     for line in imports:
         for name in line.split(","):
             assert name.strip() in lieseek.__all__
+
+
+def test_unknown_name_is_an_attribute_error():
+    """Public names resolve on first use; any other name is missing."""
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lieseek.no_such_name

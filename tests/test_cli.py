@@ -711,6 +711,57 @@ def test_noise_free_commands_never_load_numpy_random(tmp_path, argv):
     assert proc.stderr.splitlines()[-1] == f"{code} []"
 
 
+_BLAS_PROBE = """
+import json, os, sys
+threads = None
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(line.split()[1]) for line in fh
+                       if line.startswith("Threads:"))
+print(json.dumps({"var": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "numpy": "numpy" in sys.modules, "threads": threads}))
+"""
+
+
+def _blas_probe(code: str, env: dict) -> dict:
+    """Run ``code`` in a fresh interpreter whose environment lacks
+    ``OPENBLAS_NUM_THREADS`` but for ``env``, and report the variable,
+    whether NumPy is loaded, and the process's thread count (None where
+    ``/proc/self/status`` is missing)."""
+    full = {k: v for k, v in _source_env().items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code + "\n" + _BLAS_PROBE],
+                          env={**full, **env}, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_loads_numpy_with_one_blas_thread():
+    """OpenBLAS starts a worker thread when NumPy loads, unless
+    ``OPENBLAS_NUM_THREADS`` is 1 by then; the CLI sets it first."""
+    probe = _blas_probe("import lieseek.cli", {})
+    assert probe["var"] == "1" and probe["numpy"]
+    if probe["threads"] is None:
+        pytest.skip("no /proc/self/status to count threads")
+    assert probe["threads"] == 1
+
+
+@pytest.mark.parametrize("code,env,var,numpy_loaded", [
+    ("import lieseek", {}, None, False),
+    ("from lieseek import preset; preset('case1')", {}, None, True),
+    ("import numpy, lieseek.cli", {}, None, True),
+    ("import lieseek.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3", True),
+], ids=["import-package", "library-use", "numpy-first", "user-setting"])
+def test_blas_thread_count_is_left_alone_outside_the_cli(code, env, var,
+                                                         numpy_loaded):
+    """Importing the package loads no NumPy, the library leaves the
+    environment as it was, a host that loaded NumPy first keeps it, and a
+    user's own setting wins."""
+    probe = _blas_probe(code, env)
+    assert (probe["var"], probe["numpy"]) == (var, numpy_loaded)
+
+
 def test_a_run_whose_covariance_trace_overflows_prints_nothing(tmp_path):
     """At p0 = 8.98e307 the covariance and ``p33`` are finite, but their
     trace overflows: the run exits 0 with an empty stderr, and the first

@@ -338,6 +338,38 @@ class TestRunProposed:
             assert log.diag["min_eig_p"][k] == min(
                 np.linalg.eigvalsh(P).min(), p33)
 
+    @pytest.mark.parametrize("noise_std, seed, named", [
+        (float("nan"), 0, "nan"),
+        (-0.1, 0, "-0.1"),
+        (float("inf"), 0, "inf"),
+        (0.01, -1, "-1"),
+        (0.01, 1.5, "1.5"),
+    ], ids=["nan-noise", "negative-noise", "infinite-noise", "negative-seed",
+            "fractional-seed"])
+    @pytest.mark.parametrize("runner", ["run_batch", "run_proposed"])
+    def test_bad_noise_or_seed_is_an_input_error(self, runner, noise_std, seed,
+                                                 named):
+        """A noise level that is not finite and non-negative used to run
+        noise-free, and a bad seed with noise on raised NumPy's own error;
+        both entry points now name the value before any step."""
+        sc = shortened("case1", 0.5)
+        spec, gcfg = sc.primary_system, sc.gekf_config()
+        with pytest.raises(InputError, match=named):
+            if runner == "run_batch":
+                sim.run_batch([spec], [gcfg], [seed], noise_std=noise_std)
+            else:
+                run_proposed(spec, gcfg, seed=seed, noise_std=noise_std)
+
+    def test_noise_free_run_accepts_any_seed(self):
+        """The CLI accepts ``--seed -1``; a noise-free run never reads its
+        seed, so it runs and gives the bits of seed 0."""
+        sc = shortened("case1", 0.5)
+        spec, gcfg = sc.primary_system, sc.gekf_config()
+        (log,) = sim.run_batch([spec], [gcfg], [-1])
+        _assert_same_run(log, run_proposed(spec, gcfg, seed=-1))
+        assert log.meta["seed"] == -1
+        assert log.j_est.tobytes() == run_proposed(spec, gcfg).j_est.tobytes()
+
 
 class TestTrajectoryLog:
     def test_csv_round_trip(self, tmp_path):

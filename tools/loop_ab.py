@@ -2,7 +2,8 @@
 
 Usage::
 
-    python3 tools/loop_ab.py OLD_TREE NEW_TREE [PAIRS]
+    python3 tools/loop_ab.py OLD_TREE NEW_TREE [PAIRS [LOOP ...]]
+    python3 tools/loop_ab.py OLD_TREE NEW_TREE 30 lambda-sweep
 
 Each tree's ``src/lieseek`` is imported under a package name of its own
 (``lieseek_old`` and ``lieseek_new``), so both run in one interpreter on
@@ -24,6 +25,9 @@ averaged system through ``sim.lbs_batch``:
   filter fails after its first propagation), and case1 at omega 50, 2
   and 6, horizon 1.5, proposed and then baseline (the second member
   leaves the domain box).
+
+With loop names after ``PAIRS``, only those loops run; an unknown name
+prints this text and the loop names, and exits 2.
 
 First each loop runs once per tree, and the two trees' logs must agree
 bit for bit, every array, the diagnostics and the meta, and so must
@@ -186,17 +190,23 @@ def cpu_time(call) -> float:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3) or not all(
+    pairs = argv[2] if len(argv) > 2 else "10"
+    if len(argv) < 2 or not pairs.isdigit() or int(pairs) < 1 or not all(
             os.path.isdir(os.path.join(tree, "src", "lieseek"))
             for tree in argv[:2]):
         print(__doc__, file=sys.stderr)
         return 2
-    pairs = int(argv[2]) if len(argv) == 3 else 10
+    pairs = int(pairs)
     old, new = (loops(load(tree, name))
                 for tree, name in zip(argv, ("lieseek_old", "lieseek_new")))
+    names = argv[3:] or list(old)
+    if any(name not in old for name in names):
+        print(__doc__, file=sys.stderr)
+        print(f"loops: {', '.join(old)}", file=sys.stderr)
+        return 2
     failed = False
     with np.errstate(all="ignore"):
-        for name in old:
+        for name in names:
             found = differences(old[name](), new[name]())
             failed = failed or bool(found)
             for line in found:

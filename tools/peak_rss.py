@@ -1,4 +1,5 @@
-"""Compare the peak memory of one lieseek CLI command run from two source trees.
+"""Compare the peak memory and CPU time of one lieseek CLI command run from
+two source trees.
 
 Usage::
 
@@ -10,15 +11,18 @@ Each run is ``python3 -m lieseek ARGS`` in a fresh temporary directory,
 with the tree's ``src`` first on ``PYTHONPATH``; the default ``--out``
 lands there.  The trees alternate, the first of each pair alternating
 too, for ``PAIRS`` pairs (default 5).  The peak is the ``ru_maxrss`` that
-``os.wait4`` returns for that child, in MB of 1024 KiB.  One line per
-tree gives the median and quartiles of its peaks and its exit codes, and
-a last line the median new - old difference and in how many pairs the
-new tree peaked lower.
+``os.wait4`` returns for that child, in MB of 1024 KiB, and its CPU time
+the user plus system seconds of the same rusage, start-up included.  Per
+measure, one line per tree gives the median and quartiles and the exit
+codes, and one line the median new - old difference and in how many
+pairs the new tree used less.
 
 Why not perfbench's ``peak_rss_mb``: a child's ``ru_maxrss`` starts from
 the high-water mark that its parent had when it forked and exec'ed, so a
 large parent floors the number.  This parent imports the standard library
-alone and stays near 10 MB, so the child's own peak shows.
+alone and stays near 10 MB, so the child's own peak shows.  Why not
+``tools/loop_ab.py`` for CPU: it times loops inside one interpreter that
+has already started, so it cannot see a cost paid at start-up.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ import sys
 import tempfile
 
 
-def peak(tree: str, args: list[str]) -> tuple[float, int]:
-    """The peak RSS in MB and the exit code of ``args`` run from ``tree``."""
+def measure(tree: str, args: list[str]) -> tuple[float, float, int]:
+    """The peak RSS in MB, the CPU seconds and the exit code of ``args``
+    run from ``tree``."""
     env = dict(os.environ)
     src = os.path.join(os.path.abspath(tree), "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -42,16 +47,16 @@ def peak(tree: str, args: list[str]) -> tuple[float, int]:
                                 stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
-    return usage.ru_maxrss / 1024.0, proc.returncode
+    return (usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime,
+            proc.returncode)
 
 
-def summary(name: str, runs: list[tuple[float, int]]) -> str:
-    peaks = [mb for mb, _ in runs]
-    q1, _, q3 = (statistics.quantiles(peaks, n=4) if len(peaks) > 1
-                 else peaks * 3)
-    codes = sorted({code for _, code in runs})
-    return (f"{name}: median {statistics.median(peaks):.2f} MB "
-            f"[{q1:.2f}, {q3:.2f}] of {len(peaks)} runs, exit {codes}")
+def summary(name: str, values: list[float], unit: str, codes: list[int]) -> str:
+    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                 else values * 3)
+    return (f"{name}: median {statistics.median(values):.2f} {unit} "
+            f"[{q1:.2f}, {q3:.2f}] of {len(values)} runs, "
+            f"exit {sorted(set(codes))}")
 
 
 def main(argv: list[str]) -> int:
@@ -72,13 +77,16 @@ def main(argv: list[str]) -> int:
     runs: tuple[list, list] = ([], [])
     for k in range(pairs):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-            runs[side].append(peak(trees[side], args))
-    for name, side in zip(("old", "new"), runs):
-        print(summary(name, side))
-    diffs = [new[0] - old[0] for old, new in zip(*runs)]
-    lower = sum(d < 0 for d in diffs)
-    print(f"new - old: median {statistics.median(diffs):+.2f} MB; "
-          f"new lower in {lower} of {pairs} pairs")
+            runs[side].append(measure(trees[side], args))
+    codes = [[code for _, _, code in side] for side in runs]
+    for field, (label, unit) in enumerate((("peak", "MB"), ("CPU", "s"))):
+        values = [[run[field] for run in side] for side in runs]
+        for name, side, side_codes in zip(("old", "new"), values, codes):
+            print(summary(f"{name} {label}", side, unit, side_codes))
+        diffs = [new - old for old, new in zip(*values)]
+        lower = sum(d < 0 for d in diffs)
+        print(f"new - old {label}: median {statistics.median(diffs):+.2f} "
+              f"{unit}; new lower in {lower} of {pairs} pairs")
     return 0
 
 
