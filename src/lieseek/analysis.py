@@ -19,6 +19,8 @@ from .sim import TrajectoryLog
 
 CONTRADICTION_TOL = 1e-12
 SETTLING_BAND = 0.05
+# Points of the fixed sample design of check_b2's advisory fits.
+B2_SAMPLES = 512
 
 
 def period_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -180,21 +182,20 @@ def _sample_design(box: np.ndarray, count: int) -> np.ndarray:
 
 
 def check_b2(elements: Sequence[B2Element], objective: ObjectiveMap,
-             sample_count: int = 512,
              b1_constants: Optional[dict] = None) -> B2Report:
     """Check each element against the envelope bound near the extremum.
 
     At the extremum the shifted objective vanishes, so the bound
     ``|b| <= M * ftilde^m3`` forces ``|b| <= 0`` there: any element with
     nonzero magnitude at that point is a contradiction.  Away from the
-    extremum a least-squares exponent fit over the ``sample_count``
+    extremum a least-squares exponent fit over the ``B2_SAMPLES``
     points of :func:`_sample_design` in the domain box, the same on every
     call, is reported as advisory only.
     """
     reports = []
     ft = np.empty(0)
     if objective.domain_box is not None:
-        pts = _sample_design(np.asarray(objective.domain_box), sample_count)
+        pts = _sample_design(np.asarray(objective.domain_box), B2_SAMPLES)
         ft = objective.value(pts) - objective.offset
     for el in elements:
         # one call: the element at the extremum (ftilde = 0), then at ft

@@ -39,6 +39,8 @@ TAU = 2.0 * math.pi
 # Composite-Simpson intervals per period; smooth integrands converge far
 # below the 1e-9 target at this resolution.
 QUAD_INTERVALS = 4096
+# Sample points per period of the periodicity and bound checks of A2.
+A2_POINTS = 1024
 
 
 def require_finite(what: str, *values) -> None:
@@ -177,16 +179,15 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def verify_assumption_a2(d: DitherSignal, points: int = 1024) -> A2Report:
+def verify_assumption_a2(d: DitherSignal) -> A2Report:
     """Check periodicity, zero mean and boundedness of a dither.
 
-    Sampling uses at least ``points`` locations per period; the mean is
+    Sampling uses ``A2_POINTS`` locations per period; the mean is
     computed with the module's composite-Simpson quadrature.  Report-only:
     never raises for a failing signal.  Cached, like
     :func:`nu_coefficient`: the scenarios of a sweep repeat their dithers.
     """
-    points = max(points, 1024)
-    theta = np.linspace(0.0, d.period, points, endpoint=False)
+    theta = np.linspace(0.0, d.period, A2_POINTS, endpoint=False)
     vals = np.asarray(d.value(theta))
     wrapped = np.asarray(d.value(theta + d.period))
     tol = 0.0 if d.kind in ("cosine", "sine") else 1e-12

@@ -32,19 +32,21 @@ it and return its error.  A failing plant step is pinned on its rows by
 stepping each row again alone, because ``rk4_step`` raises for the whole
 array; the filter steps after the plant step that it measures has passed,
 and names each member that fails by position, so only the plant is ever
-stepped again.
+stepped again.  Each row's time is state of the loop, stepped by ``+ dt``
+as :func:`step_times` accumulates it, so it keeps its bits.
 
 Runs are single-threaded and bit-deterministic for a given spec and
 seed; optional measurement noise draws from a per-member seeded
-generator.
+generator, once per measurement of that member.
 
 The loop does only state-dependent work.  What depends on time alone is
 tabulated once per time grid by :func:`_dither_tables`: every channel's
 dither values at each step start and midpoint of the grid (the RK4 stage
-times).  The filter's input integrals are per-step Simpson sums of the
-same table rows that the stages read.  The seeking plant
-``a*sqrt(omega)*(b1*u1 + b2*u2)`` and the averaged right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')`` are
-one bilinear form in ``(b1, b2)``, so each RK4 stage is one product over
+times).  The filter's input integrals are per-step trapezoid sums, on the
+step's two half steps, of the same table rows that the stages read.  The
+seeking plant ``a*sqrt(omega)*(b1*u1 + b2*u2)`` and the averaged
+right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')`` are one
+bilinear form in ``(b1, b2)``, so each RK4 stage is one product over
 all rows, ``(W*G)*(b1*U1 + b2*U2)`` (:meth:`_Lockstep._stage`), from one
 evaluation of the measured objective and the coefficient forms; it calls
 no oracle.  ``U1`` and ``U2`` are the two halves of one stacked table
@@ -96,15 +98,13 @@ def step_times(spec: EscSystemSpec) -> np.ndarray:
     return t
 
 
-def _dither_tables(spec: EscSystemSpec, steps: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The loop's times and both dithers of every channel on its half steps.
+def _dither_tables(spec: EscSystemSpec, steps: int) -> np.ndarray:
+    """Both dithers of every channel on the half steps of a run of ``spec``.
 
-    Returns ``(t, u)``: ``t`` holds the step starts, accumulated by ``+
-    dt`` as the loop accumulates them, and ``u = [u1 | u2]`` has one
-    column per channel and dither, the first dither of each of the n
-    channels, then their second.  Row ``2k`` of ``u`` is taken at
-    ``t[k]``, row ``2k + 1`` at ``t[k] + dt/2``.
+    The table ``u = [u1 | u2]`` has one column per channel and dither,
+    the first dither of each of the n channels, then their second.  With
+    ``t = step_times(spec)``, row ``2k`` is taken at ``t[k]``, row ``2k +
+    1`` at ``t[k] + dt/2``.
     """
     dt = spec.resolved_dt
     t = step_times(spec)
@@ -113,8 +113,8 @@ def _dither_tables(spec: EscSystemSpec, steps: int
     half[1::2] = t[:-1] + 0.5 * dt
     theta = spec.omega * half
     values = {ref: d.value(theta) for ref, d in spec.dithers.items()}
-    return t, np.column_stack([values[ch.u1_ref] for ch in spec.channels]
-                              + [values[ch.u2_ref] for ch in spec.channels])
+    return np.column_stack([values[ch.u1_ref] for ch in spec.channels]
+                           + [values[ch.u2_ref] for ch in spec.channels])
 
 
 def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], t: float,
@@ -160,8 +160,6 @@ class TrajectoryLog:
     run) hold NaN in memory and serialize to empty CSV cells; the oracle
     columns are always filled.
     """
-
-    COLUMNS = ("t", "x", "f", "a", "Jest", "Jexact", "zref")
 
     def __init__(self, t: np.ndarray, x: np.ndarray, f: np.ndarray,
                  a: np.ndarray, j_est: np.ndarray, j_exact: np.ndarray,
@@ -353,18 +351,6 @@ def _per_row(values: list):
     return np.array(values)[:, None]
 
 
-def _per_row_tables(tables: list) -> np.ndarray:
-    """The table that all rows share, or the tables stacked along a row
-    axis (axis 1), each padded at its end with zeros that are never read."""
-    if all(tab is tables[0] for tab in tables):
-        return tables[0]
-    out = np.zeros((max(len(tab) for tab in tables), len(tables))
-                   + tables[0].shape[1:])
-    for i, tab in enumerate(tables):
-        out[:len(tab), i] = tab
-    return out
-
-
 def _by_group(keys: Sequence, items: Sequence, run: Callable) -> list:
     """``run`` of the items of each group of equal keys, the groups in
     order of first appearance; its results, one per item, in item order."""
@@ -396,14 +382,13 @@ def _reference_key(spec: EscSystemSpec) -> tuple:
 
 class _Grid:
     """The time grid of the rows that share omega, dt and step count:
-    step size and step times, and the dither table ``u = [u1 | u2]`` on
-    them for seeking rows."""
+    step size and step count, and the dither table ``u = [u1 | u2]`` on
+    it for seeking rows."""
 
     def __init__(self, spec: EscSystemSpec, tables: bool):
         self.dt, self.steps = spec.resolved_dt, _steps(spec)
         self.sqrt_w = math.sqrt(spec.omega)
-        self.t, self.u = (_dither_tables(spec, self.steps) if tables
-                          else (step_times(spec), None))
+        self.u = _dither_tables(spec, self.steps) if tables else None
 
 
 class _Lockstep:
@@ -428,10 +413,12 @@ class _Lockstep:
     period.  Every array operation of a step acts on each row alone, so
     each row gets the bits of a loop of that row alone.  Step k of the
     loop is step k of every row, each on its own time grid
-    (:class:`_Grid`): when the rows' step sizes differ, ``dt`` and the
-    step start are ``(B, 1)`` columns, and a shared step size stays a
-    float; the plant's tables are stacked over all rows.  A row leaves
-    the loop after its last step.
+    (:class:`_Grid`).  Each row's time ``t`` is state: it starts at 0,
+    and each step adds ``dt`` (:meth:`_attempt`), the additions that
+    :func:`step_times` makes.  When the rows' step sizes differ, ``dt``
+    and ``t`` are ``(B, 1)`` columns; a shared step size, and a time that
+    every row shares, stay floats.  The plant's tables are stacked over
+    all rows.  A row leaves the loop after its last step.
 
     The plant's stage (:meth:`_stage`) is one product over all rows, from
     one evaluation of the measured objective and the coefficient forms.
@@ -440,7 +427,8 @@ class _Lockstep:
     ``(2*steps + 1, rows, 2n)``, holds the seeking rows' dithers and the
     averaged rows' form slopes; ``U1`` and ``U2`` are views of its halves.
     It is the one copy of the dithers: the filter's input integrals of a
-    step are the Simpson sums of its rows ``2k``, ``2k + 1`` and ``2k + 2``.
+    step are the trapezoid sums, on the step's two half steps, of its
+    rows ``2k``, ``2k + 1`` and ``2k + 2``.
     :meth:`_plant` sets the stage up for each step and returns it bound;
     the loop does not keep the bound method, which would make a reference
     cycle and keep the loop's logs alive after :meth:`run` until the
@@ -450,18 +438,22 @@ class _Lockstep:
 
     One step is the plant's fallible part, :meth:`_attempt`, that commits
     nothing, and :meth:`_commit`.  When the attempt fails, each row
-    attempts the plant step alone, with the plant's check of b0 on; those
-    that fail record their error and stop (:meth:`_stop`), and so do the
-    seeking rows whose averaged row fails; the others take the step
-    together.  Only the plant is replayed: its checks raise for all rows
-    at once, and the filter has nothing to do until the plant step that it
-    measures has passed.  So the filter steps in :meth:`_commit`, its
-    arrays are replaced once per step and never undone, and its read
+    attempts the plant step alone, on a one-row copy (:meth:`_take`)
+    whose ``check`` turns on the plant's check of b0; those that fail
+    record their error and stop (:meth:`_stop`), and so do the seeking
+    rows whose averaged row fails; the others take the step together.
+    Only the plant is replayed: its checks raise for all rows at once,
+    and the filter has nothing to do until the plant step that it
+    measures has passed.  So the filter steps in :meth:`_commit`, where
+    each measuring member draws its noise, its arrays are replaced once
+    per step and never undone, and its read
     (:meth:`GekfFilter.check`) names each member whose state turned
     non-finite, or whose b0 at its held sample did; those members stop
     alone, and no row steps again.  A seeking run whose reference fails
     returns that error, whenever its own row stopped.
     """
+
+    check = False   # the plant's check of b0, on in a replay's copies
 
     def __init__(self, specs: Sequence[EscSystemSpec],
                  gcfgs: Sequence[Optional[GekfConfig]], seeds: Sequence[int],
@@ -520,7 +512,8 @@ class _Lockstep:
             self.x = np.stack([s.x0 for s in self.specs])
             self.a = np.stack([s.a0 for s in self.specs])
             self.j_sig = np.zeros(self.x.shape)
-            self.filt = self.u_int = self.noise = None
+            self.filt = self.u_int = None
+            self.t = 0.0
             self._regrid()
             total = self.steps + 1
             self.x_log, self.a_log, self.jest_log = (
@@ -549,8 +542,9 @@ class _Lockstep:
 
     def _regrid(self) -> None:
         """Set the row counts of the kinds and, for the current rows, the
-        step sizes, step times, objectives, the factors and tables of the
-        stage (:meth:`_plant`) and the log columns."""
+        step sizes, the time (a float where the rows' times agree),
+        objectives, the factors and tables of the stage (:meth:`_plant`)
+        and the log columns."""
         rows = self.members
         self.m, self.s = (int(np.searchsorted(rows, end))
                           for end in (self.m0, self.s0))
@@ -558,9 +552,7 @@ class _Lockstep:
         grids = [self.grid_of[r] for r in rows]
         self.obj = _Objectives([self.specs[r].objective for r in rows])
         self.dt = _per_row([g.dt for g in grids])
-        self.times = (_per_row_tables([g.t for g in grids])[..., None]
-                      if np.ndim(self.dt)
-                      else max(grids, key=lambda g: g.steps).t.tolist())
+        self.t = _per_row(np.ravel(self.t).tolist())
         seeking, adaptive = grids[:s], grids[:self.m]
         # any float without seeking rows, so that W[:0] is set alike
         self.sqrt_w = _per_row([g.sqrt_w for g in seeking] or [1.0])
@@ -595,12 +587,14 @@ class _Lockstep:
         return self.j_override(t) if callable(self.j_override) else self.j_override
 
     def _take(self, rows: list) -> "_Lockstep":
-        """A copy that holds only the plant of the rows ``rows`` (positions
-        among the current rows), and no filter."""
+        """A copy that holds only the plant and the time of the rows
+        ``rows`` (positions among the current rows), and no filter."""
         out = copy.copy(self)
         index = _index(rows)
         for name in ("decay", "x", "a", "j_sig"):
             setattr(out, name, getattr(self, name)[index])
+        if np.ndim(self.t):
+            out.t = self.t[index]
         out.members = self.members[rows]
         out.filt = out.rngs = None
         out._regrid()
@@ -615,9 +609,7 @@ class _Lockstep:
         out, adaptive = self._take(rows), [i for i in rows if i < self.m]
         if adaptive and self.filt is not None:
             index = _index(adaptive)
-            for name in ("u_int", "zero", "noise"):
-                value = getattr(self, name)
-                setattr(out, name, None if value is None else value[index])
+            out.u_int, out.zero = self.u_int[index], self.zero[index]
             out.filt = self.filt.take(index)
             out.rngs = self.rngs and [self.rngs[i] for i in adaptive]
         vars(self).update(vars(out))
@@ -636,17 +628,18 @@ class _Lockstep:
             for name, log in self.filter_logs.items():
                 log[k, self.acols] = getattr(self.filt, name)
 
-    def _plant(self, step: int, check: bool = False):
+    def _plant(self, step: int):
         """The right-hand side of every row at the stages of ``step``: the
         loop's stage method (:meth:`_stage`), bound and set up for the step.
 
         It sets ``W[:s] = a[:s] * sqrt(omega)``, the seeking rows' weight,
         and the stage count from which the stage reads its table rows.
-        With ``check``, a non-finite b0 of an averaged row raises
-        :class:`EvaluationError`, as its evaluation by the oracle does.
+        Where the loop's ``check`` is on, a non-finite b0 of an averaged
+        row raises :class:`EvaluationError`, as its evaluation by the
+        oracle does.
         """
         self.W[:self.s] = self.a[:self.s] * self.sqrt_w
-        self.stage_count, self.check = 4 * step, check
+        self.stage_count = 4 * step
         return self._stage
 
     def _stage(self, t, x: np.ndarray) -> np.ndarray:
@@ -667,8 +660,8 @@ class _Lockstep:
         (-b2', b1')``, set here where the slopes vary: its product is
         :func:`lbs_rhs_exact`, ``weight * grad * b0`` with ``b0 = b2 * b1'
         - b1 * b2'``, bit for bit, and ``err`` adds the synthetic error.
-        The stage raises nothing unless :meth:`_plant` was asked to check:
-        a non-finite b0 poisons its row, so ``rk4_step``'s check finds it.
+        The stage raises nothing unless ``check`` is on: a non-finite b0
+        poisons its row, so ``rk4_step``'s check finds it.
         """
         count, s, n = self.stage_count, self.s, self.n
         self.stage_count = count + 1
@@ -689,11 +682,11 @@ class _Lockstep:
             out[s:] += self.err.value(t)
         return out
 
-    def _attempt(self, step: int, check: bool = False) -> tuple:
-        """The new states and amplitudes of ``step``; raises for a failing
-        row.  ``check`` turns on the plant's check of b0 (:meth:`_plant`)."""
-        start, end = self.times[step], self.times[step + 1]
-        x = rk4_step(self._plant(step, check), start, self.x, self.dt)
+    def _attempt(self, step: int) -> tuple:
+        """The new states, amplitudes and time of ``step``; raises for a
+        failing row."""
+        start, end = self.t, self.t + self.dt
+        x = rk4_step(self._plant(step), start, self.x, self.dt)
         a, j = self.a, self.j_sig
         if self.m:
             a = j + (a - j) * self.decay
@@ -701,16 +694,17 @@ class _Lockstep:
                 raise IntegrationError(f"non-finite amplitude at t={start}",
                                        t=start)
         self.obj.guard(x, end)
-        return x, a
+        return x, a, end
 
     def _commit(self, step: int, measure: bool, new: tuple) -> None:
         """Take the step that every row has passed, and then the filter's
         step; a member whose filter state turns non-finite stops alone."""
-        self.x, self.a = new
-        m, end = self.m, self.times[step + 1]
+        self.x, self.a, self.t = new
+        m, end = self.m, self.t
         if self.filt is not None:
-            # a * sqrt(omega) * dt/4 times each dither's Simpson sum, from the
-            # table rows of the step's stages viewed as (rows, 2, n)
+            # a * sqrt(omega) * dt/4 times each dither's trapezoid sum on the
+            # two half steps, from the table rows of the step's stages viewed
+            # as (rows, 2, n)
             weight = (self.W[:m] * (self.dt_a / 4.0))[:, None]
             u = self.U[2 * step:2 * step + 3, :m].reshape(3, m, 2, self.n)
             u_int = self.u_int + weight * (u[0] + 2.0 * u[1] + u[2])
@@ -719,8 +713,8 @@ class _Lockstep:
             if measure:
                 prior = filt.mean, filt.P, filt.x3, filt.p33
                 f2 = self.obj.measured(self.x)[:m]
-                if self.noise is not None:
-                    f2 = f2 + self.noise
+                if self.rngs:
+                    f2 = f2 + self._noise()
                 filt.update(f2, u_int, self.a[:m])
             self.u_int = self.zero if measure else u_int
             failed = filt.check(end if isinstance(end, float) else end[:m], prior)
@@ -735,14 +729,16 @@ class _Lockstep:
     def _drop_failing(self, step: int, exc: LieseekError) -> bool:
         """Stop each row whose plant step fails when it is taken alone
         (:meth:`_stop`); returns whether any row is left.  A row attempts
-        the step with the plant's check of b0 on, so it raises what the
-        oracle's evaluation raises: :class:`EvaluationError` for a
+        the step on a copy with the plant's check of b0 on, so it raises
+        what the oracle's evaluation raises: :class:`EvaluationError` for a
         non-finite b0 of an averaged row at any stage, else the error of
         the first non-finite stage."""
         failed = {}
         for i in range(self.members.size):
+            row = self._take([i])
+            row.check = True
             try:
-                self._take([i])._attempt(step, check=True)
+                row._attempt(step)
             except LieseekError as err:
                 failed[i] = err
         if not failed:   # a failure of the loop, not of a row
@@ -774,7 +770,6 @@ class _Lockstep:
                 if not self.members.size:
                     break
                 measure = self.filt is not None and (step + 1) % n_meas == 0
-                self.noise = self._noise() if measure and self.rngs else None
                 try:
                     new = self._attempt(step)
                 except LieseekError as exc:
@@ -828,13 +823,16 @@ def _raised(result):
 def _check_noise(noise_std: float, seeds: Sequence) -> None:
     """Raise :class:`InputError` for a noise level that is not a finite
     non-negative number or, with noise on, a seed that is not a
-    non-negative integer (a noise-free run never reads its seed)."""
-    if not (isinstance(noise_std, numbers.Real) and math.isfinite(noise_std)
+    non-negative integer (a noise-free run never reads its seed); a bool
+    is neither."""
+    if isinstance(noise_std, bool) or not (
+            isinstance(noise_std, numbers.Real) and math.isfinite(noise_std)
             and noise_std >= 0):
         raise InputError(f"noise_std must be finite and non-negative, "
                          f"not {noise_std!r}")
     for seed in seeds if noise_std > 0 else ():
-        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral)
+                                          and seed >= 0):
             raise InputError(f"seed must be a non-negative integer when "
                              f"noise_std > 0, not {seed!r}")
 

@@ -243,6 +243,9 @@ def _short_case1_with(path: tuple, value) -> str:
      ["--mode", "both"]),
     (_short_case1_with(("gekf", "a_floor_rel"), float("inf")),
      ["--mode", "both"]),
+    (_short_case1_with(("gekf", "r"), True), ["--mode", "both"]),
+    (_short_case1_with(("gekf", "p0"), True), ["--mode", "both"]),
+    (_short_case1_with(("gekf", "a_floor_rel"), False), ["--mode", "both"]),
     # finite except for x > 14.4078, the last 0.013% of the box
     (_short_case1_with(("systems", "main", "objective"), {
         "form": "quadratic", "weights": [1e306], "center": [1.0],
@@ -264,6 +267,7 @@ def _short_case1_with(path: tuple, value) -> str:
         "kind-contradicts-weights", "zero-weight", "fractional-n-meas",
         "boolean-n-meas", "string-smoothing", "unallocatable-step-table",
         "nan-q1", "inf-r", "inf-p0", "nan-a-floor-rel", "inf-a-floor-rel",
+        "boolean-r", "boolean-p0", "boolean-a-floor-rel",
         "overflow-near-one-corner", "huge-lambda", "huge-a0"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]

@@ -344,8 +344,10 @@ class TestRunProposed:
         (float("inf"), 0, "inf"),
         (0.01, -1, "-1"),
         (0.01, 1.5, "1.5"),
+        (True, 0, "True"),
+        (0.01, True, "True"),
     ], ids=["nan-noise", "negative-noise", "infinite-noise", "negative-seed",
-            "fractional-seed"])
+            "fractional-seed", "boolean-noise", "boolean-seed"])
     @pytest.mark.parametrize("runner", ["run_batch", "run_proposed"])
     def test_bad_noise_or_seed_is_an_input_error(self, runner, noise_std, seed,
                                                  named):
@@ -514,7 +516,8 @@ class TestDitherTables:
         sc = shortened(name, 1.0)
         spec = sc.primary_system
         steps = int(round(spec.horizon / spec.resolved_dt))
-        t, _ = sim._dither_tables(spec, steps)
+        t = sim.step_times(spec)
+        assert len(sim._dither_tables(spec, steps)) == 2 * len(t) - 1
         for log in (run_baseline(spec), run_proposed(spec, sc.gekf_config())):
             assert log.t.tobytes() == t.tobytes()
 
@@ -528,7 +531,7 @@ class TestDitherTables:
                           dithers=dithers, omega=spec.omega, a0=spec.a0,
                           lam=spec.lam, x0=spec.x0, horizon=spec.horizon)
         steps = int(round(spec.horizon / spec.resolved_dt))
-        t, u = sim._dither_tables(spec, steps)
+        t, u = sim.step_times(spec), sim._dither_tables(spec, steps)
         u1, u2 = u[:, :spec.n], u[:, spec.n:]
         dt = spec.resolved_dt
         for k in (0, 1, steps // 2, steps - 1):
@@ -540,12 +543,13 @@ class TestDitherTables:
                 assert u2[row, 0] == math.cos(
                     (TAU / d.period) * th + d.phase)
 
-    def test_filter_inputs_are_simpson_sums_on_two_grids(self, monkeypatch):
+    def test_filter_inputs_are_trapezoid_sums_on_two_grids(self, monkeypatch):
         """case1 proposed at omega 50 and 200 in one loop: two adaptive rows
         on two grids, read from one padded stage table.  At every update
-        each member's input integrals are ``(a_k * sqrt(omega)) * (dt/4) *
-        ((u(t_k) + 2 u(t_k + dt/2)) + u(t_{k+1}))`` of its own dithers,
-        evaluated by :mod:`math` point by point, bit for bit."""
+        each member's input integrals are the trapezoid sums on the step's
+        two half steps, ``(a_k * sqrt(omega)) * (dt/4) * ((u(t_k) + 2 u(t_k
+        + dt/2)) + u(t_{k+1}))``, of its own dithers, evaluated by
+        :mod:`math` point by point, bit for bit."""
         from lieseek.gekf import measurement_coefficients
         inputs = []
 
@@ -653,7 +657,7 @@ class TestStage:
         loop.a = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=n,
                                              max_size=n)) * loop.x.shape[0]
                           ).reshape(loop.x.shape)
-        t, u = sim._dither_tables(spec, steps)
+        t, u = sim.step_times(spec), sim._dither_tables(spec, steps)
         u1, u2 = u[:, :n], u[:, n:]
         xdot = loop._plant(k)
         for i, tk in ((2 * k, t[k]), (2 * k + 1, t[k] + dt / 2),
@@ -678,19 +682,21 @@ class TestStage:
         loop = sim._Lockstep(specs, [None] * 3, [0] * 3)
         tables = [sim._dither_tables(spec, sim._steps(spec))
                   for spec in loop.specs]
-        shortest = min(len(t) for t, _ in tables) - 1
+        times = [sim.step_times(spec) for spec in loop.specs]
+        shortest = min(len(t) for t in times) - 1
         assert loop.x.shape == (6, 1) and loop.dt.shape == (6, 1)
         assert loop.U.shape[0] > 2 * shortest + 1
         k = data.draw(st.integers(0, shortest - 1))
         loop.a = np.array(data.draw(st.lists(st.floats(0.01, 2.0), min_size=6,
                                              max_size=6))).reshape(6, 1)
         xdot = loop._plant(k)
+        t = np.array([[ts[k]] for ts in times])
         for i, offset in ((2 * k, 0.0), (2 * k + 1, 0.5), (2 * k + 1, 0.5),
                           (2 * k + 2, 1.0)):
             X = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=6,
                                             max_size=6))).reshape(6, 1)
-            out = xdot(loop.times[k] + offset * loop.dt, X)
-            for r, (spec, (_, u)) in enumerate(zip(loop.specs, tables)):
+            out = xdot(t + offset * loop.dt, X)
+            for r, (spec, u) in enumerate(zip(loop.specs, tables)):
                 expected = _expected_stage(spec, X, loop.a, u[i, :1], u[i, 1:],
                                            loop.s)
                 assert np.array_equal(out[r], expected[r])
@@ -862,6 +868,36 @@ class TestLockstepBatch:
         alone = steps[2] - steps[1]
         assert shapes[-alone - 1:] == [(4, 1)] + [(2, 1)] * alone
 
+    def test_each_rows_time_is_its_own_step_time(self, monkeypatch):
+        """case1 at omega 50, 100 and 200 with their references, as the
+        omega sweep runs them.  At every step, the time that ``rk4_step``
+        receives is each live row's ``step_times`` entry, bit for bit: a
+        ``(rows, 1)`` column after the first step while the rows' step
+        sizes differ, and a float once the rows left share one."""
+        specs = [_member("case1", 0.5, omega=omega)[0]
+                 for omega in (50.0, 100.0, 200.0)]
+        calls = []
+        inner = sim.rk4_step
+
+        def recording(rhs, t, x, dt):
+            calls.append((t, x.shape[0]))
+            return inner(rhs, t, x, dt)
+
+        monkeypatch.setattr(sim, "rk4_step", recording)
+        sim.run_batch(specs)
+        grids = [sim.step_times(spec) for spec in specs]
+        assert len(calls) == max(len(t) for t in grids) - 1
+        for k, (t, rows) in enumerate(calls):
+            # the members' seeking rows, then their references
+            live = 2 * [g for g in grids if len(g) > k + 1]
+            expected = np.array([g[k] for g in live])[:, None]
+            assert rows == len(live)
+            assert np.broadcast_to(t, expected.shape).tobytes() == expected.tobytes()
+            if len({g[1] for g in live}) == 1:
+                assert type(t) is float
+            elif k:
+                assert np.shape(t) == expected.shape
+
     def test_an_omega_member_that_fails_stops_alone(self):
         """At omega = 2 the plant leaves the box at t = 0.39; the members
         before and after it finish, on their own grids."""
@@ -1002,6 +1038,46 @@ class TestLockstepBatch:
         assert type(batch[1]) is DivergenceError
         assert str(batch[1]) == str(alone.value)
         assert batch[1].t_exit == alone.value.t_exit < 0.1
+        for k in (0, 2):
+            _assert_same_run(batch[k], run_proposed(*members[k]))
+
+    def test_a_noisy_member_leaving_the_box_stops_alone(self):
+        """With measurement noise on, the member from x0 = 60 leaves the box
+        in its first step.  Each member draws its noise when it measures,
+        from its own generator, so the others equal their own noisy runs."""
+        members = [_member("case1", 2.0, x0=[x0]) for x0 in (2.0, 60.0, 0.5)]
+        seeds = [1, 2, 3]
+        batch = sim.run_batch([spec for spec, _ in members],
+                              [gcfg for _, gcfg in members], seeds,
+                              noise_std=0.01)
+        with pytest.raises(DivergenceError) as alone:
+            run_proposed(*members[1], seed=seeds[1], noise_std=0.01)
+        assert type(batch[1]) is DivergenceError
+        assert str(batch[1]) == str(alone.value)
+        assert batch[1].t_exit == alone.value.t_exit < 0.1
+        for k in (0, 2):
+            _assert_same_run(batch[k], run_proposed(*members[k], seed=seeds[k],
+                                                    noise_std=0.01))
+
+    def test_a_row_failing_after_another_left_keeps_its_own_time(self):
+        """case1 proposed at omega 8, 16 and 32: the member at omega 8 and
+        horizon 0.3 leaves the loop after its 24 steps.  At omega 16, lambda
+        = 456 puts the amplitude's RK4 factor above 1, and that member
+        leaves the box in its 40th step, while the rows left still differ
+        in step size.  It returns its own run's error at its own time, and
+        the others equal their own runs."""
+        members = [_member("case1", horizon, omega=omega, **{"lambda": [lam]})
+                   for horizon, omega, lam in ((0.3, 8.0, 0.1),
+                                               (2.0, 16.0, 456.0),
+                                               (2.0, 32.0, 0.1))]
+        specs = [spec for spec, _ in members]
+        assert specs[1].amplitude_decay[0] > 1.0 and sim._steps(specs[0]) == 24
+        batch = sim.run_batch(specs, [gcfg for _, gcfg in members])
+        with pytest.raises(DivergenceError) as alone:
+            run_proposed(*members[1])
+        assert type(batch[1]) is DivergenceError
+        assert str(batch[1]) == str(alone.value)
+        assert batch[1].t_exit == alone.value.t_exit == sim.step_times(specs[1])[40]
         for k in (0, 2):
             _assert_same_run(batch[k], run_proposed(*members[k]))
 

@@ -22,9 +22,13 @@ averaged system through ``sim.lbs_batch``:
   case1 proposed at ``gekf.p0 = 1e307`` with a0 1, 1e-3 and 0.5 (the
   second member's filter fails after its first update), case1 proposed
   at ``gekf.p0 = 8.98e307`` with omega 8, 2 and 6 (the second member's
-  filter fails after its first propagation), and case1 at omega 50, 2
+  filter fails after its first propagation), case1 at omega 50, 2
   and 6, horizon 1.5, proposed and then baseline (the second member
-  leaves the domain box).
+  leaves the domain box), and case1 proposed at omega 8, 16 and 32 with
+  horizons 0.3, 2 and 2 and lambda 0.1, 456 and 0.1 (the second member,
+  whose amplitude grows in each step, leaves the domain box in its 40th
+  step, after the first member has left the loop: a failure in a loop
+  whose remaining rows differ in step size).
 
 With loop names after ``PAIRS``, only those loops run; an unknown name
 prints this text and the loop names, and exits 2.
@@ -106,10 +110,13 @@ def loops(mods: dict) -> dict:
                 for w in (8.0, 2.0, 6.0)]]
     leaving = [edited(mods["scenarios"], {}, horizon=1.5, omega=w)
                for w in (50.0, 2.0, 6.0)]
+    mixed = [edited(mods["scenarios"], {}, horizon=h, omega=w, **{"lambda": [lam]})
+             for h, w, lam in ((0.3, 8.0, 0.1), (2.0, 16.0, 456.0),
+                               (2.0, 32.0, 0.1))]
 
     def failing() -> list:
         out = []
-        for members in batches + [leaving]:
+        for members in batches + [leaving, mixed]:
             out += sim.run_batch([spec for spec, _ in members],
                                  [gcfg for _, gcfg in members])
         return out + sim.run_batch([spec for spec, _ in leaving])
