@@ -69,16 +69,12 @@ def _apply_overrides(sc: Scenario, *, omega: Optional[float] = None,
     if omega is None and lam is None and dt is None and horizon is None:
         return sc
     cfg = sc.config
+    given = {"omega": omega, "dt": dt, "horizon": horizon}
     for sys_cfg in cfg["systems"].values():
-        n = len(sys_cfg["channels"])
-        if omega is not None:
-            sys_cfg["omega"] = omega
+        sys_cfg.update((key, value) for key, value in given.items()
+                       if value is not None)
         if lam is not None:
-            sys_cfg["lambda"] = [lam] * n
-        if dt is not None:
-            sys_cfg["dt"] = dt
-        if horizon is not None:
-            sys_cfg["horizon"] = horizon
+            sys_cfg["lambda"] = [lam] * len(sys_cfg["channels"])
     return Scenario(cfg)
 
 

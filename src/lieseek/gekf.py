@@ -101,20 +101,14 @@ class GekfConfig:
     n_meas: int = 1
 
     def __post_init__(self):
-        # a bool is a number, but the value of no setting
         for name in ("q1", "q2", "q3", "r", "p0", "a_floor_rel"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value)
-                                               and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be finite and positive, "
                                          f"got {value!r}")
-        if (not isinstance(self.n_meas, int) or isinstance(self.n_meas, bool)
-                or self.n_meas < 1):
+        if self.n_meas < 1:
             raise ConfigurationError(f"n_meas must be an integer >= 1, "
                                      f"got {self.n_meas!r}")
-        if not isinstance(self.smoothing, bool):
-            raise ConfigurationError(
-                f"smoothing must be true or false, got {self.smoothing!r}")
 
 
 def measurement_coefficients(spec: EscSystemSpec, f1, u_int: np.ndarray,

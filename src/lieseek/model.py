@@ -107,15 +107,6 @@ class DitherSignal:
         return np.fromiter(map(fn, arg.ravel().tolist()), float,
                            count=arg.size).reshape(arg.shape)
 
-    @staticmethod
-    def from_config(cfg: Mapping) -> "DitherSignal":
-        samples = cfg.get("samples")
-        if samples is not None:
-            samples = tuple((float(a), float(b)) for a, b in samples)
-        return DitherSignal(kind=cfg["kind"], phase=float(cfg.get("phase", 0.0)),
-                            period=float(cfg.get("period", TAU)),
-                            bound=float(cfg.get("bound", 1.0)), samples=samples)
-
 
 @dataclass(frozen=True)
 class A2Report:
@@ -285,15 +276,6 @@ class ObjectiveMap:
         object.__setattr__(self, "offset", float(self.offset) + 0.0)
         object.__setattr__(self, "domain_box", box)
 
-    @staticmethod
-    def from_config(cfg: Mapping) -> "ObjectiveMap":
-        if cfg.get("form") != "quadratic":
-            raise ConfigurationError(f"unknown objective form {cfg.get('form')!r}")
-        return ObjectiveMap(weights=cfg["weights"], center=cfg["center"],
-                            offset=float(cfg.get("offset", 0.0)),
-                            kind=cfg.get("kind", "min"),
-                            domain_box=cfg.get("domain_box") or None)
-
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``w``, ``c`` and the factor of :meth:`measured_gradient`: ``2w``,
@@ -408,13 +390,6 @@ class CoefficientForm:
             raise ConfigurationError(f"unknown coefficient form {self.form!r}; "
                                      f"have {sorted(COEFFICIENT_FORMS)}")
         require_finite(f"{self.form} coefficient parameters", self.p, self.q)
-
-    @staticmethod
-    def from_config(cfg: Mapping) -> "CoefficientForm":
-        form = cfg.get("form")
-        p, q = ([float(cfg.get(k, v)) for k, v in COEFFICIENT_FORMS[form]]
-                if form in COEFFICIENT_FORMS else (0.0, 0.0))
-        return CoefficientForm(form, p, q)   # rejects an unknown form
 
     def terms(self, m) -> tuple[np.ndarray, np.ndarray]:
         """Value and closed-form slope at objective values ``m``."""

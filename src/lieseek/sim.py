@@ -186,13 +186,7 @@ class TrajectoryLog:
         return float(self.t[1] - self.t[0])
 
     def header(self) -> str:
-        n = self.n
-        cols = (["t"] + [f"x_{i}" for i in range(1, n + 1)] + ["f"]
-                + [f"a_{i}" for i in range(1, n + 1)]
-                + [f"Jest_{i}" for i in range(1, n + 1)]
-                + [f"Jexact_{i}" for i in range(1, n + 1)]
-                + [f"zref_{i}" for i in range(1, n + 1)])
-        return ",".join(cols)
+        return _header(self.n)
 
     def to_csv(self, path: str) -> None:
         """Write the stable-schema trajectory CSV atomically."""
@@ -225,10 +219,8 @@ class TrajectoryLog:
                 lines = [ln for ln in fh.read().splitlines() if ln]
             if not lines:
                 raise ValueError("it is empty")
-            header = lines[0].split(",")
-            n = sum(1 for c in header if c.startswith("x_"))
-            expect = 2 + 5 * n
-            if n == 0 or len(header) != expect or header[0] != "t":
+            n = (lines[0].count(",") - 1) // 5
+            if n < 1 or lines[0] != _header(n):
                 raise ValueError("its header is not a trajectory's")
             # a cell that is no number, or a short row, raises ValueError
             data = np.array([[parse(c) for c in ln.split(",")]
@@ -236,20 +228,23 @@ class TrajectoryLog:
             if data.shape[0] < 2:
                 raise ValueError(f"it has {data.shape[0]} rows, a trajectory "
                                  "needs at least two")
-            if data.shape[1] != expect:
+            if data.shape[1] != 2 + 5 * n:
                 raise ValueError(f"its rows have {data.shape[1]} cells, its "
-                                 f"header {expect}")
-            t = data[:, 0]
-            x = data[:, 1:1 + n]
-            f = data[:, 1 + n]
-            a = data[:, 2 + n:2 + 2 * n]
-            j_est = data[:, 2 + 2 * n:2 + 3 * n]
-            j_exact = data[:, 2 + 3 * n:2 + 4 * n]
-            z_ref = data[:, 2 + 4 * n:2 + 5 * n]
-            return TrajectoryLog(t, x, f, a, j_est, j_exact, z_ref)
+                                 f"header {2 + 5 * n}")
+            t, x, f, a, j_est, j_exact, z_ref = np.split(
+                data, np.cumsum([1, n, 1, n, n, n]), axis=1)
+            return TrajectoryLog(t[:, 0], x, f[:, 0], a, j_est, j_exact, z_ref)
         except (OSError, ValueError, InputError) as exc:
             # InputError: times that do not increase
             raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
+
+
+def _header(n: int) -> str:
+    """The header line of the CSV of an ``n``-coordinate trajectory."""
+    idx = range(1, n + 1)
+    return ",".join(["t", *(f"x_{i}" for i in idx), "f",
+                     *(f"{name}_{i}" for name in ("a", "Jest", "Jexact", "zref")
+                       for i in idx)])
 
 
 def _csv_text(header: str, data: np.ndarray, nan: str = "nan") -> str:

@@ -11,14 +11,13 @@ import pytest
 from conftest import counting_loops as _counting_loops, shortened
 from lieseek.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          execute_run, main)
-from lieseek.scenarios import save_scenario
 from lieseek.sim import TrajectoryLog
 
 
 @pytest.fixture()
 def short_case1_path(tmp_path):
     path = tmp_path / "case1_short.json"
-    save_scenario(shortened("case1", 5.0), str(path))
+    path.write_text(json.dumps(shortened("case1", 5.0).config))
     return str(path)
 
 
@@ -167,10 +166,10 @@ def test_run_lbs_mode(tmp_path, short_case1_path, capsys):
 
 
 def test_sweep_lambda_points_improve(tmp_path, capsys):
-    path = str(tmp_path / "cfg.json")
-    save_scenario(shortened("case1", 60.0), path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(shortened("case1", 60.0).config))
     out = str(tmp_path / "sweep")
-    assert main(["sweep", "--config", path, "--lambda", "0.05,0.1,0.2",
+    assert main(["sweep", "--config", str(path), "--lambda", "0.05,0.1,0.2",
                  "--mode", "proposed", "--jobs", "2", "--out", out]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)
     assert summary["parameter"] == "lambda"
@@ -255,6 +254,29 @@ def _short_case1_with(path: tuple, value) -> str:
     (None, ["case1", "--mode", "proposed", "--lambda", "1e80"]),
     (_short_case1_with(("systems", "main", "a0"), [1e200]),
      ["--mode", "both"]),
+    (_short_case1_with(("systems", "main", "d_t"), 1e-4), []),
+    (_short_case1_with(("systems", "main", "objective", "domainbox"),
+                       [[-2.0, 4.0]]), []),
+    (_short_case1_with(("systems", "main", "channels", 0, "u3"), "u1"), []),
+    (_short_case1_with(("systems", "main", "dithers", "u1", "phaze"), 0.0),
+     []),
+    (_short_case1_with(("systems", "main", "channels", 0, "b1", "amp"), 1.0),
+     []),
+    (_short_case1_with(("b2", "elements", 0, "lable"), "b"), []),
+    (_short_case1_with(("nmae",), "x"), []),
+    (_short_case1_with(("systems", "main", "omega"), "50"), []),
+    (_short_case1_with(("systems", "main", "omega"), True), []),
+    (_short_case1_with(("systems", "main", "a0"), [True]), []),
+    (_short_case1_with(("systems", "main", "x0"), ["1"]), []),
+    (_short_case1_with(("systems", "main", "channels", 0, "b1", "gain"),
+                       True), []),
+    (_short_case1_with(("analysis", "t_min"), "2"), []),
+    (_short_case1_with(("name",), 5), []),
+    (_short_case1_with(("b2", "elements", 0, "s"), 1.7), []),
+    (_short_case1_with(("b2", "system"), "nope"), []),
+    (_short_case1_with(("name",), "../escaped"), []),
+    (_short_case1_with(("name",), ""), []),
+    ('{"name": "x", "systems": {"a/b": {}}}', []),
 ], ids=["not-json", "missing-key", "missing-file", "negative-horizon",
         "list-systems", "string-weights", "string-omega", "int-channels",
         "unknown-gekf-key", "unknown-analysis-key", "string-analysis-p",
@@ -268,7 +290,13 @@ def _short_case1_with(path: tuple, value) -> str:
         "boolean-n-meas", "string-smoothing", "unallocatable-step-table",
         "nan-q1", "inf-r", "inf-p0", "nan-a-floor-rel", "inf-a-floor-rel",
         "boolean-r", "boolean-p0", "boolean-a-floor-rel",
-        "overflow-near-one-corner", "huge-lambda", "huge-a0"])
+        "overflow-near-one-corner", "huge-lambda", "huge-a0",
+        "misspelt-dt", "misspelt-domain-box", "unknown-channel-key",
+        "unknown-dither-key", "unknown-form-key", "unknown-b2-element-key",
+        "unknown-top-level-key", "numeric-string-omega", "boolean-omega",
+        "boolean-a0", "string-x0", "boolean-gain", "string-analysis-t-min",
+        "number-name", "fractional-b2-s", "unknown-b2-system", "escaping-name",
+        "empty-name", "separator-in-label"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]
     if config is not None:
@@ -278,8 +306,12 @@ def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    # a bad setting fails at load, before any run writes its CSV
+    for leak in ("TypeError", "KeyError", "malformed scenario config"):
+        assert leak not in err
+    # a bad setting fails at load, before any run writes a file, inside
+    # --out or beside it
     assert not list(tmp_path.glob("out/*.csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["cfg.json"])
 
 
 def test_step_table_beyond_memory_is_one_line_runtime_error(tmp_path, capsys):
@@ -327,8 +359,11 @@ def _lines(*lines: str) -> str:
     _lines("{", '  "holds": true', "}"),
     _lines(_HEADER, _ROWS[0]),
     _lines(_HEADER, _ROWS[0], _ROWS[1], _ROWS[1]),
+    _lines("t,x_1,a_1,f,Jest_1,Jexact_1,zref_1", *_ROWS),
+    _lines("t,y_1,x_1,a_1,Jest_1,Jexact_1,zref_1", *_ROWS),
 ], ids=["non-number-cell", "short-row", "every-row-short", "empty-file",
-        "other-header", "report-json", "one-row", "repeated-time"])
+        "other-header", "report-json", "one-row", "repeated-time",
+        "permuted-header", "foreign-header"])
 def test_malformed_csv_is_one_line_usage_error(tmp_path, capsys, argv, text):
     path = tmp_path / "log.csv"
     path.write_text(text)

@@ -13,7 +13,7 @@ from lieseek.model import (TAU, ChannelSpec, CoefficientForm, DitherSignal,
                            QUAD_INTERVALS, _MAX_WEIGHT, _cumulative_simpson,
                            _nu_quadrature, _period_grid, _simpson,
                            nu_coefficient, verify_assumption_a2)
-from lieseek.scenarios import preset, preset_names
+from lieseek.scenarios import Scenario, preset, preset_names
 
 COS = DitherSignal(kind="cosine")
 SIN = DitherSignal(kind="sine")
@@ -124,6 +124,22 @@ class TestSimpsonRules:
             assert spec.nu_hats.tobytes() == np.array(expected).tobytes()
 
 
+def _read_objective(name: str, section: dict) -> ObjectiveMap:
+    """The objective that the scenario reader builds from ``section`` as
+    that of preset ``name``'s primary system."""
+    cfg = preset(name).config
+    cfg["systems"][cfg["primary"]]["objective"] = section
+    return Scenario(cfg).primary_system.objective
+
+
+def _read_form(section: dict) -> CoefficientForm:
+    """The form that the scenario reader builds from ``section`` as
+    case1's ``b1``."""
+    cfg = preset("case1").config
+    cfg["systems"]["main"]["channels"][0]["b1"] = section
+    return Scenario(cfg).primary_system.channels[0].b1
+
+
 def _linear_channel():
     return ChannelSpec(index=0, b1=CoefficientForm("linear", 1.0, 0.0),
                        b2=CoefficientForm("linear", 0.0, 1.0))
@@ -165,9 +181,9 @@ class TestB0:
 
 class TestCoefficientForm:
     def test_built_from_config_with_defaults(self):
-        assert CoefficientForm.from_config({"form": "linear", "gain": 2.0}) \
+        assert _read_form({"form": "linear", "gain": 2.0}) \
             == CoefficientForm("linear", 2.0, 0.0)
-        assert CoefficientForm.from_config({"form": "sine"}) \
+        assert _read_form({"form": "sine"}) \
             == CoefficientForm("sine", 1.0, 1.0)
 
     @pytest.mark.parametrize("cfg", [
@@ -175,7 +191,7 @@ class TestCoefficientForm:
         {"form": "linear", "offset": float("inf")}])
     def test_bad_config_rejected(self, cfg):
         with pytest.raises(ConfigurationError):
-            CoefficientForm.from_config(cfg)
+            _read_form(cfg)
 
     @pytest.mark.parametrize("form", ["linear", "cosine", "sine"])
     def test_value_and_slope_take_any_shape(self, form):
@@ -212,13 +228,13 @@ class TestObjectiveMap:
         assert first is not second
         assert first == second and hash(first) == hash(second)
         cfg = preset("case3").config["systems"]["vehicle3"]["objective"]
-        assert ObjectiveMap.from_config(cfg) == first
-        assert ObjectiveMap.from_config(dict(cfg, center=[-1.0, 1.5])) != first
+        assert _read_objective("case3", cfg) == first
+        assert _read_objective("case3", dict(cfg, center=[-1.0, 1.5])) != first
 
     def test_negative_zero_builds_the_zero_objective(self):
         cfg = {"form": "quadratic", "weights": [1.0], "center": [0.0]}
-        zero = ObjectiveMap.from_config(cfg)
-        negative = ObjectiveMap.from_config(dict(cfg, center=[-0.0]))
+        zero = _read_objective("case1", cfg)
+        negative = _read_objective("case1", dict(cfg, center=[-0.0]))
         assert negative == zero and hash(negative) == hash(zero)
         assert math.copysign(1.0, negative.center[0]) == 1.0
 

@@ -1,17 +1,18 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieseek.errors import LieseekError, UnknownPresetError
+from lieseek.errors import ConfigurationError, LieseekError, UnknownPresetError
 from lieseek.gekf import GekfFilter
 from lieseek.model import verify_assumption_a2
-from lieseek.scenarios import (Scenario, load_scenario, preset, preset_names,
-                               save_scenario)
+from lieseek.scenarios import Scenario, load_scenario, preset, preset_names
 
 
 class TestPresetLookup:
@@ -101,7 +102,7 @@ class TestScenarioInvariants:
     def test_round_trip_lossless(self, name, tmp_path):
         sc = preset(name)
         path = tmp_path / f"{name}.json"
-        save_scenario(sc, str(path))
+        path.write_text(json.dumps(sc.config))
         back = load_scenario(str(path))
         assert back.config == sc.config
         assert json.loads(path.read_text()) == sc.config
@@ -160,7 +161,7 @@ LEAF_VALUES = st.one_of(
 
 
 class TestConfigFuzz:
-    @pytest.mark.parametrize("name", ["case1", "case3"])
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_one_leaf_edit_loads_or_raises_package_error(self, name, data):
@@ -183,3 +184,236 @@ class TestConfigFuzz:
             sc.b2_setup()
         except LieseekError:
             pass
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    def test_every_renamed_key_raises(self, name):
+        """A key renamed anywhere a section's settings are read is an
+        unknown setting or leaves a required one missing: it never
+        loads."""
+        config = preset(name).config
+        renames = 0
+        for path in _setting_paths(config):
+            cfg = preset(name).config
+            node = _node(cfg, path[:-1])
+            node[f"{path[-1]}_x"] = node.pop(path[-1])
+            with pytest.raises(ConfigurationError):
+                Scenario(cfg)
+            renames += 1
+        assert renames > 40
+
+    @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
+    @pytest.mark.parametrize("value", [True, "1"], ids=["true", "string"])
+    def test_every_number_as_true_or_string_raises(self, name, value):
+        config = preset(name).config
+        numbers = [path for path in _leaf_paths(config)
+                   if type(_node(config, path)) in (int, float)]
+        assert len(numbers) > 20
+        for path in numbers:
+            cfg = preset(name).config
+            _node(cfg, path[:-1])[path[-1]] = value
+            with pytest.raises(ConfigurationError):
+                Scenario(cfg)
+
+
+def _node(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _setting_paths(node, path=()):
+    """The path of every key that a section's reader reads: not the
+    system labels or dither names, which name entries, nor the keys of
+    the free-form ``metadata`` and ``b1_constants``."""
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _setting_paths(value, path + (i,))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            named = path[-1:] in (("systems",), ("dithers",))
+            if not named:
+                yield path + (key,)
+            if key not in ("metadata", "b1_constants"):
+                yield from _setting_paths(value, path + (key,))
+
+
+def _edited(path: tuple, value) -> dict:
+    cfg = preset("case1").config
+    _node(cfg, path[:-1])[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path,value,message", [
+    (("systems", "main", "d_t"), 1e-4,
+     "systems.main.d_t: unknown setting; have [objective, dithers, channels, "
+     "omega, a0, lambda, x0, horizon, dt]"),
+    (("systems", "main", "objective", "domainbox"), [[-2.0, 4.0]],
+     "systems.main.objective.domainbox: unknown setting; have [form, "
+     "weights, center, offset, kind, domain_box]"),
+    (("systems", "main", "channels", 0, "u3"), "u1",
+     "systems.main.channels[0].u3: unknown setting; have [b1, b2, u1, u2]"),
+    (("systems", "main", "dithers", "u1", "phaze"), 0.0,
+     "systems.main.dithers.u1.phaze: unknown setting; have [kind, phase, "
+     "period, bound, samples]"),
+    (("systems", "main", "channels", 0, "b1", "amp"), 1.0,
+     "systems.main.channels[0].b1.amp: unknown setting; have [form, gain, "
+     "offset]"),
+    (("b2", "elements", 0, "lable"), "b",
+     "b2.elements[0].lable: unknown setting; have [s, i, coeff, label]"),
+    (("nmae",), "x",
+     "nmae: unknown setting; have [name, systems, primary, gekf, analysis, "
+     "b2, metadata]"),
+    (("analysis", "span"), 1.0,
+     "analysis.span: unknown setting; have [p, t_min, window]"),
+    (("gekf", "q4"), 1.0,
+     "gekf.q4: unknown setting; have [q1, q2, q3, r, p0, a_floor_rel, "
+     "smoothing, n_meas]"),
+    (("systems", "main", "omega"), "50",
+     "systems.main.omega: expected a number, got a string"),
+    (("systems", "main", "omega"), True,
+     "systems.main.omega: expected a number, got a boolean"),
+    (("systems", "main", "omega"), 10 ** 400,
+     "systems.main.omega: integer too large for a float"),
+    (("systems", "main", "horizon"), None,
+     "systems.main.horizon: expected a number, got null"),
+    (("systems", "main", "a0"), [True],
+     "systems.main.a0[0]: expected a number, got a boolean"),
+    (("systems", "main", "x0"), ["1"],
+     "systems.main.x0[0]: expected a number, got a string"),
+    (("systems", "main", "channels", 0, "b1", "gain"), True,
+     "systems.main.channels[0].b1.gain: expected a number, got a boolean"),
+    (("systems", "main", "objective", "domain_box"), [[-2.0]],
+     "systems.main.objective.domain_box[0]: expected 2 entries"),
+    (("analysis", "t_min"), "2",
+     "analysis.t_min: expected a number, got a string"),
+    (("gekf", "n_meas"), 1.0,
+     "gekf.n_meas: expected an integer, got a number"),
+    (("gekf", "smoothing"), "no",
+     "gekf.smoothing: expected true or false, got a string"),
+    (("name",), 5, "name: expected a string, got a number"),
+    (("name",), "../escaped", "name: '../escaped' is not a file name"),
+    (("name",), "", "name: '' is not a file name"),
+    (("b2", "elements", 0, "s"), 1.7,
+     "b2.elements[0].s: expected an integer, got a number"),
+    (("b2", "system"), "nope", "b2.system: unknown 'nope'; have [main]"),
+    (("primary",), "nope", "primary: unknown 'nope'; have [main]"),
+    (("systems", "main", "objective", "form"), "cubic",
+     "systems.main.objective.form: unknown 'cubic'; have [quadratic]"),
+    (("systems", "main", "channels", 0, "b2", "form"), "cubic",
+     "systems.main.channels[0].b2.form: unknown 'cubic'; have [linear, "
+     "cosine, sine]"),
+    (("systems",), [], "systems: expected an object, got a list"),
+    (("systems",), {}, "systems: the scenario declares no systems"),
+], ids=["d_t", "domainbox", "channel-key", "dither-key", "form-key",
+        "element-key", "top-level-key", "analysis-key", "gekf-key",
+        "string-omega", "true-omega", "int-beyond-float", "null-horizon",
+        "true-a0", "string-x0", "true-gain", "one-number-box-pair",
+        "string-t-min", "float-n-meas", "string-smoothing", "number-name",
+        "escaping-name", "empty-name", "fractional-b2-s", "unknown-b2-system",
+        "unknown-primary", "unknown-objective-form", "unknown-coefficient-form",
+        "list-systems", "no-systems"])
+def test_bad_setting_names_its_path(path, value, message):
+    with pytest.raises(ConfigurationError) as exc:
+        Scenario(_edited(path, value))
+    assert str(exc.value) == message
+
+
+def test_missing_setting_names_its_path():
+    cfg = preset("case1").config
+    del cfg["systems"]["main"]["omega"]
+    with pytest.raises(ConfigurationError, match=r"^systems\.main\.omega: missing$"):
+        Scenario(cfg)
+
+
+def test_label_with_a_separator_is_rejected():
+    cfg = preset("case1").config
+    cfg["systems"] = {"a/b": cfg["systems"]["main"]}
+    cfg["primary"] = "a/b"
+    with pytest.raises(ConfigurationError, match="^systems.a/b: 'a/b' is not a file name$"):
+        Scenario(cfg)
+
+
+def test_config_that_is_no_object_is_rejected():
+    with pytest.raises(ConfigurationError,
+                       match="^scenario config: expected an object, got a list$"):
+        Scenario([1, 2])
+
+
+def test_free_form_settings_keep_any_value():
+    cfg = preset("case1").config
+    cfg["metadata"] = [1, {"x": None}]
+    cfg["b2"]["b1_constants"] = {"anything": [True, "1"]}
+    sc = Scenario(cfg)
+    assert sc.b2_setup()[2] == {"anything": [True, "1"]}
+    assert sc.config["metadata"] == [1, {"x": None}]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Where each section of README's format table sits in a preset config.
+_TABLE_SECTIONS = {
+    "top level": ("case1", ()),
+    "`systems.<label>`": ("case1", ("systems", "main")),
+    "`systems.<label>.objective`": ("case1", ("systems", "main", "objective")),
+    "`systems.<label>.dithers.<name>`":
+        ("case1", ("systems", "main", "dithers", "u1")),
+    "`systems.<label>.channels[i]`":
+        ("case1", ("systems", "main", "channels", 0)),
+    "linear form": ("case1", ("systems", "main", "channels", 0, "b1")),
+    "cosine or sine form": ("case2", ("systems", "main", "channels", 0, "b1")),
+    "`gekf`": ("case1", ("gekf",)),
+    "`analysis`": ("case1", ("analysis",)),
+    "`b2`": ("case1", ("b2",)),
+    "`b2.elements[k]`": ("case1", ("b2", "elements", 0)),
+}
+
+
+def _format_table() -> list[tuple[str, str, str, str]]:
+    """The rows of README's Scenario config table: section, key, default
+    and whether null is allowed."""
+    text = README.read_text(encoding="utf-8")
+    rows = []
+    for line in text[text.index("## Scenario config"):
+                     text.index("## CLI")].splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| ") and len(cells) == 5 and cells[1][:1] == "`":
+            rows.append((cells[0], cells[1].strip("`"), cells[3], cells[4]))
+    return rows
+
+
+class TestReadmeFormatTable:
+    """README's Scenario config table and the reader cannot drift apart."""
+
+    def test_each_section_lists_exactly_the_settings_read(self):
+        table: dict[str, list[str]] = {}
+        for section, key, _, _ in _format_table():
+            table.setdefault(section, []).append(key)
+        assert set(table) == set(_TABLE_SECTIONS)
+        for section, keys in table.items():
+            name, path = _TABLE_SECTIONS[section]
+            cfg = preset(name).config
+            _node(cfg, path)["zz_unknown"] = 0
+            with pytest.raises(ConfigurationError,
+                               match="zz_unknown: unknown setting") as exc:
+                Scenario(cfg)
+            have = re.search(r"have \[(.*)\]$", str(exc.value)).group(1)
+            assert sorted(keys) == sorted(have.split(", ")), section
+
+    @pytest.mark.parametrize(
+        "section,key,default,null", _format_table(),
+        ids=[f"{row[0].strip('`')}:{row[1]}" for row in _format_table()])
+    def test_default_and_null_columns_hold(self, section, key, default, null):
+        """An absent key loads unless the table says it is required, and
+        null loads only where the table allows it."""
+        name, path = _TABLE_SECTIONS[section]
+        absent, nulled = preset(name).config, preset(name).config
+        _node(absent, path).pop(key, None)
+        _node(nulled, path)[key] = None
+        for cfg, fails in ((absent, default == "required"),
+                           (nulled, null == "no")):
+            if fails:
+                with pytest.raises(ConfigurationError,
+                                   match=rf"{re.escape(key)}: "):
+                    Scenario(cfg)
+            else:
+                Scenario(cfg)
