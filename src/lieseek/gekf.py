@@ -26,33 +26,40 @@ coefficients are anchored at ``x3`` itself, the measured value at the
 start of the window, so the caller keeps no copy of it.
 
 :class:`GekfFilter` is the filter: it owns the state, the smoothing
-history and the pause bookkeeping of B members that step in lockstep.
-The state and the held sample are stacked in plain arrays, one leading
-row per member:
+history, the pause bookkeeping and the measurement schedule of B members
+that step in lockstep.  The state and the held sample are stacked in
+plain arrays, one leading row per member:
 
 * ``mean`` -- ``(B, 2n)``, each row ``[x1 | x2]``;
 * ``P`` -- ``(B, 2n, 2n)``, one covariance per member;
 * ``x3`` and ``p33`` -- ``(B,)``, each member's held sample and its
   variance;
-* the smoothing history -- ``(B, 2w, n)`` for a window of w steps.
+* the smoothing history -- ``(B, 2w, n)`` for a window of w steps;
+* the window's input integrals -- ``(B, 2, n)``: row 0 the integrals of
+  each channel's first dither since the last measurement, row 1 of its
+  second.
 
 A single run is a filter of one member.  Members share the system, the
 configuration (:class:`GekfConfig`, the scenario's ``gekf`` section) and
 the number of steps per dither period, which is the smoothing window;
 each member's amplitude floor follows from its own initial amplitudes,
-and the members may differ in step size.  The input integrals of an
-update are one stacked array ``(B, 2, n)``: row 0 the integrals of each
-channel's first dither, row 1 of its second.  Stepping raises nothing
+and the members may differ in step size.  One call,
+:meth:`GekfFilter.step`, is a whole step: the caller hands over the
+step's dither sums and a callable that measures each member, and the
+filter measures on every ``n_meas``-th step.  Stepping raises nothing
 for a member: a member that fails, by a non-finite state or a non-finite
-bracket factor at its held sample, is named by position by the read
-that follows the step (:meth:`GekfFilter.check`), and the caller stops
-it.  The filter keeps no clock: the caller names each member's time
-for that read.  The stacked ``matmul`` products (not
-``einsum``, which rounds differently) and the means over the window axis
-give each member the same bits as a filter of that member alone.  The
-step size is one float, or a ``(B, 1)`` column when the members step
-with different sizes; the transition is then stacked too, ``(B, 2n,
-2n)``.  An instance is a single-owner mutable state machine.
+bracket factor at its held sample, is named by position by the read that
+ends the step (:meth:`GekfFilter.check`), and the caller stops it.  The
+filter keeps no clock: the caller names each member's time for that
+read.  The stacked ``matmul`` products (not ``einsum``, which rounds
+differently) and the means over the window axis give each member the
+same bits as a filter of that member alone.  The step size is one float,
+or a ``(B, 1)`` column when the members step with different sizes; the
+transition is then stacked too, ``(B, 2n, 2n)``.  An instance is a
+single-owner mutable state machine.
+
+What ``*_gekf.csv`` holds is :func:`diagnostics` of the arrays that
+:data:`LOGGED` names, logged after each step.
 """
 
 from __future__ import annotations
@@ -72,6 +79,9 @@ B0_SINGULAR_TOL = 1e-12
 # by the same amount per period at any step size that divides the period.
 PAUSED_J_DECAY = 0.999
 PAUSE_DECAY_STEPS = 64
+# The filter arrays that a run logs after each step, in the order of
+# diagnostics' arguments.
+LOGGED = ("mean", "x3", "last_innovation", "P", "p33")
 
 
 @dataclass(frozen=True)
@@ -82,10 +92,11 @@ class GekfConfig:
     ``q3`` the rate at which the held sample's variance grows between
     measurements, ``r`` the measurement variance, ``p0`` the initial
     covariance scale, each finite and positive.  Channels whose amplitude
-    magnitude falls below their member's floor, ``a_floor_rel`` times its smallest initial amplitude,
-    stop receiving measurement corrections (the measurement coefficient
-    scales like 1/a^2 and turns ill-conditioned); their exported estimate
-    decays geometrically instead.  ``smoothing`` averages the export over
+    magnitude falls below their member's floor, ``a_floor_rel`` times its
+    smallest initial amplitude, stop receiving measurement corrections
+    (the measurement coefficient scales like 1/a^2 and turns
+    ill-conditioned); their exported estimate decays geometrically
+    instead.  ``smoothing`` averages the export over
     one dither period of steps; ``n_meas`` is the number of steps per
     measurement.  What follows from the system, the floors and the
     window, :class:`GekfFilter` works out from its spec and amplitudes.
@@ -109,6 +120,19 @@ class GekfConfig:
         if self.n_meas < 1:
             raise ConfigurationError(f"n_meas must be an integer >= 1, "
                                      f"got {self.n_meas!r}")
+
+
+def diagnostics(mean, x3, innovation, P, p33) -> dict:
+    """The columns of ``*_gekf.csv`` from the arrays that :data:`LOGGED`
+    names, over any leading axes: the raw state ``x1`` and ``x2``, the
+    held sample ``x3``, the innovation, ``trace_p`` (``trace(P) + p33``)
+    and ``min_eig_p``, the smaller of ``P``'s smallest eigenvalue and
+    ``p33``."""
+    n = mean.shape[-1] // 2
+    return {"x1": mean[..., :n], "x2": mean[..., n:], "x3": x3,
+            "innovation": innovation,
+            "trace_p": np.trace(P, axis1=-2, axis2=-1) + p33,
+            "min_eig_p": np.minimum(np.linalg.eigvalsh(P).min(axis=-1), p33)}
 
 
 def measurement_coefficients(spec: EscSystemSpec, f1, u_int: np.ndarray,
@@ -144,15 +168,16 @@ class GekfFilter:
     ``mean`` is ``(B, 2n)`` and ``P`` is ``(B, 2n, 2n)``; ``x3`` and
     ``p33``, ``(B,)``, are the held sample and its variance.  Each member
     starts unbiased (zero RHS estimate, its first measurement as held
-    sample, variance ``p0`` throughout).  :meth:`propagate` and
-    :meth:`update` replace these arrays with new ones, raise nothing for
-    a member and keep no copy of the old ones; :meth:`check`, once per
-    step, names the members that failed, given the arrays that the step's
-    update started from.  :meth:`take` keeps the others.
-    :meth:`step_export` returns the per-step estimates, ``(B, n)``.  Once
-    a channel's amplitude falls under its member's floor, its exported
-    estimate decays geometrically, at a fixed rate per smoothing window,
-    instead of following ``x1``.
+    sample, variance ``p0`` throughout).  :meth:`step` is one step of
+    every member: :meth:`propagate`, the window's input integrals summed,
+    :meth:`update` on every ``n_meas``-th step, :meth:`check` and
+    :meth:`step_export`.  :meth:`propagate` and :meth:`update` replace
+    the arrays with new ones, raise nothing for a member and keep no copy
+    of the old ones; :meth:`check` names the members that failed, given
+    the arrays that the step's update started from.  :meth:`take` keeps
+    the others.  Once a channel's amplitude falls under its member's
+    floor, its exported estimate decays geometrically, at a fixed rate
+    per smoothing window, instead of following ``x1``.
     """
 
     def __init__(self, cfg: GekfConfig, spec: EscSystemSpec, f0, a0):
@@ -188,6 +213,7 @@ class GekfFilter:
         self._decay = PAUSED_J_DECAY ** (PAUSE_DECAY_STEPS / w)
         self._j = np.zeros(lead + (n,))
         self.last_innovation = np.zeros(lead)
+        self._u = np.zeros(lead + (2, n))   # the window's input integrals
         self._dt = None
 
     def take(self, members) -> "GekfFilter":
@@ -195,10 +221,33 @@ class GekfFilter:
         slice of indices)."""
         out = copy.copy(self)
         for name in ("mean", "P", "x3", "p33", "_rows", "paused", "_j",
-                     "last_innovation", "_a_floor", "_r"):
+                     "last_innovation", "_a_floor", "_r", "_u"):
             setattr(out, name, np.array(getattr(self, name)[members]))
         out._dt = None
         return out
+
+    def step(self, dt, t, du, a, measure) -> tuple:
+        """One step of every member: the per-step estimates, ``(B, n)``,
+        and the members that failed (:meth:`check`).
+
+        The filter propagates by ``dt`` and adds the step's dither sums
+        ``du``, ``(B, 2, n)``, to the window's input integrals.  On every
+        ``n_meas``-th step it updates against ``measure()``, each
+        member's new sample, with those integrals and the amplitudes
+        ``a`` (``(B, n)``), and starts a new window.  ``t`` is each
+        member's step end, one float or a ``(B, 1)`` column.
+        """
+        self.propagate(dt)
+        self._u = self._u + du
+        prior = None
+        # _count is this step's number from 1: the history holds the
+        # initial row and one row per step taken
+        if self._count % self.cfg.n_meas == 0:
+            prior = self.mean, self.P, self.x3, self.p33
+            self.update(measure(), self._u, a)
+            self._u = np.zeros(self._u.shape)
+        failed = self.check(t, prior)
+        return self.step_export(), failed
 
     def propagate(self, dt) -> None:
         """Advance mean and covariance by the constant-velocity model, and
@@ -240,29 +289,30 @@ class GekfFilter:
         variance ``p33 + r``, re-symmetrized; afterwards ``x3`` is the new
         sample and ``p33`` its variance ``r``, so the next window anchors
         at measured data.  ``last_innovation`` is taken against the
-        pre-update state.  The products are stacked ``matmul`` calls,
-        which give each member the bits of its own matrix products.  A
-        member whose bracket factor at ``x3`` is non-finite gets a NaN
-        weight, so its new state is non-finite and :meth:`check` names
-        it; the update raises nothing.
+        pre-update state.  ``h = [c | 0]`` reads only the ``x1`` columns
+        of ``P``, ``v = P h``, so the Joseph form ``(I - g h')P(I - g
+        h')' + (p33 + r) g g'`` is evaluated in rank-one factors: ``A = P
+        - g v'``, then ``A - (A h) g' + (p33 + r) g g'``.  The products
+        are stacked ``matmul`` calls, which give each member the bits of
+        its own matrix products.  A member whose bracket factor at ``x3``
+        is non-finite gets a NaN weight, so its new state is non-finite
+        and :meth:`check` names it; the update raises nothing.
         """
-        mean, P, x3, r = self.mean, self.P, self.x3, self.cfg.r
+        mean, P, x3, n = self.mean, self.P, self.x3, self.n
         c = measurement_coefficients(self.spec, x3, u_int, a, self._a_floor)
-        h = np.concatenate([c, np.zeros(c.shape)], axis=-1)   # [c | 0]
-        row, col = h[..., None, :], h[..., :, None]
-
-        innovation = f2 - (x3 + (row @ mean[..., :, None])[..., 0, 0])
-        p_col = P @ col
-        spread = (row @ p_col)[..., 0, 0]   # c'P11c
+        row, col = c[..., None, :], c[..., :, None]
+        innovation = f2 - (x3 + (row @ mean[..., :n, None])[..., 0, 0])
+        v = P[..., :, :n] @ col   # P h, a column
         # p33 + r: the held sample's variance and the new sample's
-        noise = (self.p33 + r)[..., None]
-        gain = p_col[..., 0] / (spread[..., None] + noise)
-        new_mean = mean + gain * innovation[..., None]
-        ikh = self._eye - gain[..., :, None] * row
-        new_P = (ikh @ P @ ikh.swapaxes(-1, -2)
-                 + noise[..., None] * (gain[..., :, None] * gain[..., None, :]))
+        noise = self.p33 + self.cfg.r
+        gain = v[..., 0] / ((row @ v[..., :n, :])[..., 0, 0] + noise)[..., None]
+        g_col, g_row = gain[..., :, None], gain[..., None, :]
+        A = P - g_col * v.swapaxes(-1, -2)   # (I - g h')P, as P is symmetric
+        new_P = (A - (A[..., :, :n] @ col) * g_row
+                 + noise[..., None, None] * (g_col * g_row))
 
-        self.mean, self.P = new_mean, 0.5 * (new_P + new_P.swapaxes(-1, -2))
+        self.mean = mean + gain * innovation[..., None]
+        self.P = 0.5 * (new_P + new_P.swapaxes(-1, -2))
         self.x3, self.p33 = np.full(x3.shape, f2), self._r
         self.last_innovation = innovation
         self.paused = np.abs(a) < self._a_floor
@@ -324,7 +374,7 @@ class GekfFilter:
     def min_eigenvalue(self) -> np.ndarray:
         """The smallest covariance eigenvalue of each member, ``p33``
         among them."""
-        return np.minimum(np.linalg.eigvalsh(self.P).min(axis=-1), self.p33)
+        return diagnostics(*(getattr(self, k) for k in LOGGED))["min_eig_p"]
 
 
 def _finite(*arrays: np.ndarray) -> np.ndarray:

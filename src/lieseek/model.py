@@ -593,6 +593,7 @@ class EstimationErrorModel:
     form: str = "inverse_square"
 
     def __post_init__(self):
+        require_finite("eps0 and theta0", self.eps0, self.theta0)
         if self.eps0 <= 0 or self.theta0 <= 0:
             raise ConfigurationError("eps0 and theta0 must be positive")
         if self.form not in _ERROR_FORMS:

@@ -81,6 +81,17 @@ def _number(value, path: str) -> float:
         raise ConfigurationError(f"{path}: integer too large for a float") from None
 
 
+def _integer_in(low: int, high: int) -> Callable:
+    """The reader of an integer from ``low`` to ``high``."""
+    def read(value, path: str) -> int:
+        if not low <= _integer(value, path) <= high:
+            have = (f"{low} to {high}" if high > low + 1 else
+                    " or ".join(map(str, range(low, high + 1))))
+            raise ConfigurationError(f"{path}: expected {have}, got {value}")
+        return value
+    return read
+
+
 def _file_name(value, path: str) -> str:
     """A string that output files are named by, so that they stay in
     their directory: not empty and without a path separator."""
@@ -210,19 +221,23 @@ def _system(get: Callable) -> EscSystemSpec:
         horizon=get("horizon", _number), dt=get("dt", _number, None))
 
 
-def _element(get: Callable) -> B2Element:
-    return B2Element(s=get("s", _integer), i=get("i", _integer),
-                     form=get("coeff", _object(_form)),
-                     label=get("label", _string, ""))
+def _element(n: int) -> Callable:
+    """The reader of a ``b2`` element of a system of ``n`` channels: ``s``
+    is 1 or 2 (its b1 or b2), ``i`` a channel from 1 to n."""
+    return _object(lambda get: B2Element(
+        s=get("s", _integer_in(1, 2)), i=get("i", _integer_in(1, n)),
+        form=get("coeff", _object(_form)), label=get("label", _string, "")))
 
 
 def _b2(systems: dict) -> Callable:
     """The reader of the ``b2`` section: the objective of the system it
     names, its elements and its free-form ``b1_constants``."""
-    return _object(lambda get: (
-        systems[get("system", _one_of(systems))].objective,
-        get("elements", _list_of(_object(_element))),
-        get("b1_constants", _any, None)))
+    def build(get: Callable) -> tuple:
+        system = systems[get("system", _one_of(systems))]
+        return (system.objective,
+                get("elements", _list_of(_element(system.n))),
+                get("b1_constants", _any, None))
+    return _object(build)
 
 
 class Scenario:

@@ -42,12 +42,12 @@ generator, once per measurement of that member.
 The loop does only state-dependent work.  What depends on time alone is
 tabulated once per time grid by :func:`_dither_tables`: every channel's
 dither values at each step start and midpoint of the grid (the RK4 stage
-times).  The filter's input integrals are per-step trapezoid sums, on the
-step's two half steps, of the same table rows that the stages read.  The
-seeking plant ``a*sqrt(omega)*(b1*u1 + b2*u2)`` and the averaged
-right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')`` are one
-bilinear form in ``(b1, b2)``, so each RK4 stage is one product over
-all rows, ``(W*G)*(b1*U1 + b2*U2)`` (:meth:`_Lockstep._stage`), from one
+times).  The dither sums that the filter takes each step are trapezoid
+sums, on the step's two half steps, of the same table rows that the
+stages read.  The seeking plant ``a*sqrt(omega)*(b1*u1 + b2*u2)`` and
+the averaged right-hand side ``-nu*a0^2*grad f*(b1*(-b2') + b2*b1')``
+are one bilinear form in ``(b1, b2)``, so each RK4 stage is one product
+over all rows, ``(W*G)*(b1*U1 + b2*U2)`` (:meth:`_Lockstep._stage`), from one
 evaluation of the measured objective and the coefficient forms; it calls
 no oracle.  ``U1`` and ``U2`` are the two halves of one stacked table
 ``U = [U1 | U2]``, so the form is one product of the values ``[b1 | b2]``
@@ -73,7 +73,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DivergenceError, EvaluationError,
                      InputError, IntegrationError, LieseekError)
-from .gekf import GekfConfig, GekfFilter
+from .gekf import LOGGED, GekfConfig, GekfFilter, diagnostics
 from .lie import lbs_rhs_exact
 from .model import EscSystemSpec, EstimationErrorModel, ObjectiveMap, _form_terms
 
@@ -392,8 +392,7 @@ class _Lockstep:
     The rows are of three kinds, each a slice of the row axis, in order:
 
     * adaptive rows, seeking runs whose amplitudes follow the filter's
-      estimate (or ``j_override``); the filter, the amplitude law and the
-      filter inputs, one stacked ``u_int`` of shape ``(rows, 2, n)``, act
+      estimate (or ``j_override``); the filter and the amplitude law act
       on this leading slice, a view;
     * constant-amplitude rows, seeking runs at a0;
     * averaged rows, the averaged (bracket) system at a0, one per distinct
@@ -421,9 +420,10 @@ class _Lockstep:
     per step and per stage.  Its table ``U = [U1 | U2]``, of shape
     ``(2*steps + 1, rows, 2n)``, holds the seeking rows' dithers and the
     averaged rows' form slopes; ``U1`` and ``U2`` are views of its halves.
-    It is the one copy of the dithers: the filter's input integrals of a
-    step are the trapezoid sums, on the step's two half steps, of its
-    rows ``2k``, ``2k + 1`` and ``2k + 2``.
+    It is the one copy of the dithers: the dither sums that the filter's
+    step takes are the trapezoid sums, on the step's two half steps, of
+    its rows ``2k``, ``2k + 1`` and ``2k + 2``; the filter sums them over
+    its measurement window.
     :meth:`_plant` sets the stage up for each step and returns it bound;
     the loop does not keep the bound method, which would make a reference
     cycle and keep the loop's logs alive after :meth:`run` until the
@@ -439,13 +439,14 @@ class _Lockstep:
     rows whose averaged row fails; the others take the step together.
     Only the plant is replayed: its checks raise for all rows at once,
     and the filter has nothing to do until the plant step that it
-    measures has passed.  So the filter steps in :meth:`_commit`, where
-    each measuring member draws its noise, its arrays are replaced once
-    per step and never undone, and its read
-    (:meth:`GekfFilter.check`) names each member whose state turned
-    non-finite, or whose b0 at its held sample did; those members stop
-    alone, and no row steps again.  A seeking run whose reference fails
-    returns that error, whenever its own row stopped.
+    measures has passed.  So the filter takes one step
+    (:meth:`GekfFilter.step`) in :meth:`_commit`, where each member draws
+    its noise only when the filter measures it (:meth:`_measured`), its
+    arrays are replaced once per step and never undone, and the step
+    names each member whose state turned non-finite, or whose b0 at its
+    held sample did; those members stop alone, and no row steps again.
+    A seeking run whose reference fails returns that error, whenever its
+    own row stopped.
     """
 
     check = False   # the plant's check of b0, on in a replay's copies
@@ -507,27 +508,19 @@ class _Lockstep:
             self.x = np.stack([s.x0 for s in self.specs])
             self.a = np.stack([s.a0 for s in self.specs])
             self.j_sig = np.zeros(self.x.shape)
-            self.filt = self.u_int = None
+            self.filt = None
             self.t = 0.0
             self._regrid()
             total = self.steps + 1
             self.x_log, self.a_log, self.jest_log = (
                 np.empty((total, rows, n)) for rows in (size, self.m0, self.m0))
             if self.use_filter:
-                f0 = self.obj.measured(self.x)[:self.m0]
-                if self.rngs:
-                    f0 = f0 + self._noise()
-                self.filt = GekfFilter(adaptive[0], self.specs[0], f0,
-                                       self.a[:self.m0])
-                # the filter inputs after a measurement; never written
-                self.zero = np.zeros((self.m0, 2, n))
-                self.zero.flags.writeable = False
-                self.u_int = self.zero
-                # per step, what *_gekf.csv is made from, in the order
-                # that _result unpacks
+                self.filt = GekfFilter(adaptive[0], self.specs[0],
+                                       self._measured(), self.a[:self.m0])
+                # per step, what *_gekf.csv is made from
                 self.filter_logs = {
                     name: np.empty((total,) + getattr(self.filt, name).shape)
-                    for name in ("mean", "x3", "last_innovation", "P", "p33")}
+                    for name in LOGGED}
             elif adaptive:
                 self.j_sig[:self.m0] = self._override(0.0)
             if self.errors:
@@ -575,8 +568,14 @@ class _Lockstep:
         self.factor, self.gradient = self.obj._arrays[2][s:], self.G[s:]
         self.columns = _index(rows)
 
-    def _noise(self) -> np.ndarray:
-        return np.array([rng.normal(0.0, self.noise_std) for rng in self.rngs])
+    def _measured(self) -> np.ndarray:
+        """Each adaptive row's measured objective, plus a noise draw of
+        its generator when there is noise."""
+        f = self.obj.measured(self.x)[:self.m]
+        if self.rngs:
+            f = f + np.array([rng.normal(0.0, self.noise_std)
+                              for rng in self.rngs])
+        return f
 
     def _override(self, t: float):
         return self.j_override(t) if callable(self.j_override) else self.j_override
@@ -603,9 +602,7 @@ class _Lockstep:
         self.U = self.U1 = self.U2 = None   # free the old tables before the new
         out, adaptive = self._take(rows), [i for i in rows if i < self.m]
         if adaptive and self.filt is not None:
-            index = _index(adaptive)
-            out.u_int, out.zero = self.u_int[index], self.zero[index]
-            out.filt = self.filt.take(index)
+            out.filt = self.filt.take(_index(adaptive))
             out.rngs = self.rngs and [self.rngs[i] for i in adaptive]
         vars(self).update(vars(out))
 
@@ -691,7 +688,7 @@ class _Lockstep:
         self.obj.guard(x, end)
         return x, a, end
 
-    def _commit(self, step: int, measure: bool, new: tuple) -> None:
+    def _commit(self, step: int, new: tuple) -> None:
         """Take the step that every row has passed, and then the filter's
         step; a member whose filter state turns non-finite stops alone."""
         self.x, self.a, self.t = new
@@ -702,19 +699,10 @@ class _Lockstep:
             # as (rows, 2, n)
             weight = (self.W[:m] * (self.dt_a / 4.0))[:, None]
             u = self.U[2 * step:2 * step + 3, :m].reshape(3, m, 2, self.n)
-            u_int = self.u_int + weight * (u[0] + 2.0 * u[1] + u[2])
-            filt, prior = self.filt, None
-            filt.propagate(self.dt_a)
-            if measure:
-                prior = filt.mean, filt.P, filt.x3, filt.p33
-                f2 = self.obj.measured(self.x)[:m]
-                if self.rngs:
-                    f2 = f2 + self._noise()
-                filt.update(f2, u_int, self.a[:m])
-            self.u_int = self.zero if measure else u_int
-            failed = filt.check(end if isinstance(end, float) else end[:m], prior)
             # the export of a member that stops here is never read
-            self.j_sig[:m] = filt.step_export()
+            self.j_sig[:m], failed = self.filt.step(
+                self.dt_a, end if isinstance(end, float) else end[:m],
+                weight * (u[0] + 2.0 * u[1] + u[2]), self.a[:m], self._measured)
             if failed:
                 self._stop(failed)
         elif m:
@@ -757,21 +745,19 @@ class _Lockstep:
     def run(self) -> list:
         """Each member's log, or the error that stopped it; ``refs`` then
         holds every reference, by :func:`_reference_key`."""
-        n_meas = self.filt.cfg.n_meas if self.use_filter else 1
         with np.errstate(**_QUIET):
             for step in range(self.steps):
                 if step in self.ends:
                     self._finish(step)
                 if not self.members.size:
                     break
-                measure = self.filt is not None and (step + 1) % n_meas == 0
                 try:
                     new = self._attempt(step)
                 except LieseekError as exc:
                     if not self._drop_failing(step, exc):
                         break
                     new = self._attempt(step)
-                self._commit(step, measure, new)
+                self._commit(step, new)
             for r in range(self.s0, len(self.specs)):
                 z = self.x_log[:self.grid_of[r].steps + 1, r]
                 z.flags.writeable = False
@@ -787,19 +773,13 @@ class _Lockstep:
             return zref
         if r in self.errors:
             return self.errors[r]
-        logged, n = slice(0, self.grid_of[r].steps + 1), self.n
+        logged = slice(0, self.grid_of[r].steps + 1)
         a = j_est = diag = None
         if r < self.m0:
             a, j_est = self.a_log[logged, r], self.jest_log[logged, r]
         if r < self.m0 and self.use_filter:
-            # covariance summaries of all rows at once, p33 among them
-            mean, x3, innovation, P, p33 = (
-                log[logged, r] for log in self.filter_logs.values())
-            diag = {"x1": mean[:, :n], "x2": mean[:, n:], "x3": x3,
-                    "innovation": innovation,
-                    "trace_p": np.trace(P, axis1=1, axis2=2) + p33,
-                    "min_eig_p": np.minimum(np.linalg.eigvalsh(P).min(axis=1),
-                                            p33)}
+            diag = diagnostics(*(log[logged, r]
+                                 for log in self.filter_logs.values()))
         try:
             return _log(self.specs[r], self.x_log[logged, r], zref,
                         "proposed" if r < self.m0 else "baseline",

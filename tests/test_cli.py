@@ -274,6 +274,9 @@ def _short_case1_with(path: tuple, value) -> str:
     (_short_case1_with(("name",), 5), []),
     (_short_case1_with(("b2", "elements", 0, "s"), 1.7), []),
     (_short_case1_with(("b2", "system"), "nope"), []),
+    (_short_case1_with(("b2", "elements", 0, "s"), 3), []),
+    (_short_case1_with(("b2", "elements", 0, "i"), -7), []),
+    (_short_case1_with(("b2", "elements", 0, "i"), 2), []),
     (_short_case1_with(("name",), "../escaped"), []),
     (_short_case1_with(("name",), ""), []),
     ('{"name": "x", "systems": {"a/b": {}}}', []),
@@ -295,7 +298,8 @@ def _short_case1_with(path: tuple, value) -> str:
         "unknown-dither-key", "unknown-form-key", "unknown-b2-element-key",
         "unknown-top-level-key", "numeric-string-omega", "boolean-omega",
         "boolean-a0", "string-x0", "boolean-gain", "string-analysis-t-min",
-        "number-name", "fractional-b2-s", "unknown-b2-system", "escaping-name",
+        "number-name", "fractional-b2-s", "unknown-b2-system",
+        "b2-s-above-2", "negative-b2-i", "b2-i-beyond-n", "escaping-name",
         "empty-name", "separator-in-label"])
 def test_bad_config_is_one_line_usage_error(tmp_path, capsys, config, extra):
     argv = ["run", *extra, "--out", str(tmp_path / "out")]

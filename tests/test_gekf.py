@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +187,79 @@ class TestMeasurementUpdate:
         for name in ("mean", "P", "x3", "p33"):
             assert getattr(pair, name)[1:].tobytes() == getattr(alone, name).tobytes()
         assert np.isfinite(alone.P).all()
+
+
+class TestStep:
+    """One ``step`` is a propagate, the step's dither sums added to the
+    window's, an update on every ``n_meas``-th step with those sums, which
+    then start again from zero, the failure read and the export."""
+
+    N_MEAS = 3
+
+    @classmethod
+    def _setup(cls):
+        """Two members of a two-channel system with different step sizes,
+        their filters and a source of each step's inputs."""
+        rng = np.random.default_rng(27)
+        cfg, spec = GekfConfig(n_meas=cls.N_MEAS), _system(_channel(), _channel(1))
+        f0, a0 = rng.normal(size=2), rng.uniform(0.5, 1.5, size=(2, 2))
+
+        def inputs():
+            """The dither sums, amplitudes and samples of one step."""
+            return (rng.normal(size=(2, 2, 2)) * 0.01,
+                    rng.uniform(0.5, 1.5, size=(2, 2)), rng.normal(size=2))
+
+        return cfg, spec, f0, a0, np.array([[0.01], [0.03]]), inputs
+
+    @staticmethod
+    def _step(filt, dt, t, du, a, f2):
+        """``filt.step`` with a ``measure`` that returns ``f2``; the
+        export, the failures and whether it measured."""
+        calls = []
+        j, failed = filt.step(dt, t, du, a, lambda: calls.append(1) or f2)
+        return j, failed, bool(calls)
+
+    def test_equals_the_hand_written_sequence(self):
+        cfg, spec, f0, a0, dt, inputs = self._setup()
+        stepped, by_hand = (GekfFilter(cfg, spec, f0, a0) for _ in range(2))
+        u_int = np.zeros((2, 2, 2))
+        for k in range(10):
+            du, a, f2 = inputs()
+            j, failed, measured = self._step(stepped, dt, 0.1 * k, du, a, f2)
+            by_hand.propagate(dt)
+            u_int = u_int + du
+            assert measured == ((k + 1) % self.N_MEAS == 0)
+            if measured:
+                by_hand.update(f2, u_int, a)
+                u_int = np.zeros(u_int.shape)
+            assert failed == {} == by_hand.check(0.1 * k)
+            assert j.tobytes() == by_hand.step_export().tobytes()
+            for name in gekf.LOGGED:
+                assert (getattr(stepped, name).tobytes()
+                        == getattr(by_hand, name).tobytes()), name
+
+    def test_take_mid_window_equals_the_member_alone(self):
+        """After four steps the window holds one step's sums; the member
+        taken then steps on as a filter of it alone did from the start."""
+        cfg, spec, f0, a0, dt, inputs = self._setup()
+        pair = GekfFilter(cfg, spec, f0, a0)
+        alone = GekfFilter(cfg, spec, f0[1:], a0[1:])
+        for k in range(10):
+            du, a, f2 = inputs()
+            if k == 4:
+                pair = pair.take([1])
+            if k < 4:
+                self._step(pair, dt, 0.1 * k, du, a, f2)
+            else:
+                j, _, _ = self._step(pair, dt[1:], 0.1 * k, du[1:], a[1:],
+                                     f2[1:])
+            j_alone, _, _ = self._step(alone, dt[1:], 0.1 * k, du[1:], a[1:],
+                                       f2[1:])
+            if k >= 4:
+                assert j.tobytes() == j_alone.tobytes()
+                for name in gekf.LOGGED:
+                    assert (getattr(pair, name).tobytes()
+                            == getattr(alone, name).tobytes()), name
 
 
 class TestExtractJ:
@@ -443,3 +518,19 @@ class TestHeldSample:
                 rtol=1e-13)
             assert filt.p33.shape == (2,) and np.all(filt.p33 == cfg.r)
             expected = np.full(2, cfg.r)
+
+
+class TestReadmeDiagnostics:
+    """README's list of the ``*_gekf.csv`` columns and
+    :func:`gekf.diagnostics` cannot drift apart."""
+
+    def test_readme_names_exactly_the_diagnostics_columns(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        lead = "the columns of `lieseek.gekf.diagnostics`, in this order:"
+        listed = text[text.index(lead) + len(lead):].split(".", 1)[0]
+        filt = GekfFilter(GekfConfig(), _system(_channel(), _channel(1)),
+                          [0.0], np.ones((1, 2)))
+        columns = gekf.diagnostics(*(getattr(filt, name)
+                                     for name in gekf.LOGGED))
+        assert re.findall(r"`(\w+)`", listed) == list(columns)

@@ -408,3 +408,17 @@ class TestEstimationErrorModel:
     def test_unknown_form_rejected(self):
         with pytest.raises(ConfigurationError):
             EstimationErrorModel(eps0=0.1, theta0=0.2, form="sawtooth")
+
+    @pytest.mark.parametrize("eps0,theta0", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan), (0.1, math.inf),
+        (-math.inf, 1.0)])
+    def test_non_finite_bounds_rejected(self, eps0, theta0):
+        with pytest.raises(ConfigurationError,
+                           match="^eps0 and theta0 must be finite$"):
+            EstimationErrorModel(eps0=eps0, theta0=theta0)
+
+    @pytest.mark.parametrize("eps0,theta0", [(0.0, 1.0), (0.1, -1.0)])
+    def test_non_positive_bounds_rejected(self, eps0, theta0):
+        with pytest.raises(ConfigurationError,
+                           match="^eps0 and theta0 must be positive$"):
+            EstimationErrorModel(eps0=eps0, theta0=theta0)

@@ -296,6 +296,10 @@ def _edited(path: tuple, value) -> dict:
     (("b2", "elements", 0, "s"), 1.7,
      "b2.elements[0].s: expected an integer, got a number"),
     (("b2", "system"), "nope", "b2.system: unknown 'nope'; have [main]"),
+    (("b2", "elements", 0, "s"), 3, "b2.elements[0].s: expected 1 or 2, got 3"),
+    (("b2", "elements", 0, "s"), 0, "b2.elements[0].s: expected 1 or 2, got 0"),
+    (("b2", "elements", 0, "i"), -7, "b2.elements[0].i: expected 1, got -7"),
+    (("b2", "elements", 0, "i"), 2, "b2.elements[0].i: expected 1, got 2"),
     (("primary",), "nope", "primary: unknown 'nope'; have [main]"),
     (("systems", "main", "objective", "form"), "cubic",
      "systems.main.objective.form: unknown 'cubic'; have [quadratic]"),
@@ -310,12 +314,25 @@ def _edited(path: tuple, value) -> dict:
         "true-a0", "string-x0", "true-gain", "one-number-box-pair",
         "string-t-min", "float-n-meas", "string-smoothing", "number-name",
         "escaping-name", "empty-name", "fractional-b2-s", "unknown-b2-system",
+        "b2-s-above-2", "b2-s-below-1", "negative-b2-i", "b2-i-beyond-n",
         "unknown-primary", "unknown-objective-form", "unknown-coefficient-form",
         "list-systems", "no-systems"])
 def test_bad_setting_names_its_path(path, value, message):
     with pytest.raises(ConfigurationError) as exc:
         Scenario(_edited(path, value))
     assert str(exc.value) == message
+
+
+def test_b2_channel_index_ranges_over_the_named_system():
+    """case3's b2 names vehicle3, a system of two channels."""
+    cfg = preset("case3").config
+    assert cfg["b2"]["system"] == "vehicle3"
+    cfg["b2"]["elements"][0]["i"] = 2
+    assert Scenario(cfg).b2_setup()[1][0].i == 2
+    cfg["b2"]["elements"][0]["i"] = 3
+    with pytest.raises(ConfigurationError,
+                       match=r"^b2\.elements\[0\]\.i: expected 1 or 2, got 3$"):
+        Scenario(cfg)
 
 
 def test_missing_setting_names_its_path():

@@ -704,7 +704,8 @@ class TestStage:
     @pytest.mark.parametrize("name", ["case1", "case2", "case3"])
     def test_calls_no_oracle(self, name, monkeypatch):
         """Inside ``rk4_step`` the loop calls none of the oracle's
-        functions, nor ``np.concatenate``; outside it, they are called."""
+        functions, nor ``np.concatenate``; outside it, the oracle's
+        functions are called."""
         calls, inside = [], [False]
         step = sim.rk4_step
 
@@ -730,8 +731,7 @@ class TestStage:
         sim.run_batch([sc.primary_system] * 2, [None, sc.gekf_config()])
         assert [attr for attr, stage in calls if stage] == []
         assert {attr for attr, _ in calls} == {
-            "lbs_rhs_exact", "coefficients", "measured", "measured_gradient",
-            "concatenate"}
+            "lbs_rhs_exact", "coefficients", "measured", "measured_gradient"}
 
     def test_runs_equal_a_plain_float_stepper(self):
         """case1's baseline run and its reference equal an independent

@@ -40,7 +40,9 @@ exits 1).  Each log array or diagnostic that differs gets a line of its
 own with how far it moved: the largest ``|new - old|`` of a column over
 the largest ``|old|`` of that column, the scale by which
 ``perfbench/check.py`` judges a value, and the column where that ratio
-is largest.  Then each loop, the same or not, runs ``PAIRS`` times per
+is largest.  When logs move, one more line per loop gives, over all its
+members, the largest move of each log array and of each diagnostic that
+moved.  Then each loop, the same or not, runs ``PAIRS`` times per
 tree (default 10), interleaved, the first of each pair alternating
 between the trees.  One line per loop gives the median of the new/old
 ratios of CPU time (``time.process_time``), the median times, and in how
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -136,13 +139,14 @@ def loops(mods: dict) -> dict:
     }
 
 
-def move(a: np.ndarray, b: np.ndarray) -> str:
+def move(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
     """How far ``b`` moved from ``a``: the largest ratio, over the columns
     of a ``(steps, ...)`` array, of the largest ``|b - a|`` to the largest
     finite ``|a|``, and its column; a NaN against a number, or a move of a
-    column that is 0 throughout, is infinite."""
+    column that is 0 throughout, is infinite, and so is a change of
+    shape, in column -1."""
     if a.shape != b.shape:
-        return f"shape {a.shape} != {b.shape}"
+        return math.inf, -1
     a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
     with np.errstate(invalid="ignore"):
         gap = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0,
@@ -153,7 +157,7 @@ def move(a: np.ndarray, b: np.ndarray) -> str:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(delta == 0.0, 0.0, delta / scale)
     column = int(np.argmax(ratio))
-    return f"largest |new - old| / max |old| {ratio[column]:.3g} in column {column}"
+    return float(ratio[column]), column
 
 
 def outcome(result):
@@ -165,10 +169,11 @@ def outcome(result):
             getattr(result, "t_exit", None))
 
 
-def differences(old: list, new: list) -> list[str]:
+def differences(old: list, new: list) -> tuple[list[str], dict]:
     """Where two loops' results differ: per member, the log array, the
-    diagnostic or the meta, or the error."""
-    out = []
+    diagnostic or the meta, or the error; and the largest move of each
+    log array and diagnostic that moved, over all members."""
+    out, largest = [], {}
     for k, (a, b) in enumerate(zip(old, new)):
         if isinstance(a, Exception) or isinstance(b, Exception):
             if outcome(a) != outcome(b):
@@ -181,13 +186,18 @@ def differences(old: list, new: list) -> list[str]:
             out.append(f"member {k}: diagnostic names")
         pairs += [(f"diag {key}", diag_a[key], diag_b[key]) for key in diag_a
                   if key in diag_b]
-        out += [f"member {k}: {name}: {move(x, y)}" for name, x, y in pairs
-                if x.shape != y.shape or x.tobytes() != y.tobytes()]
+        for name, x, y in pairs:
+            if x.shape == y.shape and x.tobytes() == y.tobytes():
+                continue
+            ratio, column = move(x, y)
+            largest[name] = max(largest.get(name, 0.0), ratio)
+            out.append(f"member {k}: {name}: largest |new - old| / max |old| "
+                       f"{ratio:.3g} in column {column}")
         if a.meta != b.meta:
             out.append(f"member {k}: meta")
     if len(old) != len(new):
         out.append(f"{len(old)} members != {len(new)}")
-    return out
+    return out, largest
 
 
 def cpu_time(call) -> float:
@@ -214,10 +224,14 @@ def main(argv: list[str]) -> int:
     failed = False
     with np.errstate(all="ignore"):
         for name in names:
-            found = differences(old[name](), new[name]())
+            found, largest = differences(old[name](), new[name]())
             failed = failed or bool(found)
             for line in found:
                 print(f"{name}: {line}", flush=True)
+            if largest:
+                print(f"{name}: largest move over all members: " + ", ".join(
+                    f"{key} {ratio:.3g}" for key, ratio in largest.items()),
+                      flush=True)
             times = {"old": [], "new": []}
             for pair in range(pairs):
                 order = ("old", "new") if pair % 2 == 0 else ("new", "old")
