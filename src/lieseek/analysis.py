@@ -8,7 +8,7 @@ All functions are pure over immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,8 +35,25 @@ def period_average(values: np.ndarray, window: int) -> np.ndarray:
     return out.reshape(values.shape)
 
 
+class _Report:
+    """A report whose JSON object is its dataclass fields."""
+
+    def to_dict(self) -> dict:
+        """The fields in declaration order, a nested report as its dict
+        and a tuple as a list."""
+        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json(value):
+    if isinstance(value, _Report):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
-class ChannelBoundCheck:
+class ChannelBoundCheck(_Report):
     """Per-channel outcome of the 1/t^p decay check."""
 
     channel: int
@@ -44,26 +61,16 @@ class ChannelBoundCheck:
     t_star: Optional[float]
     violations_after: int
 
-    def to_dict(self) -> dict:
-        return {"channel": self.channel, "holds": self.holds,
-                "t_star": self.t_star, "violations_after": self.violations_after}
-
 
 @dataclass(frozen=True)
-class BoundCheckResult:
-    """Outcome of checking |J_i(t)| <= 1/t^p past some onset time."""
+class BoundCheckResult(_Report):
+    """Outcome of checking |J_i(t)| <= 1/t^p past some onset time:
+    ``holds`` when it holds on every channel."""
 
     p: float
     t_min: float
+    holds: bool
     channels: tuple[ChannelBoundCheck, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(c.holds for c in self.channels)
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "t_min": self.t_min, "holds": self.holds,
-                "channels": [c.to_dict() for c in self.channels]}
 
 
 def check_bound(t: np.ndarray, j: np.ndarray, p: float,
@@ -110,7 +117,9 @@ def check_bound(t: np.ndarray, j: np.ndarray, p: float,
         else:
             results.append(ChannelBoundCheck(ch + 1, True,
                                              float(tm[last_violation + 1]), 0))
-    return BoundCheckResult(p=p, t_min=t_min, channels=tuple(results))
+    return BoundCheckResult(p=p, t_min=t_min,
+                            holds=all(c.holds for c in results),
+                            channels=tuple(results))
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ class B2Element:
 
 
 @dataclass(frozen=True)
-class B2ElementReport:
+class B2ElementReport(_Report):
     s: int
     i: int
     label: str
@@ -134,16 +143,9 @@ class B2ElementReport:
     m3_fit: Optional[float]
     m_fit: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {"s": self.s, "i": self.i, "label": self.label,
-                "satisfiable": self.satisfiable,
-                "contradiction": self.contradiction,
-                "value_at_extremum": self.value_at_extremum,
-                "m3_fit": self.m3_fit, "m_fit": self.m_fit}
-
 
 @dataclass(frozen=True)
-class B2Report:
+class B2Report(_Report):
     """Outcome of the vanishing-oscillation condition check.
 
     ``contradiction`` is set when some element keeps a nonzero magnitude
@@ -152,20 +154,11 @@ class B2Report:
     practical-stability constants when a scenario documents them.
     """
 
-    elements: tuple[B2ElementReport, ...]
+    contradiction: bool
     x_star: tuple[float, ...]
     f_star: float
+    elements: tuple[B2ElementReport, ...]
     b1_constants: Optional[dict] = None
-
-    @property
-    def contradiction(self) -> bool:
-        return any(e.contradiction for e in self.elements)
-
-    def to_dict(self) -> dict:
-        return {"contradiction": self.contradiction,
-                "x_star": list(self.x_star), "f_star": self.f_star,
-                "elements": [e.to_dict() for e in self.elements],
-                "b1_constants": self.b1_constants}
 
 
 def _sample_design(box: np.ndarray, count: int) -> np.ndarray:
@@ -215,13 +208,13 @@ def check_b2(elements: Sequence[B2Element], objective: ObjectiveMap,
             s=el.s, i=el.i, label=el.label, satisfiable=not contradiction,
             contradiction=contradiction, value_at_extremum=v0,
             m3_fit=m3_fit, m_fit=m_fit))
-    return B2Report(elements=tuple(reports),
+    return B2Report(contradiction=any(e.contradiction for e in reports),
                     x_star=objective.center, f_star=objective.offset,
-                    b1_constants=b1_constants)
+                    elements=tuple(reports), b1_constants=b1_constants)
 
 
 @dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(_Report):
     """Convergence and oscillation figures for one trajectory."""
 
     final_error: float
@@ -233,13 +226,6 @@ class RunMetrics:
     @property
     def envelope_max(self) -> float:
         return max(self.envelope)
-
-    def to_dict(self) -> dict:
-        return {"final_error": self.final_error,
-                "settling_time": self.settling_time,
-                "envelope": list(self.envelope),
-                "amplitude_final": list(self.amplitude_final),
-                "window": self.window}
 
 
 def metrics(log: TrajectoryLog, x_star, window: float,
@@ -286,17 +272,12 @@ def metrics(log: TrajectoryLog, x_star, window: float,
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Report):
     """Side-by-side metrics of a constant-amplitude and an adaptive run."""
 
     baseline: RunMetrics
     proposed: RunMetrics
     envelope_ratio: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {"baseline": self.baseline.to_dict(),
-                "proposed": self.proposed.to_dict(),
-                "envelope_ratio": self.envelope_ratio}
 
 
 def compare(baseline: TrajectoryLog, proposed: TrajectoryLog, x_star,

@@ -310,6 +310,16 @@ def _require_above(flag: str, value: float, bound: float) -> None:
             f"{flag} must be finite and above {bound:g}, got {value:g}")
 
 
+def _report(report, out: Optional[str], passed: bool = True) -> int:
+    """Print a check's report as JSON, write it to ``out`` when given, and
+    return the check's exit code."""
+    payload = report.to_dict()
+    if out:
+        _json_dump(payload, out)
+    print(json.dumps(payload, indent=2))
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
 def cmd_check_bound(args) -> int:
     _require_above("--p", args.p, 1.0)
     _require_above("--t-min", args.t_min, 0.0)
@@ -322,11 +332,7 @@ def cmd_check_bound(args) -> int:
     if np.any(np.isnan(series)):
         raise InputError("requested signal columns are empty in this CSV")
     result = an.check_bound(log.t, series, p=args.p, t_min=args.t_min)
-    payload = result.to_dict()
-    if args.out:
-        _json_dump(payload, args.out)
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK if result.holds else EXIT_CHECK_FAILED
+    return _report(result, args.out, result.holds)
 
 
 def cmd_check_b2(args) -> int:
@@ -336,11 +342,7 @@ def cmd_check_b2(args) -> int:
         raise InputError(f"scenario {sc.name!r} defines no elements to check")
     objective, elements, constants = setup
     report = an.check_b2(elements, objective, b1_constants=constants)
-    payload = report.to_dict()
-    if args.out:
-        _json_dump(payload, args.out)
-    print(json.dumps(payload, indent=2))
-    return EXIT_CHECK_FAILED if report.contradiction else EXIT_OK
+    return _report(report, args.out, not report.contradiction)
 
 
 def cmd_compare(args) -> int:
@@ -360,12 +362,8 @@ def cmd_compare(args) -> int:
         raise ConfigurationError(
             f"--window must be shorter than the logs' span {span:g}, "
             f"got {args.window:g}")
-    report = an.compare(base, prop, x_star, args.window, args.period)
-    payload = report.to_dict()
-    if args.out:
-        _json_dump(payload, args.out)
-    print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return _report(an.compare(base, prop, x_star, args.window, args.period),
+                   args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

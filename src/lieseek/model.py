@@ -585,7 +585,10 @@ class EstimationErrorModel:
     """A named decaying waveform standing in for estimation error.
 
     ``eps0`` bounds the magnitude, ``theta0`` the slope; the default
-    ``inverse_square`` form is ``eps0 / (1 + t)^2``.
+    ``inverse_square`` form is ``eps0 / (1 + t)^2``.  Construction checks
+    both bounds on 2048 points of [0, 100], and that the form has decayed
+    below ``eps0 / 100`` at t = 100; a model that breaks one raises
+    :class:`ConfigurationError`.
     """
 
     eps0: float
@@ -599,17 +602,14 @@ class EstimationErrorModel:
         if self.form not in _ERROR_FORMS:
             raise ConfigurationError(f"unknown error form {self.form!r}; "
                                      f"have {sorted(_ERROR_FORMS)}")
-
-    def value(self, t: float) -> float:
-        return _ERROR_FORMS[self.form](max(t, 0.0), self.eps0, self.theta0)
-
-    def validate(self, t_end: float = 100.0, samples: int = 2048) -> None:
-        ts = np.linspace(0.0, t_end, samples)
+        ts = np.linspace(0.0, 100.0, 2048)
         vals = np.array([self.value(t) for t in ts])
         if np.max(np.abs(vals)) > self.eps0 + 1e-12:
             raise ConfigurationError("error form exceeds declared bound eps0")
-        steps = np.abs(np.diff(vals)) / np.diff(ts)
-        if np.max(steps) > self.theta0 + 1e-9:
+        if np.max(np.abs(np.diff(vals)) / np.diff(ts)) > self.theta0 + 1e-9:
             raise ConfigurationError("error form violates declared Lipschitz bound")
-        if t_end >= 100.0 and abs(self.value(t_end)) >= 0.01 * self.eps0:
+        if abs(vals[-1]) >= 0.01 * self.eps0:
             raise ConfigurationError("error form does not decay sufficiently")
+
+    def value(self, t: float) -> float:
+        return _ERROR_FORMS[self.form](max(t, 0.0), self.eps0, self.theta0)

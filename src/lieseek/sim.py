@@ -186,25 +186,18 @@ class TrajectoryLog:
         return float(self.t[1] - self.t[0])
 
     def header(self) -> str:
-        return _header(self.n)
+        return _header(_trajectory(self.n))
 
     def to_csv(self, path: str) -> None:
         """Write the stable-schema trajectory CSV atomically."""
-        data = np.column_stack((self.t, self.x, self.f, self.a, self.j_est,
-                                self.j_exact, self.z_ref))
-        _atomic_write(path, _csv_text(self.header(), data, nan=CSV_NAN))
+        columns = (self.t, self.x, self.f, self.a, self.j_est, self.j_exact,
+                   self.z_ref)
+        _write_csv(path, dict(zip(_TRAJECTORY, columns)))
 
     def diagnostics_to_csv(self, path: str) -> None:
         if not self.diag:
             raise InputError("log carries no filter diagnostics")
-        cols = ["t"]
-        for name, arr in self.diag.items():
-            if arr.ndim == 1:
-                cols.append(name)
-            else:
-                cols += [f"{name}_{i}" for i in range(1, arr.shape[1] + 1)]
-        data = np.column_stack((self.t, *self.diag.values()))
-        _atomic_write(path, _csv_text(",".join(cols), data))
+        _write_csv(path, {"t": self.t, **self.diag})
 
     @staticmethod
     def from_csv(path: str) -> "TrajectoryLog":
@@ -220,41 +213,62 @@ class TrajectoryLog:
             if not lines:
                 raise ValueError("it is empty")
             n = (lines[0].count(",") - 1) // 5
-            if n < 1 or lines[0] != _header(n):
+            blocks = _trajectory(n)
+            if n < 1 or lines[0] != _header(blocks):
                 raise ValueError("its header is not a trajectory's")
             # a cell that is no number, or a short row, raises ValueError
             data = np.array([[parse(c) for c in ln.split(",")]
                              for ln in lines[1:]])
+            widths = [math.prod(shape) for _, shape in blocks]
             if data.shape[0] < 2:
                 raise ValueError(f"it has {data.shape[0]} rows, a trajectory "
                                  "needs at least two")
-            if data.shape[1] != 2 + 5 * n:
+            if data.shape[1] != sum(widths):
                 raise ValueError(f"its rows have {data.shape[1]} cells, its "
-                                 f"header {2 + 5 * n}")
-            t, x, f, a, j_est, j_exact, z_ref = np.split(
-                data, np.cumsum([1, n, 1, n, n, n]), axis=1)
-            return TrajectoryLog(t[:, 0], x, f[:, 0], a, j_est, j_exact, z_ref)
+                                 f"header {sum(widths)}")
+            columns = np.split(data, np.cumsum(widths[:-1]), axis=1)
+            return TrajectoryLog(*(c.reshape(-1, *shape)
+                                   for c, (_, shape) in zip(columns, blocks)))
         except (OSError, ValueError, InputError) as exc:
             # InputError: times that do not increase
             raise ConfigurationError(f"cannot read CSV {path}: {exc}") from exc
 
 
-def _header(n: int) -> str:
-    """The header line of the CSV of an ``n``-coordinate trajectory."""
-    idx = range(1, n + 1)
-    return ",".join(["t", *(f"x_{i}" for i in idx), "f",
-                     *(f"{name}_{i}" for name in ("a", "Jest", "Jexact", "zref")
-                       for i in idx)])
+# The column blocks of a trajectory CSV in file order, which is the order
+# of TrajectoryLog's arguments
+_TRAJECTORY = ("t", "x", "f", "a", "Jest", "Jexact", "zref")
 
 
-def _csv_text(header: str, data: np.ndarray, nan: str = "nan") -> str:
+def _trajectory(n: int) -> list:
+    """The column blocks of an ``n``-coordinate trajectory CSV as (name,
+    row shape) pairs: ``t`` and ``f`` hold one value per row, the others
+    n."""
+    return [(name, () if name in ("t", "f") else (n,)) for name in _TRAJECTORY]
+
+
+def _header(blocks) -> str:
+    """The header line of column blocks given as (name, row shape) pairs:
+    a block of shape ``()`` is the one column ``name``, a block of shape
+    ``(k,)`` the columns ``name_1`` to ``name_k``."""
+    return ",".join(",".join(f"{name}_{i}" for i in range(1, shape[0] + 1))
+                    if shape else name for name, shape in blocks)
+
+
+def _write_csv(path: str, blocks: dict) -> None:
+    """Write the 1-D and 2-D arrays ``blocks``, by name, as the columns of
+    a CSV file, atomically (:func:`_header`, :func:`_csv_text`)."""
+    header = _header((name, b.shape[1:]) for name, b in blocks.items())
+    data = np.column_stack(list(blocks.values()))
+    _atomic_write(path, _csv_text(header, data))
+
+
+def _csv_text(header: str, data: np.ndarray) -> str:
     """CSV text of a 2-D array: each value as its shortest round-trip repr,
-    NaN as ``nan``, one line per row after ``header``."""
+    NaN as an empty cell, one line per row after ``header``."""
     lines = [header]
     for row in data:
-        line = ",".join(map(repr, row.tolist()))
         # repr writes "nan" only as a whole value, never inside a number
-        lines.append(line if nan == "nan" else line.replace("nan", nan))
+        lines.append(",".join(map(repr, row.tolist())).replace("nan", CSV_NAN))
     lines.append("")
     return "\n".join(lines)
 

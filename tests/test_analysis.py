@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +238,32 @@ class TestPeriodAverage:
         vals = np.sin(2 * np.pi * np.arange(10 * n) / n)
         out = period_average(vals, n)
         assert np.max(np.abs(out[n:])) < 1e-12
+
+
+class TestReportJson:
+    def _reports(self):
+        t = np.linspace(1.0, 20.0, 501)
+        bound = check_bound(t, t ** -1.5, p=1.2)
+        objective, elements, _ = preset("case1").b2_setup()
+        b2 = check_b2(elements, objective)
+        comparison = compare(_log(t, np.sin(t)), _log(t, 0.5 * np.sin(t)),
+                             [0.0], window=5.0)
+        return (bound, bound.channels[0], b2, b2.elements[0], comparison,
+                comparison.baseline)
+
+    def test_keys_are_the_fields_in_order(self):
+        reports = self._reports()
+        assert len({type(r) for r in reports}) == 6
+        for report in reports:
+            assert list(report.to_dict()) == [f.name for f in fields(report)]
+
+    def test_key_order_of_the_check_reports(self):
+        bound, _, b2, _, _, _ = self._reports()
+        assert list(bound.to_dict()) == ["p", "t_min", "holds", "channels"]
+        assert list(b2.to_dict()) == ["contradiction", "x_star", "f_star",
+                                      "elements", "b1_constants"]
+
+    def test_nested_reports_and_tuples_serialize_to_json(self):
+        for report in self._reports():
+            d = report.to_dict()
+            assert json.loads(json.dumps(d)) == d

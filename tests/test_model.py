@@ -395,15 +395,20 @@ class TestEscSystemSpec:
 class TestEstimationErrorModel:
     def test_default_form_validates(self):
         err = EstimationErrorModel(eps0=0.1, theta0=0.2)
-        err.validate()
         assert err.value(0.0) == pytest.approx(0.1)
         assert err.value(100.0) < 0.01 * err.eps0
 
     def test_bound_violation_detected(self):
         # Lipschitz constant of the default form is 2*eps0; declare less.
-        err = EstimationErrorModel(eps0=0.1, theta0=0.05)
-        with pytest.raises(ConfigurationError):
-            err.validate()
+        with pytest.raises(ConfigurationError,
+                           match="violates declared Lipschitz bound"):
+            EstimationErrorModel(eps0=0.1, theta0=0.05)
+
+    def test_slow_decay_rejected(self):
+        # exp(-100 * theta0 / eps0) stays above 1/100 when theta0/eps0 < 0.046
+        with pytest.raises(ConfigurationError,
+                           match="does not decay sufficiently"):
+            EstimationErrorModel(eps0=1.0, theta0=0.04, form="exponential")
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ConfigurationError):

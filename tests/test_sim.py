@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import counting_loops, shortened
 import lieseek.sim as sim
 from lieseek.cli import execute_run
-from lieseek.errors import (DivergenceError, EvaluationError,
-                            FilterDivergenceError, InputError,
+from lieseek.errors import (ConfigurationError, DivergenceError,
+                            EvaluationError, FilterDivergenceError, InputError,
                             IntegrationError, LieseekError)
 from lieseek.model import (TAU, DitherSignal, EscSystemSpec, EstimationErrorModel,
                            ObjectiveMap)
@@ -148,6 +148,12 @@ class TestRunLbs:
         assert not np.any(np.isnan(log.z_ref))
         assert abs(log.z_ref[-1, 0] - 1.0) < 1e-6
 
+
+    def test_an_error_model_that_breaks_its_slope_bound_is_rejected(self):
+        """The inverse-square form's slope at 0 is 2 * eps0, above 0.05."""
+        spec = shortened("case1", 2.0).primary_system
+        with pytest.raises(ConfigurationError, match="Lipschitz"):
+            run_lbs(spec, EstimationErrorModel(eps0=0.1, theta0=0.05))
 
     def test_time_grid_is_the_seeking_runs(self):
         spec = shortened("case1", 5.0).primary_system
@@ -948,6 +954,46 @@ class TestLockstepBatch:
             run_lbs(spec)
         assert reference.value.t_exit > 29.0
         for result in sim.run_batch([spec, spec], [None, sc.gekf_config()]):
+            assert type(result) is DivergenceError
+            assert str(result) == str(reference.value)
+            assert result.t_exit == reference.value.t_exit
+
+    def test_a_member_whose_reference_failed_in_an_earlier_loop_takes_no_step(
+            self, monkeypatch):
+        """At a fixed dt, omega 8 and 16 give smoothing windows of 64 and
+        32 steps, so the two proposed members run in two loops and share
+        one reference, which the first loop integrates and which fails.
+        The second loop's member stops before its first step, and both
+        return the reference's error, as ``run_lbs`` raises it."""
+        specs = []
+        for omega in (8.0, 16.0):
+            cfg = shortened("case1", 50.0, omega=omega).config
+            cfg["systems"]["main"].update(dt=0.01227184630308513, a0=[10.655])
+            sc = Scenario(cfg)
+            specs.append(sc.primary_system)
+        assert [spec.steps_per_period for spec in specs] == [64, 32]
+        with pytest.raises(DivergenceError) as reference:
+            run_lbs(specs[0])
+        assert str(reference.value) == ("state left 10x domain-box region "
+                                        "at t=29.55060589783022")
+        calls, steps = [], []
+        inner_rk4, inner_run = sim.rk4_step, sim._Lockstep.run
+
+        def counting_rk4(*args):
+            calls.append(args)
+            return inner_rk4(*args)
+
+        def counting_run(loop):
+            before = len(calls)
+            out = inner_run(loop)
+            steps.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(sim, "rk4_step", counting_rk4)
+        monkeypatch.setattr(sim._Lockstep, "run", counting_run)
+        batch = sim.run_batch(specs, [sc.gekf_config()] * 2)
+        assert len(steps) == 2 and steps[0] > 0 and steps[1] == 0
+        for result in batch:
             assert type(result) is DivergenceError
             assert str(result) == str(reference.value)
             assert result.t_exit == reference.value.t_exit

@@ -1,10 +1,13 @@
 """Run lieseek CLI commands from two source trees and compare what they leave.
 
 Each tree's ``src`` goes first on ``PYTHONPATH``, and a command runs as
-``python3 -m lieseek ARGS --out out`` in a fresh temporary directory of
-its own.  The two runs must agree byte for byte in every file under
-``out``, in stdout and stderr and in the exit code, with the temporary
-directory's path replaced by ``<tmp>`` wherever it appears::
+``python3 -m lieseek ARGS --out out/0`` in a fresh temporary directory of
+its own.  A chain of commands runs in one directory, command k with
+``--out out/k``, so that a later command reads what an earlier one
+wrote.  An ``--out`` may be a directory or a file.  The two runs must
+agree byte for byte in every file under ``out``, in stdout and stderr and
+in the exit codes, with the temporary directory's path replaced by
+``<tmp>`` wherever it appears::
 
     python3 tools/same_outputs.py OLD_TREE NEW_TREE -- run case1 --mode both
     python3 tools/same_outputs.py OLD_TREE NEW_TREE --standard
@@ -28,6 +31,10 @@ that must keep the outputs runs it against its parent tree:
 * ``sweep case2 --mode proposed --horizon 1.5 --lambda 0.1,1e4,0.2,1e5``
   and ``sweep case3 --mode proposed --omega 20,30 --horizon 3``, which
   fail with exit code 3
+* ``check-b2 case1`` and ``check-b2 case3``, which exit 1: each preset
+  has a contradicting element
+* the chain ``run case1 --mode both``, then ``check-bound`` on its
+  proposed CSV, estimate and oracle, and ``compare`` on its two CSVs
 
 Exits 0 when all outputs are the same, 1 when any differ and 2 on a
 usage error.  Uses the standard library alone.
@@ -42,30 +49,33 @@ import sys
 import tempfile
 
 
-def run(tree: str, args: list[str], tmp: str) -> dict:
-    """The files, stdout, stderr and exit code of ``args`` run from
-    ``tree`` in the directory ``tmp``."""
+def run(tree: str, chain: list[list[str]], tmp: str) -> dict:
+    """The files, stdout, stderr and exit codes of the commands ``chain``
+    run in order from ``tree`` in the directory ``tmp``."""
     env = dict(os.environ)
     src = os.path.join(os.path.abspath(tree), "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "lieseek", *args,
-                           "--out", "out"], cwd=tmp, env=env,
-                          capture_output=True, check=False)
     here = os.fsencode(os.path.realpath(tmp))
 
     def factored(data: bytes) -> bytes:
         return data.replace(here, b"<tmp>")
 
+    result = {"files": {}, "code": [], "stdout": b"", "stderr": b""}
+    for k, args in enumerate(chain):
+        proc = subprocess.run([sys.executable, "-m", "lieseek", *args,
+                               "--out", f"out/{k}"], cwd=tmp, env=env,
+                              capture_output=True, check=False)
+        result["code"].append(proc.returncode)
+        result["stdout"] += factored(proc.stdout)
+        result["stderr"] += factored(proc.stderr)
     out = os.path.join(tmp, "out")
-    files = {}
     for root, _, names in os.walk(out):
         for name in names:
             path = os.path.join(root, name)
             with open(path, "rb") as fh:
-                files[os.path.relpath(path, out)] = factored(fh.read())
-    return {"files": files, "code": proc.returncode,
-            "stdout": factored(proc.stdout), "stderr": factored(proc.stderr)}
+                result["files"][os.path.relpath(path, out)] = factored(fh.read())
+    return result
 
 
 def first_difference(a: bytes, b: bytes) -> str:
@@ -151,16 +161,25 @@ STANDARD = (
      "--lambda", "0.1,1e4,0.2,1e5"],
     ["sweep", "case3", "--mode", "proposed", "--omega", "20,30",
      "--horizon", "3"],
+    ["check-b2", "case1"],
+    ["check-b2", "case3"],
+    (["run", "case1", "--mode", "both"],
+     ["check-bound", "out/0/case1_main_proposed.csv", "--p", "1.05"],
+     ["check-bound", "out/0/case1_main_proposed.csv", "--p", "1.05",
+      "--oracle"],
+     ["compare", "out/0/case1_main_baseline.csv",
+      "out/0/case1_main_proposed.csv", "--x-star", "1",
+      "--period", "0.7853981633974483"]),
 )
 
 
-def compare(old_tree: str, new_tree: str, args: list[str]) -> tuple:
-    """The differences between ``args`` run from the two trees, and the
-    old tree's result."""
+def compare(old_tree: str, new_tree: str, chain: list[list[str]]) -> tuple:
+    """The differences between the commands ``chain`` run from the two
+    trees, and the old tree's result."""
     results = []
     for tree in (old_tree, new_tree):
         with tempfile.TemporaryDirectory() as tmp:
-            results.append(run(tree, args, tmp))
+            results.append(run(tree, chain, tmp))
     return differences(*results), results[0]
 
 
@@ -177,13 +196,16 @@ def main(argv: list[str]) -> int:
             print(f"error: {tree} has no src/lieseek", file=sys.stderr)
             return 2
     failed = False
-    for args in commands:
-        found, old = compare(argv[0], argv[1], args)
+    for command in commands:
+        # a command is one argument list, or a tuple of them: a chain
+        chain = list(command) if isinstance(command, tuple) else [command]
+        found, old = compare(argv[0], argv[1], chain)
         failed = failed or bool(found)
-        same = f"same: exit code {old['code']}, {len(old['files'])} files"
+        codes = " ".join(map(str, old["code"]))
+        same = f"same: exit code {codes}, {len(old['files'])} files"
         if commands is STANDARD:
             verdict = f"{len(found)} differences" if found else same
-            print(f"{' '.join(args)}: {verdict}", flush=True)
+            print(f"{' && '.join(map(' '.join, chain))}: {verdict}", flush=True)
             for line in found:
                 print(f"  {line}", flush=True)
         else:
